@@ -1,6 +1,6 @@
 """Discrete-event simulator for multi-sink underwater acoustic sensor
 networks: Q-learning anypath routing (qlfr), a depth-greedy baseline (dbr),
-an acoustic channel model, and a recursive analytical performance model."""
+an acoustic channel model, and an analytical performance model."""
 
 from .channel import ChannelParams
 from .config import ConfigError, ScenarioConfig, parse_config

@@ -1,4 +1,4 @@
-"""Closed-form recursive performance model on a frozen topology snapshot.
+"""Closed-form performance model on a frozen topology snapshot.
 
 Given fixed positions, per-node ordered candidate lists and per-link delivery
 probabilities, computes the expected delivery probability to any sink, the
@@ -8,7 +8,9 @@ highest-priority candidate whose link succeeded forwards, everyone else stays
 silent. Used as an independent oracle against Monte-Carlo simulation of the
 same snapshot.
 
-The delay recursion weights each hop by the probability that the hop's
+Every candidate must be strictly shallower than its sender, so the candidate
+graph is a depth-ordered DAG and the whole model is one pass over it (see
+`_solve`). The delay weights each hop by the probability that the hop's
 forwarder is elected, which does not condition on eventual delivery; both the
 raw (delivery-weighted) value and the normalized value raw / P(delivery) are
 exposed, the latter being comparable to a simulator's mean delay of delivered
@@ -100,26 +102,6 @@ def forward_prob(topo: StaticTopology, sender: int, candidate: int) -> float:
     return candidate_forward_prob(_link_p_vector(topo, sender), cands.index(candidate) + 1)
 
 
-def delivery_prob_to_sink(topo: StaticTopology, node: int, _memo=None, _stack=None) -> float:
-    """Recursive delivery probability from `node` to any sink; 1 at sinks,
-    0 in a void. Raises TopologyError on a candidate cycle."""
-    if _memo is None:
-        _memo, _stack = {}, set()
-    if topo.is_sink(node):
-        return 1.0
-    if node in _memo:
-        return _memo[node]
-    if node in _stack:
-        raise TopologyError(f"candidate graph contains a cycle through node {node}")
-    _stack.add(node)
-    total = 0.0
-    for cand in topo.candidates.get(node, ()):
-        total += forward_prob(topo, node, cand) * delivery_prob_to_sink(topo, cand, _memo, _stack)
-    _stack.discard(node)
-    _memo[node] = total
-    return total
-
-
 def outgoing_traffic(topo: StaticTopology) -> dict:
     """Expected packets transmitted per node: own generation plus the inbound
     share of every sender's traffic. Sinks absorb and never transmit."""
@@ -165,45 +147,52 @@ def expected_holding_time(topo: StaticTopology, node: int, traffic: dict | None 
     return expected
 
 
-def hop_delay(topo: StaticTopology, sender: int, candidate: int,
-              traffic: dict | None = None) -> float:
-    """One-hop latency: the sender's expected holding time plus propagation."""
-    return (expected_holding_time(topo, sender, traffic)
-            + topo.distance(sender, candidate) / topo.sound_speed_mps)
+def _solve(topo: StaticTopology) -> tuple[dict, dict, dict]:
+    """(traffic, delivery probability, raw delay) for every node, in one pass
+    over the depth-ordered candidate DAG. Traffic runs deepest-first and
+    rejects any candidate that is not strictly shallower; the rest runs
+    shallowest-first, so each sender reads only its candidates' finished
+    values. Sinks deliver with probability 1 after no delay; a void delivers
+    nothing."""
+    traffic = outgoing_traffic(topo)
+    delivery = {nid: 1.0 if topo.is_sink(nid) else 0.0 for nid in topo.kinds}
+    raw_delay = dict.fromkeys(topo.kinds, 0.0)
+    for sender in sorted(topo.candidates, key=topo.depth):
+        if topo.is_sink(sender):
+            continue
+        holding = expected_holding_time(topo, sender, traffic)
+        p = d = 0.0
+        for cand in topo.candidates[sender]:
+            fwd = forward_prob(topo, sender, cand)
+            p += fwd * delivery[cand]
+            hop = holding + topo.distance(sender, cand) / topo.sound_speed_mps
+            d += (hop + raw_delay[cand]) * fwd
+        delivery[sender], raw_delay[sender] = p, d
+    return traffic, delivery, raw_delay
+
+
+def _conditional_delay(raw: float, p: float) -> float:
+    return raw / p if p > 0.0 else float("nan")
+
+
+def delivery_prob_to_sink(topo: StaticTopology, node: int) -> float:
+    """Delivery probability from `node` to any sink; 1 at sinks, 0 in a void.
+    Raises TopologyError unless every candidate is strictly shallower."""
+    return _solve(topo)[1][node]
 
 
 def expected_delay_to_sink(topo: StaticTopology, node: int,
                            conditional: bool = False) -> float:
-    """Recursive end-to-end delay from `node` to a sink; 0 at sinks.
+    """End-to-end delay from `node` to a sink; 0 at sinks.
 
-    conditional=False returns the raw delivery-weighted recursion;
+    conditional=False returns the raw delivery-weighted value;
     conditional=True divides by the delivery probability, giving the value
     comparable to a simulated mean over delivered packets (NaN in a void).
     """
-    traffic = outgoing_traffic(topo)
-    memo: dict = {}
-    stack: set = set()
-
-    def raw(n: int) -> float:
-        if topo.is_sink(n):
-            return 0.0
-        if n in memo:
-            return memo[n]
-        if n in stack:
-            raise TopologyError(f"candidate graph contains a cycle through node {n}")
-        stack.add(n)
-        total = 0.0
-        for cand in topo.candidates.get(n, ()):
-            total += (hop_delay(topo, n, cand, traffic) + raw(cand)) * forward_prob(topo, n, cand)
-        stack.discard(n)
-        memo[n] = total
-        return total
-
-    value = raw(node)
+    _, delivery, raw_delay = _solve(topo)
     if not conditional:
-        return value
-    p = delivery_prob_to_sink(topo, node)
-    return value / p if p > 0.0 else float("nan")
+        return raw_delay[node]
+    return _conditional_delay(raw_delay[node], delivery[node])
 
 
 def node_energy(topo: StaticTopology, node: int, traffic: dict | None = None) -> float:
@@ -237,13 +226,20 @@ def network_lifetime(topo: StaticTopology, run_time_s: float, initial_energy_j: 
 def load_snapshot(source) -> StaticTopology:
     """Build a StaticTopology from an engine snapshot (dict or JSON path).
     Link probabilities are recomputed from positions and the recorded channel
-    parameters; neighbor sets from positions and the transmission range."""
+    parameters; neighbor sets from positions and the transmission range.
+    Snapshots of a protocol other than qlfr are refused; one that records no
+    protocol is read as qlfr."""
     if isinstance(source, dict):
         snap = source
     else:
         with open(source) as fh:
             snap = json.load(fh)
     params = snap["params"]
+    protocol = params.get("protocol", "qlfr")
+    if protocol != "qlfr":
+        raise TopologyError(
+            f"snapshot of a {protocol} run has no candidate lists; "
+            "the model describes qlfr priority lists only")
     cp = chan.ChannelParams(**params["channel"])
     entries = snap["nodes"]
     kinds = {e["id"]: e["kind"] for e in entries}
@@ -281,15 +277,15 @@ def per_node_report(topo: StaticTopology, run_time_s: float,
                     initial_energy_j: float) -> list[dict]:
     """One record per node: delivery probability, conditional delay, traffic,
     energy and projected lifetime."""
-    traffic = outgoing_traffic(topo)
+    traffic, delivery, raw_delay = _solve(topo)
     rows = []
     for nid in sorted(topo.kinds):
         energy = node_energy(topo, nid, traffic)
         rows.append({
             "id": nid,
             "kind": topo.kinds[nid],
-            "delivery_prob": delivery_prob_to_sink(topo, nid),
-            "delay_to_sink_s": expected_delay_to_sink(topo, nid, conditional=True),
+            "delivery_prob": delivery[nid],
+            "delay_to_sink_s": _conditional_delay(raw_delay[nid], delivery[nid]),
             "traffic_packets": traffic[nid],
             "energy_j": energy,
             "lifetime_s": (initial_energy_j * run_time_s / energy

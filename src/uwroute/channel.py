@@ -108,27 +108,6 @@ def packet_delivery_prob(l: float, params: ChannelParams) -> float:
     return packet_success_prob(bit_error_prob(l, params), params.packet_bits_M)
 
 
-def sound_speed(depth_m: float, temp_c: float, salinity_ppt: float) -> float:
-    """Sound speed in seawater (m/s) from depth H (m), temperature T (degC),
-    and salinity S (ppt); nine-term empirical polynomial.
-
-    Provided for completeness: the simulation engine uses a constant
-    1500 m/s (see ScenarioConfig.sound_speed_mps).
-    """
-    H, T, S = depth_m, temp_c, salinity_ppt
-    return (
-        -7.139e-13 * H**3 * T
-        + 2.374e-2 * T**3
-        + 1.675e-7 * H**2
-        - 5.304e-2 * T**2
-        - 1.025e-2 * T * (S - 35.0)
-        + 0.163 * H
-        + 4.591 * T
-        + 1.34 * (S - 35.0)
-        + 1448.96
-    )
-
-
 def calibrate_energy_per_bit(
     params: ChannelParams,
     target_distance_m: float = 100.0,

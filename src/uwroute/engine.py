@@ -424,6 +424,7 @@ class Simulation:
             entries.append(entry)
         return {
             "params": {
+                "protocol": cfg.protocol,
                 "tx_range_m": cfg.tx_range_m,
                 "sound_speed_mps": cfg.sound_speed_mps,
                 "holding_h": self.holding.h,

@@ -57,10 +57,6 @@ class HoldingParams:
         """Holding-time step between adjacent priorities, 2 t_max / h."""
         return 2.0 * self.t_max / self.h
 
-    @property
-    def b(self) -> float:
-        return -self.k
-
 
 def holding_time(n: int, params: HoldingParams) -> float:
     """Holding time of the n-th candidate (1-indexed): k * (n - 1)."""

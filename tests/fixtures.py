@@ -2,7 +2,7 @@
 
 All use h = 20 (holding step k = 0.01 s with t_max = 0.1 s) so that holding
 contributes little next to propagation, and link probabilities >= 0.85 so the
-delivery-weighted delay recursion stays close to the true conditional mean.
+delivery-weighted delay stays close to the true conditional mean.
 z grows toward the surface; sinks sit at the region top.
 """
 

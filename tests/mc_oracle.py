@@ -1,7 +1,7 @@
 """Monte-Carlo oracle for the analytical model: simulates the candidate
 coordination process by raw per-link Bernoulli draws on a frozen topology.
 No mobility, no learning, no engine code; deliberately independent of the
-recursions it cross-checks.
+closed forms it cross-checks.
 """
 
 import math

@@ -1,5 +1,5 @@
-"""Analytical model tests: candidate election algebra, the delivery and delay
-recursions against hand values and Monte-Carlo trials, traffic and energy
+"""Analytical model tests: candidate election algebra, delivery probability
+and delay against hand values and Monte-Carlo trials, traffic and energy
 propagation, lifetime, and snapshot loading."""
 
 import math
@@ -26,6 +26,21 @@ def line_topology(p1=0.9, p2=0.9, spacing=120.0):
         gen_packets={0: 100.0},
         holding=HOLDING,
         region_z_m=2 * spacing,
+    )
+
+
+def deep_chain(n, p, spacing):
+    """source 0 -> relays 1..n-2 -> sink n-1, straight up, every link p."""
+    return StaticTopology(
+        kinds={i: "source" if i == 0 else "sink" if i == n - 1 else "sensor"
+               for i in range(n)},
+        positions={i: (0.0, 0.0, spacing * i) for i in range(n)},
+        candidates={i: (i + 1,) for i in range(n - 1)},
+        link_prob={(i, i + 1): p for i in range(n - 1)},
+        neighbors={i: tuple(j for j in (i - 1, i + 1) if 0 <= j < n) for i in range(n)},
+        gen_packets={0: 10.0},
+        holding=HOLDING,
+        region_z_m=spacing * (n - 1),
     )
 
 
@@ -169,6 +184,16 @@ class TestExpectedDelay:
         assert expected_delay_to_sink(topo, 0) == 0.0
         assert math.isnan(expected_delay_to_sink(topo, 0, conditional=True))
 
+    def test_deep_chain(self):
+        # far deeper than Python's recursion limit
+        n, spacing = 1500, 10.0
+        sure = deep_chain(n, 1.0, spacing)
+        assert expected_delay_to_sink(sure, 0) == pytest.approx((n - 1) * spacing / 1500.0)
+        lossy = deep_chain(n, 0.9995, spacing)
+        assert delivery_prob_to_sink(lossy, 0) == pytest.approx(0.9995 ** (n - 1), rel=1e-12)
+        rows = analysis.per_node_report(lossy, 600.0, 100.0)
+        assert len(rows) == n and rows[-1]["delivery_prob"] == 1.0
+
     def test_monte_carlo_cross_check_small(self):
         topo, src = chain3()
         cond = expected_delay_to_sink(topo, src, conditional=True)
@@ -297,9 +322,12 @@ class TestSnapshotLoading:
                              max_sim_time_s=80.0, seed=2)
         sim = Simulation(cfg)
         sim.run()
+        snapshot = sim.snapshot_topology()
         path = tmp_path / "snapshot.json"
-        path.write_text(json.dumps(sim.snapshot_topology()))
+        path.write_text(json.dumps(snapshot))
         topo = analysis.load_snapshot(path)
+        del snapshot["params"]["protocol"]  # an unlabelled snapshot reads as qlfr
+        assert analysis.load_snapshot(snapshot) == topo
         for source in (n.id for n in sim.sources):
             p = delivery_prob_to_sink(topo, source)
             assert 0.0 <= p <= 1.0

@@ -142,25 +142,6 @@ class TestPacketDelivery:
 
 
 class TestSoundSpeed:
-    def test_surface_reference(self):
-        # all variable terms vanish at H=0, T=0, S=35
-        assert channel.sound_speed(0.0, 0.0, 35.0) == pytest.approx(1448.96, rel=REL)
-
-    def test_term_by_term_oracle(self):
-        H, T, S = 1000.0, 10.0, 35.0
-        oracle = sum([
-            -7.139e-13 * H**3 * T,
-            2.374e-2 * T**3,
-            1.675e-7 * H**2,
-            -5.304e-2 * T**2,
-            -1.025e-2 * T * (S - 35.0),
-            0.163 * H,
-            4.591 * T,
-            1.34 * (S - 35.0),
-            1448.96,
-        ])
-        assert channel.sound_speed(H, T, S) == pytest.approx(oracle, rel=REL)
-
     def test_engine_default_is_constant(self):
         from uwroute.config import ScenarioConfig
         assert ScenarioConfig().sound_speed_mps == 1500.0

@@ -213,6 +213,17 @@ class TestCliVerbs:
         aggregates = json.loads((out2 / "aggregates.json").read_text())
         assert "network_lifetime_s" in aggregates
 
+    def test_analyze_refuses_dbr_snapshot(self, tmp_path, capsys):
+        cfg = tmp_path / "dbr.cfg"
+        cfg.write_text(FAST_SCENARIO + "protocol.name = dbr\n")
+        out = tmp_path / "results"
+        assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        capsys.readouterr()
+        rc = cli.main(["analyze", "--snapshot", str(out / "snapshot.json"),
+                       "--out", str(tmp_path / "analysis")])
+        assert rc == 2
+        assert "dbr" in capsys.readouterr().err
+
     def test_calibrate_verb(self, tmp_path, capsys):
         rc = cli.main(["calibrate"])
         assert rc == 0

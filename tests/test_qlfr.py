@@ -47,7 +47,6 @@ class TestHoldingTime:
         # R = 150 m, v0 = 1500 m/s: t_max = 0.1 s; h = 4 gives k = 0.05 s
         params = HoldingParams(4, 150.0 / 1500.0)
         assert params.k == pytest.approx(0.05)
-        assert params.b == pytest.approx(-0.05)
         assert holding_time(3, params) == pytest.approx(0.1)
 
     def test_h_one(self):
