@@ -5,6 +5,8 @@ everything: packet arrivals, hold expiries, mobility and hello ticks, source
 generation and suppression reviews. Identical (config, seed) pairs replay the
 identical event sequence. Losses come solely from per-link Bernoulli draws
 against the channel's packet delivery probability; there is no MAC model.
+A broadcast finds its receivers in a uniform cell grid, rebuilt after each
+mobility tick, and visits them in id order, as a scan of all nodes would.
 
 Energy accounting: a transmit costs tx_power * M/mu, a reception costs
 rx_power * M/mu and is charged to every in-range sensor per arriving data
@@ -26,7 +28,7 @@ from .dbr import DbrProtocol
 from .qcore import QParams
 from .qlfr import (Deliver, Drop, HoldingParams, PacketHeader, QlfrProtocol,
                    Schedule, SuppressionState, build_priority_list, suppression_adjust)
-from .world import NodeState, deploy, neighbors_in_range, random_walk_step
+from .world import NodeState, deploy, random_walk_step
 
 ARRIVAL, HOLD_EXPIRE, MOBILITY, HELLO, SOURCE_GEN, SUPPRESSION_REVIEW = range(6)
 
@@ -108,6 +110,11 @@ class Simulation:
             max_list_length=config.max_list_length)
 
         self.now = 0.0
+        # uniform cell grid for range queries: slightly wider cells than the
+        # range keep every in-range pair in adjacent cells despite rounding;
+        # built lazily and dropped whenever nodes move
+        self._cell_m = config.tx_range_m * (1.0 + 1e-9)
+        self._grid: dict | None = None
         self._queue: list = []
         self._seq = 0
         self._spp = self.channel.serialization_s  # seconds on air per packet
@@ -182,6 +189,42 @@ class Simulation:
         node.consumed_j += self._rx_cost
         return True
 
+    # --- neighbour queries ---
+
+    def _build_grid(self) -> dict:
+        cell = self._cell_m
+        grid: dict = {}
+        for node in self.nodes:  # id order, so each cell lists ids ascending
+            p = node.position
+            key = (math.floor(p.x / cell), math.floor(p.y / cell), math.floor(p.z / cell))
+            grid.setdefault(key, []).append((p.x, p.y, p.z, node))
+        self._grid = grid
+        return grid
+
+    def in_range(self, node: NodeState) -> list[tuple[int, float]]:
+        """(id, squared distance) of every living node within tx_range_m of
+        `node`, excluding it, in id order. Only the 3x3x3 block of grid cells
+        around `node` is scanned; the grid must be dropped (`_grid = None`)
+        whenever a position changes."""
+        grid = self._grid if self._grid is not None else self._build_grid()
+        cell = self._cell_m
+        x, y, z = node.position.x, node.position.y, node.position.z
+        cx, cy, cz = math.floor(x / cell), math.floor(y / cell), math.floor(z / cell)
+        r2 = self.config.tx_range_m**2
+        hits = []
+        for i in (cx - 1, cx, cx + 1):
+            for j in (cy - 1, cy, cy + 1):
+                for k in (cz - 1, cz, cz + 1):
+                    for ox, oy, oz, other in grid.get((i, j, k), ()):
+                        dx = ox - x
+                        dy = oy - y
+                        dz = oz - z
+                        d2 = dx * dx + dy * dy + dz * dz
+                        if d2 <= r2 and other is not node and other.alive:
+                            hits.append((other.id, d2))
+        hits.sort()
+        return hits
+
     # --- transmission pipeline ---
 
     def transmit(self, sender: NodeState, pkt: PacketHeader) -> None:
@@ -190,24 +233,15 @@ class Simulation:
         if not pkt.is_hello:
             if not self._charge_tx(sender):
                 return
-        self._emit("tx", node=sender.id, key=None if pkt.is_hello else pkt.key,
-                   hello=pkt.is_hello, plist=list(pkt.priority_list))
-        sx, sy, sz = sender.position.x, sender.position.y, sender.position.z
-        r2 = self.config.tx_range_m**2
+        if self.trace is not None:
+            self._emit("tx", node=sender.id, key=None if pkt.is_hello else pkt.key,
+                       hello=pkt.is_hello, plist=list(pkt.priority_list))
         ser = self._spp if self.config.serialization_delay else 0.0
         v0 = self.config.sound_speed_mps
-        for other in self.nodes:
-            if other.id == sender.id or not other.alive:
-                continue
-            dx = other.position.x - sx
-            dy = other.position.y - sy
-            dz = other.position.z - sz
-            d2 = dx * dx + dy * dy + dz * dz
-            if d2 > r2:
-                continue
+        for other_id, d2 in self.in_range(sender):
             dist = math.sqrt(d2)
             ok = self.rng.random() < self.link_delivery_prob(dist)
-            self.schedule(self.now + dist / v0 + ser, ARRIVAL, (other.id, pkt, ok))
+            self.schedule(self.now + dist / v0 + ser, ARRIVAL, (other_id, pkt, ok))
 
     def _handle_arrival(self, node_id: int, pkt: PacketHeader, ok: bool) -> None:
         node = self.by_id[node_id]
@@ -227,14 +261,16 @@ class Simulation:
             self._record_delivery(node, pkt)
         elif isinstance(action, Schedule):
             token = node.pending[pkt.key].token
-            self._emit("schedule", node=node.id, key=pkt.key, tau=action.tau,
-                       position=action.position)
+            if self.trace is not None:
+                self._emit("schedule", node=node.id, key=pkt.key, tau=action.tau,
+                           position=action.position)
             self.schedule(self.now + action.tau, HOLD_EXPIRE, (node.id, pkt.key, token))
         elif isinstance(action, Drop):
             if action.reason == "suppressed":
                 self.suppressed_forwards += 1
-                self._emit("cancel", node=node.id, key=pkt.key)
-            else:
+                if self.trace is not None:
+                    self._emit("cancel", node=node.id, key=pkt.key)
+            elif self.trace is not None:
                 self._emit("drop", node=node.id, key=pkt.key, reason=action.reason)
 
     def _record_delivery(self, sink: NodeState, pkt: PacketHeader) -> None:
@@ -253,11 +289,13 @@ class Simulation:
             return
         status, header = self.protocol.on_hold_expire(node, key, token, self.now)
         if status == "send":
-            self._emit("forward", node=node.id, key=key)
+            if self.trace is not None:
+                self._emit("forward", node=node.id, key=key)
             self.transmit(node, header)
         elif status == "void":
             self.void_drops += 1
-            self._emit("void", node=node.id, key=key)
+            if self.trace is not None:
+                self._emit("void", node=node.id, key=key)
 
     def _handle_source_gen(self, source_id: int) -> None:
         node = self.by_id[source_id]
@@ -284,6 +322,7 @@ class Simulation:
         region = self.config.region
         speed = self.config.mobility_speed_mps
         dt = self.config.mobility_tick_s
+        self._grid = None
         for node in self.nodes:
             if node.is_sink or not node.alive:
                 continue
@@ -412,14 +451,13 @@ class Simulation:
                 "candidates": [],
             }
             if not node.is_sink and node.alive and cfg.protocol == "qlfr":
-                in_range = set(neighbors_in_range(node, self.nodes, cfg.tx_range_m))
+                in_range = {nid for nid, _ in self.in_range(node)}
                 ranked = build_priority_list(
                     node, cfg.d_max_m, node.list_length, QParams(cfg.gamma, cfg.alpha),
                     self.now, cfg.staleness_s)
                 entry["candidates"] = [
                     nid for nid in ranked
-                    if nid in in_range and self.by_id[nid].alive
-                    and self.by_id[nid].depth < node.depth
+                    if nid in in_range and self.by_id[nid].depth < node.depth
                 ]
             entries.append(entry)
         return {

@@ -2,7 +2,9 @@
 the exact ledger, death and lifetime semantics, determinism, causality."""
 
 import dataclasses
+import hashlib
 import math
+import random
 
 import pytest
 
@@ -10,7 +12,7 @@ from uwroute import engine
 from uwroute.config import ScenarioConfig
 from uwroute.engine import EngineError, Simulation
 from uwroute.qlfr import PacketHeader
-from uwroute.world import NodePosition, NodeState
+from uwroute.world import NodePosition, NodeState, neighbors_in_range
 
 
 def make_node(node_id, z, region_z=450.0, kind="sensor", x=0.0, y=0.0, energy=100.0):
@@ -250,6 +252,20 @@ class TestDeterminism:
         Simulation(cfg, trace=t2.append).run()
         assert t1 == t2
 
+    def test_untraced_run_builds_no_hot_path_events(self):
+        # with no trace, transmit, arrival and hold expiry skip _emit entirely
+        cfg = base_config(n_sensors=20, n_sources=2, n_sinks=2, region_x_m=300.0,
+                          region_y_m=300.0, region_z_m=300.0, max_sim_time_s=40.0,
+                          energy_per_bit=None, seed=5)
+        traced, untraced = [], []
+        Simulation(cfg, trace=traced.append).run()
+        sim = Simulation(cfg)
+        sim._emit = lambda event, **fields: untraced.append(event)
+        sim.run()
+        hot = {"tx", "schedule", "cancel", "drop", "forward"}
+        assert hot & {e["event"] for e in traced} == hot
+        assert not hot & set(untraced)
+
     def test_seed_changes_outcome(self):
         cfg = base_config(n_sensors=30, n_sources=3, n_sinks=2, region_x_m=300.0,
                           region_y_m=300.0, region_z_m=300.0, max_sim_time_s=60.0,
@@ -257,6 +273,103 @@ class TestDeterminism:
         a = engine.run(dataclasses.replace(cfg, seed=1))
         b = engine.run(dataclasses.replace(cfg, seed=2))
         assert a.per_node_energy_j != b.per_node_energy_j
+
+
+class TestNeighbourGrid:
+    """Broadcast fan-out through the cell grid against the brute-force
+    `neighbors_in_range` scan over all nodes."""
+
+    @staticmethod
+    def receivers(sim, sender):
+        """Receiver ids `transmit` schedules, in arrival insertion order."""
+        sim._queue.clear()
+        sim.transmit(sender, sim.protocol.hello_header(sender))
+        arrivals = sorted(sim._queue, key=lambda event: event[1])
+        assert all(kind == engine.ARRIVAL for _, _, kind, _ in arrivals)
+        return [payload[0] for _, _, _, payload in arrivals]
+
+    def assert_matches_brute_force(self, sim):
+        r = sim.config.tx_range_m
+        for sender in sim.nodes:
+            expected = [nid for nid in neighbors_in_range(sender, sim.nodes, r)
+                        if sim.by_id[nid].alive]
+            got = self.receivers(sim, sender)
+            assert sorted(got) == expected
+            assert got == expected
+            assert [nid for nid, _ in sim.in_range(sender)] == expected
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_random_deployments_before_and_after_mobility(self, seed):
+        cfg = base_config(n_sensors=60, n_sources=3, n_sinks=3, region_x_m=400.0,
+                          region_y_m=400.0, region_z_m=400.0, mobility_speed_mps=3.0,
+                          energy_per_bit=None, seed=seed)
+        sim = Simulation(cfg)
+        rng = random.Random(seed)
+        for node in rng.sample(sim.nodes, 8):
+            node.alive = False
+        self.assert_matches_brute_force(sim)
+        before = [n.position for n in sim.nodes]
+        sim.now = cfg.mobility_tick_s
+        sim._handle_mobility()
+        assert [n.position for n in sim.nodes] != before
+        self.assert_matches_brute_force(sim)
+
+    def test_exact_range_across_cell_boundaries(self):
+        # the cell side is a hair wider than the 150 m range, so 150.0 and
+        # 300.0 fall in cells 0 and 1, and -75.0 / 75.0 in cells -1 and 0
+        r = 150.0
+        xs = [0.0, 150.0, 300.0, -75.0, 75.0, -150.0, 300.0 + 1e-7, 450.0 - 1e-9]
+        nodes = [make_node(i, 100.0, x=x) for i, x in enumerate(xs)]
+        nodes += [make_node(len(xs), 100.0 + r, x=150.0),  # straight up, exactly r
+                  make_node(len(xs) + 1, 100.0, y=-r)]      # along y, exactly r
+        sim = Simulation(base_config(n_sensors=len(nodes), tx_range_m=r), nodes=nodes)
+        self.assert_matches_brute_force(sim)
+        assert self.receivers(sim, sim.by_id[1]) == [0, 2, 4, 8]
+        assert self.receivers(sim, sim.by_id[3]) == [0, 4, 5]
+
+    def test_nodes_outside_region_box(self):
+        nodes = [make_node(0, 0.0, kind="source", x=-4000.0, y=-4000.0),
+                 make_node(1, 100.0, x=-4000.0, y=-4000.0),
+                 make_node(2, -500.0, x=9000.0),
+                 make_node(3, -400.0, x=9000.0, y=100.0),
+                 make_node(4, 450.0, kind="sink")]
+        sim = Simulation(base_config(n_sensors=4), nodes=nodes)
+        self.assert_matches_brute_force(sim)
+        assert self.receivers(sim, sim.by_id[0]) == [1]
+        assert self.receivers(sim, sim.by_id[2]) == [3]
+
+    def test_dead_nodes_and_sender_excluded(self):
+        nodes = [make_node(i, 10.0 * i) for i in range(6)]
+        sim = Simulation(base_config(n_sensors=6), nodes=nodes)
+        sim.by_id[2].alive = False
+        sim.by_id[4].alive = False
+        assert self.receivers(sim, sim.by_id[3]) == [0, 1, 5]
+        self.assert_matches_brute_force(sim)
+
+
+class TestGoldenDigest:
+    """Pinned outputs of two short mobile runs. A performance change must
+    leave every RNG draw in place, which comparing two runs of the same code
+    cannot show; these digests were taken before the spatial grid existed."""
+
+    @staticmethod
+    def digest(record):
+        h = hashlib.sha256()
+        h.update(",".join(record.to_csv_row()).encode())
+        h.update(repr(sorted(record.per_node_energy_j.items())).encode())
+        return h.hexdigest()
+
+    def test_qlfr_default_scenario(self):
+        record = engine.run(ScenarioConfig(protocol="qlfr", max_sim_time_s=120.0))
+        assert self.digest(record) == (
+            "b38cf2a5b8b02fcfd01b37c18dc06531db64f31e1ff1b88c4e855f0cd4d19620")
+
+    def test_dbr_200_sensors_default_density(self):
+        edge = 500.0 * 2.0 ** (1.0 / 3.0)
+        cfg = ScenarioConfig(protocol="dbr", n_sensors=200, region_x_m=edge,
+                             region_y_m=edge, region_z_m=edge, max_sim_time_s=60.0)
+        assert self.digest(engine.run(cfg)) == (
+            "1214ab84fb2ef0a774b26ee70d9aae26843f87fd443e1a711d5aefe7228ed012")
 
 
 class TestErrors:
