@@ -199,9 +199,9 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    topo = analysis.load_snapshot(args.snapshot)
     with open(args.snapshot) as fh:
         snap = json.load(fh)
+    topo = analysis.load_snapshot(snap)
     run_time = args.run_time if args.run_time else snap["run"]["duration_s"]
     e_ini = snap["params"]["initial_node_energy_j"]
     rows = analysis.per_node_report(topo, run_time, e_ini)

@@ -1,4 +1,4 @@
-"""Depth-based routing baseline.
+"""Depth-based routing baseline on the shared anypath forwarding core.
 
 Packets are broadcast without a candidate list; every receiver strictly
 shallower than the sender holds the packet for a time that shrinks with its
@@ -7,8 +7,7 @@ rest by being overheard. Exact depth ties are broken by a deterministic
 per-node jitter.
 """
 
-from .qlfr import Deliver, Drop, Ignore, PendingForward, Schedule, on_overhear_during_hold
-from .qlfr import PacketHeader
+from .qlfr import ForwardingCore, PacketHeader
 from .world import NodeState
 
 ID_JITTER_S = 1e-6
@@ -19,51 +18,21 @@ def dbr_holding_time(depth_advance: float, t_max: float, tx_range: float, node_i
     return (2.0 * t_max / tx_range) * (tx_range - depth_advance) + ID_JITTER_S * node_id
 
 
-class DbrProtocol:
-    uses_hello = False
-
+class DbrProtocol(ForwardingCore):
     def __init__(self, t_max: float, tx_range: float):
+        super().__init__()
         self.t_max = t_max
         self.tx_range = tx_range
-        self._next_token = 0
 
-    def on_receive(self, node: NodeState, pkt: PacketHeader, now: float):
-        if pkt.sender_id == node.id:
-            return Ignore("self")
-        if pkt.is_hello:
-            return Ignore("hello")
-        if node.is_sink:
-            return Deliver()
-        key = pkt.key
-        if on_overhear_during_hold(node, key):
-            return Drop("suppressed")
-        if key in node.forwarded_cache:
-            return Drop("already-forwarded")
-        if key in node.duplicate_cache:
-            return Drop("duplicate")
+    def rank(self, node: NodeState, pkt: PacketHeader) -> tuple[float, int] | None:
         depth_advance = pkt.depth_m - node.depth
         if depth_advance <= 0:
-            return Drop("not-candidate")
-        tau = dbr_holding_time(depth_advance, self.t_max, self.tx_range, node.id)
-        self._next_token += 1
-        node.pending[key] = PendingForward(pkt, 0, self._next_token)
-        return Schedule(tau, 0)
+            return None
+        return dbr_holding_time(depth_advance, self.t_max, self.tx_range, node.id), 0
 
-    def on_hold_expire(self, node: NodeState, pkt_key: tuple[int, int], token: int,
-                       now: float) -> tuple[str, PacketHeader | None]:
-        pending = node.pending.get(pkt_key)
-        if pending is None or pending.token != token:
-            return ("stale", None)
-        del node.pending[pkt_key]
-        node.forwarded_cache.add(pkt_key)
-        return ("send", self._header(node, pkt_key, pending.pkt.total_generated))
-
-    def originate(self, source: NodeState, seq: int, total_generated: int,
-                  directive: int, epoch: int, now: float) -> PacketHeader:
-        source.forwarded_cache.add((source.id, seq))
-        return self._header(source, (source.id, seq), total_generated)
-
-    def _header(self, node: NodeState, key: tuple[int, int], total_generated: int) -> PacketHeader:
+    def header(self, node: NodeState, key: tuple[int, int], total_generated: int,
+               directive: int, epoch: int, now: float) -> PacketHeader:
+        """A header without a list; list-length directives are a qlfr feature."""
         return PacketHeader(
             source_id=key[0], seq=key[1], v_value=0.0, depth_m=node.depth,
             residual_energy_j=node.residual_energy_j, sender_id=node.id,

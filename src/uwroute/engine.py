@@ -371,7 +371,11 @@ class Simulation:
             self.schedule(cfg.source_interval_s, SOURCE_GEN, node.id)
         if cfg.protocol == "qlfr":
             self.schedule(cfg.suppression_interval_s, SUPPRESSION_REVIEW, None)
+        self.drain(cfg.max_sim_time_s)
+        return self._finalize()
 
+    def drain(self, until: float) -> None:
+        """Process queued events in time order up to and including `until`."""
         handlers = {
             ARRIVAL: lambda p: self._handle_arrival(*p),
             HOLD_EXPIRE: lambda p: self._handle_hold_expire(*p),
@@ -381,15 +385,13 @@ class Simulation:
             SUPPRESSION_REVIEW: lambda p: self._handle_suppression_review(),
         }
         queue = self._queue
-        limit = cfg.max_sim_time_s
         while queue:
             t, _, kind, payload = queue[0]
-            if t > limit:
+            if t > until:
                 break
             heappop(queue)
             self.now = t
             handlers[kind](payload)
-        return self._finalize()
 
     # --- results ---
 

@@ -1,5 +1,6 @@
-"""Q-learning anypath routing: priority lists, holding times, duplicate and
-overhear suppression, and the adaptive multipath suppression scheme.
+"""Q-learning anypath routing on a forwarding core shared with dbr: priority
+lists, holding times, duplicate and overhear suppression, and the adaptive
+multipath suppression scheme.
 
 A sender ranks its strictly-shallower fresh neighbors by the one-step target
 r + gamma * V(neighbor) computed from advertised knowledge, embeds the top
@@ -116,21 +117,21 @@ class Deliver:
 @dataclass
 class PendingForward:
     pkt: PacketHeader
-    position: int
     token: int
+
+
+def clamped_reward(sender: NodeState, kn: RoutingKnowledge, d_max: float) -> float:
+    """qcore.reward for one advertised neighbor. Advertised depths can drift
+    out of the one-hop window under mobility and staleness, so the depth
+    difference is clamped to +-d_max to keep the cost defined."""
+    depth = min(max(kn.depth_m, sender.depth - d_max), sender.depth + d_max)
+    return qcore.reward(sender, replace(kn, depth_m=depth), d_max)
 
 
 def candidate_score(sender: NodeState, kn: RoutingKnowledge, d_max: float,
                     qparams: QParams) -> float:
-    """Ranking value r + gamma * V for one advertised neighbor.
-
-    Advertised depths can drift out of the geometric one-hop window under
-    mobility and staleness; the depth difference is clamped to +-d_max so the
-    cost stays defined.
-    """
-    depth = min(max(kn.depth_m, sender.depth - d_max), sender.depth + d_max)
-    r = qcore.reward(sender, replace(kn, depth_m=depth), d_max)
-    return r + qparams.gamma * kn.v_value
+    """Ranking value r + gamma * V for one advertised neighbor."""
+    return clamped_reward(sender, kn, d_max) + qparams.gamma * kn.v_value
 
 
 def build_priority_list(sender: NodeState, d_max: float, list_length: int,
@@ -158,35 +159,30 @@ def on_overhear_during_hold(node: NodeState, pkt_key: tuple[int, int]) -> bool:
     return False
 
 
-class QlfrProtocol:
-    """Per-run protocol logic; all node state lives on the NodeState objects."""
+class ForwardingCore:
+    """Anypath receive and hold-expiry rules shared by qlfr and dbr; all node
+    state lives on the NodeState objects. A copy is delivered at a sink,
+    suppressed when overheard while held, dropped as already forwarded or
+    duplicate, or held; an expired hold sends the packet or voids it.
 
-    uses_hello = True
+    A protocol supplies `rank(node, pkt)`, a candidate's (holding time, list
+    position) or None, and `header(node, key, total_generated, directive,
+    epoch, now)`, the header to send or None for a void; `hear` may use every
+    packet heard from another node.
+    """
 
-    def __init__(self, qparams: QParams, holding: HoldingParams, d_max: float,
-                 staleness_s: float, max_list_length: int):
-        self.qparams = qparams
-        self.holding = holding
-        self.d_max = d_max
-        self.staleness_s = staleness_s
-        self.max_list_length = max_list_length
-        self._q_lo, self._q_hi = qcore.q_bounds(qparams)
+    uses_hello = False
+
+    def __init__(self):
         self._next_token = 0
 
-    def hello_header(self, node: NodeState) -> PacketHeader:
-        return PacketHeader(
-            source_id=node.id, seq=-1, v_value=node.v_value, depth_m=node.depth,
-            residual_energy_j=node.residual_energy_j, sender_id=node.id,
-            list_length=0, priority_list=(), is_hello=True,
-        )
+    def hear(self, node: NodeState, pkt: PacketHeader, now: float) -> None:
+        pass
 
     def on_receive(self, node: NodeState, pkt: PacketHeader, now: float):
-        """Algorithm-1 receive path. Neighbor knowledge is refreshed for every
-        heard packet, designated forwarder or not.
-        """
         if pkt.sender_id == node.id:
             return Ignore("self")
-        update_neighbor_knowledge(node, pkt.sender_id, pkt.sender_knowledge(), now)
+        self.hear(node, pkt, now)
         if pkt.is_hello:
             return Ignore("hello")
         if node.is_sink:
@@ -198,37 +194,24 @@ class QlfrProtocol:
             return Drop("already-forwarded")
         if key in node.duplicate_cache:
             return Drop("duplicate")
-        if node.id not in pkt.priority_list:
+        ranked = self.rank(node, pkt)
+        if ranked is None:
             return Drop("not-candidate")
-        position = pkt.priority_list.index(node.id) + 1
-        tau = holding_time(position, self.holding)
         self._next_token += 1
-        node.pending[key] = PendingForward(pkt, position, self._next_token)
-        self._apply_directive(node, pkt.suppression_directive, pkt.suppression_epoch)
-        return Schedule(tau, position)
-
-    def _apply_directive(self, node: NodeState, directive: int, epoch: int) -> None:
-        if directive and epoch > node.suppression_epoch:
-            node.suppression_epoch = epoch
-            node.list_length = min(self.max_list_length,
-                                   max(1, node.list_length + directive))
+        node.pending[key] = PendingForward(pkt, self._next_token)
+        return Schedule(*ranked)
 
     def on_hold_expire(self, node: NodeState, pkt_key: tuple[int, int], token: int,
                        now: float) -> tuple[str, PacketHeader | None]:
-        """Fire a pending forward: rebuild the priority list from current
-        knowledge, update Q toward the chosen first candidate, rewrite the
-        header. Returns ("send", header), ("void", None) or ("stale", None).
-        """
+        """Fire a pending forward. Returns ("send", header), ("void", None)
+        or ("stale", None) for a cancelled or superseded hold."""
         pending = node.pending.get(pkt_key)
         if pending is None or pending.token != token:
             return ("stale", None)
         del node.pending[pkt_key]
-        header = self.make_data_header(
-            node, source_id=pkt_key[0], seq=pkt_key[1],
-            total_generated=pending.pkt.total_generated,
-            directive=pending.pkt.suppression_directive,
-            epoch=pending.pkt.suppression_epoch, now=now,
-        )
+        pkt = pending.pkt
+        header = self.header(node, pkt_key, pkt.total_generated,
+                             pkt.suppression_directive, pkt.suppression_epoch, now)
         if header is None:
             node.duplicate_cache.add(pkt_key)
             return ("void", None)
@@ -237,24 +220,70 @@ class QlfrProtocol:
 
     def originate(self, source: NodeState, seq: int, total_generated: int,
                   directive: int, epoch: int, now: float) -> PacketHeader | None:
-        self._apply_directive(source, directive, epoch)
-        header = self.make_data_header(source, source.id, seq, total_generated,
-                                       directive, epoch, now)
+        key = (source.id, seq)
+        header = self.header(source, key, total_generated, directive, epoch, now)
         if header is not None:
-            source.forwarded_cache.add((source.id, seq))
+            source.forwarded_cache.add(key)
         return header
 
-    def make_data_header(self, node: NodeState, source_id: int, seq: int,
-                         total_generated: int, directive: int, epoch: int,
-                         now: float) -> PacketHeader | None:
-        """Build the outgoing header, or None when no candidate exists."""
+
+class QlfrProtocol(ForwardingCore):
+    """Priority lists from neighbor knowledge, holding by list position, Q-learning."""
+
+    uses_hello = True
+
+    def __init__(self, qparams: QParams, holding: HoldingParams, d_max: float,
+                 staleness_s: float, max_list_length: int):
+        super().__init__()
+        self.qparams = qparams
+        self.holding = holding
+        self.d_max = d_max
+        self.staleness_s = staleness_s
+        self.max_list_length = max_list_length
+        self._q_lo, self._q_hi = qcore.q_bounds(qparams)
+
+    def hello_header(self, node: NodeState) -> PacketHeader:
+        return PacketHeader(
+            source_id=node.id, seq=-1, v_value=node.v_value, depth_m=node.depth,
+            residual_energy_j=node.residual_energy_j, sender_id=node.id,
+            list_length=0, priority_list=(), is_hello=True,
+        )
+
+    def hear(self, node: NodeState, pkt: PacketHeader, now: float) -> None:
+        """Every heard packet refreshes neighbor knowledge, candidate or not."""
+        update_neighbor_knowledge(node, pkt.sender_id, pkt.sender_knowledge(), now)
+
+    def rank(self, node: NodeState, pkt: PacketHeader) -> tuple[float, int] | None:
+        """A listed node holds by its position; it also takes up the list-length
+        directive the header carries."""
+        if node.id not in pkt.priority_list:
+            return None
+        self._apply_directive(node, pkt.suppression_directive, pkt.suppression_epoch)
+        position = pkt.priority_list.index(node.id) + 1
+        return holding_time(position, self.holding), position
+
+    def _apply_directive(self, node: NodeState, directive: int, epoch: int) -> None:
+        if directive and epoch > node.suppression_epoch:
+            node.suppression_epoch = epoch
+            node.list_length = min(self.max_list_length,
+                                   max(1, node.list_length + directive))
+
+    def originate(self, source: NodeState, seq: int, total_generated: int,
+                  directive: int, epoch: int, now: float) -> PacketHeader | None:
+        self._apply_directive(source, directive, epoch)
+        return super().originate(source, seq, total_generated, directive, epoch, now)
+
+    def header(self, node: NodeState, key: tuple[int, int], total_generated: int,
+               directive: int, epoch: int, now: float) -> PacketHeader | None:
+        """Rebuild the priority list from current knowledge and update Q toward
+        the chosen first candidate; None when no candidate exists."""
         candidates = build_priority_list(node, self.d_max, node.list_length,
                                          self.qparams, now, self.staleness_s)
         if not candidates:
             return None
         self._learn(node, candidates[0])
         return PacketHeader(
-            source_id=source_id, seq=seq, v_value=node.v_value, depth_m=node.depth,
+            source_id=key[0], seq=key[1], v_value=node.v_value, depth_m=node.depth,
             residual_energy_j=node.residual_energy_j, sender_id=node.id,
             list_length=len(candidates), priority_list=tuple(candidates),
             total_generated=total_generated, suppression_directive=directive,
@@ -265,8 +294,7 @@ class QlfrProtocol:
         """One-step Q update for the transmitting node toward its first
         candidate's advertised value."""
         kn, _ = node.neighbor_knowledge[chosen_id]
-        depth = min(max(kn.depth_m, node.depth - self.d_max), node.depth + self.d_max)
-        r = qcore.reward(node, replace(kn, depth_m=depth), self.d_max)
+        r = clamped_reward(node, kn, self.d_max)
         q_new = qcore.q_update(node.q_table.get(chosen_id, 0.0), r, kn.v_value, self.qparams)
         if not self._q_lo - 1e-9 <= q_new <= self._q_hi + 1e-9:
             raise RuntimeError(f"Q-value {q_new} outside [{self._q_lo}, {self._q_hi}]")

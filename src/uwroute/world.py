@@ -90,9 +90,6 @@ class NodeState:
     def is_sink(self) -> bool:
         return self.kind == "sink"
 
-    def routing_knowledge(self) -> RoutingKnowledge:
-        return RoutingKnowledge(self.v_value, self.depth, self.residual_energy_j)
-
 
 def deploy(config, rng: random.Random) -> list[NodeState]:
     """Place n_sensors sensors uniformly in the region box (the first

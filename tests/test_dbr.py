@@ -1,13 +1,15 @@
-"""Depth-based routing baseline: depth rule, cooperative holding, and
-engine-level suppression traces."""
+"""Depth-based routing baseline: depth rule, cooperative holding, the
+forwarding core it shares with qlfr, and engine-level suppression traces."""
 
 import pytest
 
 from uwroute.config import ScenarioConfig
 from uwroute.dbr import DbrProtocol, dbr_holding_time
 from uwroute.engine import Simulation
-from uwroute.qlfr import Drop, PacketHeader, Schedule
-from uwroute.world import NodePosition, NodeState
+from uwroute.qcore import QParams
+from uwroute.qlfr import (Deliver, Drop, HoldingParams, Ignore, PacketHeader,
+                          QlfrProtocol, Schedule)
+from uwroute.world import NodePosition, NodeState, RoutingKnowledge
 
 
 def make_node(node_id, depth, region_z=300.0, kind="sensor", x=0.0, y=0.0):
@@ -48,6 +50,104 @@ class TestDepthRule:
         b = dbr_holding_time(75.0, 0.1, 150.0, 4)
         assert a < b
         assert b - a == pytest.approx(1e-6)
+
+
+def qlfr_protocol():
+    return QlfrProtocol(QParams(gamma=0.8, alpha=0.5), HoldingParams(4, 0.1), d_max=150.0,
+                        staleness_s=20.0, max_list_length=4)
+
+
+def dbr_protocol():
+    return DbrProtocol(t_max=0.1, tx_range=150.0)
+
+
+@pytest.fixture(params=[qlfr_protocol, dbr_protocol], ids=["qlfr", "dbr"])
+def proto(request):
+    return request.param()
+
+
+class TestSharedForwardingCore:
+    """Receive and hold-expiry rules that qlfr and dbr take from one core,
+    written once and run against both protocols."""
+
+    @staticmethod
+    def relay(node_id=5, kind="sensor"):
+        node = make_node(node_id, depth=100.0, kind=kind)
+        # a fresh shallower neighbor, so a qlfr forward is not void
+        node.neighbor_knowledge[2] = (RoutingKnowledge(0.0, 40.0, 100.0), 0.0)
+        return node
+
+    @staticmethod
+    def copy_from(sender_id, seq=0, is_hello=False):
+        """A copy of packet (9, seq) that makes node 5 a candidate under either
+        protocol: it lists node 5 and comes from deeper down."""
+        return PacketHeader(source_id=9, seq=seq, v_value=0.0, depth_m=180.0,
+                            residual_energy_j=100.0, sender_id=sender_id, list_length=1,
+                            priority_list=(5,), total_generated=3, is_hello=is_hello)
+
+    def test_own_copy_ignored(self, proto):
+        node = self.relay()
+        assert proto.on_receive(node, self.copy_from(5), 1.0) == Ignore("self")
+        assert not node.pending
+
+    def test_sink_delivers(self, proto):
+        sink = self.relay(node_id=5, kind="sink")
+        assert proto.on_receive(sink, self.copy_from(1), 1.0) == Deliver()
+        assert not sink.pending
+
+    def test_hello_ignored(self, proto):
+        node = self.relay()
+        assert proto.on_receive(node, self.copy_from(1, is_hello=True), 1.0) == Ignore("hello")
+        assert not node.pending
+
+    def test_overheard_copy_suppressed_then_duplicate(self, proto):
+        node = self.relay()
+        pkt = self.copy_from(1)
+        assert isinstance(proto.on_receive(node, pkt, 1.0), Schedule)
+        token = node.pending[pkt.key].token
+        assert proto.on_receive(node, self.copy_from(3), 1.01) == Drop("suppressed")
+        assert pkt.key not in node.pending
+        assert pkt.key in node.duplicate_cache
+        assert proto.on_receive(node, self.copy_from(4), 1.02) == Drop("duplicate")
+        assert proto.on_hold_expire(node, pkt.key, token, 1.1) == ("stale", None)
+
+    def test_sent_key_enters_forwarded_cache(self, proto):
+        node = self.relay()
+        pkt = self.copy_from(1)
+        proto.on_receive(node, pkt, 1.0)
+        status, header = proto.on_hold_expire(node, pkt.key, node.pending[pkt.key].token, 1.1)
+        assert status == "send"
+        assert (header.source_id, header.seq, header.sender_id) == (9, 0, 5)
+        assert header.total_generated == 3
+        assert pkt.key in node.forwarded_cache
+        assert not node.pending
+        assert proto.on_receive(node, self.copy_from(3), 1.2) == Drop("already-forwarded")
+
+    def test_second_and_superseded_tokens_are_stale(self, proto):
+        node = self.relay()
+        pkt = self.copy_from(1)
+        proto.on_receive(node, pkt, 1.0)
+        token = node.pending[pkt.key].token
+        assert proto.on_hold_expire(node, pkt.key, token + 1, 1.1) == ("stale", None)
+        assert pkt.key in node.pending  # a foreign token leaves the hold alone
+        assert proto.on_hold_expire(node, pkt.key, token, 1.1)[0] == "send"
+        assert proto.on_hold_expire(node, pkt.key, token, 1.1) == ("stale", None)
+
+    def test_one_token_counter_across_nodes(self, proto):
+        a, b = self.relay(node_id=5), self.relay(node_id=5)
+        pkt = self.copy_from(1)
+        proto.on_receive(a, pkt, 1.0)
+        proto.on_receive(b, pkt, 1.0)
+        assert b.pending[pkt.key].token == a.pending[pkt.key].token + 1
+
+    def test_originated_key_enters_forwarded_cache(self, proto):
+        source = self.relay(node_id=9, kind="source")
+        header = proto.originate(source, seq=4, total_generated=5, directive=0, epoch=0,
+                                 now=1.0)
+        assert (header.source_id, header.seq, header.sender_id) == (9, 4, 9)
+        assert (9, 4) in source.forwarded_cache
+        assert proto.on_receive(source, self.copy_from(1, seq=4), 1.1) == Drop(
+            "already-forwarded")
 
 
 def chain_config(**kw):

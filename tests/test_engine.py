@@ -3,6 +3,7 @@ the exact ledger, death and lifetime semantics, determinism, causality."""
 
 import dataclasses
 import hashlib
+import json
 import math
 import random
 
@@ -26,19 +27,6 @@ def base_config(**kw):
                 source_interval_s=10.0, max_sim_time_s=25.0, seed=1)
     base.update(kw)
     return ScenarioConfig(**base)
-
-
-def drain(sim):
-    """Process every queued event (tests drive transmissions directly)."""
-    from heapq import heappop
-    handlers = {
-        engine.ARRIVAL: lambda p: sim._handle_arrival(*p),
-        engine.HOLD_EXPIRE: lambda p: sim._handle_hold_expire(*p),
-    }
-    while sim._queue:
-        t, _, kind, payload = heappop(sim._queue)
-        sim.now = t
-        handlers[kind](payload)
 
 
 class TestSingleHop:
@@ -128,7 +116,7 @@ class TestTransmitEnergy:
         nodes = [make_node(0, 0.0, kind="source"), make_node(1, 400.0)]
         sim = Simulation(base_config(), nodes=nodes)
         sim.transmit(sim.by_id[0], PacketHeader(0, 0, 0.0, 450.0, 100.0, 0, 0))
-        drain(sim)
+        sim.drain(math.inf)
         assert sim.by_id[1].consumed_j == 0.0
 
     def test_reception_charged_even_when_corrupt(self):
@@ -138,7 +126,7 @@ class TestTransmitEnergy:
         sim = Simulation(cfg, nodes=nodes)
         src = sim.by_id[0]
         sim.transmit(src, PacketHeader(0, 0, 0.0, src.depth, 100.0, 0, 0))
-        drain(sim)
+        sim.drain(math.inf)
         assert sim.by_id[1].consumed_j == pytest.approx(0.0256, rel=1e-9)
         assert sim.by_id[1].rx_seconds == pytest.approx(0.0512, rel=1e-9)
         assert sim.corrupt_packets == 1
@@ -148,7 +136,7 @@ class TestTransmitEnergy:
         sim = Simulation(base_config(), nodes=nodes)
         src = sim.by_id[0]
         sim.transmit(src, PacketHeader(0, 0, 0.0, src.depth, 100.0, 0, 0))
-        drain(sim)
+        sim.drain(math.inf)
         assert sim.by_id[1].consumed_j == 0.0
 
 
@@ -348,28 +336,53 @@ class TestNeighbourGrid:
 
 
 class TestGoldenDigest:
-    """Pinned outputs of two short mobile runs. A performance change must
-    leave every RNG draw in place, which comparing two runs of the same code
-    cannot show; these digests were taken before the spatial grid existed."""
+    """Pinned outputs of two short mobile runs. A performance or design change
+    must leave every RNG draw in place, which comparing two runs of the same
+    code cannot show. The record digests were taken before the spatial grid
+    existed; the trace digests, before qlfr and dbr shared one forwarding
+    core, also pin every drop reason, holding time, priority position and
+    cancel, which the record alone does not show."""
 
     @staticmethod
-    def digest(record):
+    def qlfr_default():
+        return ScenarioConfig(protocol="qlfr", max_sim_time_s=120.0)
+
+    @staticmethod
+    def dbr_200_sensors():
+        edge = 500.0 * 2.0 ** (1.0 / 3.0)
+        return ScenarioConfig(protocol="dbr", n_sensors=200, region_x_m=edge,
+                              region_y_m=edge, region_z_m=edge, max_sim_time_s=60.0)
+
+    @staticmethod
+    def digest(record, events=()):
         h = hashlib.sha256()
+        for event in events:
+            h.update(json.dumps(event, sort_keys=True).encode())
         h.update(",".join(record.to_csv_row()).encode())
         h.update(repr(sorted(record.per_node_energy_j.items())).encode())
         return h.hexdigest()
 
+    def traced_digest(self, cfg):
+        events = []
+        record = engine.run(cfg, trace=events.append)
+        return len(events), self.digest(record, events)
+
     def test_qlfr_default_scenario(self):
-        record = engine.run(ScenarioConfig(protocol="qlfr", max_sim_time_s=120.0))
+        record = engine.run(self.qlfr_default())
         assert self.digest(record) == (
             "b38cf2a5b8b02fcfd01b37c18dc06531db64f31e1ff1b88c4e855f0cd4d19620")
 
     def test_dbr_200_sensors_default_density(self):
-        edge = 500.0 * 2.0 ** (1.0 / 3.0)
-        cfg = ScenarioConfig(protocol="dbr", n_sensors=200, region_x_m=edge,
-                             region_y_m=edge, region_z_m=edge, max_sim_time_s=60.0)
-        assert self.digest(engine.run(cfg)) == (
+        assert self.digest(engine.run(self.dbr_200_sensors())) == (
             "1214ab84fb2ef0a774b26ee70d9aae26843f87fd443e1a711d5aefe7228ed012")
+
+    def test_qlfr_default_scenario_trace(self):
+        assert self.traced_digest(self.qlfr_default()) == (
+            3161, "2d3b545610afab98082a8ff53a716800bbd2dfd9add47e871ad02853ad393110")
+
+    def test_dbr_200_sensors_trace(self):
+        assert self.traced_digest(self.dbr_200_sensors()) == (
+            13791, "880f71ec8d35d152a75380732085d682a8a1a887b9ba6462269275c78eeae354")
 
 
 class TestErrors:
