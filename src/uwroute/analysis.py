@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 from . import channel as chan
 from .qlfr import HoldingParams, holding_time
+from .world import CellGrid
 
 
 class TopologyError(ValueError):
@@ -45,15 +46,18 @@ class StaticTopology:
     region_z_m: float = 500.0
 
     def __post_init__(self):
+        inbound: dict = {}  # candidate -> [(sender, priority)] in candidates order
         for sender, cands in self.candidates.items():
             if len(set(cands)) != len(cands):
                 raise TopologyError(f"duplicate candidate in list of node {sender}")
-            for c in cands:
+            for position, c in enumerate(cands, 1):
+                inbound.setdefault(c, []).append((sender, position))
                 if (sender, c) not in self.link_prob:
                     raise TopologyError(f"missing link probability for {(sender, c)}")
                 p = self.link_prob[(sender, c)]
                 if not 0.0 <= p <= 1.0:
                     raise TopologyError(f"link probability {p} for {(sender, c)} not in [0, 1]")
+        object.__setattr__(self, "_inbound", inbound)
 
     def depth(self, node: int) -> float:
         return self.region_z_m - self.positions[node][2]
@@ -65,12 +69,8 @@ class StaticTopology:
         return self.kinds[node] == "sink"
 
     def senders_of(self, node: int) -> list[tuple[int, int]]:
-        """(sender, 1-indexed priority of `node` in sender's list) pairs."""
-        out = []
-        for sender, cands in self.candidates.items():
-            if node in cands:
-                out.append((sender, cands.index(node) + 1))
-        return out
+        """(sender, 1-indexed priority of `node`) pairs in `candidates` order."""
+        return list(self._inbound.get(node, ()))
 
 
 def candidate_forward_prob(p_list, j: int) -> float:
@@ -226,7 +226,7 @@ def network_lifetime(topo: StaticTopology, run_time_s: float, initial_energy_j: 
 def load_snapshot(source) -> StaticTopology:
     """Build a StaticTopology from an engine snapshot (dict or JSON path).
     Link probabilities are recomputed from positions and the recorded channel
-    parameters; neighbor sets from positions and the transmission range.
+    parameters; neighbor sets from positions and the range, in a CellGrid.
     Snapshots of a protocol other than qlfr are refused; one that records no
     protocol is read as qlfr."""
     if isinstance(source, dict):
@@ -247,19 +247,11 @@ def load_snapshot(source) -> StaticTopology:
     candidates = {e["id"]: tuple(e["candidates"]) for e in entries if e["kind"] != "sink"}
     gen = {e["id"]: e["generated"] for e in entries if e.get("generated", 0) > 0}
     r = params["tx_range_m"]
-    neighbors: dict = {}
-    link_prob: dict = {}
-    ids = sorted(kinds)
-    for i in ids:
-        nb = []
-        for j in ids:
-            if i != j and math.dist(positions[i], positions[j]) <= r:
-                nb.append(j)
-        neighbors[i] = tuple(nb)
-    for sender, cands in candidates.items():
-        for c in cands:
-            link_prob[(sender, c)] = chan.packet_delivery_prob(
-                math.dist(positions[sender], positions[c]), cp)
+    grid = CellGrid(((i, *p) for i, p in positions.items()), r)
+    neighbors = {i: tuple(j for j, _ in grid.within(*positions[i]) if j != i)
+                 for i in sorted(kinds)}
+    link_prob = {(s, c): chan.packet_delivery_prob(math.dist(positions[s], positions[c]), cp)
+                 for s, cands in candidates.items() for c in cands}
     region_z = max((p[2] for p in positions.values()), default=0.0)
     return StaticTopology(
         kinds=kinds, positions=positions, candidates=candidates,

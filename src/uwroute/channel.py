@@ -5,6 +5,10 @@ mean SNR, Rayleigh-faded BPSK bit error rate, and whole-packet delivery
 probability. Frequencies are in kHz, distances in meters unless a name says
 otherwise. All functions are stateless and thread-safe.
 
+`link_model(params)` is the one production form of the link delivery
+probability, bit-equal to the closed-form chain; the engine, the analytical
+model's snapshot loader and calibration all go through it.
+
 Unit convention for attenuation: the Thorpe formula yields dB per km, so the
 absorption factor a(f)^l is exponentiated with the distance in kilometers,
 while the spreading term l^kappa uses meters. Exponentiating per meter would
@@ -90,11 +94,6 @@ def rayleigh_bpsk_ber(snr_mean: float) -> float:
     return 0.5 * (1.0 - math.sqrt(snr_mean / (1.0 + snr_mean)))
 
 
-def bit_error_prob(l: float, params: ChannelParams) -> float:
-    """Per-bit error probability over a link of length l meters."""
-    return rayleigh_bpsk_ber(mean_snr(l, params))
-
-
 def packet_success_prob(p_e: float, bits: int) -> float:
     """Probability that all `bits` bits survive, (1 - p_e)^bits."""
     if not 0.0 <= p_e <= 1.0:
@@ -103,9 +102,30 @@ def packet_success_prob(p_e: float, bits: int) -> float:
         raise ValueError(f"bits must be >= 1, got {bits}")
     return (1.0 - p_e) ** bits
 
+
+def link_model(params: ChannelParams):
+    """Packet delivery probability as a function of link length l (m): the
+    constants of `params` are computed once, and each call evaluates
+    packet_success_prob(rayleigh_bpsk_ber(mean_snr(l, params)), M)
+    operation for operation, so the result is bit-equal to that chain."""
+    a0, kappa, eb, n0, bits = (params.atten_const_A0, params.spreading_kappa,
+                               params.energy_per_bit, params.noise_density_N0,
+                               params.packet_bits_M)
+    a_linear = 10.0 ** (thorpe_absorption_db_per_km(params.frequency_khz) / 10.0)
+    sqrt = math.sqrt
+
+    def delivery_prob(l: float) -> float:
+        if l <= 0.0:
+            raise ValueError(f"distance must be > 0 m, got {l}")
+        snr = eb / (n0 * (a0 * l**kappa * a_linear ** (l / 1000.0)))
+        return (1.0 - 0.5 * (1.0 - sqrt(snr / (1.0 + snr)))) ** bits
+
+    return delivery_prob
+
+
 def packet_delivery_prob(l: float, params: ChannelParams) -> float:
     """Probability a whole packet crosses a link of length l without error."""
-    return packet_success_prob(bit_error_prob(l, params), params.packet_bits_M)
+    return link_model(params)(l)
 
 
 def calibrate_energy_per_bit(

@@ -61,13 +61,17 @@ def _run_one(task) -> dict:
 def run_sweep(config: ScenarioConfig, param: str, values, replicates: int | None = None,
               jobs: int | None = None) -> list[dict]:
     """One run per (sweep value, replicate); returns per-run rows sorted by
-    sweep value then replicate."""
+    sweep value then replicate. A value repeating an earlier one is refused."""
     replicates = config.replicates if replicates is None else replicates
     if replicates < 1:
         raise ConfigError("replicates must be >= 1")
     tasks = []
+    configs = []
     for value in values:
         swept = set_key(config, param, value)
+        if swept in configs:  # same seeds again: one group, understated stddev
+            raise ConfigError(f"sweep value {value!r} repeats an earlier value of {param}")
+        configs.append(swept)
         for r in range(replicates):
             tasks.append((dataclasses.replace(swept, seed=config.seed + r), value, r))
     if jobs is None:
@@ -114,19 +118,14 @@ def emit_results(table: list[dict], fmt: str, path) -> None:
     if not table:
         raise ValueError("refusing to emit an empty result table")
     if fmt == "csv":
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(SUMMARY_COLUMNS)
-            for row in table:
-                writer.writerow([_format_cell(row[c]) for c in SUMMARY_COLUMNS])
+        _write_csv(path, SUMMARY_COLUMNS, table)
     elif fmt == "json":
         _write_json(path, table)
     else:
         raise ValueError(f"unknown format {fmt!r}")
 
 
-def _write_runs_csv(rows: list[dict], path) -> None:
-    columns = ["sweep_value", "replicate", "seed", "protocol", *SWEEP_METRICS]
+def _write_csv(path, columns, rows: list[dict]) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(columns)
@@ -184,11 +183,12 @@ def cmd_sweep(args) -> int:
     values = [v.strip() for v in args.values.split(",") if v.strip()]
     if not values:
         raise ConfigError("sweep needs at least one value")
-    out = _ensure_out(args)
     rows = run_sweep(config, args.param, values, replicates=args.replicates,
                      jobs=args.jobs)
+    out = _ensure_out(args)
     table = aggregate_sweep(rows)
-    _write_runs_csv(rows, os.path.join(out, "runs.csv"))
+    _write_csv(os.path.join(out, "runs.csv"),
+               ["sweep_value", "replicate", "seed", "protocol", *SWEEP_METRICS], rows)
     emit_results(table, "csv", os.path.join(out, "summary.csv"))
     if args.format in ("json", "both"):
         emit_results(table, "json", os.path.join(out, "summary.json"))
@@ -202,17 +202,15 @@ def cmd_analyze(args) -> int:
     with open(args.snapshot) as fh:
         snap = json.load(fh)
     topo = analysis.load_snapshot(snap)
-    run_time = args.run_time if args.run_time else snap["run"]["duration_s"]
+    run_time = snap["run"]["duration_s"] if args.run_time is None else args.run_time
+    if not 0.0 < run_time < math.inf:
+        raise ValueError(f"--run-time must be a positive number of seconds, got {run_time}")
     e_ini = snap["params"]["initial_node_energy_j"]
     rows = analysis.per_node_report(topo, run_time, e_ini)
     out = _ensure_out(args)
-    columns = ["id", "kind", "delivery_prob", "delay_to_sink_s",
-               "traffic_packets", "energy_j", "lifetime_s"]
-    with open(os.path.join(out, "per_node.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_format_cell(row[c]) for c in columns])
+    _write_csv(os.path.join(out, "per_node.csv"),
+               ["id", "kind", "delivery_prob", "delay_to_sink_s",
+                "traffic_packets", "energy_j", "lifetime_s"], rows)
     sources = [r for r in rows if r["kind"] == "source"]
     aggregates = {
         "network_lifetime_s": analysis.network_lifetime(topo, run_time, e_ini),

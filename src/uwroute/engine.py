@@ -4,9 +4,9 @@ One binary heap of (time, insertion-seq, kind, payload) events drives
 everything: packet arrivals, hold expiries, mobility and hello ticks, source
 generation and suppression reviews. Identical (config, seed) pairs replay the
 identical event sequence. Losses come solely from per-link Bernoulli draws
-against the channel's packet delivery probability; there is no MAC model.
-A broadcast finds its receivers in a uniform cell grid, rebuilt after each
-mobility tick, and visits them in id order, as a scan of all nodes would.
+against `channel.link_model`; there is no MAC model. A broadcast finds its
+receivers in a `world.CellGrid`, rebuilt after each mobility tick, and
+visits them in id order, as a scan of all nodes would.
 
 Energy accounting: a transmit costs tx_power * M/mu, a reception costs
 rx_power * M/mu and is charged to every in-range sensor per arriving data
@@ -18,7 +18,7 @@ stays comparable.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from heapq import heappop, heappush
 from random import Random
 
@@ -28,7 +28,7 @@ from .dbr import DbrProtocol
 from .qcore import QParams
 from .qlfr import (Deliver, Drop, HoldingParams, PacketHeader, QlfrProtocol,
                    Schedule, SuppressionState, build_priority_list, suppression_adjust)
-from .world import NodeState, deploy, random_walk_step
+from .world import CellGrid, NodeState, deploy, random_walk_step
 
 ARRIVAL, HOLD_EXPIRE, MOBILITY, HELLO, SOURCE_GEN, SUPPRESSION_REVIEW = range(6)
 
@@ -110,19 +110,13 @@ class Simulation:
             max_list_length=config.max_list_length)
 
         self.now = 0.0
-        # uniform cell grid for range queries: slightly wider cells than the
-        # range keep every in-range pair in adjacent cells despite rounding;
-        # built lazily and dropped whenever nodes move
-        self._cell_m = config.tx_range_m * (1.0 + 1e-9)
-        self._grid: dict | None = None
+        self.link_delivery_prob = chan.link_model(self.channel)
+        self._grid: CellGrid | None = None  # built lazily, dropped when nodes move
         self._queue: list = []
         self._seq = 0
         self._spp = self.channel.serialization_s  # seconds on air per packet
         self._tx_cost = config.tx_power_w * self._spp
         self._rx_cost = config.rx_power_w * self._spp
-        # cached link-budget constants for the hot per-arrival path
-        self._a_linear = 10.0 ** (chan.thorpe_absorption_db_per_km(self.channel.frequency_khz) / 10.0)
-        self._ebn0 = self.channel.energy_per_bit / self.channel.noise_density_N0
 
         self.generated = 0
         self.packet_gen_time: dict = {}
@@ -149,15 +143,6 @@ class Simulation:
     def _emit(self, event: str, **fields) -> None:
         if self.trace is not None:
             self.trace({"t": self.now, "event": event, **fields})
-
-    # --- physics ---
-
-    def link_delivery_prob(self, distance_m: float) -> float:
-        a = (self.channel.atten_const_A0 * distance_m**self.channel.spreading_kappa
-             * self._a_linear ** (distance_m / 1000.0))
-        snr = self._ebn0 / a
-        ber = 0.5 * (1.0 - math.sqrt(snr / (1.0 + snr)))
-        return (1.0 - ber) ** self.channel.packet_bits_M
 
     # --- energy ---
 
@@ -191,39 +176,16 @@ class Simulation:
 
     # --- neighbour queries ---
 
-    def _build_grid(self) -> dict:
-        cell = self._cell_m
-        grid: dict = {}
-        for node in self.nodes:  # id order, so each cell lists ids ascending
-            p = node.position
-            key = (math.floor(p.x / cell), math.floor(p.y / cell), math.floor(p.z / cell))
-            grid.setdefault(key, []).append((p.x, p.y, p.z, node))
-        self._grid = grid
-        return grid
-
     def in_range(self, node: NodeState) -> list[tuple[int, float]]:
         """(id, squared distance) of every living node within tx_range_m of
-        `node`, excluding it, in id order. Only the 3x3x3 block of grid cells
-        around `node` is scanned; the grid must be dropped (`_grid = None`)
-        whenever a position changes."""
-        grid = self._grid if self._grid is not None else self._build_grid()
-        cell = self._cell_m
-        x, y, z = node.position.x, node.position.y, node.position.z
-        cx, cy, cz = math.floor(x / cell), math.floor(y / cell), math.floor(z / cell)
-        r2 = self.config.tx_range_m**2
-        hits = []
-        for i in (cx - 1, cx, cx + 1):
-            for j in (cy - 1, cy, cy + 1):
-                for k in (cz - 1, cz, cz + 1):
-                    for ox, oy, oz, other in grid.get((i, j, k), ()):
-                        dx = ox - x
-                        dy = oy - y
-                        dz = oz - z
-                        d2 = dx * dx + dy * dy + dz * dz
-                        if d2 <= r2 and other is not node and other.alive:
-                            hits.append((other.id, d2))
-        hits.sort()
-        return hits
+        `node`, excluding it, in id order. The grid must be dropped
+        (`_grid = None`) whenever a position changes."""
+        if self._grid is None:
+            self._grid = CellGrid(((n.id, n.position.x, n.position.y, n.position.z)
+                                   for n in self.nodes), self.config.tx_range_m)
+        p, sid, by_id = node.position, node.id, self.by_id
+        return [(nid, d2) for nid, d2 in self._grid.within(p.x, p.y, p.z)
+                if nid != sid and by_id[nid].alive]
 
     # --- transmission pipeline ---
 
@@ -472,15 +434,7 @@ class Simulation:
                 "rx_power_w": cfg.rx_power_w,
                 "seconds_per_packet": self._spp,
                 "initial_node_energy_j": cfg.initial_node_energy_j,
-                "channel": {
-                    "frequency_khz": self.channel.frequency_khz,
-                    "spreading_kappa": self.channel.spreading_kappa,
-                    "atten_const_A0": self.channel.atten_const_A0,
-                    "energy_per_bit": self.channel.energy_per_bit,
-                    "noise_density_N0": self.channel.noise_density_N0,
-                    "packet_bits_M": self.channel.packet_bits_M,
-                    "bit_rate_mu": self.channel.bit_rate_mu,
-                },
+                "channel": asdict(self.channel),
             },
             "run": {"duration_s": cfg.max_sim_time_s, "now_s": self.now},
             "nodes": entries,

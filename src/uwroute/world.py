@@ -1,6 +1,9 @@
 """Node deployment, random-walk mobility, geometry queries and per-node
 neighbor-knowledge tables.
 
+`CellGrid` is the one neighbour index, for broadcasts and the analysis;
+`neighbors_in_range` is the brute-force scan it is checked against.
+
 Coordinates: z is height above the sea floor, so depth = region_z - z.
 Sinks sit on the surface (z = region_z, depth 0) and never move; sources are
 sensor nodes that start on the bottom layer (z = 0).
@@ -175,6 +178,38 @@ def neighbors_in_range(node: NodeState, all_nodes: Iterable[NodeState], r: float
         if dx * dx + dy * dy + dz * dz <= r2:
             out.append(other.id)
     return out
+
+
+class CellGrid:
+    """Fixed-radius neighbour index over points (id, x, y, z). Points sit in
+    cubic cells a hair wider than the radius r, so rounding at a cell edge
+    cannot put a pair within r more than one cell apart, and a query scans
+    only the 3x3x3 block of cells around its point. Rebuild after a move."""
+
+    def __init__(self, points: Iterable[tuple[int, float, float, float]], r: float):
+        if r <= 0:
+            raise ValueError(f"range must be > 0, got {r}")
+        self.r2, self.cell, self.cells = r * r, r * (1.0 + 1e-9), {}
+        for pid, x, y, z in points:
+            key = (math.floor(x / self.cell), math.floor(y / self.cell), math.floor(z / self.cell))
+            self.cells.setdefault(key, []).append((x, y, z, pid))
+
+    def within(self, x: float, y: float, z: float) -> list[tuple[int, float]]:
+        """(id, squared distance) of every point within r of (x, y, z), one
+        at (x, y, z) included, in id order."""
+        cells, cell, r2 = self.cells, self.cell, self.r2
+        cx, cy, cz = math.floor(x / cell), math.floor(y / cell), math.floor(z / cell)
+        hits = []
+        for i in (cx - 1, cx, cx + 1):
+            for j in (cy - 1, cy, cy + 1):
+                for k in (cz - 1, cz, cz + 1):
+                    for ox, oy, oz, pid in cells.get((i, j, k), ()):
+                        dx, dy, dz = ox - x, oy - y, oz - z
+                        d2 = dx * dx + dy * dy + dz * dz
+                        if d2 <= r2:
+                            hits.append((pid, d2))
+        hits.sort()
+        return hits
 
 
 def update_neighbor_knowledge(node: NodeState, sender_id: int,

@@ -2,7 +2,9 @@
 and delay against hand values and Monte-Carlo trials, traffic and energy
 propagation, lifetime, and snapshot loading."""
 
+import dataclasses
 import math
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -239,6 +241,16 @@ class TestTraffic:
             outgoing_traffic(topo)
 
 
+class TestSendersOf:
+    @pytest.mark.parametrize("fixture", [chain3, diamond4, random_dag10])
+    def test_index_equals_scan_of_every_list(self, fixture):
+        topo, _ = fixture()
+        for node in topo.kinds:
+            scan = [(sender, cands.index(node) + 1)
+                    for sender, cands in topo.candidates.items() if node in cands]
+            assert topo.senders_of(node) == scan
+
+
 class TestNodeEnergy:
     def test_isolated_idle_node(self):
         topo = StaticTopology(
@@ -289,7 +301,7 @@ class TestNetworkLifetime:
     def test_doubling_traffic_halves_lifetime(self):
         topo, _ = chain3()
         base = network_lifetime(topo, 100.0, 100.0)
-        doubled = StaticTopology(**{**topo.__dict__, "gen_packets": {0: 200.0}})
+        doubled = dataclasses.replace(topo, gen_packets={0: 200.0})
         assert network_lifetime(doubled, 100.0, 100.0) == pytest.approx(base / 2)
 
     def test_sinks_never_constrain(self):
@@ -335,3 +347,34 @@ class TestSnapshotLoading:
         assert len(rows) == 43
         lifetime = network_lifetime(topo, cfg.max_sim_time_s, cfg.initial_node_energy_j)
         assert lifetime > 0.0
+
+    def test_neighbors_equal_brute_force_scan(self):
+        # random nodes plus pairs exactly tx_range_m apart along each axis,
+        # across the edges of the loader's cells (a hair wider than 150 m)
+        r = 150.0
+        rng = random.Random(5)
+        points = [(rng.uniform(-50.0, 650.0), rng.uniform(0.0, 600.0), rng.uniform(0.0, 600.0))
+                  for _ in range(150)]
+        for a, b in ((0.0, 150.0), (75.0, 225.0), (-75.0, 75.0), (150.0, 300.0),
+                     (300.0 + 1e-7, 450.0 + 1e-7)):
+            points += [(a, 10.0, 20.0), (b, 10.0, 20.0), (30.0, a, 40.0), (30.0, b, 40.0),
+                       (500.0, 400.0, a + 150.0), (500.0, 400.0, b + 150.0)]
+        points.append(points[0])  # a second node at the same spot
+        nodes = [{"id": i, "kind": "sensor", "x": x, "y": y, "z": z,
+                  "generated": 0, "candidates": []} for i, (x, y, z) in enumerate(points)]
+        nodes[-1]["kind"] = "sink"
+        snapshot = {
+            "params": {"protocol": "qlfr", "tx_range_m": r, "sound_speed_mps": 1500.0,
+                       "holding_h": 20, "tx_power_w": 2.0, "rx_power_w": 0.5,
+                       "seconds_per_packet": 0.0512, "channel": {}},
+            "nodes": nodes,
+        }
+        topo = analysis.load_snapshot(snapshot)
+        brute = {i: tuple(j for j in range(len(points))
+                          if j != i and math.dist(points[i], points[j]) <= r)
+                 for i in range(len(points))}
+        assert topo.neighbors == brute
+        assert len(topo.neighbors[len(points) - 1]) >= 1
+        exact = sum(math.dist(points[i], points[j]) == r
+                    for i in brute for j in brute[i])
+        assert exact >= 30

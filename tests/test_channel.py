@@ -3,6 +3,7 @@ log-domain attenuation oracle, and the Rayleigh-average validation by
 numerical quadrature."""
 
 import math
+import random
 
 import pytest
 from scipy import integrate
@@ -139,6 +140,34 @@ class TestPacketDelivery:
         p_small = channel.packet_delivery_prob(100.0, default_params(packet_bits_M=256))
         p_large = channel.packet_delivery_prob(100.0, default_params(packet_bits_M=1024))
         assert p_large < p_small
+
+
+class TestLinkModel:
+    """`link_model` is the one production form of the delivery probability:
+    it must be bit-equal to the chain of closed forms it folds."""
+
+    PARAMS = [channel.calibrate_energy_per_bit(default_params(), 100.0, 0.9),
+              default_params(frequency_khz=25.0, spreading_kappa=1.2, atten_const_A0=2.5,
+                             energy_per_bit=3e-3, noise_density_N0=7e-11, packet_bits_M=777),
+              default_params(frequency_khz=3.0, spreading_kappa=2.0, energy_per_bit=1e4,
+                             packet_bits_M=1, bit_rate_mu=500.0)]
+    DISTANCES = [0.25, 1.0, 10.0, 37.3, 99.99, 100.0, 150.0, 300.0, 1000.0, 4321.5]
+
+    @pytest.mark.parametrize("params", PARAMS)
+    def test_bit_equal_to_closed_form_chain(self, params):
+        link = channel.link_model(params)
+        rng = random.Random(3)
+        for l in self.DISTANCES + [rng.uniform(0.01, 3000.0) for _ in range(20000)]:
+            chain = channel.packet_success_prob(
+                channel.rayleigh_bpsk_ber(channel.mean_snr(l, params)), params.packet_bits_M)
+            assert link(l) == chain
+            assert channel.packet_delivery_prob(l, params) == chain
+
+    def test_rejects_nonpositive_distance(self):
+        link = channel.link_model(default_params())
+        for l in (0.0, -1.0):
+            with pytest.raises(ValueError):
+                link(l)
 
 
 class TestSoundSpeed:

@@ -3,6 +3,7 @@ reproducibility of emitted files."""
 
 import csv
 import json
+import math
 import statistics
 
 import pytest
@@ -110,6 +111,12 @@ class TestSweep:
                              replicates=2, jobs=2)
         assert serial == parallel
 
+    def test_repeated_value_refused(self):
+        # "0.050" parses to the value of "0.05": the same runs again
+        with pytest.raises(ConfigError, match="repeats"):
+            run_sweep(self.small_config(), "protocol.holding_k_s", ["0.05", "0.1", "0.050"],
+                      replicates=1, jobs=1)
+
     def test_invalid_sweep_key(self):
         with pytest.raises(ConfigError):
             run_sweep(self.small_config(), "world.not_real", [1], replicates=1, jobs=1)
@@ -212,6 +219,40 @@ class TestCliVerbs:
         assert len(rows) == 28  # header + 25 sensors + 2 sinks... sources included
         aggregates = json.loads((out2 / "aggregates.json").read_text())
         assert "network_lifetime_s" in aggregates
+
+    @pytest.mark.parametrize("run_time", ["-5", "0"])
+    def test_analyze_refuses_nonpositive_run_time(self, tmp_path, capsys, run_time):
+        out = tmp_path / "results"
+        assert cli.main(["run", "--config", self.write_config(tmp_path), "--out", str(out)]) == 0
+        capsys.readouterr()
+        rc = cli.main(["analyze", "--snapshot", str(out / "snapshot.json"),
+                       "--run-time", run_time, "--out", str(tmp_path / "analysis")])
+        assert rc == 2
+        assert "--run-time" in capsys.readouterr().err
+        assert not (tmp_path / "analysis").exists()
+
+    def test_analyze_explicit_run_time(self, tmp_path):
+        out = tmp_path / "results"
+        assert cli.main(["run", "--config", self.write_config(tmp_path), "--out", str(out)]) == 0
+        lifetimes = {}
+        for run_time in ("60", "120"):
+            out2 = tmp_path / f"analysis-{run_time}"
+            assert cli.main(["analyze", "--snapshot", str(out / "snapshot.json"),
+                             "--run-time", run_time, "--out", str(out2)]) == 0
+            aggregates = json.loads((out2 / "aggregates.json").read_text())
+            assert aggregates["run_time_s"] == float(run_time)
+            lifetimes[run_time] = aggregates["network_lifetime_s"]
+        assert 0.0 < lifetimes["60"] < math.inf
+        assert lifetimes["120"] == pytest.approx(2.0 * lifetimes["60"], rel=1e-12)
+
+    def test_sweep_refuses_repeated_value(self, tmp_path, capsys):
+        out = tmp_path / "sweep"
+        rc = cli.main(["sweep", "--config", self.write_config(tmp_path),
+                       "--param", "protocol.holding_k_s", "--values", "0.05,0.05",
+                       "--replicates", "2", "--jobs", "1", "--out", str(out)])
+        assert rc == 2
+        assert "0.05" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_analyze_refuses_dbr_snapshot(self, tmp_path, capsys):
         cfg = tmp_path / "dbr.cfg"

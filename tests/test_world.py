@@ -7,8 +7,8 @@ import pytest
 
 from uwroute import world
 from uwroute.config import ScenarioConfig
-from uwroute.world import (BoundedCache, NodePosition, NodeState, RoutingKnowledge,
-                           deploy, fresh_neighbors, neighbors_in_range,
+from uwroute.world import (BoundedCache, CellGrid, NodePosition, NodeState,
+                           RoutingKnowledge, deploy, fresh_neighbors, neighbors_in_range,
                            random_walk_step, update_neighbor_knowledge)
 
 
@@ -132,6 +132,39 @@ class TestNeighbors:
     def test_excludes_self(self):
         a = NodeState(0, "sensor", NodePosition(0, 0, 0), 300.0, 100.0)
         assert neighbors_in_range(a, [a], 150.0) == []
+
+
+class TestCellGrid:
+    def test_matches_brute_force_in_id_order(self):
+        rng = random.Random(23)
+        nodes = [NodeState(i, "sensor",
+                           NodePosition(rng.uniform(-100, 500), rng.uniform(0, 400),
+                                        rng.uniform(0, 400)), 400.0, 100.0)
+                 for i in range(80)]
+        nodes.reverse()  # insertion order must not matter
+        for r in (40.0, 150.0, 1000.0):
+            grid = CellGrid(((n.id, n.position.x, n.position.y, n.position.z)
+                             for n in nodes), r)
+            for node in nodes:
+                p = node.position
+                hits = grid.within(p.x, p.y, p.z)
+                assert [i for i, _ in hits] == sorted([node.id, *neighbors_in_range(node, nodes, r)])
+                for i, d2 in hits:
+                    o = nodes[-1 - i].position
+                    dx, dy, dz = o.x - p.x, o.y - p.y, o.z - p.z
+                    assert d2 == dx * dx + dy * dy + dz * dz
+
+    def test_exact_range_kept_across_cell_edges(self):
+        xs = [0.0, 150.0, 300.0, -75.0, 75.0, 225.0]
+        grid = CellGrid(((i, x, 0.0, 0.0) for i, x in enumerate(xs)), 150.0)
+        assert [i for i, _ in grid.within(150.0, 0.0, 0.0)] == [0, 1, 2, 4, 5]
+        assert [i for i, _ in grid.within(-75.0, 0.0, 0.0)] == [0, 3, 4]
+        assert [i for i, _ in grid.within(0.0, 0.0, 150.0)] == [0]
+        assert grid.within(0.0, 0.0, 150.0 + 1e-9) == []
+
+    def test_rejects_nonpositive_range(self):
+        with pytest.raises(ValueError):
+            CellGrid([], 0.0)
 
 
 class TestNeighborKnowledge:
