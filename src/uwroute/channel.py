@@ -107,7 +107,9 @@ def link_model(params: ChannelParams):
     """Packet delivery probability as a function of link length l (m): the
     constants of `params` are computed once, and each call evaluates
     packet_success_prob(rayleigh_bpsk_ber(mean_snr(l, params)), M)
-    operation for operation, so the result is bit-equal to that chain."""
+    operation for operation, so the result is bit-equal to that chain. At
+    l == 0 the SNR is unbounded and the result is the limit 1.0, so
+    co-located nodes can talk; a negative length is refused."""
     a0, kappa, eb, n0, bits = (params.atten_const_A0, params.spreading_kappa,
                                params.energy_per_bit, params.noise_density_N0,
                                params.packet_bits_M)
@@ -116,7 +118,9 @@ def link_model(params: ChannelParams):
 
     def delivery_prob(l: float) -> float:
         if l <= 0.0:
-            raise ValueError(f"distance must be > 0 m, got {l}")
+            if l == 0.0:
+                return 1.0
+            raise ValueError(f"distance must be >= 0 m, got {l}")
         snr = eb / (n0 * (a0 * l**kappa * a_linear ** (l / 1000.0)))
         return (1.0 - 0.5 * (1.0 - sqrt(snr / (1.0 + snr)))) ** bits
 

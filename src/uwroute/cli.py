@@ -213,7 +213,7 @@ def cmd_analyze(args) -> int:
                 "traffic_packets", "energy_j", "lifetime_s"], rows)
     sources = [r for r in rows if r["kind"] == "source"]
     aggregates = {
-        "network_lifetime_s": analysis.network_lifetime(topo, run_time, e_ini),
+        "network_lifetime_s": min((r["lifetime_s"] for r in rows), default=math.inf),
         "total_energy_j": sum(r["energy_j"] for r in rows),
         "source_delivery_prob": {r["id"]: r["delivery_prob"] for r in sources},
         "source_delay_s": {r["id"]: r["delay_to_sink_s"] for r in sources},

@@ -36,5 +36,5 @@ class DbrProtocol(ForwardingCore):
         return PacketHeader(
             source_id=key[0], seq=key[1], v_value=0.0, depth_m=node.depth,
             residual_energy_j=node.residual_energy_j, sender_id=node.id,
-            list_length=0, priority_list=(), total_generated=total_generated,
+            priority_list=(), total_generated=total_generated,
         )

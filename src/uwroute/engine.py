@@ -1,12 +1,14 @@
 """Deterministic discrete-event simulation kernel.
 
-One binary heap of (time, insertion-seq, kind, payload) events drives
+One binary heap of (time, insertion-seq, handler, args) events drives
 everything: packet arrivals, hold expiries, mobility and hello ticks, source
-generation and suppression reviews. Identical (config, seed) pairs replay the
-identical event sequence. Losses come solely from per-link Bernoulli draws
-against `channel.link_model`; there is no MAC model. A broadcast finds its
-receivers in a `world.CellGrid`, rebuilt after each mobility tick, and
-visits them in id order, as a scan of all nodes would.
+generation and suppression reviews, each a bound `_handle_*` method called
+with its args. Time ties go to the earlier insertion, so handlers are never
+compared, and identical (config, seed) pairs replay the same event sequence.
+Losses come solely from per-link Bernoulli draws against `channel.link_model`;
+there is no MAC model. A broadcast finds its receivers in a `world.CellGrid`,
+rebuilt after each mobility tick, and visits them in id order, as a scan of
+all nodes would.
 
 Energy accounting: a transmit costs tx_power * M/mu, a reception costs
 rx_power * M/mu and is charged to every in-range sensor per arriving data
@@ -27,10 +29,8 @@ from .config import ScenarioConfig
 from .dbr import DbrProtocol
 from .qcore import QParams
 from .qlfr import (Deliver, Drop, HoldingParams, PacketHeader, QlfrProtocol,
-                   Schedule, SuppressionState, build_priority_list, suppression_adjust)
+                   Schedule, SuppressionState, suppression_adjust)
 from .world import CellGrid, NodeState, deploy, random_walk_step
-
-ARRIVAL, HOLD_EXPIRE, MOBILITY, HELLO, SOURCE_GEN, SUPPRESSION_REVIEW = range(6)
 
 _HELLO_BOOTSTRAP_S = 1.0
 
@@ -134,11 +134,12 @@ class Simulation:
 
     # --- event plumbing ---
 
-    def schedule(self, t: float, kind: int, payload) -> None:
+    def schedule(self, t: float, handler, *args) -> None:
+        """Call `handler(*args)` at simulated time t."""
         if t < self.now - 1e-9:
             raise EngineError(f"event scheduled in the past: {t} < {self.now}")
         self._seq += 1
-        heappush(self._queue, (t, self._seq, kind, payload))
+        heappush(self._queue, (t, self._seq, handler, args))
 
     def _emit(self, event: str, **fields) -> None:
         if self.trace is not None:
@@ -200,10 +201,11 @@ class Simulation:
                        hello=pkt.is_hello, plist=list(pkt.priority_list))
         ser = self._spp if self.config.serialization_delay else 0.0
         v0 = self.config.sound_speed_mps
+        arrive = self._handle_arrival
         for other_id, d2 in self.in_range(sender):
             dist = math.sqrt(d2)
             ok = self.rng.random() < self.link_delivery_prob(dist)
-            self.schedule(self.now + dist / v0 + ser, ARRIVAL, (other_id, pkt, ok))
+            self.schedule(self.now + dist / v0 + ser, arrive, other_id, pkt, ok)
 
     def _handle_arrival(self, node_id: int, pkt: PacketHeader, ok: bool) -> None:
         node = self.by_id[node_id]
@@ -226,7 +228,7 @@ class Simulation:
             if self.trace is not None:
                 self._emit("schedule", node=node.id, key=pkt.key, tau=action.tau,
                            position=action.position)
-            self.schedule(self.now + action.tau, HOLD_EXPIRE, (node.id, pkt.key, token))
+            self.schedule(self.now + action.tau, self._handle_hold_expire, node.id, pkt.key, token)
         elif isinstance(action, Drop):
             if action.reason == "suppressed":
                 self.suppressed_forwards += 1
@@ -236,7 +238,6 @@ class Simulation:
                 self._emit("drop", node=node.id, key=pkt.key, reason=action.reason)
 
     def _record_delivery(self, sink: NodeState, pkt: PacketHeader) -> None:
-        sink.duplicate_cache.add(pkt.key)
         src = pkt.source_id
         self.sink_observed_totals[src] = max(self.sink_observed_totals.get(src, 0),
                                              pkt.total_generated)
@@ -263,7 +264,7 @@ class Simulation:
         node = self.by_id[source_id]
         if not node.alive:
             return
-        self.schedule(self.now + self.config.source_interval_s, SOURCE_GEN, source_id)
+        self.schedule(self.now + self.config.source_interval_s, self._handle_source_gen, source_id)
         seq = self.source_seq[source_id]
         self.source_seq[source_id] = seq + 1
         self.generated += 1
@@ -280,7 +281,7 @@ class Simulation:
             self.transmit(node, header)
 
     def _handle_mobility(self) -> None:
-        self.schedule(self.now + self.config.mobility_tick_s, MOBILITY, None)
+        self.schedule(self.now + self.config.mobility_tick_s, self._handle_mobility)
         region = self.config.region
         speed = self.config.mobility_speed_mps
         dt = self.config.mobility_tick_s
@@ -294,7 +295,7 @@ class Simulation:
         node = self.by_id[node_id]
         if not node.alive:
             return
-        self.schedule(self.now + self.config.hello_interval_s, HELLO, node_id)
+        self.schedule(self.now + self.config.hello_interval_s, self._handle_hello, node_id)
         self.transmit(node, self.protocol.hello_header(node))
 
     def _handle_suppression_review(self) -> None:
@@ -304,7 +305,7 @@ class Simulation:
         unique packets received and the generation counters carried in
         received headers."""
         self.schedule(self.now + self.config.suppression_interval_s,
-                      SUPPRESSION_REVIEW, None)
+                      self._handle_suppression_review)
         total = sum(self.sink_observed_totals.values())
         window_total = total - self._reviewed_total
         window_delivered = len(self.delivered_at) - self._reviewed_delivered
@@ -326,34 +327,27 @@ class Simulation:
         cfg = self.config
         if self.protocol.uses_hello:
             for node in self.nodes:
-                self.schedule(self.rng.uniform(0.0, _HELLO_BOOTSTRAP_S), HELLO, node.id)
+                self.schedule(self.rng.uniform(0.0, _HELLO_BOOTSTRAP_S), self._handle_hello,
+                              node.id)
         if cfg.mobility_speed_mps > 0:
-            self.schedule(cfg.mobility_tick_s, MOBILITY, None)
+            self.schedule(cfg.mobility_tick_s, self._handle_mobility)
         for node in self.sources:
-            self.schedule(cfg.source_interval_s, SOURCE_GEN, node.id)
+            self.schedule(cfg.source_interval_s, self._handle_source_gen, node.id)
         if cfg.protocol == "qlfr":
-            self.schedule(cfg.suppression_interval_s, SUPPRESSION_REVIEW, None)
+            self.schedule(cfg.suppression_interval_s, self._handle_suppression_review)
         self.drain(cfg.max_sim_time_s)
         return self._finalize()
 
     def drain(self, until: float) -> None:
         """Process queued events in time order up to and including `until`."""
-        handlers = {
-            ARRIVAL: lambda p: self._handle_arrival(*p),
-            HOLD_EXPIRE: lambda p: self._handle_hold_expire(*p),
-            MOBILITY: lambda p: self._handle_mobility(),
-            HELLO: self._handle_hello,
-            SOURCE_GEN: self._handle_source_gen,
-            SUPPRESSION_REVIEW: lambda p: self._handle_suppression_review(),
-        }
         queue = self._queue
         while queue:
-            t, _, kind, payload = queue[0]
+            t, _, handler, args = queue[0]
             if t > until:
                 break
             heappop(queue)
             self.now = t
-            handlers[kind](payload)
+            handler(*args)
 
     # --- results ---
 
@@ -416,9 +410,7 @@ class Simulation:
             }
             if not node.is_sink and node.alive and cfg.protocol == "qlfr":
                 in_range = {nid for nid, _ in self.in_range(node)}
-                ranked = build_priority_list(
-                    node, cfg.d_max_m, node.list_length, QParams(cfg.gamma, cfg.alpha),
-                    self.now, cfg.staleness_s)
+                ranked = self.protocol.candidates(node, self.now)
                 entry["candidates"] = [
                     nid for nid in ranked
                     if nid in in_range and self.by_id[nid].depth < node.depth

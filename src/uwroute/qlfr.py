@@ -25,7 +25,6 @@ class PacketHeader:
     depth_m: float
     residual_energy_j: float
     sender_id: int
-    list_length: int
     priority_list: tuple = ()
     total_generated: int = 0
     suppression_directive: int = 0
@@ -246,7 +245,7 @@ class QlfrProtocol(ForwardingCore):
         return PacketHeader(
             source_id=node.id, seq=-1, v_value=node.v_value, depth_m=node.depth,
             residual_energy_j=node.residual_energy_j, sender_id=node.id,
-            list_length=0, priority_list=(), is_hello=True,
+            priority_list=(), is_hello=True,
         )
 
     def hear(self, node: NodeState, pkt: PacketHeader, now: float) -> None:
@@ -273,19 +272,23 @@ class QlfrProtocol(ForwardingCore):
         self._apply_directive(source, directive, epoch)
         return super().originate(source, seq, total_generated, directive, epoch, now)
 
+    def candidates(self, node: NodeState, now: float) -> list[int]:
+        """The priority list `node` would send now, from its current knowledge."""
+        return build_priority_list(node, self.d_max, node.list_length,
+                                   self.qparams, now, self.staleness_s)
+
     def header(self, node: NodeState, key: tuple[int, int], total_generated: int,
                directive: int, epoch: int, now: float) -> PacketHeader | None:
         """Rebuild the priority list from current knowledge and update Q toward
         the chosen first candidate; None when no candidate exists."""
-        candidates = build_priority_list(node, self.d_max, node.list_length,
-                                         self.qparams, now, self.staleness_s)
+        candidates = self.candidates(node, now)
         if not candidates:
             return None
         self._learn(node, candidates[0])
         return PacketHeader(
             source_id=key[0], seq=key[1], v_value=node.v_value, depth_m=node.depth,
             residual_energy_j=node.residual_energy_j, sender_id=node.id,
-            list_length=len(candidates), priority_list=tuple(candidates),
+            priority_list=tuple(candidates),
             total_generated=total_generated, suppression_directive=directive,
             suppression_epoch=epoch,
         )

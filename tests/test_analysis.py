@@ -348,6 +348,27 @@ class TestSnapshotLoading:
         lifetime = network_lifetime(topo, cfg.max_sim_time_s, cfg.initial_node_energy_j)
         assert lifetime > 0.0
 
+    def test_candidate_on_its_sender(self):
+        # source 0 lists sensor 1, which shares its position 100 m below sink
+        # 2: the 0 m link loads with p = 1, and the report refuses the
+        # candidate by the model's own rule, as it is not strictly shallower
+        nodes = [{"id": 0, "kind": "source", "x": 0.0, "y": 0.0, "z": 0.0,
+                  "generated": 10, "candidates": [1, 2]},
+                 {"id": 1, "kind": "sensor", "x": 0.0, "y": 0.0, "z": 0.0,
+                  "generated": 0, "candidates": []},
+                 {"id": 2, "kind": "sink", "x": 0.0, "y": 0.0, "z": 100.0,
+                  "generated": 0, "candidates": []}]
+        topo = analysis.load_snapshot({
+            "params": {"protocol": "qlfr", "tx_range_m": 150.0, "sound_speed_mps": 1500.0,
+                       "holding_h": 20, "tx_power_w": 2.0, "rx_power_w": 0.5,
+                       "seconds_per_packet": 0.0512, "channel": {}},
+            "nodes": nodes,
+        })
+        assert topo.link_prob[(0, 1)] == 1.0
+        assert topo.neighbors[0] == (1, 2) and topo.neighbors[1] == (0, 2)
+        with pytest.raises(TopologyError, match="not strictly shallower"):
+            analysis.per_node_report(topo, 100.0, 100.0)
+
     def test_neighbors_equal_brute_force_scan(self):
         # random nodes plus pairs exactly tx_range_m apart along each axis,
         # across the edges of the loader's cells (a hair wider than 150 m)

@@ -164,8 +164,11 @@ class TestLinkModel:
             assert channel.packet_delivery_prob(l, params) == chain
 
     def test_rejects_nonpositive_distance(self):
+        # zero is the co-located limit, p = 1; only a negative length is refused
         link = channel.link_model(default_params())
-        for l in (0.0, -1.0):
+        assert link(0.0) == 1.0
+        assert channel.packet_delivery_prob(0.0, default_params()) == 1.0
+        for l in (-1e-300, -1.0):
             with pytest.raises(ValueError):
                 link(l)
 

@@ -8,7 +8,7 @@ import statistics
 
 import pytest
 
-from uwroute import cli
+from uwroute import analysis, cli
 from uwroute.cli import aggregate_sweep, emit_results, run_sweep
 from uwroute.config import (ConfigError, ScenarioConfig, effective_config_text,
                             parse_config, parse_config_text, set_key)
@@ -219,6 +219,20 @@ class TestCliVerbs:
         assert len(rows) == 28  # header + 25 sensors + 2 sinks... sources included
         aggregates = json.loads((out2 / "aggregates.json").read_text())
         assert "network_lifetime_s" in aggregates
+
+    def test_analyze_lifetime_is_the_model_network_lifetime(self, tmp_path):
+        out = tmp_path / "results"
+        assert cli.main(["run", "--config", self.write_config(tmp_path), "--out", str(out)]) == 0
+        out2 = tmp_path / "analysis"
+        assert cli.main(["analyze", "--snapshot", str(out / "snapshot.json"),
+                         "--out", str(out2)]) == 0
+        snap = json.loads((out / "snapshot.json").read_text())
+        expected = analysis.network_lifetime(analysis.load_snapshot(snap),
+                                             snap["run"]["duration_s"],
+                                             snap["params"]["initial_node_energy_j"])
+        aggregates = json.loads((out2 / "aggregates.json").read_text())
+        assert 0.0 < expected < math.inf
+        assert aggregates["network_lifetime_s"] == expected
 
     @pytest.mark.parametrize("run_time", ["-5", "0"])
     def test_analyze_refuses_nonpositive_run_time(self, tmp_path, capsys, run_time):

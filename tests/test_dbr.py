@@ -19,8 +19,7 @@ def make_node(node_id, depth, region_z=300.0, kind="sensor", x=0.0, y=0.0):
 
 def header_from(sender):
     return PacketHeader(source_id=sender.id, seq=0, v_value=0.0, depth_m=sender.depth,
-                        residual_energy_j=sender.residual_energy_j, sender_id=sender.id,
-                        list_length=0, priority_list=())
+                        residual_energy_j=sender.residual_energy_j, sender_id=sender.id)
 
 
 class TestDepthRule:
@@ -82,8 +81,8 @@ class TestSharedForwardingCore:
         """A copy of packet (9, seq) that makes node 5 a candidate under either
         protocol: it lists node 5 and comes from deeper down."""
         return PacketHeader(source_id=9, seq=seq, v_value=0.0, depth_m=180.0,
-                            residual_energy_j=100.0, sender_id=sender_id, list_length=1,
-                            priority_list=(5,), total_generated=3, is_hello=is_hello)
+                            residual_energy_j=100.0, sender_id=sender_id, priority_list=(5,),
+                            total_generated=3, is_hello=is_hello)
 
     def test_own_copy_ignored(self, proto):
         node = self.relay()

@@ -90,32 +90,40 @@ class TestTransmitEnergy:
         nodes = [make_node(0, 0.0, kind="source"), make_node(1, 450.0, kind="sink")]
         sim = Simulation(base_config(), nodes=nodes)
         src = sim.by_id[0]
-        header = PacketHeader(0, 0, 0.0, src.depth, src.residual_energy_j, 0, 0)
+        header = PacketHeader(0, 0, 0.0, src.depth, src.residual_energy_j, 0)
         sim.transmit(src, header)
         assert src.consumed_j == pytest.approx(0.1024, rel=1e-9)
         assert src.tx_seconds == pytest.approx(0.0512, rel=1e-9)
 
     def test_propagation_timing(self):
+        # the one arrival shows in the trace as node 1 dropping the packet it
+        # is not listed for
         nodes = [make_node(0, 0.0, kind="source"), make_node(1, 150.0)]
-        sim = Simulation(base_config(serialization_delay=False), nodes=nodes)
+        events = []
+        sim = Simulation(base_config(serialization_delay=False), nodes=nodes,
+                         trace=events.append)
         src = sim.by_id[0]
-        sim.transmit(src, PacketHeader(0, 0, 0.0, src.depth, 100.0, 0, 0))
-        (t, _, kind, _), = sim._queue
-        assert kind == engine.ARRIVAL
-        assert t == pytest.approx(0.1, abs=1e-12)  # 150 m at 1500 m/s
+        sim.transmit(src, PacketHeader(0, 0, 0.0, src.depth, 100.0, 0))
+        sim.drain(math.inf)
+        tx, arrival = events
+        assert tx["event"] == "tx"
+        assert (arrival["event"], arrival["node"]) == ("drop", 1)
+        assert arrival["t"] == pytest.approx(0.1, abs=1e-12)  # 150 m at 1500 m/s
 
     def test_broadcast_into_void_still_costs(self):
         nodes = [make_node(0, 0.0, kind="source"), make_node(1, 400.0)]  # 400 m away
         sim = Simulation(base_config(), nodes=nodes)
         src = sim.by_id[0]
-        sim.transmit(src, PacketHeader(0, 0, 0.0, src.depth, 100.0, 0, 0))
+        sim.transmit(src, PacketHeader(0, 0, 0.0, src.depth, 100.0, 0))
         assert src.consumed_j == pytest.approx(0.1024, rel=1e-9)
-        assert sim._queue == []  # nobody in range, no arrivals
+        assert sim.in_range(src) == []  # nobody in range, no arrivals
+        sim.drain(math.inf)
+        assert sim.now == 0.0  # and no event was queued
 
     def test_out_of_range_never_charged(self):
         nodes = [make_node(0, 0.0, kind="source"), make_node(1, 400.0)]
         sim = Simulation(base_config(), nodes=nodes)
-        sim.transmit(sim.by_id[0], PacketHeader(0, 0, 0.0, 450.0, 100.0, 0, 0))
+        sim.transmit(sim.by_id[0], PacketHeader(0, 0, 0.0, 450.0, 100.0, 0))
         sim.drain(math.inf)
         assert sim.by_id[1].consumed_j == 0.0
 
@@ -125,7 +133,7 @@ class TestTransmitEnergy:
         cfg = base_config(energy_per_bit=1e-12)
         sim = Simulation(cfg, nodes=nodes)
         src = sim.by_id[0]
-        sim.transmit(src, PacketHeader(0, 0, 0.0, src.depth, 100.0, 0, 0))
+        sim.transmit(src, PacketHeader(0, 0, 0.0, src.depth, 100.0, 0))
         sim.drain(math.inf)
         assert sim.by_id[1].consumed_j == pytest.approx(0.0256, rel=1e-9)
         assert sim.by_id[1].rx_seconds == pytest.approx(0.0512, rel=1e-9)
@@ -135,7 +143,7 @@ class TestTransmitEnergy:
         nodes = [make_node(0, 300.0, kind="source"), make_node(1, 450.0, kind="sink")]
         sim = Simulation(base_config(), nodes=nodes)
         src = sim.by_id[0]
-        sim.transmit(src, PacketHeader(0, 0, 0.0, src.depth, 100.0, 0, 0))
+        sim.transmit(src, PacketHeader(0, 0, 0.0, src.depth, 100.0, 0))
         sim.drain(math.inf)
         assert sim.by_id[1].consumed_j == 0.0
 
@@ -146,7 +154,7 @@ class TestDeathAndLifetime:
         sim = Simulation(base_config(), nodes=nodes)
         src = sim.by_id[0]
         sim.now = 7.0
-        sim.transmit(src, PacketHeader(0, 0, 0.0, src.depth, 0.05, 0, 0))
+        sim.transmit(src, PacketHeader(0, 0, 0.0, src.depth, 0.05, 0))
         assert not src.alive
         assert src.death_time_s == 7.0
         assert src.consumed_j == 0.0  # the unaffordable transmit never happened
@@ -270,11 +278,18 @@ class TestNeighbourGrid:
     @staticmethod
     def receivers(sim, sender):
         """Receiver ids `transmit` schedules, in arrival insertion order."""
-        sim._queue.clear()
-        sim.transmit(sender, sim.protocol.hello_header(sender))
-        arrivals = sorted(sim._queue, key=lambda event: event[1])
-        assert all(kind == engine.ARRIVAL for _, _, kind, _ in arrivals)
-        return [payload[0] for _, _, _, payload in arrivals]
+        scheduled = []
+
+        def record(t, handler, *args):
+            scheduled.append((handler, args))
+
+        sim.schedule = record
+        try:
+            sim.transmit(sender, sim.protocol.hello_header(sender))
+        finally:
+            del sim.schedule
+        assert all(handler == sim._handle_arrival for handler, _ in scheduled)
+        return [args[0] for _, args in scheduled]
 
     def assert_matches_brute_force(self, sim):
         r = sim.config.tx_range_m
@@ -333,6 +348,26 @@ class TestNeighbourGrid:
         sim.by_id[4].alive = False
         assert self.receivers(sim, sim.by_id[3]) == [0, 1, 5]
         self.assert_matches_brute_force(sim)
+
+
+class TestCoLocatedNodes:
+    @pytest.mark.parametrize("protocol", ["qlfr", "dbr"])
+    def test_run_with_relay_on_the_source_completes(self, protocol):
+        # the relay shares the source's position: every broadcast of one
+        # reaches the other over a 0 m link, which delivers with p = 1
+        region_z = 150.0
+        nodes = [make_node(0, 0.0, region_z, kind="source"),
+                 make_node(1, 0.0, region_z),
+                 make_node(2, region_z, region_z, kind="sink")]
+        cfg = base_config(region_z_m=region_z, n_sensors=2, protocol=protocol,
+                          serialization_delay=False)
+        sim = Simulation(cfg, nodes=nodes)
+        assert sim.in_range(sim.by_id[0]) == [(1, 0.0), (2, region_z ** 2)]
+        record = sim.run()
+        assert record.generated == 2
+        assert record.pdr == 1.0
+        assert record.mean_e2e_delay_s == pytest.approx(0.1, abs=1e-12)
+        assert sim.by_id[1].rx_seconds == pytest.approx(2 * 0.0512, rel=1e-12)
 
 
 class TestGoldenDigest:
@@ -396,7 +431,7 @@ class TestErrors:
                                                make_node(1, 450.0, kind="sink")])
         sim.now = 10.0
         with pytest.raises(EngineError):
-            sim.schedule(9.0, engine.ARRIVAL, None)
+            sim.schedule(9.0, lambda: None)
 
     def test_config_validated_before_events(self):
         with pytest.raises(Exception):

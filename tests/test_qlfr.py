@@ -34,8 +34,7 @@ def data_header(sender: NodeState, plist, source_id=9, seq=0, total=1, directive
                 epoch=0):
     return PacketHeader(source_id=source_id, seq=seq, v_value=sender.v_value,
                         depth_m=sender.depth, residual_energy_j=sender.residual_energy_j,
-                        sender_id=sender.id, list_length=len(plist),
-                        priority_list=tuple(plist), total_generated=total,
+                        sender_id=sender.id, priority_list=tuple(plist), total_generated=total,
                         suppression_directive=directive, suppression_epoch=epoch)
 
 
@@ -264,7 +263,6 @@ class TestHoldExpire:
         assert header.source_id == 9 and header.seq == 7
         assert header.total_generated == 12
         assert header.priority_list == (2, 3)
-        assert header.list_length == 2
         # Q updated toward the first candidate's one-step target
         assert 2 in relay.q_table and relay.q_table[2] < 0.0
         assert header.v_value == pytest.approx(relay.v_value)
