@@ -19,6 +19,7 @@ packets.
 
 import json
 import math
+import os
 from dataclasses import dataclass
 
 from . import channel as chan
@@ -229,9 +230,8 @@ def load_snapshot(source) -> StaticTopology:
     parameters; neighbor sets from positions and the range, in a CellGrid.
     Snapshots of a protocol other than qlfr are refused; one that records no
     protocol is read as qlfr."""
-    if isinstance(source, dict):
-        snap = source
-    else:
+    snap = source
+    if isinstance(source, (str, os.PathLike)):
         with open(source) as fh:
             snap = json.load(fh)
     params = snap["params"]

@@ -148,7 +148,6 @@ def _ensure_out(args) -> str:
 
 def cmd_run(args) -> int:
     config = _load_config(args)
-    out = _ensure_out(args)
     trace = None
     trace_fh = None
     if args.trace:
@@ -160,13 +159,12 @@ def cmd_run(args) -> int:
     finally:
         if trace_fh:
             trace_fh.close()
+    out = _ensure_out(args)
     with open(os.path.join(out, "metrics.csv"), "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(record.CSV_COLUMNS)
         writer.writerow(record.to_csv_row())
-    if args.format in ("json", "both"):
-        _write_json(os.path.join(out, "metrics.json"),
-                    {**dataclasses.asdict(record)})
+    _write_json(os.path.join(out, "metrics.json"), dataclasses.asdict(record))
     _write_json(os.path.join(out, "snapshot.json"), sim.snapshot_topology())
     dump_nodes_csv(sim.nodes, os.path.join(out, "deployment.csv"))
     if config.protocol == "qlfr":
@@ -190,8 +188,7 @@ def cmd_sweep(args) -> int:
     _write_csv(os.path.join(out, "runs.csv"),
                ["sweep_value", "replicate", "seed", "protocol", *SWEEP_METRICS], rows)
     emit_results(table, "csv", os.path.join(out, "summary.csv"))
-    if args.format in ("json", "both"):
-        emit_results(table, "json", os.path.join(out, "summary.json"))
+    emit_results(table, "json", os.path.join(out, "summary.json"))
     with open(os.path.join(out, "effective_config.txt"), "w") as fh:
         fh.write(effective_config_text(config))
     print(f"{len(rows)} runs over {args.param} in {{{args.values}}} -> {out}")
@@ -201,11 +198,16 @@ def cmd_sweep(args) -> int:
 def cmd_analyze(args) -> int:
     with open(args.snapshot) as fh:
         snap = json.load(fh)
-    topo = analysis.load_snapshot(snap)
-    run_time = snap["run"]["duration_s"] if args.run_time is None else args.run_time
+    try:
+        topo = analysis.load_snapshot(snap)
+        duration = snap["run"]["duration_s"]
+        e_ini = snap["params"]["initial_node_energy_j"]
+    except (KeyError, TypeError) as exc:
+        raise analysis.TopologyError(
+            f"{args.snapshot} is not a run snapshot: {type(exc).__name__} {exc}") from None
+    run_time = duration if args.run_time is None else args.run_time
     if not 0.0 < run_time < math.inf:
         raise ValueError(f"--run-time must be a positive number of seconds, got {run_time}")
-    e_ini = snap["params"]["initial_node_energy_j"]
     rows = analysis.per_node_report(topo, run_time, e_ini)
     out = _ensure_out(args)
     _write_csv(os.path.join(out, "per_node.csv"),
@@ -252,7 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--seed", type=int, help="override run.seed")
     run_p.add_argument("--out", default="results", help="output directory")
     run_p.add_argument("--trace", help="write a JSONL event trace to this path")
-    run_p.add_argument("--format", choices=("csv", "json", "both"), default="both")
     run_p.set_defaults(func=cmd_run)
 
     sweep_p = sub.add_parser("sweep", help="run a parameter sweep")
@@ -263,7 +264,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_p.add_argument("--replicates", type=int, default=None)
     sweep_p.add_argument("--jobs", type=int, default=None)
     sweep_p.add_argument("--out", default="results", help="output directory")
-    sweep_p.add_argument("--format", choices=("csv", "json", "both"), default="both")
     sweep_p.set_defaults(func=cmd_sweep)
 
     analyze_p = sub.add_parser("analyze", help="evaluate the analytical model on a snapshot")
@@ -283,7 +283,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, engine.EngineError, analysis.TopologyError, ValueError) as exc:
+    except (ConfigError, engine.EngineError, analysis.TopologyError, ValueError,
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

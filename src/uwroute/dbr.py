@@ -25,16 +25,11 @@ class DbrProtocol(ForwardingCore):
         self.tx_range = tx_range
 
     def rank(self, node: NodeState, pkt: PacketHeader) -> tuple[float, int] | None:
-        depth_advance = pkt.depth_m - node.depth
+        depth_advance = pkt.knowledge.depth_m - node.depth
         if depth_advance <= 0:
             return None
         return dbr_holding_time(depth_advance, self.t_max, self.tx_range, node.id), 0
 
-    def header(self, node: NodeState, key: tuple[int, int], total_generated: int,
-               directive: int, epoch: int, now: float) -> PacketHeader:
-        """A header without a list; list-length directives are a qlfr feature."""
-        return PacketHeader(
-            source_id=key[0], seq=key[1], v_value=0.0, depth_m=node.depth,
-            residual_energy_j=node.residual_energy_j, sender_id=node.id,
-            priority_list=(), total_generated=total_generated,
-        )
+    def priority_list(self, node: NodeState, now: float) -> tuple[()]:
+        """No list: the sender's depth in the header decides candidacy."""
+        return ()

@@ -224,11 +224,11 @@ class Simulation:
         if isinstance(action, Deliver):
             self._record_delivery(node, pkt)
         elif isinstance(action, Schedule):
-            token = node.pending[pkt.key].token
             if self.trace is not None:
                 self._emit("schedule", node=node.id, key=pkt.key, tau=action.tau,
                            position=action.position)
-            self.schedule(self.now + action.tau, self._handle_hold_expire, node.id, pkt.key, token)
+            self.schedule(self.now + action.tau, self._handle_hold_expire, node.id, pkt.key,
+                          action.token)
         elif isinstance(action, Drop):
             if action.reason == "suppressed":
                 self.suppressed_forwards += 1

@@ -2,12 +2,14 @@
 lists, holding times, duplicate and overhear suppression, and the adaptive
 multipath suppression scheme.
 
+Every header, hello or data, advertises its sender's <V-value, depth,
+residual energy> as one `RoutingKnowledge`, which receivers store as sent.
 A sender ranks its strictly-shallower fresh neighbors by the one-step target
-r + gamma * V(neighbor) computed from advertised knowledge, embeds the top
+r + gamma * V(neighbor) computed from that knowledge, embeds the top
 `list_length` of them as a priority list, and updates its own stored Q toward
-that target when it transmits. Receivers schedule their forward after a
-holding time proportional to their list position; overhearing any copy of a
-held packet cancels the pending forward.
+that target when it transmits, before the header is built. Receivers schedule
+their forward after a holding time proportional to their list position;
+overhearing any copy of a held packet cancels the pending forward.
 """
 
 from dataclasses import dataclass, replace
@@ -21,9 +23,7 @@ from .world import NodeState, RoutingKnowledge, update_neighbor_knowledge, fresh
 class PacketHeader:
     source_id: int
     seq: int
-    v_value: float
-    depth_m: float
-    residual_energy_j: float
+    knowledge: RoutingKnowledge  # the sender's, when it sent this copy
     sender_id: int
     priority_list: tuple = ()
     total_generated: int = 0
@@ -35,8 +35,10 @@ class PacketHeader:
     def key(self) -> tuple[int, int]:
         return (self.source_id, self.seq)
 
-    def sender_knowledge(self) -> RoutingKnowledge:
-        return RoutingKnowledge(self.v_value, self.depth_m, self.residual_energy_j)
+
+def advertised(node: NodeState) -> RoutingKnowledge:
+    """The knowledge `node` puts in a header it sends now."""
+    return RoutingKnowledge(node.v_value, node.depth, node.residual_energy_j)
 
 
 @dataclass(frozen=True)
@@ -101,6 +103,7 @@ class Drop:
 class Schedule:
     tau: float
     position: int
+    token: int  # names the hold in `on_hold_expire`
 
 
 @dataclass(frozen=True)
@@ -164,10 +167,12 @@ class ForwardingCore:
     suppressed when overheard while held, dropped as already forwarded or
     duplicate, or held; an expired hold sends the packet or voids it.
 
-    A protocol supplies `rank(node, pkt)`, a candidate's (holding time, list
-    position) or None, and `header(node, key, total_generated, directive,
-    epoch, now)`, the header to send or None for a void; `hear` may use every
-    packet heard from another node.
+    The core builds every data header: the held packet's key, generation
+    count and list-length directive, with the sender's id and `advertised`
+    knowledge. A protocol supplies `rank(node, pkt)`, a candidate's (holding
+    time, list position) or None, and `priority_list(node, now)`, the tuple
+    of candidates to send or None for a void; `hear` may use every packet
+    heard from another node.
     """
 
     uses_hello = False
@@ -198,7 +203,7 @@ class ForwardingCore:
             return Drop("not-candidate")
         self._next_token += 1
         node.pending[key] = PendingForward(pkt, self._next_token)
-        return Schedule(*ranked)
+        return Schedule(*ranked, self._next_token)
 
     def on_hold_expire(self, node: NodeState, pkt_key: tuple[int, int], token: int,
                        now: float) -> tuple[str, PacketHeader | None]:
@@ -209,21 +214,27 @@ class ForwardingCore:
             return ("stale", None)
         del node.pending[pkt_key]
         pkt = pending.pkt
-        header = self.header(node, pkt_key, pkt.total_generated,
-                             pkt.suppression_directive, pkt.suppression_epoch, now)
+        header = self._header(node, pkt_key, pkt.total_generated,
+                              pkt.suppression_directive, pkt.suppression_epoch, now)
         if header is None:
             node.duplicate_cache.add(pkt_key)
             return ("void", None)
-        node.forwarded_cache.add(pkt_key)
         return ("send", header)
 
     def originate(self, source: NodeState, seq: int, total_generated: int,
                   directive: int, epoch: int, now: float) -> PacketHeader | None:
-        key = (source.id, seq)
-        header = self.header(source, key, total_generated, directive, epoch, now)
-        if header is not None:
-            source.forwarded_cache.add(key)
-        return header
+        return self._header(source, (source.id, seq), total_generated, directive, epoch, now)
+
+    def _header(self, node: NodeState, key: tuple[int, int], total_generated: int,
+                directive: int, epoch: int, now: float) -> PacketHeader | None:
+        """The header `node` sends for packet `key`, or None for a void. The
+        knowledge is read after `priority_list`, which may update it."""
+        plist = self.priority_list(node, now)
+        if plist is None:
+            return None
+        node.forwarded_cache.add(key)
+        return PacketHeader(key[0], key[1], advertised(node), node.id, plist,
+                            total_generated, directive, epoch)
 
 
 class QlfrProtocol(ForwardingCore):
@@ -242,15 +253,11 @@ class QlfrProtocol(ForwardingCore):
         self._q_lo, self._q_hi = qcore.q_bounds(qparams)
 
     def hello_header(self, node: NodeState) -> PacketHeader:
-        return PacketHeader(
-            source_id=node.id, seq=-1, v_value=node.v_value, depth_m=node.depth,
-            residual_energy_j=node.residual_energy_j, sender_id=node.id,
-            priority_list=(), is_hello=True,
-        )
+        return PacketHeader(node.id, -1, advertised(node), node.id, is_hello=True)
 
     def hear(self, node: NodeState, pkt: PacketHeader, now: float) -> None:
         """Every heard packet refreshes neighbor knowledge, candidate or not."""
-        update_neighbor_knowledge(node, pkt.sender_id, pkt.sender_knowledge(), now)
+        update_neighbor_knowledge(node, pkt.sender_id, pkt.knowledge, now)
 
     def rank(self, node: NodeState, pkt: PacketHeader) -> tuple[float, int] | None:
         """A listed node holds by its position; it also takes up the list-length
@@ -277,21 +284,14 @@ class QlfrProtocol(ForwardingCore):
         return build_priority_list(node, self.d_max, node.list_length,
                                    self.qparams, now, self.staleness_s)
 
-    def header(self, node: NodeState, key: tuple[int, int], total_generated: int,
-               directive: int, epoch: int, now: float) -> PacketHeader | None:
+    def priority_list(self, node: NodeState, now: float) -> tuple[int, ...] | None:
         """Rebuild the priority list from current knowledge and update Q toward
         the chosen first candidate; None when no candidate exists."""
         candidates = self.candidates(node, now)
         if not candidates:
             return None
         self._learn(node, candidates[0])
-        return PacketHeader(
-            source_id=key[0], seq=key[1], v_value=node.v_value, depth_m=node.depth,
-            residual_energy_j=node.residual_energy_j, sender_id=node.id,
-            priority_list=tuple(candidates),
-            total_generated=total_generated, suppression_directive=directive,
-            suppression_epoch=epoch,
-        )
+        return tuple(candidates)
 
     def _learn(self, node: NodeState, chosen_id: int) -> None:
         """One-step Q update for the transmitting node toward its first

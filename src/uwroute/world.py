@@ -22,9 +22,6 @@ class NodePosition:
     y: float
     z: float
 
-    def distance_to(self, other: "NodePosition") -> float:
-        return math.dist((self.x, self.y, self.z), (other.x, other.y, other.z))
-
 
 @dataclass(frozen=True)
 class RoutingKnowledge:

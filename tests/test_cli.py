@@ -2,6 +2,7 @@
 reproducibility of emitted files."""
 
 import csv
+import hashlib
 import json
 import math
 import statistics
@@ -284,6 +285,34 @@ class TestCliVerbs:
         assert rc == 0
         report = json.loads(capsys.readouterr().out)
         assert report["pdr_at_target"] == pytest.approx(0.9, abs=1e-6)
+
+    def test_default_run_pins_learned_q_values_and_snapshot(self, tmp_path):
+        out = tmp_path / "results"
+        assert cli.main(["run", "--seed", "3", "--out", str(out)]) == 0
+        digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                   for name in ("q_tables.csv", "snapshot.json")}
+        assert digests == {
+            "q_tables.csv": "f0820d124df2c29d67e4e448005e2bae174098ad7a34e0fb9f0d834433b25647",
+            "snapshot.json": "a17602c96ef74a3e00efdff9861a3e949e25e0fc79acef2d63c0db4179bb71a7",
+        }
+
+    @pytest.mark.parametrize("case", ["missing-snapshot", "snapshot-without-channel",
+                                      "snapshot-not-an-object", "trace-dir-missing"])
+    def test_bad_input_is_refused(self, tmp_path, capsys, case):
+        snapshot = tmp_path / "snapshot.json"
+        if case == "snapshot-without-channel":
+            snapshot.write_text('{"params": {}}')
+        elif case == "snapshot-not-an-object":
+            snapshot.write_text("[1, 2]")
+        out = str(tmp_path / "out")
+        if case == "trace-dir-missing":
+            argv = ["run", "--config", self.write_config(tmp_path), "--out", out,
+                    "--trace", str(tmp_path / "no" / "dir" / "t.jsonl")]
+        else:
+            argv = ["analyze", "--snapshot", str(snapshot), "--out", out]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "out").exists()
 
     def test_bad_config_is_reported(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"

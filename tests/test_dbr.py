@@ -18,8 +18,9 @@ def make_node(node_id, depth, region_z=300.0, kind="sensor", x=0.0, y=0.0):
 
 
 def header_from(sender):
-    return PacketHeader(source_id=sender.id, seq=0, v_value=0.0, depth_m=sender.depth,
-                        residual_energy_j=sender.residual_energy_j, sender_id=sender.id)
+    return PacketHeader(source_id=sender.id, seq=0,
+                        knowledge=RoutingKnowledge(0.0, sender.depth, sender.residual_energy_j),
+                        sender_id=sender.id)
 
 
 class TestDepthRule:
@@ -77,12 +78,13 @@ class TestSharedForwardingCore:
         return node
 
     @staticmethod
-    def copy_from(sender_id, seq=0, is_hello=False):
+    def copy_from(sender_id, seq=0, is_hello=False, directive=0, epoch=0):
         """A copy of packet (9, seq) that makes node 5 a candidate under either
         protocol: it lists node 5 and comes from deeper down."""
-        return PacketHeader(source_id=9, seq=seq, v_value=0.0, depth_m=180.0,
-                            residual_energy_j=100.0, sender_id=sender_id, priority_list=(5,),
-                            total_generated=3, is_hello=is_hello)
+        return PacketHeader(source_id=9, seq=seq, knowledge=RoutingKnowledge(0.0, 180.0, 100.0),
+                            sender_id=sender_id, priority_list=(5,), total_generated=3,
+                            suppression_directive=directive, suppression_epoch=epoch,
+                            is_hello=is_hello)
 
     def test_own_copy_ignored(self, proto):
         node = self.relay()
@@ -121,6 +123,18 @@ class TestSharedForwardingCore:
         assert pkt.key in node.forwarded_cache
         assert not node.pending
         assert proto.on_receive(node, self.copy_from(3), 1.2) == Drop("already-forwarded")
+
+    def test_sent_header_advertises_sender_and_keeps_packet_fields(self, proto):
+        node = self.relay()
+        node.residual_energy_j = 70.0
+        pkt = self.copy_from(1, directive=1, epoch=2)
+        action = proto.on_receive(node, pkt, 1.0)
+        status, header = proto.on_hold_expire(node, pkt.key, action.token, 1.1)
+        assert status == "send"
+        # read after the send, so a qlfr sender advertises its updated V
+        assert header.knowledge == RoutingKnowledge(node.v_value, node.depth, 70.0)
+        assert (header.total_generated, header.suppression_directive,
+                header.suppression_epoch) == (3, 1, 2)
 
     def test_second_and_superseded_tokens_are_stale(self, proto):
         node = self.relay()
@@ -193,7 +207,7 @@ class TestEngineTraces:
                 super()._handle_arrival(node_id, pkt, ok)
                 for key in node.pending:
                     if key not in before:
-                        captured.append((node.depth, pkt.depth_m))
+                        captured.append((node.depth, pkt.knowledge.depth_m))
 
         cfg = chain_config(n_sensors=30, n_sources=3, n_sinks=2, region_x_m=300.0,
                            region_y_m=300.0, region_z_m=300.0, max_sim_time_s=60.0,

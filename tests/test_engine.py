@@ -13,7 +13,7 @@ from uwroute import engine
 from uwroute.config import ScenarioConfig
 from uwroute.engine import EngineError, Simulation
 from uwroute.qlfr import PacketHeader
-from uwroute.world import NodePosition, NodeState, neighbors_in_range
+from uwroute.world import NodePosition, NodeState, RoutingKnowledge, neighbors_in_range
 
 
 def make_node(node_id, z, region_z=450.0, kind="sensor", x=0.0, y=0.0, energy=100.0):
@@ -54,7 +54,6 @@ class TestSingleHop:
     def test_second_priority_forwarder_adds_one_k_step(self):
         # the head candidate is planted in the source's table but sits out of
         # range, so the second candidate rescues after exactly one k step
-        from uwroute.world import RoutingKnowledge
         region_z = 300.0
         source = make_node(0, 0.0, region_z, kind="source")
         ghost = make_node(1, 280.0, region_z, x=4000.0)  # advertised but unreachable
@@ -90,7 +89,7 @@ class TestTransmitEnergy:
         nodes = [make_node(0, 0.0, kind="source"), make_node(1, 450.0, kind="sink")]
         sim = Simulation(base_config(), nodes=nodes)
         src = sim.by_id[0]
-        header = PacketHeader(0, 0, 0.0, src.depth, src.residual_energy_j, 0)
+        header = PacketHeader(0, 0, RoutingKnowledge(0.0, src.depth, src.residual_energy_j), 0)
         sim.transmit(src, header)
         assert src.consumed_j == pytest.approx(0.1024, rel=1e-9)
         assert src.tx_seconds == pytest.approx(0.0512, rel=1e-9)
@@ -103,7 +102,7 @@ class TestTransmitEnergy:
         sim = Simulation(base_config(serialization_delay=False), nodes=nodes,
                          trace=events.append)
         src = sim.by_id[0]
-        sim.transmit(src, PacketHeader(0, 0, 0.0, src.depth, 100.0, 0))
+        sim.transmit(src, PacketHeader(0, 0, RoutingKnowledge(0.0, src.depth, 100.0), 0))
         sim.drain(math.inf)
         tx, arrival = events
         assert tx["event"] == "tx"
@@ -114,7 +113,7 @@ class TestTransmitEnergy:
         nodes = [make_node(0, 0.0, kind="source"), make_node(1, 400.0)]  # 400 m away
         sim = Simulation(base_config(), nodes=nodes)
         src = sim.by_id[0]
-        sim.transmit(src, PacketHeader(0, 0, 0.0, src.depth, 100.0, 0))
+        sim.transmit(src, PacketHeader(0, 0, RoutingKnowledge(0.0, src.depth, 100.0), 0))
         assert src.consumed_j == pytest.approx(0.1024, rel=1e-9)
         assert sim.in_range(src) == []  # nobody in range, no arrivals
         sim.drain(math.inf)
@@ -123,7 +122,7 @@ class TestTransmitEnergy:
     def test_out_of_range_never_charged(self):
         nodes = [make_node(0, 0.0, kind="source"), make_node(1, 400.0)]
         sim = Simulation(base_config(), nodes=nodes)
-        sim.transmit(sim.by_id[0], PacketHeader(0, 0, 0.0, 450.0, 100.0, 0))
+        sim.transmit(sim.by_id[0], PacketHeader(0, 0, RoutingKnowledge(0.0, 450.0, 100.0), 0))
         sim.drain(math.inf)
         assert sim.by_id[1].consumed_j == 0.0
 
@@ -133,7 +132,7 @@ class TestTransmitEnergy:
         cfg = base_config(energy_per_bit=1e-12)
         sim = Simulation(cfg, nodes=nodes)
         src = sim.by_id[0]
-        sim.transmit(src, PacketHeader(0, 0, 0.0, src.depth, 100.0, 0))
+        sim.transmit(src, PacketHeader(0, 0, RoutingKnowledge(0.0, src.depth, 100.0), 0))
         sim.drain(math.inf)
         assert sim.by_id[1].consumed_j == pytest.approx(0.0256, rel=1e-9)
         assert sim.by_id[1].rx_seconds == pytest.approx(0.0512, rel=1e-9)
@@ -143,7 +142,7 @@ class TestTransmitEnergy:
         nodes = [make_node(0, 300.0, kind="source"), make_node(1, 450.0, kind="sink")]
         sim = Simulation(base_config(), nodes=nodes)
         src = sim.by_id[0]
-        sim.transmit(src, PacketHeader(0, 0, 0.0, src.depth, 100.0, 0))
+        sim.transmit(src, PacketHeader(0, 0, RoutingKnowledge(0.0, src.depth, 100.0), 0))
         sim.drain(math.inf)
         assert sim.by_id[1].consumed_j == 0.0
 
@@ -154,7 +153,7 @@ class TestDeathAndLifetime:
         sim = Simulation(base_config(), nodes=nodes)
         src = sim.by_id[0]
         sim.now = 7.0
-        sim.transmit(src, PacketHeader(0, 0, 0.0, src.depth, 0.05, 0))
+        sim.transmit(src, PacketHeader(0, 0, RoutingKnowledge(0.0, src.depth, 0.05), 0))
         assert not src.alive
         assert src.death_time_s == 7.0
         assert src.consumed_j == 0.0  # the unaffordable transmit never happened

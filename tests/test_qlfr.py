@@ -32,8 +32,9 @@ def protocol(h=4, t_max=0.1, max_list=4):
 
 def data_header(sender: NodeState, plist, source_id=9, seq=0, total=1, directive=0,
                 epoch=0):
-    return PacketHeader(source_id=source_id, seq=seq, v_value=sender.v_value,
-                        depth_m=sender.depth, residual_energy_j=sender.residual_energy_j,
+    return PacketHeader(source_id=source_id, seq=seq,
+                        knowledge=RoutingKnowledge(sender.v_value, sender.depth,
+                                                   sender.residual_energy_j),
                         sender_id=sender.id, priority_list=tuple(plist), total_generated=total,
                         suppression_directive=directive, suppression_epoch=epoch)
 
@@ -178,7 +179,7 @@ class TestOnReceive:
         node = make_node(node_id=5, depth=50.0)
         pkt = data_header(make_node(node_id=1, depth=100.0), plist=[5, 8])
         action = proto.on_receive(node, pkt, now=3.0)
-        assert action == Schedule(0.0, 1)
+        assert action == Schedule(0.0, 1, token=1)
         assert pkt.key in node.pending
 
     def test_second_priority_waits_k(self):
@@ -186,7 +187,7 @@ class TestOnReceive:
         node = make_node(node_id=8, depth=50.0)
         pkt = data_header(make_node(node_id=1, depth=100.0), plist=[5, 8])
         action = proto.on_receive(node, pkt, now=3.0)
-        assert action == Schedule(pytest.approx(0.05), 2)
+        assert action == Schedule(pytest.approx(0.05), 2, token=1)
 
     def test_already_forwarded_drops(self):
         proto = protocol()
@@ -249,7 +250,7 @@ class TestHoldExpire:
             3: (RoutingKnowledge(-0.9, 60.0, 50.0), 2.9),
         }
         pkt = data_header(make_node(node_id=1, depth=180.0), plist=[5], seq=7, total=12)
-        assert proto.on_receive(relay, pkt, now=3.0) == Schedule(0.0, 1)
+        assert proto.on_receive(relay, pkt, now=3.0) == Schedule(0.0, 1, token=1)
         token = relay.pending[pkt.key].token
         return proto, relay, pkt, token
 
@@ -258,14 +259,14 @@ class TestHoldExpire:
         status, header = proto.on_hold_expire(relay, pkt.key, token, now=3.0)
         assert status == "send"
         assert header.sender_id == 5
-        assert header.depth_m == pytest.approx(100.0)
-        assert header.residual_energy_j == pytest.approx(80.0)
+        assert header.knowledge.depth_m == pytest.approx(100.0)
+        assert header.knowledge.residual_energy_j == pytest.approx(80.0)
         assert header.source_id == 9 and header.seq == 7
         assert header.total_generated == 12
         assert header.priority_list == (2, 3)
         # Q updated toward the first candidate's one-step target
         assert 2 in relay.q_table and relay.q_table[2] < 0.0
-        assert header.v_value == pytest.approx(relay.v_value)
+        assert header.knowledge.v_value == pytest.approx(relay.v_value)
         assert pkt.key in relay.forwarded_cache
 
     def test_second_expiry_is_stale(self):

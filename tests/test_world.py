@@ -72,7 +72,8 @@ class TestRandomWalk:
         node = self.make_node(250, 250, 250)
         for seed in range(30):
             new = random_walk_step(node, 3.0, 1.0, random.Random(seed), self.REGION)
-            assert node.position.distance_to(new) == pytest.approx(3.0, rel=1e-9)
+            start = (node.position.x, node.position.y, node.position.z)
+            assert math.dist(start, (new.x, new.y, new.z)) == pytest.approx(3.0, rel=1e-9)
 
     def test_reflection_oracle(self):
         # recompute the drawn direction and fold the raw step independently
