@@ -3,7 +3,7 @@ evaluation on a snapshot, and channel calibration.
 
 Every result directory gets the full effective configuration written next to
 the numbers, so any emitted value can be reproduced from the directory alone.
-Replicate r of a sweep point runs with seed = base_seed + r.
+Replicate r of a sweep point runs with seed = the point's run.seed + r.
 """
 
 import argparse
@@ -60,11 +60,13 @@ def _run_one(task) -> dict:
 
 def run_sweep(config: ScenarioConfig, param: str, values, replicates: int | None = None,
               jobs: int | None = None) -> list[dict]:
-    """One run per (sweep value, replicate); returns per-run rows sorted by
-    sweep value then replicate. A value repeating an earlier one is refused."""
+    """One run per (sweep value, replicate), seeded with the point's run.seed
+    plus the replicate; rows come sorted by sweep value then replicate."""
     replicates = config.replicates if replicates is None else replicates
     if replicates < 1:
         raise ConfigError("replicates must be >= 1")
+    if param == "run.replicates":
+        raise ConfigError("run.replicates cannot be swept; use --replicates")
     tasks = []
     configs = []
     for value in values:
@@ -73,7 +75,7 @@ def run_sweep(config: ScenarioConfig, param: str, values, replicates: int | None
             raise ConfigError(f"sweep value {value!r} repeats an earlier value of {param}")
         configs.append(swept)
         for r in range(replicates):
-            tasks.append((dataclasses.replace(swept, seed=config.seed + r), value, r))
+            tasks.append((dataclasses.replace(swept, seed=swept.seed + r), value, r))
     if jobs is None:
         jobs = min(len(tasks), os.cpu_count() or 1)
     if jobs > 1 and len(tasks) > 1:
@@ -113,18 +115,6 @@ def _format_cell(value) -> str:
     return repr(value) if isinstance(value, float) else str(value)
 
 
-def emit_results(table: list[dict], fmt: str, path) -> None:
-    """Write an aggregated sweep table as CSV or JSON (identical values)."""
-    if not table:
-        raise ValueError("refusing to emit an empty result table")
-    if fmt == "csv":
-        _write_csv(path, SUMMARY_COLUMNS, table)
-    elif fmt == "json":
-        _write_json(path, table)
-    else:
-        raise ValueError(f"unknown format {fmt!r}")
-
-
 def _write_csv(path, columns, rows: list[dict]) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -141,11 +131,6 @@ def _load_config(args) -> ScenarioConfig:
     return config
 
 
-def _ensure_out(args) -> str:
-    os.makedirs(args.out, exist_ok=True)
-    return args.out
-
-
 def cmd_run(args) -> int:
     config = _load_config(args)
     trace = None
@@ -159,7 +144,8 @@ def cmd_run(args) -> int:
     finally:
         if trace_fh:
             trace_fh.close()
-    out = _ensure_out(args)
+    out = args.out
+    os.makedirs(out, exist_ok=True)
     with open(os.path.join(out, "metrics.csv"), "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(record.CSV_COLUMNS)
@@ -183,12 +169,13 @@ def cmd_sweep(args) -> int:
         raise ConfigError("sweep needs at least one value")
     rows = run_sweep(config, args.param, values, replicates=args.replicates,
                      jobs=args.jobs)
-    out = _ensure_out(args)
+    out = args.out
+    os.makedirs(out, exist_ok=True)
     table = aggregate_sweep(rows)
     _write_csv(os.path.join(out, "runs.csv"),
                ["sweep_value", "replicate", "seed", "protocol", *SWEEP_METRICS], rows)
-    emit_results(table, "csv", os.path.join(out, "summary.csv"))
-    emit_results(table, "json", os.path.join(out, "summary.json"))
+    _write_csv(os.path.join(out, "summary.csv"), SUMMARY_COLUMNS, table)
+    _write_json(os.path.join(out, "summary.json"), table)
     with open(os.path.join(out, "effective_config.txt"), "w") as fh:
         fh.write(effective_config_text(config))
     print(f"{len(rows)} runs over {args.param} in {{{args.values}}} -> {out}")
@@ -209,7 +196,8 @@ def cmd_analyze(args) -> int:
     if not 0.0 < run_time < math.inf:
         raise ValueError(f"--run-time must be a positive number of seconds, got {run_time}")
     rows = analysis.per_node_report(topo, run_time, e_ini)
-    out = _ensure_out(args)
+    out = args.out
+    os.makedirs(out, exist_ok=True)
     _write_csv(os.path.join(out, "per_node.csv"),
                ["id", "kind", "delivery_prob", "delay_to_sink_s",
                 "traffic_packets", "energy_j", "lifetime_s"], rows)

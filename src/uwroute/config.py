@@ -7,6 +7,7 @@ back out, so a result directory always records exactly what ran.
 """
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 from .channel import ChannelParams
@@ -106,6 +107,8 @@ class ScenarioConfig:
             value = getattr(self, field)
             if value is None:
                 continue
+            if typ is float and not math.isfinite(value):
+                raise ConfigError(f"{key} = {value!r} is not a finite number")
             if not check(value):
                 raise ConfigError(f"{key} = {value!r} out of range ({describe})")
         if self.n_sources > self.n_sensors:

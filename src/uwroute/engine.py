@@ -2,9 +2,10 @@
 
 One binary heap of (time, insertion-seq, handler, args) events drives
 everything: packet arrivals, hold expiries, mobility and hello ticks, source
-generation and suppression reviews, each a bound `_handle_*` method called
+generation and list-length reviews, each a bound `_handle_*` method called
 with its args. Time ties go to the earlier insertion, so handlers are never
 compared, and identical (config, seed) pairs replay the same event sequence.
+The engine holds no protocol state: a review hands qlfr the delivery count.
 Losses come solely from per-link Bernoulli draws against `channel.link_model`;
 there is no MAC model. A broadcast finds its receivers in a `world.CellGrid`,
 rebuilt after each mobility tick, and visits them in id order, as a scan of
@@ -29,7 +30,7 @@ from .config import ScenarioConfig
 from .dbr import DbrProtocol
 from .qcore import QParams
 from .qlfr import (Deliver, Drop, HoldingParams, PacketHeader, QlfrProtocol,
-                   Schedule, SuppressionState, suppression_adjust)
+                   Schedule, SuppressionState)
 from .world import CellGrid, NodeState, deploy, random_walk_step
 
 _HELLO_BOOTSTRAP_S = 1.0
@@ -101,13 +102,10 @@ class Simulation:
             self.protocol = QlfrProtocol(
                 QParams(config.gamma, config.alpha), self.holding,
                 d_max=config.d_max_m, staleness_s=config.staleness_s,
-                max_list_length=config.max_list_length)
+                suppression=SuppressionState(config.initial_list_length, config.pdr_threshold,
+                                             max_list_length=config.max_list_length))
         else:
             self.protocol = DbrProtocol(config.t_max_s, config.tx_range_m)
-        self.suppression = SuppressionState(
-            current_list_length=config.initial_list_length,
-            pdr_threshold=config.pdr_threshold,
-            max_list_length=config.max_list_length)
 
         self.now = 0.0
         self.link_delivery_prob = chan.link_model(self.channel)
@@ -122,11 +120,6 @@ class Simulation:
         self.packet_gen_time: dict = {}
         self.delivered_at: dict = {}
         self.source_seq: dict = {n.id: 0 for n in self.sources}
-        self.sink_observed_totals: dict = {}
-        self.pending_directive: dict = {}
-        self._directive_epoch = 0
-        self._reviewed_delivered = 0
-        self._reviewed_total = 0
         self.suppressed_forwards = 0
         self.void_drops = 0
         self.corrupt_packets = 0
@@ -238,9 +231,6 @@ class Simulation:
                 self._emit("drop", node=node.id, key=pkt.key, reason=action.reason)
 
     def _record_delivery(self, sink: NodeState, pkt: PacketHeader) -> None:
-        src = pkt.source_id
-        self.sink_observed_totals[src] = max(self.sink_observed_totals.get(src, 0),
-                                             pkt.total_generated)
         if pkt.key not in self.delivered_at:
             self.delivered_at[pkt.key] = self.now
             gen_time = self.packet_gen_time.get(pkt.key, self.now)
@@ -271,9 +261,7 @@ class Simulation:
         key = (source_id, seq)
         self.packet_gen_time[key] = self.now
         self._emit("gen", node=source_id, key=key)
-        directive, epoch = self.pending_directive.pop(source_id, (0, 0))
-        header = self.protocol.originate(node, seq, self.source_seq[source_id],
-                                         directive, epoch, self.now)
+        header = self.protocol.originate(node, seq, self.now)
         if header is None:
             self.void_drops += 1
             self._emit("void", node=source_id, key=key)
@@ -299,27 +287,13 @@ class Simulation:
         self.transmit(node, self.protocol.hello_header(node))
 
     def _handle_suppression_review(self) -> None:
-        """Compare the delivery ratio observed at the sinks over the last
-        review window against the threshold and push a one-step list-length
-        directive to the sources. The window uses only what sinks can see:
-        unique packets received and the generation counters carried in
-        received headers."""
+        """Run qlfr's list-length review on the unique deliveries so far and
+        trace the new length when the review changes it."""
         self.schedule(self.now + self.config.suppression_interval_s,
                       self._handle_suppression_review)
-        total = sum(self.sink_observed_totals.values())
-        window_total = total - self._reviewed_total
-        window_delivered = len(self.delivered_at) - self._reviewed_delivered
-        if window_total <= 0:
-            return
-        self._reviewed_total = total
-        self._reviewed_delivered = len(self.delivered_at)
-        old = self.suppression.current_list_length
-        new = suppression_adjust(self.suppression, window_delivered, window_total)
-        if new != old:
-            self._directive_epoch += 1
-            for src in self.source_seq:
-                self.pending_directive[src] = (new - old, self._directive_epoch)
-            self._emit("list-length", value=new, pdr=self.suppression.observed_pdr)
+        new = self.protocol.review(len(self.delivered_at))
+        if new is not None:
+            self._emit("list-length", value=new, pdr=self.protocol.suppression.observed_pdr)
 
     # --- run loop ---
 

@@ -10,6 +10,12 @@ r + gamma * V(neighbor) computed from that knowledge, embeds the top
 that target when it transmits, before the header is built. Receivers schedule
 their forward after a holding time proportional to their list position;
 overhearing any copy of a held packet cancels the pending forward.
+
+The list length adapts to the delivery ratio at the sinks, which count a
+source's generated packets as its highest seq received plus one. A periodic
+`QlfrProtocol.review` that changes the length hands every source a one-step
+(step, epoch) directive, carried once by its next packet and taken up by the
+relays that packet lists.
 """
 
 from dataclasses import dataclass, replace
@@ -26,7 +32,6 @@ class PacketHeader:
     knowledge: RoutingKnowledge  # the sender's, when it sent this copy
     sender_id: int
     priority_list: tuple = ()
-    total_generated: int = 0
     suppression_directive: int = 0
     suppression_epoch: int = 0  # makes a directive one-shot per node
     is_hello: bool = False
@@ -167,12 +172,12 @@ class ForwardingCore:
     suppressed when overheard while held, dropped as already forwarded or
     duplicate, or held; an expired hold sends the packet or voids it.
 
-    The core builds every data header: the held packet's key, generation
-    count and list-length directive, with the sender's id and `advertised`
-    knowledge. A protocol supplies `rank(node, pkt)`, a candidate's (holding
-    time, list position) or None, and `priority_list(node, now)`, the tuple
-    of candidates to send or None for a void; `hear` may use every packet
-    heard from another node.
+    The core builds every data header: the held packet's key and list-length
+    directive, with the sender's id and `advertised` knowledge. A protocol
+    supplies `rank(node, pkt)`, a candidate's (holding time, list position)
+    or None, and `priority_list(node, now)`, the tuple of candidates to send
+    or None for a void; `hear` may use every packet heard from another node,
+    and `at_sink` every data copy a sink receives.
     """
 
     uses_hello = False
@@ -183,6 +188,9 @@ class ForwardingCore:
     def hear(self, node: NodeState, pkt: PacketHeader, now: float) -> None:
         pass
 
+    def at_sink(self, pkt: PacketHeader) -> None:
+        pass
+
     def on_receive(self, node: NodeState, pkt: PacketHeader, now: float):
         if pkt.sender_id == node.id:
             return Ignore("self")
@@ -190,6 +198,7 @@ class ForwardingCore:
         if pkt.is_hello:
             return Ignore("hello")
         if node.is_sink:
+            self.at_sink(pkt)
             return Deliver()
         key = pkt.key
         if on_overhear_during_hold(node, key):
@@ -214,19 +223,18 @@ class ForwardingCore:
             return ("stale", None)
         del node.pending[pkt_key]
         pkt = pending.pkt
-        header = self._header(node, pkt_key, pkt.total_generated,
-                              pkt.suppression_directive, pkt.suppression_epoch, now)
+        header = self._header(node, pkt_key, pkt.suppression_directive,
+                              pkt.suppression_epoch, now)
         if header is None:
             node.duplicate_cache.add(pkt_key)
             return ("void", None)
         return ("send", header)
 
-    def originate(self, source: NodeState, seq: int, total_generated: int,
-                  directive: int, epoch: int, now: float) -> PacketHeader | None:
-        return self._header(source, (source.id, seq), total_generated, directive, epoch, now)
+    def originate(self, source: NodeState, seq: int, now: float) -> PacketHeader | None:
+        return self._header(source, (source.id, seq), 0, 0, now)
 
-    def _header(self, node: NodeState, key: tuple[int, int], total_generated: int,
-                directive: int, epoch: int, now: float) -> PacketHeader | None:
+    def _header(self, node: NodeState, key: tuple[int, int], directive: int, epoch: int,
+                now: float) -> PacketHeader | None:
         """The header `node` sends for packet `key`, or None for a void. The
         knowledge is read after `priority_list`, which may update it."""
         plist = self.priority_list(node, now)
@@ -234,7 +242,7 @@ class ForwardingCore:
             return None
         node.forwarded_cache.add(key)
         return PacketHeader(key[0], key[1], advertised(node), node.id, plist,
-                            total_generated, directive, epoch)
+                            directive, epoch)
 
 
 class QlfrProtocol(ForwardingCore):
@@ -243,14 +251,18 @@ class QlfrProtocol(ForwardingCore):
     uses_hello = True
 
     def __init__(self, qparams: QParams, holding: HoldingParams, d_max: float,
-                 staleness_s: float, max_list_length: int):
+                 staleness_s: float, suppression: SuppressionState):
         super().__init__()
         self.qparams = qparams
         self.holding = holding
         self.d_max = d_max
         self.staleness_s = staleness_s
-        self.max_list_length = max_list_length
+        self.suppression = suppression
         self._q_lo, self._q_hi = qcore.q_bounds(qparams)
+        self._generated: dict[int, int] = {}  # source id -> highest seq at a sink + 1
+        self._reviewed = (0, 0)  # (delivered, generated) at the last review
+        self._directive = (0, 0)  # the newest (step, epoch)
+        self._sent_epoch: dict[int, int] = {}  # source id -> epoch it last sent
 
     def hello_header(self, node: NodeState) -> PacketHeader:
         return PacketHeader(node.id, -1, advertised(node), node.id, is_hello=True)
@@ -271,13 +283,36 @@ class QlfrProtocol(ForwardingCore):
     def _apply_directive(self, node: NodeState, directive: int, epoch: int) -> None:
         if directive and epoch > node.suppression_epoch:
             node.suppression_epoch = epoch
-            node.list_length = min(self.max_list_length,
+            node.list_length = min(self.suppression.max_list_length,
                                    max(1, node.list_length + directive))
 
-    def originate(self, source: NodeState, seq: int, total_generated: int,
-                  directive: int, epoch: int, now: float) -> PacketHeader | None:
+    def at_sink(self, pkt: PacketHeader) -> None:
+        src = pkt.source_id
+        self._generated[src] = max(self._generated.get(src, 0), pkt.seq + 1)
+
+    def review(self, delivered: int) -> int | None:
+        """Step the list length by the delivery ratio since the last review,
+        given the unique packets the sinks have `delivered` so far; a change
+        replaces any directive not yet sent. Returns the new length, or None."""
+        generated = sum(self._generated.values())
+        window = generated - self._reviewed[1]
+        if window <= 0:
+            return None
+        old = self.suppression.current_list_length
+        new = suppression_adjust(self.suppression, delivered - self._reviewed[0], window)
+        self._reviewed = (delivered, generated)
+        if new == old:
+            return None
+        self._directive = (new - old, self._directive[1] + 1)
+        return new
+
+    def originate(self, source: NodeState, seq: int, now: float) -> PacketHeader | None:
+        directive, epoch = self._directive
+        if self._sent_epoch.get(source.id, 0) == epoch:  # sent already, or none yet
+            directive, epoch = 0, 0
+        self._sent_epoch[source.id] = self._directive[1]
         self._apply_directive(source, directive, epoch)
-        return super().originate(source, seq, total_generated, directive, epoch, now)
+        return self._header(source, (source.id, seq), directive, epoch, now)
 
     def candidates(self, node: NodeState, now: float) -> list[int]:
         """The priority list `node` would send now, from its current knowledge."""

@@ -10,7 +10,7 @@ import statistics
 import pytest
 
 from uwroute import analysis, cli
-from uwroute.cli import aggregate_sweep, emit_results, run_sweep
+from uwroute.cli import aggregate_sweep, run_sweep
 from uwroute.config import (ConfigError, ScenarioConfig, effective_config_text,
                             parse_config, parse_config_text, set_key)
 
@@ -74,6 +74,16 @@ class TestParseConfig:
         echoed = parse_config_text(effective_config_text(config))
         assert echoed == config
 
+    @pytest.mark.parametrize("key", [
+        "run.max_sim_time_s", "channel.energy_per_bit", "world.region_x_m", "world.tx_range_m",
+        "world.hello_interval_s", "world.mobility_speed_mps", "traffic.source_interval_s"])
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    def test_non_finite_value_refused(self, key, value):
+        with pytest.raises(ConfigError, match=key):
+            parse_config_text(f"{key} = {value}\n")
+        with pytest.raises(ConfigError, match=key):
+            set_key(ScenarioConfig(), key, value)
+
     def test_set_key_validates(self):
         config = ScenarioConfig()
         assert set_key(config, "world.n_sensors", "50").n_sensors == 50
@@ -122,39 +132,58 @@ class TestSweep:
         with pytest.raises(ConfigError):
             run_sweep(self.small_config(), "world.not_real", [1], replicates=1, jobs=1)
 
+    def test_swept_seed_seeds_the_replicates(self):
+        rows = run_sweep(self.small_config(), "run.seed", ["1", "2", "3"], replicates=2, jobs=1)
+        assert [r["seed"] for r in rows] == [1, 2, 2, 3, 3, 4]
+        by_seed = {}
+        for r in rows:
+            metrics = tuple(r[m] for m in cli.SWEEP_METRICS)
+            assert by_seed.setdefault(r["seed"], metrics) == metrics  # one run per seed
+        assert len(set(by_seed.values())) == 4
+
+    def test_replicates_key_refused(self, tmp_path, capsys):
+        with pytest.raises(ConfigError, match="run.replicates"):
+            run_sweep(self.small_config(), "run.replicates", ["1", "3"], jobs=1)
+        cfg = tmp_path / "scenario.cfg"
+        cfg.write_text(FAST_SCENARIO)
+        out = tmp_path / "sweep"
+        assert cli.main(["sweep", "--config", str(cfg), "--param", "run.replicates",
+                         "--values", "1,3", "--jobs", "1", "--out", str(out)]) == 2
+        assert "run.replicates" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestEmitResults:
-    TABLE = [
-        {"sweep_value": 0.05, "metric": "pdr", "mean": 0.9, "stddev": 0.01, "n": 3},
-        {"sweep_value": 0.1, "metric": "pdr", "mean": 0.8, "stddev": 0.02, "n": 3},
-    ]
+    """The aggregate tables `uwroute sweep` writes as summary.csv and summary.json."""
 
-    def test_csv_with_header(self, tmp_path):
-        path = tmp_path / "summary.csv"
-        emit_results(self.TABLE, "csv", path)
-        rows = list(csv.reader(path.open()))
+    @pytest.fixture(scope="class")
+    def sweep_out(self, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("sweep")
+        cfg = tmp / "scenario.cfg"
+        cfg.write_text(FAST_SCENARIO)
+        assert cli.main(["sweep", "--config", str(cfg), "--param", "protocol.holding_k_s",
+                         "--values", "0.05,0.1", "--replicates", "2", "--jobs", "1",
+                         "--out", str(tmp / "out")]) == 0
+        return tmp / "out"
+
+    def test_csv_with_header(self, sweep_out):
+        rows = list(csv.reader((sweep_out / "summary.csv").open()))
         assert rows[0] == ["sweep_value", "metric", "mean", "stddev", "n"]
-        assert len(rows) == 3
-        assert float(rows[1][2]) == 0.9
+        assert len(rows) == 1 + 2 * len(cli.SWEEP_METRICS)
+        runs = list(csv.DictReader((sweep_out / "runs.csv").open()))
+        pdrs = [float(r["pdr"]) for r in runs if r["sweep_value"] == "0.05"]
+        assert rows[1][:2] == ["0.05", "pdr"]
+        assert float(rows[1][2]) == statistics.fmean(pdrs)
 
-    def test_json_mirrors_csv(self, tmp_path):
-        csv_path, json_path = tmp_path / "s.csv", tmp_path / "s.json"
-        emit_results(self.TABLE, "csv", csv_path)
-        emit_results(self.TABLE, "json", json_path)
-        parsed = json.loads(json_path.read_text())
-        rows = list(csv.reader(csv_path.open()))[1:]
+    def test_json_mirrors_csv(self, sweep_out):
+        parsed = json.loads((sweep_out / "summary.json").read_text())
+        rows = list(csv.reader((sweep_out / "summary.csv").open()))[1:]
+        assert len(rows) == len(parsed)
         for row, entry in zip(rows, parsed):
+            assert (row[0], row[1]) == (entry["sweep_value"], entry["metric"])
             assert float(row[2]) == entry["mean"]
             assert float(row[3]) == entry["stddev"]
             assert int(row[4]) == entry["n"]
-
-    def test_empty_table_refused(self, tmp_path):
-        with pytest.raises(ValueError):
-            emit_results([], "csv", tmp_path / "nope.csv")
-
-    def test_unknown_format_refused(self, tmp_path):
-        with pytest.raises(ValueError):
-            emit_results(self.TABLE, "xml", tmp_path / "nope.xml")
 
 
 class TestCliVerbs:

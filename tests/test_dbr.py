@@ -8,7 +8,7 @@ from uwroute.dbr import DbrProtocol, dbr_holding_time
 from uwroute.engine import Simulation
 from uwroute.qcore import QParams
 from uwroute.qlfr import (Deliver, Drop, HoldingParams, Ignore, PacketHeader,
-                          QlfrProtocol, Schedule)
+                          QlfrProtocol, Schedule, SuppressionState)
 from uwroute.world import NodePosition, NodeState, RoutingKnowledge
 
 
@@ -54,7 +54,7 @@ class TestDepthRule:
 
 def qlfr_protocol():
     return QlfrProtocol(QParams(gamma=0.8, alpha=0.5), HoldingParams(4, 0.1), d_max=150.0,
-                        staleness_s=20.0, max_list_length=4)
+                        staleness_s=20.0, suppression=SuppressionState(max_list_length=4))
 
 
 def dbr_protocol():
@@ -82,7 +82,7 @@ class TestSharedForwardingCore:
         """A copy of packet (9, seq) that makes node 5 a candidate under either
         protocol: it lists node 5 and comes from deeper down."""
         return PacketHeader(source_id=9, seq=seq, knowledge=RoutingKnowledge(0.0, 180.0, 100.0),
-                            sender_id=sender_id, priority_list=(5,), total_generated=3,
+                            sender_id=sender_id, priority_list=(5,),
                             suppression_directive=directive, suppression_epoch=epoch,
                             is_hello=is_hello)
 
@@ -119,7 +119,6 @@ class TestSharedForwardingCore:
         status, header = proto.on_hold_expire(node, pkt.key, node.pending[pkt.key].token, 1.1)
         assert status == "send"
         assert (header.source_id, header.seq, header.sender_id) == (9, 0, 5)
-        assert header.total_generated == 3
         assert pkt.key in node.forwarded_cache
         assert not node.pending
         assert proto.on_receive(node, self.copy_from(3), 1.2) == Drop("already-forwarded")
@@ -133,8 +132,7 @@ class TestSharedForwardingCore:
         assert status == "send"
         # read after the send, so a qlfr sender advertises its updated V
         assert header.knowledge == RoutingKnowledge(node.v_value, node.depth, 70.0)
-        assert (header.total_generated, header.suppression_directive,
-                header.suppression_epoch) == (3, 1, 2)
+        assert (header.suppression_directive, header.suppression_epoch) == (1, 2)
 
     def test_second_and_superseded_tokens_are_stale(self, proto):
         node = self.relay()
@@ -155,8 +153,7 @@ class TestSharedForwardingCore:
 
     def test_originated_key_enters_forwarded_cache(self, proto):
         source = self.relay(node_id=9, kind="source")
-        header = proto.originate(source, seq=4, total_generated=5, directive=0, epoch=0,
-                                 now=1.0)
+        header = proto.originate(source, seq=4, now=1.0)
         assert (header.source_id, header.seq, header.sender_id) == (9, 4, 9)
         assert (9, 4) in source.forwarded_cache
         assert proto.on_receive(source, self.copy_from(1, seq=4), 1.1) == Drop(

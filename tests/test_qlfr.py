@@ -26,16 +26,15 @@ def make_node(node_id=0, depth=100.0, region_z=300.0, kind="sensor", e_res=None)
 
 
 def protocol(h=4, t_max=0.1, max_list=4):
-    return QlfrProtocol(QP, HoldingParams(h, t_max), d_max=D_MAX,
-                        staleness_s=STALE, max_list_length=max_list)
+    return QlfrProtocol(QP, HoldingParams(h, t_max), d_max=D_MAX, staleness_s=STALE,
+                        suppression=SuppressionState(max_list_length=max_list))
 
 
-def data_header(sender: NodeState, plist, source_id=9, seq=0, total=1, directive=0,
-                epoch=0):
+def data_header(sender: NodeState, plist, source_id=9, seq=0, directive=0, epoch=0):
     return PacketHeader(source_id=source_id, seq=seq,
                         knowledge=RoutingKnowledge(sender.v_value, sender.depth,
                                                    sender.residual_energy_j),
-                        sender_id=sender.id, priority_list=tuple(plist), total_generated=total,
+                        sender_id=sender.id, priority_list=tuple(plist),
                         suppression_directive=directive, suppression_epoch=epoch)
 
 
@@ -249,7 +248,7 @@ class TestHoldExpire:
             2: (RoutingKnowledge(-0.2, 40.0, 90.0), 2.9),
             3: (RoutingKnowledge(-0.9, 60.0, 50.0), 2.9),
         }
-        pkt = data_header(make_node(node_id=1, depth=180.0), plist=[5], seq=7, total=12)
+        pkt = data_header(make_node(node_id=1, depth=180.0), plist=[5], seq=7)
         assert proto.on_receive(relay, pkt, now=3.0) == Schedule(0.0, 1, token=1)
         token = relay.pending[pkt.key].token
         return proto, relay, pkt, token
@@ -262,7 +261,6 @@ class TestHoldExpire:
         assert header.knowledge.depth_m == pytest.approx(100.0)
         assert header.knowledge.residual_energy_j == pytest.approx(80.0)
         assert header.source_id == 9 and header.seq == 7
-        assert header.total_generated == 12
         assert header.priority_list == (2, 3)
         # Q updated toward the first candidate's one-step target
         assert 2 in relay.q_table and relay.q_table[2] < 0.0
@@ -342,3 +340,71 @@ class TestDirective:
         assert status == "send"
         assert header.suppression_directive == -1
         assert header.suppression_epoch == 2
+
+
+class TestReview:
+    """The list-length review driven directly: sinks count each source's
+    generated packets from the seqs they receive, and a changing review hands
+    every source a directive that its next header carries once."""
+
+    @staticmethod
+    def source(node_id):
+        node = make_node(node_id=node_id, depth=200.0, kind="source")
+        node.neighbor_knowledge = {2: (RoutingKnowledge(0.0, 40.0, 100.0), 0.0)}
+        return node
+
+    @staticmethod
+    def sink_receives(proto, seq, sink_id=20):
+        sink = make_node(node_id=sink_id, depth=0.0, kind="sink")
+        pkt = data_header(make_node(node_id=1, depth=100.0), plist=[sink_id], seq=seq)
+        assert proto.on_receive(sink, pkt, now=1.0) == Deliver()
+
+    @staticmethod
+    def directive(header):
+        return header.suppression_directive, header.suppression_epoch
+
+    def test_empty_window_returns_none_and_does_not_advance(self):
+        proto = protocol()
+        assert proto.review(delivered=0) is None
+        assert proto.suppression.current_list_length == 2
+        self.sink_receives(proto, seq=9)
+        assert proto.review(delivered=6) == 3  # 6 of 10
+        # a late copy of an older seq adds a delivery but no generated packet
+        assert proto.review(delivered=7) is None
+        assert proto.suppression.observed_pdr == pytest.approx(0.6)
+        self.sink_receives(proto, seq=19)
+        # the window runs from the last review that saw packets: 10 of 10
+        assert proto.review(delivered=16) == 2
+        assert proto.suppression.observed_pdr == pytest.approx(1.0)
+
+    def test_changing_review_reaches_each_source_once(self):
+        proto = protocol()
+        a, b = self.source(7), self.source(8)
+        assert self.directive(proto.originate(a, 0, now=1.0)) == (0, 0)
+        self.sink_receives(proto, seq=9)
+        assert proto.review(delivered=5) == 3
+        assert self.directive(proto.originate(a, 1, now=2.0)) == (1, 1)
+        assert a.list_length == 3
+        assert self.directive(proto.originate(a, 2, now=3.0)) == (0, 0)
+        assert a.list_length == 3
+        assert self.directive(proto.originate(b, 0, now=3.0)) == (1, 1)
+        assert self.directive(proto.originate(b, 1, now=4.0)) == (0, 0)
+
+    def test_newer_review_replaces_an_unsent_directive(self):
+        proto = protocol()
+        a = self.source(7)
+        self.sink_receives(proto, seq=9)
+        assert proto.review(delivered=5) == 3
+        self.sink_receives(proto, seq=19)
+        assert proto.review(delivered=15) == 2  # 10 of 10
+        assert self.directive(proto.originate(a, 0, now=1.0)) == (-1, 2)
+        assert a.list_length == 1  # only the newer step applied
+        assert self.directive(proto.originate(a, 1, now=2.0)) == (0, 0)
+
+    def test_copies_at_two_sinks_count_one_generation(self):
+        proto = protocol()
+        self.sink_receives(proto, seq=9, sink_id=20)
+        self.sink_receives(proto, seq=9, sink_id=21)
+        self.sink_receives(proto, seq=3, sink_id=21)  # older seqs add nothing
+        assert proto.review(delivered=10) == 1
+        assert proto.suppression.observed_pdr == pytest.approx(1.0)
