@@ -103,14 +103,8 @@ class ScenarioConfig:
         )
 
     def validate(self) -> None:
-        for key, field, typ, check, describe in _KEYMAP:
-            value = getattr(self, field)
-            if value is None:
-                continue
-            if typ is float and not math.isfinite(value):
-                raise ConfigError(f"{key} = {value!r} is not a finite number")
-            if not check(value):
-                raise ConfigError(f"{key} = {value!r} out of range ({describe})")
+        for entry in _KEYMAP:
+            _check_range(entry, getattr(self, entry[1]))
         if self.n_sources > self.n_sensors:
             raise ConfigError("world.n_sources cannot exceed world.n_sensors")
         if self.max_list_length < self.initial_list_length:
@@ -170,8 +164,20 @@ _KEYMAP = [
     ("run.replicates", "replicates", int, lambda v: v >= 1, ">= 1"),
 ]
 
-_KEY_TO_ENTRY = {key: (field, typ) for key, field, typ, _, _ in _KEYMAP}
+_KEY_TO_ENTRY = {entry[0]: entry for entry in _KEYMAP}
 _OPTIONAL_FIELDS = {"energy_per_bit", "holding_k_s"}
+
+
+def _check_range(entry, value) -> None:
+    """Refuse a value outside its own key's range; None (an unset optional
+    field) passes."""
+    key, _, typ, check, describe = entry
+    if value is None:
+        return
+    if typ is float and not math.isfinite(value):
+        raise ConfigError(f"{key} = {value!r} is not a finite number")
+    if not check(value):
+        raise ConfigError(f"{key} = {value!r} out of range ({describe})")
 
 
 def _parse_value(raw: str, typ, field: str):
@@ -202,11 +208,17 @@ def parse_config_text(text: str, source: str = "<config>") -> ScenarioConfig:
         key, raw = (part.strip() for part in stripped.split("=", 1))
         if key not in _KEY_TO_ENTRY:
             raise ConfigError(f"{source}:{lineno}: unknown key {key!r}")
-        field, typ = _KEY_TO_ENTRY[key]
+        entry = _KEY_TO_ENTRY[key]
+        _, field, typ, _, _ = entry
         try:
-            overrides[field] = _parse_value(raw, typ, field)
+            value = _parse_value(raw, typ, field)
         except ValueError as exc:
             raise ConfigError(f"{source}:{lineno}: bad value for {key}: {exc}") from exc
+        try:
+            _check_range(entry, value)
+        except ConfigError as exc:
+            raise ConfigError(f"{source}:{lineno}: {exc}") from exc
+        overrides[field] = value
     config = dataclasses.replace(ScenarioConfig(), **overrides)
     try:
         config.validate()
@@ -228,7 +240,7 @@ def set_key(config: ScenarioConfig, key: str, value) -> ScenarioConfig:
     """Return a copy of `config` with the dotted `key` replaced by `value`."""
     if key not in _KEY_TO_ENTRY:
         raise ConfigError(f"unknown config key {key!r}")
-    field, typ = _KEY_TO_ENTRY[key]
+    _, field, typ, _, _ = _KEY_TO_ENTRY[key]
     if isinstance(value, str):
         value = _parse_value(value, typ, field)
     elif value is not None and typ in (int, float):

@@ -7,9 +7,13 @@ with its args. Time ties go to the earlier insertion, so handlers are never
 compared, and identical (config, seed) pairs replay the same event sequence.
 The engine holds no protocol state: a review hands qlfr the delivery count.
 Losses come solely from per-link Bernoulli draws against `channel.link_model`;
-there is no MAC model. A broadcast finds its receivers in a `world.CellGrid`,
-rebuilt after each mobility tick, and visits them in id order, as a scan of
-all nodes would.
+there is no MAC model. A node's first broadcast at its current position
+builds its link table: the receivers a `world.CellGrid` finds within range,
+in id order, each with its propagation delay and link delivery probability.
+Later broadcasts reuse the table and skip receivers that have died since, so
+they draw from the RNG for each living receiver in id order, as a scan of all
+nodes would. The grid and every table are dropped together in
+`_handle_mobility`, the one place positions change during a run.
 
 Energy accounting: a transmit costs tx_power * M/mu, a reception costs
 rx_power * M/mu and is charged to every in-range sensor per arriving data
@@ -109,7 +113,9 @@ class Simulation:
 
         self.now = 0.0
         self.link_delivery_prob = chan.link_model(self.channel)
-        self._grid: CellGrid | None = None  # built lazily, dropped when nodes move
+        # built lazily, dropped together when nodes move
+        self._grid: CellGrid | None = None
+        self._links: dict[int, list[tuple[int, float, float]]] = {}
         self._queue: list = []
         self._seq = 0
         self._spp = self.channel.serialization_s  # seconds on air per packet
@@ -170,16 +176,27 @@ class Simulation:
 
     # --- neighbour queries ---
 
-    def in_range(self, node: NodeState) -> list[tuple[int, float]]:
-        """(id, squared distance) of every living node within tx_range_m of
-        `node`, excluding it, in id order. The grid must be dropped
-        (`_grid = None`) whenever a position changes."""
-        if self._grid is None:
-            self._grid = CellGrid(((n.id, n.position.x, n.position.y, n.position.z)
-                                   for n in self.nodes), self.config.tx_range_m)
-        p, sid, by_id = node.position, node.id, self.by_id
-        return [(nid, d2) for nid, d2 in self._grid.within(p.x, p.y, p.z)
-                if nid != sid and by_id[nid].alive]
+    def _link_table(self, node: NodeState) -> list[tuple[int, float, float]]:
+        """(id, propagation delay, link delivery probability) of every node,
+        dead or alive, within tx_range_m of `node`'s current position,
+        excluding it, in id order; built on first use after a move."""
+        links = self._links.get(node.id)
+        if links is None:
+            if self._grid is None:
+                self._grid = CellGrid(((n.id, n.position.x, n.position.y, n.position.z)
+                                       for n in self.nodes), self.config.tx_range_m)
+            p, v0, links = node.position, self.config.sound_speed_mps, []
+            for nid, d2 in self._grid.within(p.x, p.y, p.z):
+                if nid != node.id:
+                    dist = math.sqrt(d2)
+                    links.append((nid, dist / v0, self.link_delivery_prob(dist)))
+            self._links[node.id] = links
+        return links
+
+    def in_range(self, node: NodeState) -> list[tuple[int, float, float]]:
+        """The link-table entries of the living nodes within range of `node`."""
+        by_id = self.by_id
+        return [link for link in self._link_table(node) if by_id[link[0]].alive]
 
     # --- transmission pipeline ---
 
@@ -193,12 +210,11 @@ class Simulation:
             self._emit("tx", node=sender.id, key=None if pkt.is_hello else pkt.key,
                        hello=pkt.is_hello, plist=list(pkt.priority_list))
         ser = self._spp if self.config.serialization_delay else 0.0
-        v0 = self.config.sound_speed_mps
-        arrive = self._handle_arrival
-        for other_id, d2 in self.in_range(sender):
-            dist = math.sqrt(d2)
-            ok = self.rng.random() < self.link_delivery_prob(dist)
-            self.schedule(self.now + dist / v0 + ser, arrive, other_id, pkt, ok)
+        now, by_id, draw = self.now, self.by_id, self.rng.random
+        schedule, arrive = self.schedule, self._handle_arrival
+        for other_id, delay, p in self._link_table(sender):
+            if by_id[other_id].alive:
+                schedule(now + delay + ser, arrive, other_id, pkt, draw() < p)
 
     def _handle_arrival(self, node_id: int, pkt: PacketHeader, ok: bool) -> None:
         node = self.by_id[node_id]
@@ -206,7 +222,7 @@ class Simulation:
             return
         if pkt.is_hello:
             if ok:
-                self.protocol.on_receive(node, pkt, self.now)
+                self.protocol.hear(node, pkt, self.now)
             return
         if not self.receive_energy_accounting(node):
             return
@@ -273,7 +289,7 @@ class Simulation:
         region = self.config.region
         speed = self.config.mobility_speed_mps
         dt = self.config.mobility_tick_s
-        self._grid = None
+        self._grid, self._links = None, {}
         for node in self.nodes:
             if node.is_sink or not node.alive:
                 continue
@@ -383,7 +399,7 @@ class Simulation:
                 "candidates": [],
             }
             if not node.is_sink and node.alive and cfg.protocol == "qlfr":
-                in_range = {nid for nid, _ in self.in_range(node)}
+                in_range = {nid for nid, _, _ in self.in_range(node)}
                 ranked = self.protocol.candidates(node, self.now)
                 entry["candidates"] = [
                     nid for nid in ranked

@@ -48,20 +48,32 @@ def depth_cost(depth_sender: float, depth_neighbor: float, d_max: float) -> floa
     return 0.5 * (1.0 - d / d_max)
 
 
-def reward(sender: "NodeState", neighbor_knowledge: "RoutingKnowledge", d_max: float) -> float:
-    """One-step reward for forwarding from `sender` to the advertised
-    neighbor: -c_e(sender) - c_e(neighbor) - c_d(sender, neighbor), in [-3, 0].
+def reward_from(sender: "NodeState", d_max: float):
+    """The one-step reward for forwarding from `sender` as it stands now, as
+    a function of a neighbor's advertised residual energy and depth:
+    -c_e(sender) - c_e(neighbor) - c_d(sender, neighbor), in [-3, 0].
 
-    The neighbor's energy cost uses its advertised residual energy against
-    the sender's initial energy (all nodes start with the same budget).
+    The sender's energy cost is computed once, here, so ranking all of a
+    sender's neighbors costs it once. The neighbor's energy cost uses its
+    advertised residual energy against the sender's initial energy (all
+    nodes start with the same budget).
     """
-    ce_sender = energy_cost(sender.residual_energy_j, sender.initial_energy_j)
-    ce_neighbor = energy_cost(
-        min(neighbor_knowledge.residual_energy_j, sender.initial_energy_j),
-        sender.initial_energy_j,
-    )
-    cd = depth_cost(sender.depth, neighbor_knowledge.depth_m, d_max)
-    return -ce_sender - ce_neighbor - cd
+    e_ini = sender.initial_energy_j
+    ce_sender = energy_cost(sender.residual_energy_j, e_ini)
+    depth_sender = sender.depth
+
+    def reward_to(residual_j: float, depth_m: float) -> float:
+        ce_neighbor = energy_cost(min(residual_j, e_ini), e_ini)
+        return -ce_sender - ce_neighbor - depth_cost(depth_sender, depth_m, d_max)
+
+    return reward_to
+
+
+def reward(sender: "NodeState", residual_j: float, depth_m: float, d_max: float) -> float:
+    """One-step reward for forwarding from `sender` to a neighbor advertising
+    `residual_j` and `depth_m`; the caller clamps the depth to within d_max
+    of the sender's (see `reward_from`)."""
+    return reward_from(sender, d_max)(residual_j, depth_m)
 
 
 def q_update(q_old: float, r: float, v_next: float, params: QParams) -> float:

@@ -18,7 +18,7 @@ source's generated packets as its highest seq received plus one. A periodic
 relays that packet lists.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from . import qcore
 from .qcore import QParams
@@ -127,18 +127,32 @@ class PendingForward:
     token: int
 
 
-def clamped_reward(sender: NodeState, kn: RoutingKnowledge, d_max: float) -> float:
-    """qcore.reward for one advertised neighbor. Advertised depths can drift
-    out of the one-hop window under mobility and staleness, so the depth
-    difference is clamped to +-d_max to keep the cost defined."""
-    depth = min(max(kn.depth_m, sender.depth - d_max), sender.depth + d_max)
-    return qcore.reward(sender, replace(kn, depth_m=depth), d_max)
+def depth_clamp(sender: NodeState, d_max: float):
+    """Clamp of an advertised depth into `sender`'s one-hop window, its own
+    depth +-d_max, where `qcore.reward`'s depth cost is defined. Advertised
+    depths can drift out of the window under mobility and staleness."""
+    depth = sender.depth
+    lo, hi = depth - d_max, depth + d_max
+    return lambda depth_m: min(max(depth_m, lo), hi)
+
+
+def candidate_scorer(sender: NodeState, d_max: float, qparams: QParams):
+    """The ranking value r + gamma * V of one advertised neighbor of `sender`,
+    as a function of its knowledge; the sender's energy cost and depth window
+    are computed once per scorer."""
+    reward_to, clamp = qcore.reward_from(sender, d_max), depth_clamp(sender, d_max)
+    gamma = qparams.gamma
+
+    def score(kn: RoutingKnowledge) -> float:
+        return reward_to(kn.residual_energy_j, clamp(kn.depth_m)) + gamma * kn.v_value
+
+    return score
 
 
 def candidate_score(sender: NodeState, kn: RoutingKnowledge, d_max: float,
                     qparams: QParams) -> float:
     """Ranking value r + gamma * V for one advertised neighbor."""
-    return clamped_reward(sender, kn, d_max) + qparams.gamma * kn.v_value
+    return candidate_scorer(sender, d_max, qparams)(kn)
 
 
 def build_priority_list(sender: NodeState, d_max: float, list_length: int,
@@ -147,10 +161,12 @@ def build_priority_list(sender: NodeState, d_max: float, list_length: int,
     the sender, sorted by descending score (ties to the lower id), truncated
     to list_length. Empty result means a void region.
     """
-    scored = []
+    depth, score, scored = sender.depth, None, []
     for nid, kn in fresh_neighbors(sender, now, staleness_s):
-        if kn.depth_m < sender.depth:
-            scored.append((-candidate_score(sender, kn, d_max, qparams), nid))
+        if kn.depth_m < depth:
+            if score is None:  # a sender with no candidate computes no cost
+                score = candidate_scorer(sender, d_max, qparams)
+            scored.append((-score(kn), nid))
     scored.sort()
     return [nid for _, nid in scored[:list_length]]
 
@@ -177,7 +193,9 @@ class ForwardingCore:
     supplies `rank(node, pkt)`, a candidate's (holding time, list position)
     or None, and `priority_list(node, now)`, the tuple of candidates to send
     or None for a void; `hear` may use every packet heard from another node,
-    and `at_sink` every data copy a sink receives.
+    and `at_sink` every data copy a sink receives. The engine hands a
+    received hello straight to `hear`; `on_receive` still takes hellos from
+    direct callers.
     """
 
     uses_hello = False
@@ -332,7 +350,8 @@ class QlfrProtocol(ForwardingCore):
         """One-step Q update for the transmitting node toward its first
         candidate's advertised value."""
         kn, _ = node.neighbor_knowledge[chosen_id]
-        r = clamped_reward(node, kn, self.d_max)
+        depth = depth_clamp(node, self.d_max)(kn.depth_m)
+        r = qcore.reward(node, kn.residual_energy_j, depth, self.d_max)
         q_new = qcore.q_update(node.q_table.get(chosen_id, 0.0), r, kn.v_value, self.qparams)
         if not self._q_lo - 1e-9 <= q_new <= self._q_hi + 1e-9:
             raise RuntimeError(f"Q-value {q_new} outside [{self._q_lo}, {self._q_hi}]")

@@ -123,12 +123,15 @@ def deploy(config, rng: random.Random) -> list[NodeState]:
 
 
 def _reflect(coord: float, limit: float) -> float:
-    # specular reflection into [0, limit]; loops in case of large overshoot
-    while coord < 0.0 or coord > limit:
-        if coord < 0.0:
-            coord = -coord
-        else:
-            coord = 2.0 * limit - coord
+    # specular reflection into [0, limit]. Folding repeats with period
+    # 2 * limit and is symmetric about 0, so an overshoot of more than one
+    # width is first reduced modulo the period; one fold then lands inside.
+    if coord < -limit or coord > 2.0 * limit:
+        coord = abs(math.fmod(coord, 2.0 * limit))
+    if coord < 0.0:
+        return -coord
+    if coord > limit:
+        return 2.0 * limit - coord
     return coord
 
 

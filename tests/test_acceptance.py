@@ -22,7 +22,7 @@ from uwroute import analysis, channel, cli, engine, qcore
 from uwroute.config import ScenarioConfig
 from uwroute.qcore import QParams
 from uwroute.qlfr import HoldingParams, holding_time
-from uwroute.world import NodePosition, NodeState, RoutingKnowledge
+from uwroute.world import NodePosition, NodeState
 
 REL = 1e-6
 
@@ -78,13 +78,13 @@ def test_closed_form_unit_suite():
 
     # reward
     full = NodeState(0, "sensor", NodePosition(0, 0, 50.0), 200.0, 100.0)
-    checks.append(close(qcore.reward(full, RoutingKnowledge(0.0, 0.0, 100.0), 150.0), 0.0))
+    checks.append(close(qcore.reward(full, 100.0, 0.0, 150.0), 0.0))
     drained = NodeState(1, "sensor", NodePosition(0, 0, 200.0), 200.0, 100.0)
     drained.residual_energy_j = 0.0
-    checks.append(close(qcore.reward(drained, RoutingKnowledge(0.0, 150.0, 0.0), 150.0), -3.0))
+    checks.append(close(qcore.reward(drained, 0.0, 150.0, 150.0), -3.0))
     half = NodeState(2, "sensor", NodePosition(0, 0, 120.0), 200.0, 100.0)
     half.residual_energy_j = 50.0
-    checks.append(close(qcore.reward(half, RoutingKnowledge(0.0, 80.0, 100.0), 150.0), -1.0))
+    checks.append(close(qcore.reward(half, 100.0, 80.0, 150.0), -1.0))
 
     # q update
     checks.append(qcore.q_update(7.0, -1.0, 4.0, QParams(gamma=0.0, alpha=1.0)) == -1.0)

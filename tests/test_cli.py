@@ -43,6 +43,16 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="gamma"):
             parse_config_text("protocol.gamma = 1.5\n")
 
+    def test_range_error_reports_line(self):
+        with pytest.raises(ConfigError, match=r"^<config>:2: protocol\.gamma = 1\.5 out of range"):
+            parse_config_text("# c\nprotocol.gamma = 1.5\n")
+        with pytest.raises(ConfigError, match=r"^cfg:3: world\.n_sensors = 0 out of range"):
+            parse_config_text("world.n_sensors = 4\n\nworld.n_sensors = 0\n", source="cfg")
+
+    def test_cross_key_error_reports_file(self):
+        with pytest.raises(ConfigError, match=r"^<config>: world\.n_sources cannot exceed"):
+            parse_config_text("world.n_sensors = 3\nworld.n_sources = 4\n")
+
     def test_unknown_key_reports_line(self):
         with pytest.raises(ConfigError, match="3"):
             parse_config_text("# one\nworld.n_sensors = 10\nbogus.key = 1\n")

@@ -1,14 +1,17 @@
 """Event-kernel tests: closed-form single-hop timing, energy accounting and
 the exact ledger, death and lifetime semantics, determinism, causality."""
 
+import contextlib
 import dataclasses
 import hashlib
 import json
 import math
 import random
+import signal
 
 import pytest
 
+from uwroute import channel as chan
 from uwroute import engine
 from uwroute.config import ScenarioConfig
 from uwroute.engine import EngineError, Simulation
@@ -298,7 +301,10 @@ class TestNeighbourGrid:
             got = self.receivers(sim, sender)
             assert sorted(got) == expected
             assert got == expected
-            assert [nid for nid, _ in sim.in_range(sender)] == expected
+            assert [nid for nid, _, _ in sim.in_range(sender)] == expected
+            # the link table itself holds dead receivers too
+            assert [nid for nid, _, _ in sim._link_table(sender)] == neighbors_in_range(
+                sender, sim.nodes, r)
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_random_deployments_before_and_after_mobility(self, seed):
@@ -349,6 +355,125 @@ class TestNeighbourGrid:
         self.assert_matches_brute_force(sim)
 
 
+class CountingRandom(random.Random):
+    """A Random that counts its `random()` draws."""
+
+    draws = 0
+
+    def random(self):
+        self.draws += 1
+        return super().random()
+
+
+class TestLinkTable:
+    """A sender's receivers, delays and link probabilities are computed at its
+    first broadcast after a move and reused until the next move."""
+
+    @staticmethod
+    def simulation():
+        cfg = base_config(n_sensors=30, n_sources=3, n_sinks=2, region_x_m=300.0,
+                          region_y_m=300.0, region_z_m=300.0, mobility_speed_mps=3.0,
+                          energy_per_bit=None, seed=4)
+        sim = Simulation(cfg)
+        rng = CountingRandom()
+        rng.setstate(sim.rng.getstate())
+        sim.rng = rng
+        link_calls = []
+        link = sim.link_delivery_prob
+        sim.link_delivery_prob = lambda dist: link_calls.append(dist) or link(dist)
+        return sim, link_calls
+
+    @staticmethod
+    def broadcast(sim, sender):
+        """(receiver, arrival time, delivered) of each arrival one hello
+        broadcast of `sender` schedules, and the RNG draws it made."""
+        scheduled = []
+        draws = sim.rng.draws
+        sim.schedule = lambda t, handler, node_id, pkt, ok: scheduled.append((node_id, t, ok))
+        try:
+            sim.transmit(sender, sim.protocol.hello_header(sender))
+        finally:
+            del sim.schedule
+        return scheduled, sim.rng.draws - draws
+
+    def test_second_broadcast_reuses_receivers_and_offsets(self):
+        sim, link_calls = self.simulation()
+        sender = sim.by_id[7]
+        sim.now = 0.5
+        first, first_draws = self.broadcast(sim, sender)
+        assert len(first) >= 3 and first_draws == len(first)
+        assert len(link_calls) == len(first)
+        second, second_draws = self.broadcast(sim, sender)
+        assert [(nid, t) for nid, t, _ in second] == [(nid, t) for nid, t, _ in first]
+        assert second_draws == first_draws
+        assert len(link_calls) == len(first)  # no link probability recomputed
+
+    def test_receiver_killed_between_broadcasts(self):
+        sim, _ = self.simulation()
+        sender = sim.by_id[7]
+        first, first_draws = self.broadcast(sim, sender)
+        victim = first[1][0]
+        sim.by_id[victim].alive = False
+        second, second_draws = self.broadcast(sim, sender)
+        assert [nid for nid, _, _ in second] == [nid for nid, _, _ in first if nid != victim]
+        assert second_draws == first_draws - 1
+
+    def test_cached_entries_equal_channel_model(self):
+        sim, _ = self.simulation()
+        v0 = sim.config.sound_speed_mps
+        for sender in sim.nodes:
+            p = sender.position
+            for nid, delay, prob in sim._link_table(sender):
+                o = sim.by_id[nid].position
+                dx, dy, dz = o.x - p.x, o.y - p.y, o.z - p.z
+                dist = math.sqrt(dx * dx + dy * dy + dz * dz)
+                assert delay == dist / v0
+                assert prob == chan.packet_delivery_prob(dist, sim.channel)
+
+    def test_mobility_drops_every_table(self):
+        sim, link_calls = self.simulation()
+        sender = sim.by_id[7]
+        self.broadcast(sim, sender)
+        before = len(link_calls)
+        sim.now = sim.config.mobility_tick_s
+        sim._handle_mobility()
+        moved, _ = self.broadcast(sim, sender)
+        assert len(link_calls) == before + len(moved)
+        expected = [nid for nid in neighbors_in_range(sender, sim.nodes, sim.config.tx_range_m)
+                    if sim.by_id[nid].alive]
+        assert [nid for nid, _, _ in moved] == expected
+
+
+@contextlib.contextmanager
+def time_limit(seconds):
+    """Raise TimeoutError in the test if the block runs longer than `seconds`."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+class TestMobility:
+    def test_huge_speed_stays_in_the_box(self):
+        # each 10 s tick moves a node 1e16 m, many thousand region widths
+        cfg = base_config(n_sensors=10, n_sources=2, n_sinks=2, region_x_m=300.0,
+                          region_y_m=300.0, region_z_m=300.0, mobility_speed_mps=1e15,
+                          max_sim_time_s=30.0, energy_per_bit=None)
+        sim = Simulation(cfg)
+        with time_limit(20):
+            record = sim.run()
+        assert record.generated > 0
+        for node in sim.nodes:
+            p = node.position
+            assert 0.0 <= p.x <= 300.0 and 0.0 <= p.y <= 300.0 and 0.0 <= p.z <= 300.0
+
+
 class TestCoLocatedNodes:
     @pytest.mark.parametrize("protocol", ["qlfr", "dbr"])
     def test_run_with_relay_on_the_source_completes(self, protocol):
@@ -361,7 +486,8 @@ class TestCoLocatedNodes:
         cfg = base_config(region_z_m=region_z, n_sensors=2, protocol=protocol,
                           serialization_delay=False)
         sim = Simulation(cfg, nodes=nodes)
-        assert sim.in_range(sim.by_id[0]) == [(1, 0.0), (2, region_z ** 2)]
+        assert sim.in_range(sim.by_id[0]) == [(1, 0.0, 1.0),
+                                              (2, 0.1, sim.link_delivery_prob(region_z))]
         record = sim.run()
         assert record.generated == 2
         assert record.pdr == 1.0
@@ -402,9 +528,16 @@ class TestGoldenDigest:
         return len(events), self.digest(record, events)
 
     def test_qlfr_default_scenario(self):
-        record = engine.run(self.qlfr_default())
+        # the benchmark's events_per_s counts calls of the `schedule`
+        # attribute, so every event must still go through it
+        sim = Simulation(self.qlfr_default())
+        scheduled = []
+        schedule = sim.schedule
+        sim.schedule = lambda *args: scheduled.append(None) or schedule(*args)
+        record = sim.run()
         assert self.digest(record) == (
             "b38cf2a5b8b02fcfd01b37c18dc06531db64f31e1ff1b88c4e855f0cd4d19620")
+        assert len(scheduled) == 12833
 
     def test_dbr_200_sensors_default_density(self):
         assert self.digest(engine.run(self.dbr_200_sensors())) == (

@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 from uwroute import qcore
 from uwroute.qcore import QParams
-from uwroute.world import NodePosition, NodeState, RoutingKnowledge
+from uwroute.world import NodePosition, NodeState
 
 
 def make_sender(depth=100.0, e_res=100.0, e_ini=100.0, region_z=200.0):
@@ -58,24 +58,21 @@ class TestDepthCost:
 class TestReward:
     def test_all_costs_zero(self):
         sender = make_sender(depth=150.0)
-        kn = RoutingKnowledge(0.0, 0.0, 100.0)  # full energy, d_max shallower
-        assert qcore.reward(sender, kn, 150.0) == pytest.approx(0.0)
+        # full energy, d_max shallower
+        assert qcore.reward(sender, 100.0, 0.0, 150.0) == pytest.approx(0.0)
 
     def test_all_costs_one(self):
         sender = make_sender(depth=0.0, e_res=0.0)
-        kn = RoutingKnowledge(0.0, 150.0, 0.0)
-        assert qcore.reward(sender, kn, 150.0) == pytest.approx(-3.0)
+        assert qcore.reward(sender, 0.0, 150.0, 150.0) == pytest.approx(-3.0)
 
     def test_half_energy_same_depth(self):
         sender = make_sender(depth=80.0, e_res=50.0)
-        kn = RoutingKnowledge(0.0, 80.0, 100.0)
-        assert qcore.reward(sender, kn, 150.0) == pytest.approx(-1.0)
+        assert qcore.reward(sender, 100.0, 80.0, 150.0) == pytest.approx(-1.0)
 
     @given(st.floats(0, 100), st.floats(0, 100), st.floats(-150, 150))
     def test_always_nonpositive_in_range(self, e_s, e_n, d):
         sender = make_sender(depth=150.0, e_res=e_s)
-        kn = RoutingKnowledge(0.0, 150.0 - d, e_n)
-        r = qcore.reward(sender, kn, 150.0)
+        r = qcore.reward(sender, e_n, 150.0 - d, 150.0)
         assert -3.0 <= r <= 0.0
 
 

@@ -1,10 +1,13 @@
 """Protocol state-machine tests: priority lists, holding times, receive and
 hold-expiry paths, overhear suppression, and the adaptive list length."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from uwroute import qcore
 from uwroute.qcore import QParams
 from uwroute.qlfr import (Deliver, Drop, HoldingParams, Ignore, PacketHeader,
                           QlfrProtocol, Schedule, SuppressionState,
@@ -161,6 +164,82 @@ class TestPriorityList:
         sender.neighbor_knowledge = {1: (RoutingKnowledge(0.0, 10.0, 100.0), 0.0)}
         got = build_priority_list(sender, D_MAX, 1, QP, now=0.0, staleness_s=STALE)
         assert got == [1]
+
+
+def reference_priority_list(sender, d_max, list_length, qparams, now, staleness_s):
+    """The ranking loop that allocated per neighbor: the advertised knowledge
+    copied with its depth clamped, then the reward's three costs."""
+    scored = []
+    for nid, (kn, heard) in sender.neighbor_knowledge.items():
+        if now - heard > staleness_s or not kn.depth_m < sender.depth:
+            continue
+        depth = min(max(kn.depth_m, sender.depth - d_max), sender.depth + d_max)
+        kn = dataclasses.replace(kn, depth_m=depth)
+        e_ini = sender.initial_energy_j
+        r = (-qcore.energy_cost(sender.residual_energy_j, e_ini)
+             - qcore.energy_cost(min(kn.residual_energy_j, e_ini), e_ini)
+             - qcore.depth_cost(sender.depth, kn.depth_m, d_max))
+        scored.append((-(r + qparams.gamma * kn.v_value), nid))
+    scored.sort()
+    return [nid for _, nid in scored[:list_length]]
+
+
+def outcome(fn):
+    """fn()'s result, or the type and message of the ValueError it raised."""
+    try:
+        return fn()
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+neighbor_tables = st.dictionaries(
+    st.integers(1, 40),
+    st.tuples(st.floats(-12.0, 0.0),     # V
+              st.floats(-400.0, 700.0),  # depth, often beyond +-d_max
+              st.floats(-5.0, 250.0),    # residual energy, above the budget too
+              st.floats(0.0, 40.0)),     # last heard
+    max_size=12)
+
+
+class TestRankingReference:
+    @settings(derandomize=True, max_examples=200, deadline=None, database=None)
+    @given(neighbor_tables, st.floats(0.0, 500.0), st.floats(0.0, 105.0), st.integers(1, 6),
+           st.sampled_from([0.0, 0.8, 1.0]))
+    def test_equals_sorting_on_score_and_the_allocating_loop(self, table, depth, e_res,
+                                                              length, gamma):
+        qparams = QParams(gamma=gamma, alpha=0.5)
+        sender = make_node(depth=depth, region_z=500.0, e_res=e_res)
+        knowledge = {nid: (RoutingKnowledge(v, d, e), heard)
+                     for nid, (v, d, e, heard) in table.items()}
+        now = 30.0
+        sender.neighbor_knowledge = dict(knowledge)
+        expected = outcome(lambda: reference_priority_list(
+            sender, D_MAX, length, qparams, now, STALE))
+        got = outcome(lambda: build_priority_list(sender, D_MAX, length, qparams, now, STALE))
+        assert got == expected
+        if isinstance(got, list):
+            fresh = {nid: kn for nid, (kn, heard) in knowledge.items()
+                     if now - heard <= STALE}
+            assert sender.neighbor_knowledge == {nid: knowledge[nid] for nid in fresh}
+            scores = {nid: candidate_score(sender, kn, D_MAX, qparams)
+                      for nid, kn in fresh.items() if kn.depth_m < sender.depth}
+            assert got == sorted(scores, key=lambda nid: (-scores[nid], nid))[:length]
+
+
+    def test_range_checks_fire_only_when_a_neighbor_is_scored(self):
+        # an over-budget sender is refused by the first reward it computes,
+        # and a sender with no shallower fresh neighbor computes none
+        sender = make_node(depth=100.0, e_res=101.0)
+        sender.neighbor_knowledge = {1: (RoutingKnowledge(0.0, 150.0, 100.0), 0.0),
+                                     2: (RoutingKnowledge(0.0, 50.0, 100.0), -30.0)}
+        assert build_priority_list(sender, D_MAX, 2, QP, now=0.0, staleness_s=STALE) == []
+        sender.neighbor_knowledge[3] = (RoutingKnowledge(0.0, 50.0, 100.0), 0.0)
+        with pytest.raises(ValueError, match="residual energy 101.0"):
+            build_priority_list(sender, D_MAX, 2, QP, now=0.0, staleness_s=STALE)
+        sender.residual_energy_j = 100.0
+        sender.neighbor_knowledge[3] = (RoutingKnowledge(0.0, 50.0, -1.0), 0.0)
+        with pytest.raises(ValueError, match="residual energy -1.0"):
+            build_priority_list(sender, D_MAX, 2, QP, now=0.0, staleness_s=STALE)
 
 
 class TestOnReceive:

@@ -94,6 +94,15 @@ class TestRandomWalk:
             assert new.z == pytest.approx(fold(1.0 + 10.0 * uz, 500.0), abs=1e-9)
             assert 0.0 <= new.x <= 500.0 and 0.0 <= new.y <= 500.0 and 0.0 <= new.z <= 500.0
 
+    def test_large_overshoot_folds_by_the_period(self):
+        # a fold repeats every 2 * limit and is symmetric about 0; values
+        # chosen so that fmod is exact
+        assert world._reflect(1e6 + 123.0, 500.0) == 123.0
+        assert world._reflect(-1e6 - 123.0, 500.0) == 123.0
+        assert world._reflect(1e6 + 700.0, 500.0) == 300.0
+        assert world._reflect(-1e6 - 700.0, 500.0) == 300.0
+        assert 0.0 <= world._reflect(1e16 + 0.25, 300.0) <= 300.0
+
     def test_rejects_bad_dt(self):
         with pytest.raises(ValueError):
             random_walk_step(self.make_node(1, 1, 1), 3.0, 0.0, random.Random(1), self.REGION)
