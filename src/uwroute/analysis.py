@@ -227,7 +227,7 @@ def network_lifetime(topo: StaticTopology, run_time_s: float, initial_energy_j: 
 def load_snapshot(source) -> StaticTopology:
     """Build a StaticTopology from an engine snapshot (dict or JSON path).
     Link probabilities are recomputed from positions and the recorded channel
-    parameters; neighbor sets from positions and the range, in a CellGrid.
+    parameters; neighbor sets from positions and the range, by CellGrid.pairs.
     Snapshots of a protocol other than qlfr are refused; one that records no
     protocol is read as qlfr."""
     snap = source
@@ -247,9 +247,11 @@ def load_snapshot(source) -> StaticTopology:
     candidates = {e["id"]: tuple(e["candidates"]) for e in entries if e["kind"] != "sink"}
     gen = {e["id"]: e["generated"] for e in entries if e.get("generated", 0) > 0}
     r = params["tx_range_m"]
-    grid = CellGrid(((i, *p) for i, p in positions.items()), r)
-    neighbors = {i: tuple(j for j, _ in grid.within(*positions[i]) if j != i)
-                 for i in sorted(kinds)}
+    near = {i: [] for i in sorted(kinds)}
+    for a, b, _ in CellGrid(((i, *p) for i, p in positions.items()), r).pairs():
+        near[a].append(b)
+        near[b].append(a)
+    neighbors = {i: tuple(sorted(js)) for i, js in near.items()}
     link_prob = {(s, c): chan.packet_delivery_prob(math.dist(positions[s], positions[c]), cp)
                  for s, cands in candidates.items() for c in cands}
     region_z = max((p[2] for p in positions.values()), default=0.0)

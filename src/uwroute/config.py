@@ -109,6 +109,10 @@ class ScenarioConfig:
             raise ConfigError("world.n_sources cannot exceed world.n_sensors")
         if self.max_list_length < self.initial_list_length:
             raise ConfigError("protocol.max_list_length below protocol.initial_list_length")
+        if not math.isfinite(self.mobility_speed_mps * self.mobility_tick_s):
+            raise ConfigError(
+                f"world.mobility_speed_mps = {self.mobility_speed_mps!r} times "
+                f"world.mobility_tick_s = {self.mobility_tick_s!r} overflows the mobility step")
         if self.holding_k_s is not None and self.holding_k_s > 2.0 * self.t_max_s:
             raise ConfigError(
                 f"protocol.holding_k_s = {self.holding_k_s} exceeds 2*t_max = {2.0 * self.t_max_s}"

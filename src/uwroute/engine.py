@@ -7,13 +7,14 @@ with its args. Time ties go to the earlier insertion, so handlers are never
 compared, and identical (config, seed) pairs replay the same event sequence.
 The engine holds no protocol state: a review hands qlfr the delivery count.
 Losses come solely from per-link Bernoulli draws against `channel.link_model`;
-there is no MAC model. A node's first broadcast at its current position
-builds its link table: the receivers a `world.CellGrid` finds within range,
-in id order, each with its propagation delay and link delivery probability.
-Later broadcasts reuse the table and skip receivers that have died since, so
-they draw from the RNG for each living receiver in id order, as a scan of all
-nodes would. The grid and every table are dropped together in
-`_handle_mobility`, the one place positions change during a run.
+there is no MAC model. The first broadcast (or `in_range` call) after a move
+builds every node's link table in one sweep over the in-range pairs of a
+`world.CellGrid`: each pair's propagation delay and link delivery
+probability are computed once and entered at both ends, and each table is
+then sorted by receiver id. A broadcast skips receivers that have died since
+the sweep, so it draws from the RNG for each living receiver in id order, as
+a scan of all nodes would. The tables are dropped in `_handle_mobility`, the
+one place positions change during a run, and at the end of `run`.
 
 Energy accounting: a transmit costs tx_power * M/mu, a reception costs
 rx_power * M/mu and is charged to every in-range sensor per arriving data
@@ -113,9 +114,8 @@ class Simulation:
 
         self.now = 0.0
         self.link_delivery_prob = chan.link_model(self.channel)
-        # built lazily, dropped together when nodes move
-        self._grid: CellGrid | None = None
-        self._links: dict[int, list[tuple[int, float, float]]] = {}
+        # every node's link table, built on first use and dropped when nodes move
+        self._links: dict[int, list[tuple[int, float, float]]] | None = None
         self._queue: list = []
         self._seq = 0
         self._spp = self.channel.serialization_s  # seconds on air per packet
@@ -141,8 +141,9 @@ class Simulation:
         heappush(self._queue, (t, self._seq, handler, args))
 
     def _emit(self, event: str, **fields) -> None:
-        if self.trace is not None:
-            self.trace({"t": self.now, "event": event, **fields})
+        """Trace one event; callers check `self.trace is not None` first, so
+        an untraced run builds no event fields."""
+        self.trace({"t": self.now, "event": event, **fields})
 
     # --- energy ---
 
@@ -151,7 +152,8 @@ class Simulation:
         node.death_time_s = self.now
         if self.first_death_s is None:
             self.first_death_s = self.now
-        self._emit("death", node=node.id)
+        if self.trace is not None:
+            self._emit("death", node=node.id)
 
     def _charge_tx(self, node: NodeState) -> bool:
         if node.residual_energy_j < self._tx_cost:
@@ -179,19 +181,22 @@ class Simulation:
     def _link_table(self, node: NodeState) -> list[tuple[int, float, float]]:
         """(id, propagation delay, link delivery probability) of every node,
         dead or alive, within tx_range_m of `node`'s current position,
-        excluding it, in id order; built on first use after a move."""
-        links = self._links.get(node.id)
+        excluding it, in id order. The first call after a move builds every
+        node's table in one pass over the in-range pairs."""
+        links = self._links
         if links is None:
-            if self._grid is None:
-                self._grid = CellGrid(((n.id, n.position.x, n.position.y, n.position.z)
-                                       for n in self.nodes), self.config.tx_range_m)
-            p, v0, links = node.position, self.config.sound_speed_mps, []
-            for nid, d2 in self._grid.within(p.x, p.y, p.z):
-                if nid != node.id:
-                    dist = math.sqrt(d2)
-                    links.append((nid, dist / v0, self.link_delivery_prob(dist)))
-            self._links[node.id] = links
-        return links
+            links = self._links = {n.id: [] for n in self.nodes}
+            grid = CellGrid(((n.id, n.position.x, n.position.y, n.position.z)
+                             for n in self.nodes), self.config.tx_range_m)
+            v0, link_prob, sqrt = self.config.sound_speed_mps, self.link_delivery_prob, math.sqrt
+            for a, b, d2 in grid.pairs():
+                dist = sqrt(d2)
+                delay, p = dist / v0, link_prob(dist)
+                links[a].append((b, delay, p))
+                links[b].append((a, delay, p))
+            for table in links.values():
+                table.sort()
+        return links[node.id]
 
     def in_range(self, node: NodeState) -> list[tuple[int, float, float]]:
         """The link-table entries of the living nodes within range of `node`."""
@@ -249,8 +254,9 @@ class Simulation:
     def _record_delivery(self, sink: NodeState, pkt: PacketHeader) -> None:
         if pkt.key not in self.delivered_at:
             self.delivered_at[pkt.key] = self.now
-            gen_time = self.packet_gen_time.get(pkt.key, self.now)
-            self._emit("deliver", node=sink.id, key=pkt.key, delay=self.now - gen_time)
+            if self.trace is not None:
+                gen_time = self.packet_gen_time.get(pkt.key, self.now)
+                self._emit("deliver", node=sink.id, key=pkt.key, delay=self.now - gen_time)
 
     def _handle_hold_expire(self, node_id: int, key, token: int) -> None:
         node = self.by_id[node_id]
@@ -276,11 +282,13 @@ class Simulation:
         self.generated += 1
         key = (source_id, seq)
         self.packet_gen_time[key] = self.now
-        self._emit("gen", node=source_id, key=key)
+        if self.trace is not None:
+            self._emit("gen", node=source_id, key=key)
         header = self.protocol.originate(node, seq, self.now)
         if header is None:
             self.void_drops += 1
-            self._emit("void", node=source_id, key=key)
+            if self.trace is not None:
+                self._emit("void", node=source_id, key=key)
         else:
             self.transmit(node, header)
 
@@ -289,7 +297,7 @@ class Simulation:
         region = self.config.region
         speed = self.config.mobility_speed_mps
         dt = self.config.mobility_tick_s
-        self._grid, self._links = None, {}
+        self._links = None
         for node in self.nodes:
             if node.is_sink or not node.alive:
                 continue
@@ -308,7 +316,7 @@ class Simulation:
         self.schedule(self.now + self.config.suppression_interval_s,
                       self._handle_suppression_review)
         new = self.protocol.review(len(self.delivered_at))
-        if new is not None:
+        if new is not None and self.trace is not None:
             self._emit("list-length", value=new, pdr=self.protocol.suppression.observed_pdr)
 
     # --- run loop ---
@@ -326,6 +334,7 @@ class Simulation:
         if cfg.protocol == "qlfr":
             self.schedule(cfg.suppression_interval_s, self._handle_suppression_review)
         self.drain(cfg.max_sim_time_s)
+        self._links = None  # a finished run holds no link tables
         return self._finalize()
 
     def drain(self, until: float) -> None:

@@ -1,8 +1,10 @@
 """Node deployment, random-walk mobility, geometry queries and per-node
 neighbor-knowledge tables.
 
-`CellGrid` is the one neighbour index, for broadcasts and the analysis;
-`neighbors_in_range` is the brute-force scan it is checked against.
+`CellGrid` is the one neighbour index, for the engine's link tables and the
+analysis. Its one query, `pairs`, yields every pair of points within range
+once, so the engine computes each link of a mobility epoch once for both
+ends. `neighbors_in_range` is the brute-force scan it is checked against.
 
 Coordinates: z is height above the sea floor, so depth = region_z - z.
 Sinks sit on the surface (z = region_z, depth 0) and never move; sources are
@@ -180,11 +182,17 @@ def neighbors_in_range(node: NodeState, all_nodes: Iterable[NodeState], r: float
     return out
 
 
+# the 13 of the 26 neighbouring cell offsets that sort after (0, 0, 0): every
+# pair of adjacent cells is visited once, from the cell that sorts first
+_FORWARD = tuple((i, j, k) for i in (-1, 0, 1) for j in (-1, 0, 1) for k in (-1, 0, 1)
+                 if (i, j, k) > (0, 0, 0))
+
+
 class CellGrid:
     """Fixed-radius neighbour index over points (id, x, y, z). Points sit in
     cubic cells a hair wider than the radius r, so rounding at a cell edge
-    cannot put a pair within r more than one cell apart, and a query scans
-    only the 3x3x3 block of cells around its point. Rebuild after a move."""
+    cannot put a pair within r more than one cell apart. `pairs` is the one
+    query. Rebuild after a move."""
 
     def __init__(self, points: Iterable[tuple[int, float, float, float]], r: float):
         if r <= 0:
@@ -194,22 +202,29 @@ class CellGrid:
             key = (math.floor(x / self.cell), math.floor(y / self.cell), math.floor(z / self.cell))
             self.cells.setdefault(key, []).append((x, y, z, pid))
 
-    def within(self, x: float, y: float, z: float) -> list[tuple[int, float]]:
-        """(id, squared distance) of every point within r of (x, y, z), one
-        at (x, y, z) included, in id order."""
-        cells, cell, r2 = self.cells, self.cell, self.r2
-        cx, cy, cz = math.floor(x / cell), math.floor(y / cell), math.floor(z / cell)
-        hits = []
-        for i in (cx - 1, cx, cx + 1):
-            for j in (cy - 1, cy, cy + 1):
-                for k in (cz - 1, cz, cz + 1):
-                    for ox, oy, oz, pid in cells.get((i, j, k), ()):
-                        dx, dy, dz = ox - x, oy - y, oz - z
+    def pairs(self) -> Iterator[tuple[int, int, float]]:
+        """Yield (a, b, squared distance) once for every unordered pair of
+        points within r, in no fixed order. The squared distance is summed
+        from b - a per axis; IEEE subtraction is antisymmetric, so it equals
+        bit for bit the value computed from b's end."""
+        cells, r2 = self.cells, self.r2
+        for (ci, cj, ck), here in cells.items():
+            for n, (xa, ya, za, a) in enumerate(here):
+                for xb, yb, zb, b in here[n + 1:]:
+                    dx, dy, dz = xb - xa, yb - ya, zb - za
+                    d2 = dx * dx + dy * dy + dz * dz
+                    if d2 <= r2:
+                        yield a, b, d2
+            for di, dj, dk in _FORWARD:
+                there = cells.get((ci + di, cj + dj, ck + dk))
+                if there is None:
+                    continue
+                for xa, ya, za, a in here:
+                    for xb, yb, zb, b in there:
+                        dx, dy, dz = xb - xa, yb - ya, zb - za
                         d2 = dx * dx + dy * dy + dz * dz
                         if d2 <= r2:
-                            hits.append((pid, d2))
-        hits.sort()
-        return hits
+                            yield a, b, d2
 
 
 def update_neighbor_knowledge(node: NodeState, sender_id: int,

@@ -353,6 +353,17 @@ class TestCliVerbs:
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "out").exists()
 
+    def test_overflowing_mobility_step_is_refused(self, tmp_path, capsys):
+        # 1e308 m/s times the 10 s tick overflows to an infinite step
+        cfg = tmp_path / "fast.cfg"
+        cfg.write_text(FAST_SCENARIO + "world.mobility_speed_mps = 1e308\n")
+        rc = cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "x")])
+        assert rc == 2
+        assert "world.mobility_speed_mps" in capsys.readouterr().err
+        with pytest.raises(ConfigError, match=r"world\.mobility_speed_mps"):
+            ScenarioConfig(mobility_speed_mps=1e308).validate()
+        ScenarioConfig(mobility_speed_mps=1e300).validate()  # a finite step passes
+
     def test_bad_config_is_reported(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
         bad.write_text("protocol.gamma = 2.0\n")

@@ -251,7 +251,7 @@ class TestDeterminism:
         assert t1 == t2
 
     def test_untraced_run_builds_no_hot_path_events(self):
-        # with no trace, transmit, arrival and hold expiry skip _emit entirely
+        # with no trace, no event site calls _emit, so none builds its fields
         cfg = base_config(n_sensors=20, n_sources=2, n_sinks=2, region_x_m=300.0,
                           region_y_m=300.0, region_z_m=300.0, max_sim_time_s=40.0,
                           energy_per_bit=None, seed=5)
@@ -260,9 +260,9 @@ class TestDeterminism:
         sim = Simulation(cfg)
         sim._emit = lambda event, **fields: untraced.append(event)
         sim.run()
-        hot = {"tx", "schedule", "cancel", "drop", "forward"}
+        hot = {"tx", "schedule", "cancel", "drop", "forward", "gen", "deliver"}
         assert hot & {e["event"] for e in traced} == hot
-        assert not hot & set(untraced)
+        assert untraced == []
 
     def test_seed_changes_outcome(self):
         cfg = base_config(n_sensors=30, n_sources=3, n_sinks=2, region_x_m=300.0,
@@ -366,8 +366,9 @@ class CountingRandom(random.Random):
 
 
 class TestLinkTable:
-    """A sender's receivers, delays and link probabilities are computed at its
-    first broadcast after a move and reused until the next move."""
+    """The first broadcast after a move computes every in-range pair's delay
+    and link probability once, for the tables of both ends; broadcasts reuse
+    them until the next move."""
 
     @staticmethod
     def simulation():
@@ -396,17 +397,28 @@ class TestLinkTable:
             del sim.schedule
         return scheduled, sim.rng.draws - draws
 
+    @staticmethod
+    def in_range_pairs(sim):
+        """Half the summed table lengths, checked against a brute-force scan."""
+        total = sum(len(sim._link_table(n)) for n in sim.nodes)
+        r = sim.config.tx_range_m
+        assert total == sum(len(neighbors_in_range(n, sim.nodes, r)) for n in sim.nodes)
+        return total // 2
+
     def test_second_broadcast_reuses_receivers_and_offsets(self):
         sim, link_calls = self.simulation()
         sender = sim.by_id[7]
         sim.now = 0.5
         first, first_draws = self.broadcast(sim, sender)
         assert len(first) >= 3 and first_draws == len(first)
-        assert len(link_calls) == len(first)
+        assert len(link_calls) == self.in_range_pairs(sim)  # one call per pair
+        calls = len(link_calls)
         second, second_draws = self.broadcast(sim, sender)
         assert [(nid, t) for nid, t, _ in second] == [(nid, t) for nid, t, _ in first]
         assert second_draws == first_draws
-        assert len(link_calls) == len(first)  # no link probability recomputed
+        for other in sim.nodes:
+            self.broadcast(sim, other)
+        assert len(link_calls) == calls  # no link probability recomputed
 
     def test_receiver_killed_between_broadcasts(self):
         sim, _ = self.simulation()
@@ -438,10 +450,32 @@ class TestLinkTable:
         sim.now = sim.config.mobility_tick_s
         sim._handle_mobility()
         moved, _ = self.broadcast(sim, sender)
-        assert len(link_calls) == before + len(moved)
+        assert len(link_calls) == before + self.in_range_pairs(sim)
         expected = [nid for nid in neighbors_in_range(sender, sim.nodes, sim.config.tx_range_m)
                     if sim.by_id[nid].alive]
         assert [nid for nid, _, _ in moved] == expected
+
+    def test_finished_run_holds_no_tables(self):
+        cfg = base_config(n_sensors=30, n_sources=3, n_sinks=2, region_x_m=300.0,
+                          region_y_m=300.0, region_z_m=300.0, mobility_speed_mps=3.0,
+                          max_sim_time_s=65.0, energy_per_bit=None, seed=4)
+        sim = Simulation(cfg)
+        sim.run()
+        assert sim._links is None
+        # a run whose tables are put back after it ends
+        kept, tables = Simulation(cfg), []
+        drain = kept.drain
+
+        def drain_keeping_tables(until):
+            drain(until)
+            tables.append(kept._links)
+
+        kept.drain = drain_keeping_tables
+        kept.run()
+        assert tables[0] is not None
+        kept._links = tables[0]
+        assert sim.snapshot_topology() == kept.snapshot_topology()
+        assert kept._links is tables[0]
 
 
 @contextlib.contextmanager

@@ -145,32 +145,52 @@ class TestNeighbors:
 
 
 class TestCellGrid:
-    def test_matches_brute_force_in_id_order(self):
+    @staticmethod
+    def pair_map(grid):
+        """{(lower id, higher id): squared distance} of `grid.pairs()`,
+        checking that no pair is yielded twice."""
+        found = {}
+        for a, b, d2 in grid.pairs():
+            key = (min(a, b), max(a, b))
+            assert a != b and key not in found
+            found[key] = d2
+        return found
+
+    def test_matches_brute_force(self):
         rng = random.Random(23)
         nodes = [NodeState(i, "sensor",
                            NodePosition(rng.uniform(-100, 500), rng.uniform(0, 400),
                                         rng.uniform(0, 400)), 400.0, 100.0)
                  for i in range(80)]
         nodes.reverse()  # insertion order must not matter
+        by_id = {n.id: n.position for n in nodes}
         for r in (40.0, 150.0, 1000.0):
             grid = CellGrid(((n.id, n.position.x, n.position.y, n.position.z)
                              for n in nodes), r)
-            for node in nodes:
-                p = node.position
-                hits = grid.within(p.x, p.y, p.z)
-                assert [i for i, _ in hits] == sorted([node.id, *neighbors_in_range(node, nodes, r)])
-                for i, d2 in hits:
-                    o = nodes[-1 - i].position
+            found = self.pair_map(grid)
+            assert set(found) == {(n.id, j) for n in nodes
+                                  for j in neighbors_in_range(n, nodes, r) if n.id < j}
+            for (a, b), d2 in found.items():
+                # equal to the squared distance summed from either end
+                for p, o in ((by_id[a], by_id[b]), (by_id[b], by_id[a])):
                     dx, dy, dz = o.x - p.x, o.y - p.y, o.z - p.z
                     assert d2 == dx * dx + dy * dy + dz * dz
 
     def test_exact_range_kept_across_cell_edges(self):
-        xs = [0.0, 150.0, 300.0, -75.0, 75.0, 225.0]
-        grid = CellGrid(((i, x, 0.0, 0.0) for i, x in enumerate(xs)), 150.0)
-        assert [i for i, _ in grid.within(150.0, 0.0, 0.0)] == [0, 1, 2, 4, 5]
-        assert [i for i, _ in grid.within(-75.0, 0.0, 0.0)] == [0, 3, 4]
-        assert [i for i, _ in grid.within(0.0, 0.0, 150.0)] == [0]
-        assert grid.within(0.0, 0.0, 150.0 + 1e-9) == []
+        # the cell side is a hair wider than r = 150, so 150.0 and 300.0 fall
+        # in cells 0 and 1, and -75.0 / 75.0 in cells -1 and 0, on each axis
+        coords = [0.0, 150.0, 300.0, -75.0, 75.0, 225.0]
+        for axis in range(3):
+            def point(pid, coord):
+                xyz = [0.0, 0.0, 0.0]
+                xyz[axis] = coord
+                return (pid, *xyz)
+
+            found = self.pair_map(CellGrid([point(i, c) for i, c in enumerate(coords)], 150.0))
+            assert sorted(found) == [(0, 1), (0, 3), (0, 4), (1, 2), (1, 4), (1, 5),
+                                     (2, 5), (3, 4), (4, 5)]
+            assert found[0, 1] == found[1, 2] == found[3, 4] == 150.0 * 150.0
+            assert list(CellGrid([point(0, 0.0), point(1, 150.0 + 1e-9)], 150.0).pairs()) == []
 
     def test_rejects_nonpositive_range(self):
         with pytest.raises(ValueError):
