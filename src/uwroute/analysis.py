@@ -2,11 +2,11 @@
 
 Given fixed positions, per-node ordered candidate lists and per-link delivery
 probabilities, computes the expected delivery probability to any sink, the
-expected end-to-end delay, per-node traffic and energy, and the network
-lifetime. It assumes the candidates of a packet coordinate perfectly: the
-highest-priority candidate whose link succeeded forwards, everyone else stays
-silent. Used as an independent oracle against Monte-Carlo simulation of the
-same snapshot.
+expected end-to-end delay, per-node traffic and energy, and each node's
+projected lifetime; the network lifetime is the least of these. It assumes
+the candidates of a packet coordinate perfectly: the highest-priority
+candidate whose link succeeded forwards, everyone else stays silent. Used
+as an independent oracle against Monte-Carlo simulation of the same snapshot.
 
 Every candidate must be strictly shallower than its sender, so the candidate
 graph is a depth-ordered DAG and the whole model is one pass over it (see
@@ -83,14 +83,6 @@ def candidate_forward_prob(p_list, j: int) -> float:
     for k in range(j - 1):
         prob *= 1.0 - p_list[k]
     return prob
-
-
-def one_hop_delivery_prob(p_list) -> float:
-    """Probability at least one candidate receives: 1 - prod(1 - p)."""
-    miss = 1.0
-    for p in p_list:
-        miss *= 1.0 - p
-    return 1.0 - miss
 
 
 def _link_p_vector(topo: StaticTopology, sender: int) -> list[float]:
@@ -208,20 +200,6 @@ def node_energy(topo: StaticTopology, node: int, traffic: dict | None = None) ->
     for nb in topo.neighbors.get(node, ()):
         energy += traffic[nb] * spp * topo.rx_power_w
     return energy
-
-
-def network_lifetime(topo: StaticTopology, run_time_s: float, initial_energy_j: float) -> float:
-    """Minimum over sensor nodes of initial energy divided by drain rate;
-    infinity when nothing consumed any energy."""
-    traffic = outgoing_traffic(topo)
-    lifetimes = []
-    for nid in topo.kinds:
-        if topo.is_sink(nid):
-            continue
-        e = node_energy(topo, nid, traffic)
-        if e > 0.0:
-            lifetimes.append(initial_energy_j * run_time_s / e)
-    return min(lifetimes) if lifetimes else float("inf")
 
 
 def load_snapshot(source) -> StaticTopology:

@@ -109,10 +109,15 @@ class ScenarioConfig:
             raise ConfigError("world.n_sources cannot exceed world.n_sensors")
         if self.max_list_length < self.initial_list_length:
             raise ConfigError("protocol.max_list_length below protocol.initial_list_length")
-        if not math.isfinite(self.mobility_speed_mps * self.mobility_tick_s):
+        step = self.mobility_speed_mps * self.mobility_tick_s
+        if not math.isfinite(step):
             raise ConfigError(
                 f"world.mobility_speed_mps = {self.mobility_speed_mps!r} times "
                 f"world.mobility_tick_s = {self.mobility_tick_s!r} overflows the mobility step")
+        for axis, side in zip("xyz", self.region):  # as `world._reflect` folds a step
+            if not math.isfinite(2.0 * side + step):
+                raise ConfigError(f"world.region_{axis}_m = {side!r}: twice the side plus "
+                                  f"the mobility step {step!r} overflows")
         if self.holding_k_s is not None and self.holding_k_s > 2.0 * self.t_max_s:
             raise ConfigError(
                 f"protocol.holding_k_s = {self.holding_k_s} exceeds 2*t_max = {2.0 * self.t_max_s}"

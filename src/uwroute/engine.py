@@ -5,7 +5,8 @@ everything: packet arrivals, hold expiries, mobility and hello ticks, source
 generation and list-length reviews, each a bound `_handle_*` method called
 with its args. Time ties go to the earlier insertion, so handlers are never
 compared, and identical (config, seed) pairs replay the same event sequence.
-The engine holds no protocol state: a review hands qlfr the delivery count.
+The engine holds no protocol state: a review hands qlfr the delivery count
+and traces the (length, window delivery ratio) that qlfr returns on a change.
 Losses come solely from per-link Bernoulli draws against `channel.link_model`;
 there is no MAC model. The first broadcast (or `in_range` call) after a move
 builds every node's link table in one sweep over the in-range pairs of a
@@ -18,11 +19,11 @@ one place positions change during a run, and at the end of `run`.
 
 Energy accounting: a transmit costs tx_power * M/mu, a reception costs
 rx_power * M/mu and is charged to every in-range sensor per arriving data
-packet, corrupt or not (the carrier is occupied either way). An operation a
-node cannot fully pay for kills it instead; dead nodes neither send nor
-receive. Sinks are surface-powered and outside the energy model. Hello
-broadcasts are treated as free, so the data-only analytical energy model
-stays comparable.
+packet, corrupt or not (the carrier is occupied either way). Both go
+through one debit, and an operation a node cannot fully pay for kills it
+instead; dead nodes neither send nor receive. Sinks are surface-powered and
+outside the energy model. Hello broadcasts are treated as free, so the
+data-only analytical energy model stays comparable.
 """
 
 import math
@@ -34,8 +35,7 @@ from . import channel as chan
 from .config import ScenarioConfig
 from .dbr import DbrProtocol
 from .qcore import QParams
-from .qlfr import (Deliver, Drop, HoldingParams, PacketHeader, QlfrProtocol,
-                   Schedule, SuppressionState)
+from .qlfr import Deliver, Drop, HoldingParams, PacketHeader, QlfrProtocol, Schedule
 from .world import CellGrid, NodeState, deploy, random_walk_step
 
 _HELLO_BOOTSTRAP_S = 1.0
@@ -107,8 +107,8 @@ class Simulation:
             self.protocol = QlfrProtocol(
                 QParams(config.gamma, config.alpha), self.holding,
                 d_max=config.d_max_m, staleness_s=config.staleness_s,
-                suppression=SuppressionState(config.initial_list_length, config.pdr_threshold,
-                                             max_list_length=config.max_list_length))
+                list_length=config.initial_list_length,
+                max_list_length=config.max_list_length, pdr_threshold=config.pdr_threshold)
         else:
             self.protocol = DbrProtocol(config.t_max_s, config.tx_range_m)
 
@@ -155,25 +155,22 @@ class Simulation:
         if self.trace is not None:
             self._emit("death", node=node.id)
 
-    def _charge_tx(self, node: NodeState) -> bool:
-        if node.residual_energy_j < self._tx_cost:
+    def _debit(self, node: NodeState, cost: float) -> bool:
+        """Take `cost` joules from `node`; kills it instead when it cannot pay."""
+        if node.residual_energy_j < cost:
             self._die(node)
             return False
-        node.residual_energy_j -= self._tx_cost
-        node.tx_seconds += self._spp
-        node.consumed_j += self._tx_cost
+        node.residual_energy_j -= cost
+        node.consumed_j += cost
         return True
 
     def receive_energy_accounting(self, node: NodeState) -> bool:
         """Charge one packet reception; kills the node when it cannot pay."""
         if node.is_sink:
             return True
-        if node.residual_energy_j < self._rx_cost:
-            self._die(node)
+        if not self._debit(node, self._rx_cost):
             return False
-        node.residual_energy_j -= self._rx_cost
         node.rx_seconds += self._spp
-        node.consumed_j += self._rx_cost
         return True
 
     # --- neighbour queries ---
@@ -209,8 +206,9 @@ class Simulation:
         """Broadcast: one arrival per in-range living node, each independently
         marked delivered or corrupt by a Bernoulli draw on the link."""
         if not pkt.is_hello:
-            if not self._charge_tx(sender):
+            if not self._debit(sender, self._tx_cost):
                 return
+            sender.tx_seconds += self._spp
         if self.trace is not None:
             self._emit("tx", node=sender.id, key=None if pkt.is_hello else pkt.key,
                        hello=pkt.is_hello, plist=list(pkt.priority_list))
@@ -315,9 +313,9 @@ class Simulation:
         trace the new length when the review changes it."""
         self.schedule(self.now + self.config.suppression_interval_s,
                       self._handle_suppression_review)
-        new = self.protocol.review(len(self.delivered_at))
-        if new is not None and self.trace is not None:
-            self._emit("list-length", value=new, pdr=self.protocol.suppression.observed_pdr)
+        change = self.protocol.review(len(self.delivered_at))
+        if change is not None and self.trace is not None:
+            self._emit("list-length", value=change[0], pdr=change[1])
 
     # --- run loop ---
 

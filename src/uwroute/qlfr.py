@@ -1,6 +1,6 @@
 """Q-learning anypath routing on a forwarding core shared with dbr: priority
 lists, holding times, duplicate and overhear suppression, and the adaptive
-multipath suppression scheme.
+list length.
 
 Every header, hello or data, advertises its sender's <V-value, depth,
 residual energy> as one `RoutingKnowledge`, which receivers store as sent.
@@ -9,13 +9,13 @@ r + gamma * V(neighbor) computed from that knowledge, embeds the top
 `list_length` of them as a priority list, and updates its own stored Q toward
 that target when it transmits, before the header is built. Receivers schedule
 their forward after a holding time proportional to their list position;
-overhearing any copy of a held packet cancels the pending forward.
+`ForwardingCore.on_receive` cancels the held forward on overhearing any copy.
 
 The list length adapts to the delivery ratio at the sinks, which count a
 source's generated packets as its highest seq received plus one. A periodic
-`QlfrProtocol.review` that changes the length hands every source a one-step
-(step, epoch) directive, carried once by its next packet and taken up by the
-relays that packet lists.
+`QlfrProtocol.review` steps the length by one against the threshold; a
+change hands every source a one-step (step, epoch) directive, carried once
+by its next packet and taken up by the relays that packet lists.
 """
 
 from dataclasses import dataclass
@@ -72,31 +72,6 @@ def holding_time(n: int, params: HoldingParams) -> float:
     return params.k * (n - 1)
 
 
-@dataclass
-class SuppressionState:
-    """Sink-side view of the adaptive priority-list length."""
-
-    current_list_length: int = 2
-    pdr_threshold: float = 0.9
-    observed_pdr: float = 1.0
-    max_list_length: int = 4
-
-
-def suppression_adjust(state: SuppressionState, delivered: int, total_generated: int) -> int:
-    """Recompute the observed delivery ratio and shrink or grow the list
-    length by one step: above threshold trades redundancy for energy, below
-    threshold trades energy for reliability. Returns the new length.
-    """
-    if total_generated <= 0:
-        raise ValueError("total_generated must be > 0")
-    state.observed_pdr = delivered / total_generated
-    if state.observed_pdr > state.pdr_threshold:
-        state.current_list_length = max(1, state.current_list_length - 1)
-    elif state.observed_pdr < state.pdr_threshold:
-        state.current_list_length = min(state.max_list_length, state.current_list_length + 1)
-    return state.current_list_length
-
-
 # --- receive-side actions -------------------------------------------------
 
 @dataclass(frozen=True)
@@ -149,12 +124,6 @@ def candidate_scorer(sender: NodeState, d_max: float, qparams: QParams):
     return score
 
 
-def candidate_score(sender: NodeState, kn: RoutingKnowledge, d_max: float,
-                    qparams: QParams) -> float:
-    """Ranking value r + gamma * V for one advertised neighbor."""
-    return candidate_scorer(sender, d_max, qparams)(kn)
-
-
 def build_priority_list(sender: NodeState, d_max: float, list_length: int,
                         qparams: QParams, now: float, staleness_s: float) -> list[int]:
     """Ordered forwarding candidates: fresh neighbors strictly shallower than
@@ -171,21 +140,11 @@ def build_priority_list(sender: NodeState, d_max: float, list_length: int,
     return [nid for _, nid in scored[:list_length]]
 
 
-def on_overhear_during_hold(node: NodeState, pkt_key: tuple[int, int]) -> bool:
-    """Cancel a pending forward for pkt_key, if any. A cancelled packet goes
-    into the duplicate cache so later copies are not rescheduled.
-    """
-    if pkt_key in node.pending:
-        del node.pending[pkt_key]
-        node.duplicate_cache.add(pkt_key)
-        return True
-    return False
-
-
 class ForwardingCore:
     """Anypath receive and hold-expiry rules shared by qlfr and dbr; all node
     state lives on the NodeState objects. A copy is delivered at a sink,
-    suppressed when overheard while held, dropped as already forwarded or
+    suppressed when overheard while held (the held forward is cancelled and
+    the key enters the duplicate cache), dropped as already forwarded or
     duplicate, or held; an expired hold sends the packet or voids it.
 
     The core builds every data header: the held packet's key and list-length
@@ -219,7 +178,8 @@ class ForwardingCore:
             self.at_sink(pkt)
             return Deliver()
         key = pkt.key
-        if on_overhear_during_hold(node, key):
+        if node.pending.pop(key, None) is not None:  # overheard while held
+            node.duplicate_cache.add(key)  # later copies are not rescheduled
             return Drop("suppressed")
         if key in node.forwarded_cache:
             return Drop("already-forwarded")
@@ -269,13 +229,16 @@ class QlfrProtocol(ForwardingCore):
     uses_hello = True
 
     def __init__(self, qparams: QParams, holding: HoldingParams, d_max: float,
-                 staleness_s: float, suppression: SuppressionState):
+                 staleness_s: float, list_length: int, max_list_length: int,
+                 pdr_threshold: float):
         super().__init__()
         self.qparams = qparams
         self.holding = holding
         self.d_max = d_max
         self.staleness_s = staleness_s
-        self.suppression = suppression
+        self.list_length = list_length  # the sinks' current length
+        self.max_list_length = max_list_length
+        self.pdr_threshold = pdr_threshold
         self._q_lo, self._q_hi = qcore.q_bounds(qparams)
         self._generated: dict[int, int] = {}  # source id -> highest seq at a sink + 1
         self._reviewed = (0, 0)  # (delivered, generated) at the last review
@@ -301,28 +264,33 @@ class QlfrProtocol(ForwardingCore):
     def _apply_directive(self, node: NodeState, directive: int, epoch: int) -> None:
         if directive and epoch > node.suppression_epoch:
             node.suppression_epoch = epoch
-            node.list_length = min(self.suppression.max_list_length,
-                                   max(1, node.list_length + directive))
+            node.list_length = self._clamp(node.list_length + directive)
+
+    def _clamp(self, length: int) -> int:
+        return min(self.max_list_length, max(1, length))
 
     def at_sink(self, pkt: PacketHeader) -> None:
         src = pkt.source_id
         self._generated[src] = max(self._generated.get(src, 0), pkt.seq + 1)
 
-    def review(self, delivered: int) -> int | None:
+    def review(self, delivered: int) -> tuple[int, float] | None:
         """Step the list length by the delivery ratio since the last review,
-        given the unique packets the sinks have `delivered` so far; a change
-        replaces any directive not yet sent. Returns the new length, or None."""
+        given the unique packets the sinks have `delivered` so far: down above
+        the threshold, up below it. A change replaces any directive not yet
+        sent. Returns (new length, window delivery ratio), or None."""
         generated = sum(self._generated.values())
         window = generated - self._reviewed[1]
         if window <= 0:
             return None
-        old = self.suppression.current_list_length
-        new = suppression_adjust(self.suppression, delivered - self._reviewed[0], window)
+        pdr = (delivered - self._reviewed[0]) / window
         self._reviewed = (delivered, generated)
+        old, threshold = self.list_length, self.pdr_threshold
+        new = self._clamp(old + (pdr < threshold) - (pdr > threshold))
         if new == old:
             return None
+        self.list_length = new
         self._directive = (new - old, self._directive[1] + 1)
-        return new
+        return new, pdr
 
     def originate(self, source: NodeState, seq: int, now: float) -> PacketHeader | None:
         directive, epoch = self._directive

@@ -14,8 +14,8 @@ from mc_oracle import run_trials
 from uwroute import analysis
 from uwroute.analysis import (StaticTopology, TopologyError, candidate_forward_prob,
                               delivery_prob_to_sink, expected_delay_to_sink,
-                              expected_holding_time, network_lifetime, node_energy,
-                              one_hop_delivery_prob, outgoing_traffic)
+                              expected_holding_time, node_energy, outgoing_traffic,
+                              per_node_report)
 
 
 def line_topology(p1=0.9, p2=0.9, spacing=120.0):
@@ -69,7 +69,7 @@ class TestCandidateForwardProb:
     @given(st.lists(st.floats(0, 1), min_size=1, max_size=8))
     def test_identity_sums_to_union(self, probs):
         total = sum(candidate_forward_prob(probs, j) for j in range(1, len(probs) + 1))
-        assert total == pytest.approx(one_hop_delivery_prob(probs), abs=1e-12)
+        assert total == pytest.approx(1.0 - math.prod(1.0 - p for p in probs), abs=1e-12)
 
 
 class TestDeliveryProb:
@@ -287,6 +287,15 @@ class TestNodeEnergy:
 
 
 class TestNetworkLifetime:
+    """The network lifetime is the least `lifetime_s` of `per_node_report`'s
+    rows, as `uwroute analyze` aggregates it."""
+
+    @staticmethod
+    def lifetimes(topo, run_time_s=100.0, initial_energy_j=100.0):
+        """id -> projected lifetime of every row."""
+        return {r["id"]: r["lifetime_s"]
+                for r in per_node_report(topo, run_time_s, initial_energy_j)}
+
     def test_direct_ratio(self):
         # node consuming 1 J over 100 s with 100 J initial: 1e4 s
         topo = StaticTopology(
@@ -296,22 +305,30 @@ class TestNetworkLifetime:
             neighbors={0: (), 1: (0,)},
             gen_packets={0: 1.0 / (0.0512 * 2.0)},  # exactly 1 J of transmit
             holding=HOLDING, region_z_m=200.0)
-        assert network_lifetime(topo, 100.0, 100.0) == pytest.approx(1e4)
+        lifetimes = self.lifetimes(topo)
+        assert lifetimes[0] == pytest.approx(1e4)
+        assert min(lifetimes.values()) == lifetimes[0]
 
     def test_doubling_traffic_halves_lifetime(self):
+        # chain3: the source sends 100 packets and overhears the relay's 95
+        # (12.672 J); the relay sends 95 and overhears 100 (12.288 J)
         topo, _ = chain3()
-        base = network_lifetime(topo, 100.0, 100.0)
-        doubled = dataclasses.replace(topo, gen_packets={0: 200.0})
-        assert network_lifetime(doubled, 100.0, 100.0) == pytest.approx(base / 2)
+        base = self.lifetimes(topo)
+        assert base[0] == pytest.approx(1e4 / 12.672)
+        assert base[1] == pytest.approx(1e4 / 12.288)
+        assert min(base.values()) == base[0]
+        doubled = self.lifetimes(dataclasses.replace(topo, gen_packets={0: 200.0}))
+        assert min(doubled.values()) == pytest.approx(base[0] / 2)
 
     def test_sinks_never_constrain(self):
         topo, _ = chain3()
-        lifetime = network_lifetime(topo, 100.0, 100.0)
+        lifetimes = self.lifetimes(topo)
+        assert lifetimes[2] == float("inf")
         for nid in topo.kinds:
             if topo.kinds[nid] != "sink":
                 e = node_energy(topo, nid)
                 if e > 0:
-                    assert lifetime <= 100.0 * 100.0 / e + 1e-9
+                    assert min(lifetimes.values()) <= 100.0 * 100.0 / e + 1e-9
 
     def test_idle_network_sentinel(self):
         topo = StaticTopology(
@@ -319,7 +336,7 @@ class TestNetworkLifetime:
             positions={0: (0, 0, 0), 1: (0, 0, 200)},
             candidates={0: ()}, link_prob={}, neighbors={0: (), 1: ()},
             gen_packets={}, holding=HOLDING, region_z_m=200.0)
-        assert network_lifetime(topo, 100.0, 100.0) == float("inf")
+        assert self.lifetimes(topo) == {0: float("inf"), 1: float("inf")}
 
 
 class TestSnapshotLoading:
@@ -345,8 +362,7 @@ class TestSnapshotLoading:
             assert 0.0 <= p <= 1.0
         rows = analysis.per_node_report(topo, cfg.max_sim_time_s, cfg.initial_node_energy_j)
         assert len(rows) == 43
-        lifetime = network_lifetime(topo, cfg.max_sim_time_s, cfg.initial_node_energy_j)
-        assert lifetime > 0.0
+        assert min(r["lifetime_s"] for r in rows) > 0.0
 
     def test_candidate_on_its_sender(self):
         # source 0 lists sensor 1, which shares its position 100 m below sink

@@ -2,6 +2,7 @@
 reproducibility of emitted files."""
 
 import csv
+import dataclasses
 import hashlib
 import json
 import math
@@ -9,7 +10,7 @@ import statistics
 
 import pytest
 
-from uwroute import analysis, cli
+from uwroute import cli
 from uwroute.cli import aggregate_sweep, run_sweep
 from uwroute.config import (ConfigError, ScenarioConfig, effective_config_text,
                             parse_config, parse_config_text, set_key)
@@ -261,18 +262,32 @@ class TestCliVerbs:
         assert "network_lifetime_s" in aggregates
 
     def test_analyze_lifetime_is_the_model_network_lifetime(self, tmp_path):
-        out = tmp_path / "results"
-        assert cli.main(["run", "--config", self.write_config(tmp_path), "--out", str(out)]) == 0
-        out2 = tmp_path / "analysis"
-        assert cli.main(["analyze", "--snapshot", str(out / "snapshot.json"),
-                         "--out", str(out2)]) == 0
-        snap = json.loads((out / "snapshot.json").read_text())
-        expected = analysis.network_lifetime(analysis.load_snapshot(snap),
-                                             snap["run"]["duration_s"],
-                                             snap["params"]["initial_node_energy_j"])
-        aggregates = json.loads((out2 / "aggregates.json").read_text())
-        assert 0.0 < expected < math.inf
-        assert aggregates["network_lifetime_s"] == expected
+        # source 0 sends 10 packets of 0.05 s at 2 W straight to sink 1: 1 J;
+        # sensor 2, in range of the source only, overhears them at 0.5 W:
+        # 0.25 J. Over 100 s with 100 J each: 1e4 s and 4e4 s.
+        nodes = [{"id": 0, "kind": "source", "x": 0.0, "y": 0.0, "z": 0.0,
+                  "generated": 10, "candidates": [1]},
+                 {"id": 1, "kind": "sink", "x": 0.0, "y": 0.0, "z": 100.0,
+                  "generated": 0, "candidates": []},
+                 {"id": 2, "kind": "sensor", "x": 0.0, "y": 140.0, "z": 0.0,
+                  "generated": 0, "candidates": []}]
+        params = {"protocol": "qlfr", "tx_range_m": 150.0, "sound_speed_mps": 1500.0,
+                  "holding_h": 4, "tx_power_w": 2.0, "rx_power_w": 0.5,
+                  "seconds_per_packet": 0.05, "initial_node_energy_j": 100.0,
+                  "channel": dataclasses.asdict(ScenarioConfig().channel_params(1e-3))}
+        snap = tmp_path / "snapshot.json"
+        snap.write_text(json.dumps({"params": params, "nodes": nodes,
+                                    "run": {"duration_s": 100.0, "now_s": 100.0}}))
+        out = tmp_path / "analysis"
+        assert cli.main(["analyze", "--snapshot", str(snap), "--out", str(out)]) == 0
+        rows = {int(r["id"]): r for r in csv.DictReader((out / "per_node.csv").open())}
+        assert float(rows[0]["lifetime_s"]) == pytest.approx(1e4, rel=1e-12)
+        assert float(rows[1]["lifetime_s"]) == math.inf
+        assert float(rows[2]["lifetime_s"]) == pytest.approx(4e4, rel=1e-12)
+        aggregates = json.loads((out / "aggregates.json").read_text())
+        assert aggregates["network_lifetime_s"] == pytest.approx(1e4, rel=1e-12)
+        assert aggregates["network_lifetime_s"] == float(rows[0]["lifetime_s"])
+        assert aggregates["total_energy_j"] == pytest.approx(1.25, rel=1e-12)
 
     @pytest.mark.parametrize("run_time", ["-5", "0"])
     def test_analyze_refuses_nonpositive_run_time(self, tmp_path, capsys, run_time):
@@ -363,6 +378,24 @@ class TestCliVerbs:
         with pytest.raises(ConfigError, match=r"world\.mobility_speed_mps"):
             ScenarioConfig(mobility_speed_mps=1e308).validate()
         ScenarioConfig(mobility_speed_mps=1e300).validate()  # a finite step passes
+
+    def test_overflowing_region_is_refused(self, tmp_path, capsys):
+        # twice a 1e308 m side overflows, so a wall reflection would leave
+        # an infinite coordinate
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text("world.n_sensors = 10\n"
+                       + "".join(f"world.region_{a}_m = 1e308\n" for a in "xyz")
+                       + "world.mobility_speed_mps = 1e307\nrun.max_sim_time_s = 30\n")
+        rc = cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "x")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "world.region_x_m" in err
+        assert not (tmp_path / "x").exists()
+        with pytest.raises(ConfigError, match=r"world\.region_z_m"):
+            ScenarioConfig(region_z_m=8e307, mobility_speed_mps=1e307).validate()
+        ScenarioConfig(region_z_m=8e307, mobility_speed_mps=0.0).validate()  # no overflow
+        ScenarioConfig(region_x_m=1e300, region_y_m=1e300, region_z_m=1e300,
+                       mobility_speed_mps=1e300).validate()
 
     def test_bad_config_is_reported(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"

@@ -8,7 +8,7 @@ from uwroute.dbr import DbrProtocol, dbr_holding_time
 from uwroute.engine import Simulation
 from uwroute.qcore import QParams
 from uwroute.qlfr import (Deliver, Drop, HoldingParams, Ignore, PacketHeader,
-                          QlfrProtocol, Schedule, SuppressionState)
+                          QlfrProtocol, Schedule)
 from uwroute.world import NodePosition, NodeState, RoutingKnowledge
 
 
@@ -54,7 +54,8 @@ class TestDepthRule:
 
 def qlfr_protocol():
     return QlfrProtocol(QParams(gamma=0.8, alpha=0.5), HoldingParams(4, 0.1), d_max=150.0,
-                        staleness_s=20.0, suppression=SuppressionState(max_list_length=4))
+                        staleness_s=20.0, list_length=2, max_list_length=4,
+                        pdr_threshold=0.9)
 
 
 def dbr_protocol():

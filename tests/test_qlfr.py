@@ -10,9 +10,8 @@ from hypothesis import given, settings, strategies as st
 from uwroute import qcore
 from uwroute.qcore import QParams
 from uwroute.qlfr import (Deliver, Drop, HoldingParams, Ignore, PacketHeader,
-                          QlfrProtocol, Schedule, SuppressionState,
-                          build_priority_list, candidate_score, holding_time,
-                          on_overhear_during_hold, suppression_adjust)
+                          PendingForward, QlfrProtocol, Schedule, build_priority_list,
+                          candidate_scorer, holding_time)
 from uwroute.world import NodePosition, NodeState, RoutingKnowledge
 
 QP = QParams(gamma=0.8, alpha=0.5)
@@ -28,9 +27,9 @@ def make_node(node_id=0, depth=100.0, region_z=300.0, kind="sensor", e_res=None)
     return node
 
 
-def protocol(h=4, t_max=0.1, max_list=4):
+def protocol(h=4, t_max=0.1, length=2, max_list=4, threshold=0.9):
     return QlfrProtocol(QP, HoldingParams(h, t_max), d_max=D_MAX, staleness_s=STALE,
-                        suppression=SuppressionState(max_list_length=max_list))
+                        list_length=length, max_list_length=max_list, pdr_threshold=threshold)
 
 
 def data_header(sender: NodeState, plist, source_id=9, seq=0, directive=0, epoch=0):
@@ -105,8 +104,9 @@ class TestPriorityList:
             1: (RoutingKnowledge(-5.0 / 6.0, 50.0, 100.0), 0.0),  # A
             2: (RoutingKnowledge(-1.0 / 6.0, 60.0, 100.0), 0.0),  # B
         }
-        assert candidate_score(sender, sender.neighbor_knowledge[1][0], D_MAX, QP) == pytest.approx(-1.0)
-        assert candidate_score(sender, sender.neighbor_knowledge[2][0], D_MAX, QP) == pytest.approx(-0.5)
+        score = candidate_scorer(sender, D_MAX, QP)
+        assert score(sender.neighbor_knowledge[1][0]) == pytest.approx(-1.0)
+        assert score(sender.neighbor_knowledge[2][0]) == pytest.approx(-0.5)
         assert build_priority_list(sender, D_MAX, 2, QP, now=1.0, staleness_s=STALE) == [2, 1]
 
     def test_filters_deeper_neighbors(self):
@@ -124,8 +124,8 @@ class TestPriorityList:
             knowledge[nid] = (RoutingKnowledge(0.0, depth, 100.0), 0.0)
         sender.neighbor_knowledge = dict(knowledge)
         got = build_priority_list(sender, D_MAX, 3, QP, now=0.0, staleness_s=STALE)
-        scores = {nid: candidate_score(sender, kn, D_MAX, QP)
-                  for nid, (kn, _) in knowledge.items()}
+        score = candidate_scorer(sender, D_MAX, QP)
+        scores = {nid: score(kn) for nid, (kn, _) in knowledge.items()}
         oracle = sorted(scores, key=lambda nid: (-scores[nid], nid))[:3]
         assert got == oracle
         assert len(got) == 3
@@ -221,7 +221,7 @@ class TestRankingReference:
             fresh = {nid: kn for nid, (kn, heard) in knowledge.items()
                      if now - heard <= STALE}
             assert sender.neighbor_knowledge == {nid: knowledge[nid] for nid in fresh}
-            scores = {nid: candidate_score(sender, kn, D_MAX, qparams)
+            scores = {nid: candidate_scorer(sender, D_MAX, qparams)(kn)
                       for nid, kn in fresh.items() if kn.depth_m < sender.depth}
             assert got == sorted(scores, key=lambda nid: (-scores[nid], nid))[:length]
 
@@ -301,22 +301,43 @@ class TestOnReceive:
 
 
 class TestOverhear:
+    """A copy overheard while its packet is held cancels the hold, and the key
+    enters the duplicate cache so that later copies are not rescheduled."""
+
+    @staticmethod
+    def held(proto, key):
+        node = make_node(node_id=5, depth=50.0)
+        pkt = data_header(make_node(node_id=1, depth=100.0), plist=[5], seq=key[1])
+        assert pkt.key == key
+        proto.on_receive(node, pkt, now=3.0)
+        assert isinstance(node.pending[key], PendingForward)
+        return node
+
     def test_cancel_pending(self):
-        node = make_node(node_id=5)
-        node.pending[(9, 0)] = object()
-        assert on_overhear_during_hold(node, (9, 0)) is True
+        proto = protocol()
+        node = self.held(proto, (9, 0))
+        copy = data_header(make_node(node_id=8, depth=70.0), plist=[2], seq=0)
+        assert proto.on_receive(node, copy, now=3.02) == Drop("suppressed")
         assert (9, 0) not in node.pending
         assert (9, 0) in node.duplicate_cache
 
     def test_keep_on_key_mismatch(self):
-        node = make_node(node_id=5)
-        node.pending[(9, 0)] = object()
-        assert on_overhear_during_hold(node, (9, 1)) is False
+        proto = protocol()
+        node = self.held(proto, (9, 0))
+        other = data_header(make_node(node_id=8, depth=70.0), plist=[2], seq=1)
+        assert proto.on_receive(node, other, now=3.02) == Drop("not-candidate")
         assert (9, 0) in node.pending
+        assert (9, 1) not in node.duplicate_cache
 
     def test_no_effect_after_expiry(self):
-        node = make_node(node_id=5)
-        assert on_overhear_during_hold(node, (9, 0)) is False
+        proto = protocol()
+        node = self.held(proto, (9, 0))
+        node.neighbor_knowledge = {2: (RoutingKnowledge(0.0, 10.0, 100.0), 3.0)}
+        token = node.pending[(9, 0)].token
+        assert proto.on_hold_expire(node, (9, 0), token, now=3.0)[0] == "send"
+        copy = data_header(make_node(node_id=2, depth=10.0), plist=[1], seq=0)
+        assert proto.on_receive(node, copy, now=3.1) == Drop("already-forwarded")
+        assert (9, 0) not in node.duplicate_cache
 
 
 class TestHoldExpire:
@@ -371,28 +392,44 @@ class TestHoldExpire:
 
 
 class TestSuppressionAdjust:
+    """`QlfrProtocol.review` steps the sinks' list length by one against the
+    delivery-ratio threshold of the window since the last review."""
+
+    @staticmethod
+    def reviewed(delivered, generated, **kwargs):
+        """The review of `delivered` of `generated` packets, and the protocol."""
+        proto = protocol(**kwargs)
+        sink = make_node(node_id=20, depth=0.0, kind="sink")
+        pkt = data_header(make_node(node_id=1, depth=100.0), plist=[20], seq=generated - 1)
+        assert proto.on_receive(sink, pkt, now=1.0) == Deliver()
+        return proto.review(delivered), proto
+
     def test_shrinks_above_threshold(self):
-        state = SuppressionState(current_list_length=3, pdr_threshold=0.9)
-        assert suppression_adjust(state, delivered=95, total_generated=100) == 2
-        assert state.observed_pdr == pytest.approx(0.95)
+        change, proto = self.reviewed(95, 100, length=3, threshold=0.9)
+        assert change == (2, 0.95)
+        assert proto.list_length == 2
 
     def test_grows_below_threshold(self):
-        state = SuppressionState(current_list_length=2, pdr_threshold=0.9)
-        assert suppression_adjust(state, delivered=80, total_generated=100) == 3
+        change, proto = self.reviewed(80, 100, length=2, threshold=0.9)
+        assert change == (3, 0.8)
+        assert proto.list_length == 3
 
     def test_boundary_leaves_unchanged(self):
-        state = SuppressionState(current_list_length=2, pdr_threshold=0.9)
-        assert suppression_adjust(state, delivered=90, total_generated=100) == 2
+        change, proto = self.reviewed(90, 100, length=2, threshold=0.9)
+        assert change is None
+        assert proto.list_length == 2
 
     def test_floor_and_cap(self):
-        state = SuppressionState(current_list_length=1, pdr_threshold=0.5, max_list_length=4)
-        assert suppression_adjust(state, 100, 100) == 1
-        state = SuppressionState(current_list_length=4, pdr_threshold=0.5, max_list_length=4)
-        assert suppression_adjust(state, 0, 100) == 4
+        change, proto = self.reviewed(100, 100, length=1, threshold=0.5, max_list=4)
+        assert change is None and proto.list_length == 1
+        change, proto = self.reviewed(0, 100, length=4, threshold=0.5, max_list=4)
+        assert change is None and proto.list_length == 4
 
     def test_rejects_zero_total(self):
-        with pytest.raises(ValueError):
-            suppression_adjust(SuppressionState(), 1, 0)
+        # no packet generated since the last review: no ratio, no step
+        proto = protocol(length=3)
+        assert proto.review(delivered=1) is None
+        assert proto.list_length == 3
 
 
 class TestDirective:
@@ -445,23 +482,21 @@ class TestReview:
     def test_empty_window_returns_none_and_does_not_advance(self):
         proto = protocol()
         assert proto.review(delivered=0) is None
-        assert proto.suppression.current_list_length == 2
+        assert proto.list_length == 2
         self.sink_receives(proto, seq=9)
-        assert proto.review(delivered=6) == 3  # 6 of 10
+        assert proto.review(delivered=6) == (3, 0.6)  # 6 of 10
         # a late copy of an older seq adds a delivery but no generated packet
         assert proto.review(delivered=7) is None
-        assert proto.suppression.observed_pdr == pytest.approx(0.6)
         self.sink_receives(proto, seq=19)
         # the window runs from the last review that saw packets: 10 of 10
-        assert proto.review(delivered=16) == 2
-        assert proto.suppression.observed_pdr == pytest.approx(1.0)
+        assert proto.review(delivered=16) == (2, 1.0)
 
     def test_changing_review_reaches_each_source_once(self):
         proto = protocol()
         a, b = self.source(7), self.source(8)
         assert self.directive(proto.originate(a, 0, now=1.0)) == (0, 0)
         self.sink_receives(proto, seq=9)
-        assert proto.review(delivered=5) == 3
+        assert proto.review(delivered=5) == (3, 0.5)
         assert self.directive(proto.originate(a, 1, now=2.0)) == (1, 1)
         assert a.list_length == 3
         assert self.directive(proto.originate(a, 2, now=3.0)) == (0, 0)
@@ -473,9 +508,9 @@ class TestReview:
         proto = protocol()
         a = self.source(7)
         self.sink_receives(proto, seq=9)
-        assert proto.review(delivered=5) == 3
+        assert proto.review(delivered=5) == (3, 0.5)
         self.sink_receives(proto, seq=19)
-        assert proto.review(delivered=15) == 2  # 10 of 10
+        assert proto.review(delivered=15) == (2, 1.0)  # 10 of 10
         assert self.directive(proto.originate(a, 0, now=1.0)) == (-1, 2)
         assert a.list_length == 1  # only the newer step applied
         assert self.directive(proto.originate(a, 1, now=2.0)) == (0, 0)
@@ -485,5 +520,4 @@ class TestReview:
         self.sink_receives(proto, seq=9, sink_id=20)
         self.sink_receives(proto, seq=9, sink_id=21)
         self.sink_receives(proto, seq=3, sink_id=21)  # older seqs add nothing
-        assert proto.review(delivered=10) == 1
-        assert proto.suppression.observed_pdr == pytest.approx(1.0)
+        assert proto.review(delivered=10) == (1, 1.0)

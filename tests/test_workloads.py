@@ -1,0 +1,28 @@
+"""The benchmark's workloads (`perfbench/workloads.py`) run through uwroute's
+public API. Each one here builds its first seed-1 input, runs it and checks
+its outputs, so a change that breaks a name or signature the benchmark uses
+fails here and not only in the benchmark itself. The engine workloads are
+shortened to 20 simulated seconds."""
+
+import sys
+from dataclasses import replace
+from pathlib import Path
+
+import pytest
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+
+import workloads  # noqa: E402
+
+SHORT_S = {"qlfr_default": 20.0, "dbr_dense_800": 20.0}
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_workload_runs_and_checks(name):
+    workload = workloads.WORKLOADS[name]
+    config = workload.inputs(1)[0]
+    if name in SHORT_S:
+        config = replace(config, max_sim_time_s=SHORT_S[name])
+    state = workload.setup(config)
+    output = workload.execute(state)
+    assert workload.check(state, output) == []
