@@ -20,6 +20,7 @@ packets.
 import json
 import math
 import os
+from collections import Counter
 from dataclasses import dataclass
 
 from . import channel as chan
@@ -115,8 +116,9 @@ def outgoing_traffic(topo: StaticTopology) -> dict:
     return traffic
 
 
-def expected_holding_time(topo: StaticTopology, node: int, traffic: dict | None = None) -> float:
-    """Expected holding time before `node` transmits one packet.
+def expected_holding_time(topo: StaticTopology, node: int, traffic: dict) -> float:
+    """Expected holding time before `node` transmits one packet, given every
+    node's `outgoing_traffic`.
 
     Per inbound sender the expectation is tau(priority) * P(forwarded by
     node); with several senders the terms are averaged with weights
@@ -126,8 +128,6 @@ def expected_holding_time(topo: StaticTopology, node: int, traffic: dict | None 
     senders = topo.senders_of(node)
     if not senders:
         return 0.0
-    if traffic is None:
-        traffic = outgoing_traffic(topo)
     weights = [traffic[s] for s, _ in senders]
     total_w = sum(weights)
     if total_w <= 0.0:
@@ -188,13 +188,12 @@ def expected_delay_to_sink(topo: StaticTopology, node: int,
     return _conditional_delay(raw_delay[node], delivery[node])
 
 
-def node_energy(topo: StaticTopology, node: int, traffic: dict | None = None) -> float:
-    """Expected energy burnt at `node`: own transmissions plus overhearing
-    every geometric neighbor's traffic. Sinks are surface-powered: 0."""
+def node_energy(topo: StaticTopology, node: int, traffic: dict) -> float:
+    """Expected energy burnt at `node` given every node's `outgoing_traffic`:
+    own transmissions plus overhearing every geometric neighbor's traffic.
+    Sinks are surface-powered: 0."""
     if topo.is_sink(node):
         return 0.0
-    if traffic is None:
-        traffic = outgoing_traffic(topo)
     spp = topo.seconds_per_packet
     energy = traffic[node] * spp * topo.tx_power_w
     for nb in topo.neighbors.get(node, ()):
@@ -202,12 +201,24 @@ def node_energy(topo: StaticTopology, node: int, traffic: dict | None = None) ->
     return energy
 
 
+def require_positive(name: str, value):
+    """`value` when it is a finite number > 0; TopologyError naming it otherwise."""
+    if type(value) not in (int, float) or not 0.0 < value < math.inf:
+        raise TopologyError(f"{name} must be a finite number > 0, got {value!r}")
+    return value
+
+
+_SCALAR_PARAMS = ("tx_range_m", "sound_speed_mps", "holding_h", "tx_power_w",
+                  "rx_power_w", "seconds_per_packet")
+
+
 def load_snapshot(source) -> StaticTopology:
     """Build a StaticTopology from an engine snapshot (dict or JSON path).
     Link probabilities are recomputed from positions and the recorded channel
     parameters; neighbor sets from positions and the range, by CellGrid.pairs.
     Snapshots of a protocol other than qlfr are refused; one that records no
-    protocol is read as qlfr."""
+    protocol is read as qlfr. So is a repeated node id, a non-finite
+    coordinate, or a scalar or channel parameter that is not finite and > 0."""
     snap = source
     if isinstance(source, (str, os.PathLike)):
         with open(source) as fh:
@@ -218,10 +229,20 @@ def load_snapshot(source) -> StaticTopology:
         raise TopologyError(
             f"snapshot of a {protocol} run has no candidate lists; "
             "the model describes qlfr priority lists only")
+    for name in _SCALAR_PARAMS:
+        require_positive(f"params.{name}", params[name])
+    for name, value in params["channel"].items():
+        require_positive(f"params.channel.{name}", value)
     cp = chan.ChannelParams(**params["channel"])
     entries = snap["nodes"]
     kinds = {e["id"]: e["kind"] for e in entries}
+    if len(kinds) != len(entries):
+        repeated = min(i for i, n in Counter(e["id"] for e in entries).items() if n > 1)
+        raise TopologyError(f"node id {repeated!r} appears more than once")
     positions = {e["id"]: (e["x"], e["y"], e["z"]) for e in entries}
+    for nid, position in positions.items():
+        if not all(map(math.isfinite, position)):
+            raise TopologyError(f"node {nid} has a non-finite coordinate {position}")
     candidates = {e["id"]: tuple(e["candidates"]) for e in entries if e["kind"] != "sink"}
     gen = {e["id"]: e["generated"] for e in entries if e.get("generated", 0) > 0}
     r = params["tx_range_m"]

@@ -187,8 +187,9 @@ def cmd_analyze(args) -> int:
         snap = json.load(fh)
     try:
         topo = analysis.load_snapshot(snap)
-        duration = snap["run"]["duration_s"]
-        e_ini = snap["params"]["initial_node_energy_j"]
+        duration = analysis.require_positive("run.duration_s", snap["run"]["duration_s"])
+        e_ini = analysis.require_positive("params.initial_node_energy_j",
+                                          snap["params"]["initial_node_energy_j"])
     except (KeyError, TypeError) as exc:
         raise analysis.TopologyError(
             f"{args.snapshot} is not a run snapshot: {type(exc).__name__} {exc}") from None

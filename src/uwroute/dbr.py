@@ -20,7 +20,6 @@ def dbr_holding_time(depth_advance: float, t_max: float, tx_range: float, node_i
 
 class DbrProtocol(ForwardingCore):
     def __init__(self, t_max: float, tx_range: float):
-        super().__init__()
         self.t_max = t_max
         self.tx_range = tx_range
 

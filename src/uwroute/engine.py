@@ -69,15 +69,9 @@ class MetricsRecord:
     )
 
     def to_csv_row(self) -> list[str]:
-        md = self.metadata
-        values = [
-            md.get("protocol"), md.get("seed"), md.get("n_sensors"),
-            md.get("mobility_speed_mps"), md.get("holding_k_s"),
-            self.generated, self.delivered, self.pdr, self.mean_e2e_delay_s,
-            self.total_energy_j, self.network_lifetime_s,
-            self.suppressed_forwards, self.void_drops, self.corrupt_packets,
-            self.tx_seconds, self.rx_seconds, md.get("energy_per_bit"),
-        ]
+        """CSV_COLUMNS in order: a record field, else the run's metadata."""
+        fields, md = vars(self), self.metadata
+        values = [fields[c] if c in fields else md.get(c) for c in self.CSV_COLUMNS]
         return [repr(v) if isinstance(v, float) else str(v) for v in values]
 
 
@@ -122,14 +116,12 @@ class Simulation:
         self._tx_cost = config.tx_power_w * self._spp
         self._rx_cost = config.rx_power_w * self._spp
 
-        self.generated = 0
-        self.packet_gen_time: dict = {}
+        self.packet_gen_time: dict = {}  # key -> generation time, one per generated packet
         self.delivered_at: dict = {}
         self.source_seq: dict = {n.id: 0 for n in self.sources}
         self.suppressed_forwards = 0
         self.void_drops = 0
         self.corrupt_packets = 0
-        self.first_death_s: float | None = None
 
     # --- event plumbing ---
 
@@ -150,8 +142,6 @@ class Simulation:
     def _die(self, node: NodeState) -> None:
         node.alive = False
         node.death_time_s = self.now
-        if self.first_death_s is None:
-            self.first_death_s = self.now
         if self.trace is not None:
             self._emit("death", node=node.id)
 
@@ -239,8 +229,7 @@ class Simulation:
             if self.trace is not None:
                 self._emit("schedule", node=node.id, key=pkt.key, tau=action.tau,
                            position=action.position)
-            self.schedule(self.now + action.tau, self._handle_hold_expire, node.id, pkt.key,
-                          action.token)
+            self.schedule(self.now + action.tau, self._handle_hold_expire, node.id, pkt)
         elif isinstance(action, Drop):
             if action.reason == "suppressed":
                 self.suppressed_forwards += 1
@@ -256,19 +245,19 @@ class Simulation:
                 gen_time = self.packet_gen_time.get(pkt.key, self.now)
                 self._emit("deliver", node=sink.id, key=pkt.key, delay=self.now - gen_time)
 
-    def _handle_hold_expire(self, node_id: int, key, token: int) -> None:
+    def _handle_hold_expire(self, node_id: int, pkt: PacketHeader) -> None:
         node = self.by_id[node_id]
         if not node.alive:
             return
-        status, header = self.protocol.on_hold_expire(node, key, token, self.now)
+        status, header = self.protocol.on_hold_expire(node, pkt, self.now)
         if status == "send":
             if self.trace is not None:
-                self._emit("forward", node=node.id, key=key)
+                self._emit("forward", node=node.id, key=pkt.key)
             self.transmit(node, header)
         elif status == "void":
             self.void_drops += 1
             if self.trace is not None:
-                self._emit("void", node=node.id, key=key)
+                self._emit("void", node=node.id, key=pkt.key)
 
     def _handle_source_gen(self, source_id: int) -> None:
         node = self.by_id[source_id]
@@ -277,7 +266,6 @@ class Simulation:
         self.schedule(self.now + self.config.source_interval_s, self._handle_source_gen, source_id)
         seq = self.source_seq[source_id]
         self.source_seq[source_id] = seq + 1
-        self.generated += 1
         key = (source_id, seq)
         self.packet_gen_time[key] = self.now
         if self.trace is not None:
@@ -350,17 +338,17 @@ class Simulation:
 
     def _finalize(self) -> MetricsRecord:
         cfg = self.config
-        if self.generated == 0:
+        generated = len(self.packet_gen_time)
+        if generated == 0:
             raise EngineError("no packets were generated; cannot compute a delivery ratio")
         delays = [self.delivered_at[k] - self.packet_gen_time[k] for k in self.delivered_at]
         sensors = [n for n in self.nodes if not n.is_sink]
-        lifetime = self.first_death_s
-        if lifetime is None:
-            lifetime = extrapolated_lifetime(sensors, cfg.max_sim_time_s)
+        deaths = [n.death_time_s for n in sensors if n.death_time_s is not None]
+        lifetime = min(deaths) if deaths else extrapolated_lifetime(sensors, cfg.max_sim_time_s)
         return MetricsRecord(
-            generated=self.generated,
+            generated=generated,
             delivered=len(self.delivered_at),
-            pdr=len(self.delivered_at) / self.generated,
+            pdr=len(self.delivered_at) / generated,
             mean_e2e_delay_s=sum(delays) / len(delays) if delays else float("nan"),
             total_energy_j=sum(n.consumed_j for n in sensors),
             network_lifetime_s=lifetime,

@@ -7,9 +7,10 @@ residual energy> as one `RoutingKnowledge`, which receivers store as sent.
 A sender ranks its strictly-shallower fresh neighbors by the one-step target
 r + gamma * V(neighbor) computed from that knowledge, embeds the top
 `list_length` of them as a priority list, and updates its own stored Q toward
-that target when it transmits, before the header is built. Receivers schedule
-their forward after a holding time proportional to their list position;
-`ForwardingCore.on_receive` cancels the held forward on overhearing any copy.
+that target when it transmits, before the header is built. Receivers hold a
+copy for a holding time proportional to their list position;
+`ForwardingCore.on_receive` cancels the hold on overhearing any copy. The
+core keeps no state of its own: a hold is named by the held copy itself.
 
 The list length adapts to the delivery ratio at the sinks, which count a
 source's generated packets as its highest seq received plus one. A periodic
@@ -83,7 +84,6 @@ class Drop:
 class Schedule:
     tau: float
     position: int
-    token: int  # names the hold in `on_hold_expire`
 
 
 @dataclass(frozen=True)
@@ -94,12 +94,6 @@ class Ignore:
 @dataclass(frozen=True)
 class Deliver:
     pass
-
-
-@dataclass
-class PendingForward:
-    pkt: PacketHeader
-    token: int
 
 
 def depth_clamp(sender: NodeState, d_max: float):
@@ -141,10 +135,11 @@ def build_priority_list(sender: NodeState, d_max: float, list_length: int,
 
 
 class ForwardingCore:
-    """Anypath receive and hold-expiry rules shared by qlfr and dbr; all node
-    state lives on the NodeState objects. A copy is delivered at a sink,
-    suppressed when overheard while held (the held forward is cancelled and
-    the key enters the duplicate cache), dropped as already forwarded or
+    """Anypath receive and hold-expiry rules shared by qlfr and dbr. The core
+    keeps no state: all of it lives on the NodeState objects, and a hold is
+    named by the held copy, `node.pending[key]`. A copy is delivered at a
+    sink, suppressed when overheard while held (the hold is cancelled and the
+    key enters the duplicate cache), dropped as already forwarded or
     duplicate, or held; an expired hold sends the packet or voids it.
 
     The core builds every data header: the held packet's key and list-length
@@ -158,9 +153,6 @@ class ForwardingCore:
     """
 
     uses_hello = False
-
-    def __init__(self):
-        self._next_token = 0
 
     def hear(self, node: NodeState, pkt: PacketHeader, now: float) -> None:
         pass
@@ -188,23 +180,22 @@ class ForwardingCore:
         ranked = self.rank(node, pkt)
         if ranked is None:
             return Drop("not-candidate")
-        self._next_token += 1
-        node.pending[key] = PendingForward(pkt, self._next_token)
-        return Schedule(*ranked, self._next_token)
+        node.pending[key] = pkt
+        return Schedule(*ranked)
 
-    def on_hold_expire(self, node: NodeState, pkt_key: tuple[int, int], token: int,
+    def on_hold_expire(self, node: NodeState, pkt: PacketHeader,
                        now: float) -> tuple[str, PacketHeader | None]:
-        """Fire a pending forward. Returns ("send", header), ("void", None)
-        or ("stale", None) for a cancelled or superseded hold."""
-        pending = node.pending.get(pkt_key)
-        if pending is None or pending.token != token:
+        """Fire the hold of the copy `pkt`. Returns ("send", header),
+        ("void", None) or ("stale", None) when `pkt` is no longer the held
+        copy: the hold was cancelled, fired, or replaced by a later arrival."""
+        key = pkt.key
+        if node.pending.get(key) is not pkt:
             return ("stale", None)
-        del node.pending[pkt_key]
-        pkt = pending.pkt
-        header = self._header(node, pkt_key, pkt.suppression_directive,
+        del node.pending[key]
+        header = self._header(node, key, pkt.suppression_directive,
                               pkt.suppression_epoch, now)
         if header is None:
-            node.duplicate_cache.add(pkt_key)
+            node.duplicate_cache.add(key)
             return ("void", None)
         return ("send", header)
 
@@ -231,7 +222,6 @@ class QlfrProtocol(ForwardingCore):
     def __init__(self, qparams: QParams, holding: HoldingParams, d_max: float,
                  staleness_s: float, list_length: int, max_list_length: int,
                  pdr_threshold: float):
-        super().__init__()
         self.qparams = qparams
         self.holding = holding
         self.d_max = d_max

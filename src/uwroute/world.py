@@ -72,7 +72,7 @@ class NodeState:
     forwarded_cache: BoundedCache = field(default_factory=BoundedCache)
     list_length: int = 2  # current priority-list length (suppression state)
     suppression_epoch: int = 0  # newest list-length directive applied
-    pending: dict = field(default_factory=dict)  # packet key -> scheduled forward
+    pending: dict = field(default_factory=dict)  # packet key -> the held copy, naming its hold
     # energy ledger, owned by the engine
     alive: bool = True
     death_time_s: float | None = None

@@ -119,10 +119,12 @@ class TestDeliveryProb:
 class TestExpectedHolding:
     def test_always_first_priority(self):
         topo = line_topology()
-        assert expected_holding_time(topo, 1) == 0.0  # head of its sender's list
+        # head of its sender's list
+        assert expected_holding_time(topo, 1, outgoing_traffic(topo)) == 0.0
 
     def test_source_has_no_senders(self):
-        assert expected_holding_time(line_topology(), 0) == 0.0
+        topo = line_topology()
+        assert expected_holding_time(topo, 0, outgoing_traffic(topo)) == 0.0
 
     def test_second_priority_single_sender(self):
         # second-priority candidate behind a p = 0.5 head, k = 0.05
@@ -136,7 +138,8 @@ class TestExpectedHolding:
             gen_packets={0: 10.0},
             holding=holding, region_z_m=200.0)
         # tau(2) * P_sender,2 = 0.05 * (1 - 0.5) * 0.8
-        assert expected_holding_time(topo, 2) == pytest.approx(0.05 * 0.5 * 0.8)
+        assert (expected_holding_time(topo, 2, outgoing_traffic(topo))
+                == pytest.approx(0.05 * 0.5 * 0.8))
 
     def test_multi_sender_traffic_weighting(self):
         # two senders with 3:1 traffic; node 3 is head for one, second for the other
@@ -153,7 +156,7 @@ class TestExpectedHolding:
         w0, w1 = 30.0 / 40.0, 10.0 / 40.0
         expected = (w0 * holding.k * (1 - 0.6) * 0.9  # second priority for source 0
                     + w1 * 0.0 * 0.8)                 # head for source 1
-        assert expected_holding_time(topo, 3) == pytest.approx(expected)
+        assert expected_holding_time(topo, 3, outgoing_traffic(topo)) == pytest.approx(expected)
 
 
 class TestExpectedDelay:
@@ -258,7 +261,7 @@ class TestNodeEnergy:
             positions={0: (0, 0, 0), 1: (0, 0, 200)},
             candidates={0: ()}, link_prob={}, neighbors={0: (), 1: ()},
             gen_packets={}, holding=HOLDING, region_z_m=200.0)
-        assert node_energy(topo, 0) == 0.0
+        assert node_energy(topo, 0, outgoing_traffic(topo)) == 0.0
 
     def test_transmit_only(self):
         # 10 packets, 0.0512 s each at 2 W: 1.024 J
@@ -268,7 +271,7 @@ class TestNodeEnergy:
             candidates={0: (1,)}, link_prob={(0, 1): 1.0},
             neighbors={0: (), 1: (0,)},
             gen_packets={0: 10.0}, holding=HOLDING, region_z_m=200.0)
-        assert node_energy(topo, 0) == pytest.approx(1.024)
+        assert node_energy(topo, 0, outgoing_traffic(topo)) == pytest.approx(1.024)
 
     def test_overhearing_cost(self):
         # a relay hears 100 packets from one geometric neighbor: 100*0.0512*0.5
@@ -279,11 +282,11 @@ class TestNodeEnergy:
             link_prob={(0, 2): 1.0},
             neighbors={0: (1,), 1: (0,), 2: (0,)},
             gen_packets={0: 100.0}, holding=HOLDING, region_z_m=150.0)
-        assert node_energy(topo, 1) == pytest.approx(100 * 0.0512 * 0.5)
+        assert node_energy(topo, 1, outgoing_traffic(topo)) == pytest.approx(100 * 0.0512 * 0.5)
 
     def test_sinks_cost_nothing(self):
         topo, _ = chain3()
-        assert node_energy(topo, 2) == 0.0
+        assert node_energy(topo, 2, outgoing_traffic(topo)) == 0.0
 
 
 class TestNetworkLifetime:
@@ -324,9 +327,10 @@ class TestNetworkLifetime:
         topo, _ = chain3()
         lifetimes = self.lifetimes(topo)
         assert lifetimes[2] == float("inf")
+        traffic = outgoing_traffic(topo)
         for nid in topo.kinds:
             if topo.kinds[nid] != "sink":
-                e = node_energy(topo, nid)
+                e = node_energy(topo, nid, traffic)
                 if e > 0:
                     assert min(lifetimes.values()) <= 100.0 * 100.0 / e + 1e-9
 

@@ -261,10 +261,11 @@ class TestCliVerbs:
         aggregates = json.loads((out2 / "aggregates.json").read_text())
         assert "network_lifetime_s" in aggregates
 
-    def test_analyze_lifetime_is_the_model_network_lifetime(self, tmp_path):
-        # source 0 sends 10 packets of 0.05 s at 2 W straight to sink 1: 1 J;
-        # sensor 2, in range of the source only, overhears them at 0.5 W:
-        # 0.25 J. Over 100 s with 100 J each: 1e4 s and 4e4 s.
+    @staticmethod
+    def hand_snapshot():
+        """Source 0 sends 10 packets of 0.05 s at 2 W straight to sink 1: 1 J;
+        sensor 2, in range of the source only, overhears them at 0.5 W:
+        0.25 J. Over 100 s with 100 J each: 1e4 s and 4e4 s."""
         nodes = [{"id": 0, "kind": "source", "x": 0.0, "y": 0.0, "z": 0.0,
                   "generated": 10, "candidates": [1]},
                  {"id": 1, "kind": "sink", "x": 0.0, "y": 0.0, "z": 100.0,
@@ -275,9 +276,11 @@ class TestCliVerbs:
                   "holding_h": 4, "tx_power_w": 2.0, "rx_power_w": 0.5,
                   "seconds_per_packet": 0.05, "initial_node_energy_j": 100.0,
                   "channel": dataclasses.asdict(ScenarioConfig().channel_params(1e-3))}
+        return {"params": params, "nodes": nodes, "run": {"duration_s": 100.0, "now_s": 100.0}}
+
+    def test_analyze_lifetime_is_the_model_network_lifetime(self, tmp_path):
         snap = tmp_path / "snapshot.json"
-        snap.write_text(json.dumps({"params": params, "nodes": nodes,
-                                    "run": {"duration_s": 100.0, "now_s": 100.0}}))
+        snap.write_text(json.dumps(self.hand_snapshot()))
         out = tmp_path / "analysis"
         assert cli.main(["analyze", "--snapshot", str(snap), "--out", str(out)]) == 0
         rows = {int(r["id"]): r for r in csv.DictReader((out / "per_node.csv").open())}
@@ -288,6 +291,31 @@ class TestCliVerbs:
         assert aggregates["network_lifetime_s"] == pytest.approx(1e4, rel=1e-12)
         assert aggregates["network_lifetime_s"] == float(rows[0]["lifetime_s"])
         assert aggregates["total_energy_j"] == pytest.approx(1.25, rel=1e-12)
+
+    BAD_SNAPSHOTS = {  # case -> (edit of the hand snapshot, text the error names)
+        "infinite-coordinate": (lambda s: s["nodes"][2].update(y=math.inf),
+                                "non-finite coordinate"),
+        "zero-sound-speed": (lambda s: s["params"].update(sound_speed_mps=0),
+                             "params.sound_speed_mps"),
+        "text-duration": (lambda s: s["run"].update(duration_s="100"), "run.duration_s"),
+        "repeated-id": (lambda s: s["nodes"].append(dict(s["nodes"][2], x=50.0)),
+                        "node id 2"),
+        "zero-initial-energy": (lambda s: s["params"].update(initial_node_energy_j=0),
+                                "params.initial_node_energy_j"),
+    }
+
+    @pytest.mark.parametrize("case", list(BAD_SNAPSHOTS))
+    def test_analyze_refuses_bad_snapshot(self, tmp_path, capsys, case):
+        edit, needle = self.BAD_SNAPSHOTS[case]
+        snap = self.hand_snapshot()
+        edit(snap)
+        path = tmp_path / "snapshot.json"
+        path.write_text(json.dumps(snap))
+        out = tmp_path / "analysis"
+        assert cli.main(["analyze", "--snapshot", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and needle in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("run_time", ["-5", "0"])
     def test_analyze_refuses_nonpositive_run_time(self, tmp_path, capsys, run_time):

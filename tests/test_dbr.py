@@ -106,18 +106,17 @@ class TestSharedForwardingCore:
         node = self.relay()
         pkt = self.copy_from(1)
         assert isinstance(proto.on_receive(node, pkt, 1.0), Schedule)
-        token = node.pending[pkt.key].token
         assert proto.on_receive(node, self.copy_from(3), 1.01) == Drop("suppressed")
         assert pkt.key not in node.pending
         assert pkt.key in node.duplicate_cache
         assert proto.on_receive(node, self.copy_from(4), 1.02) == Drop("duplicate")
-        assert proto.on_hold_expire(node, pkt.key, token, 1.1) == ("stale", None)
+        assert proto.on_hold_expire(node, pkt, 1.1) == ("stale", None)
 
     def test_sent_key_enters_forwarded_cache(self, proto):
         node = self.relay()
         pkt = self.copy_from(1)
         proto.on_receive(node, pkt, 1.0)
-        status, header = proto.on_hold_expire(node, pkt.key, node.pending[pkt.key].token, 1.1)
+        status, header = proto.on_hold_expire(node, pkt, 1.1)
         assert status == "send"
         assert (header.source_id, header.seq, header.sender_id) == (9, 0, 5)
         assert pkt.key in node.forwarded_cache
@@ -128,29 +127,28 @@ class TestSharedForwardingCore:
         node = self.relay()
         node.residual_energy_j = 70.0
         pkt = self.copy_from(1, directive=1, epoch=2)
-        action = proto.on_receive(node, pkt, 1.0)
-        status, header = proto.on_hold_expire(node, pkt.key, action.token, 1.1)
+        proto.on_receive(node, pkt, 1.0)
+        status, header = proto.on_hold_expire(node, pkt, 1.1)
         assert status == "send"
         # read after the send, so a qlfr sender advertises its updated V
         assert header.knowledge == RoutingKnowledge(node.v_value, node.depth, 70.0)
         assert (header.suppression_directive, header.suppression_epoch) == (1, 2)
 
     def test_second_and_superseded_tokens_are_stale(self, proto):
+        """A hold is named by the held copy itself: an equal copy that is a
+        different object (PacketHeader is a frozen dataclass) is stale and
+        leaves the hold alone, and a fired hold is stale the second time."""
         node = self.relay()
         pkt = self.copy_from(1)
         proto.on_receive(node, pkt, 1.0)
-        token = node.pending[pkt.key].token
-        assert proto.on_hold_expire(node, pkt.key, token + 1, 1.1) == ("stale", None)
-        assert pkt.key in node.pending  # a foreign token leaves the hold alone
-        assert proto.on_hold_expire(node, pkt.key, token, 1.1)[0] == "send"
-        assert proto.on_hold_expire(node, pkt.key, token, 1.1) == ("stale", None)
-
-    def test_one_token_counter_across_nodes(self, proto):
-        a, b = self.relay(node_id=5), self.relay(node_id=5)
-        pkt = self.copy_from(1)
-        proto.on_receive(a, pkt, 1.0)
-        proto.on_receive(b, pkt, 1.0)
-        assert b.pending[pkt.key].token == a.pending[pkt.key].token + 1
+        assert node.pending[pkt.key] is pkt
+        twin = self.copy_from(1)
+        assert twin == pkt and twin is not pkt
+        assert proto.on_hold_expire(node, twin, 1.1) == ("stale", None)
+        assert node.pending[pkt.key] is pkt
+        assert pkt.key not in node.forwarded_cache
+        assert proto.on_hold_expire(node, pkt, 1.1)[0] == "send"
+        assert proto.on_hold_expire(node, pkt, 1.1) == ("stale", None)
 
     def test_originated_key_enters_forwarded_cache(self, proto):
         source = self.relay(node_id=9, kind="source")

@@ -160,7 +160,6 @@ class TestDeathAndLifetime:
         assert not src.alive
         assert src.death_time_s == 7.0
         assert src.consumed_j == 0.0  # the unaffordable transmit never happened
-        assert sim.first_death_s == 7.0
 
     def test_lifetime_is_first_sensor_death(self):
         # relay with only enough energy for a couple of receptions dies early

@@ -10,8 +10,8 @@ from hypothesis import given, settings, strategies as st
 from uwroute import qcore
 from uwroute.qcore import QParams
 from uwroute.qlfr import (Deliver, Drop, HoldingParams, Ignore, PacketHeader,
-                          PendingForward, QlfrProtocol, Schedule, build_priority_list,
-                          candidate_scorer, holding_time)
+                          QlfrProtocol, Schedule, build_priority_list, candidate_scorer,
+                          holding_time)
 from uwroute.world import NodePosition, NodeState, RoutingKnowledge
 
 QP = QParams(gamma=0.8, alpha=0.5)
@@ -257,15 +257,15 @@ class TestOnReceive:
         node = make_node(node_id=5, depth=50.0)
         pkt = data_header(make_node(node_id=1, depth=100.0), plist=[5, 8])
         action = proto.on_receive(node, pkt, now=3.0)
-        assert action == Schedule(0.0, 1, token=1)
-        assert pkt.key in node.pending
+        assert action == Schedule(0.0, 1)
+        assert node.pending[pkt.key] is pkt
 
     def test_second_priority_waits_k(self):
         proto = protocol(h=4, t_max=0.1)
         node = make_node(node_id=8, depth=50.0)
         pkt = data_header(make_node(node_id=1, depth=100.0), plist=[5, 8])
         action = proto.on_receive(node, pkt, now=3.0)
-        assert action == Schedule(pytest.approx(0.05), 2, token=1)
+        assert action == Schedule(pytest.approx(0.05), 2)
 
     def test_already_forwarded_drops(self):
         proto = protocol()
@@ -310,12 +310,12 @@ class TestOverhear:
         pkt = data_header(make_node(node_id=1, depth=100.0), plist=[5], seq=key[1])
         assert pkt.key == key
         proto.on_receive(node, pkt, now=3.0)
-        assert isinstance(node.pending[key], PendingForward)
-        return node
+        assert node.pending[key] is pkt
+        return node, pkt
 
     def test_cancel_pending(self):
         proto = protocol()
-        node = self.held(proto, (9, 0))
+        node, _ = self.held(proto, (9, 0))
         copy = data_header(make_node(node_id=8, depth=70.0), plist=[2], seq=0)
         assert proto.on_receive(node, copy, now=3.02) == Drop("suppressed")
         assert (9, 0) not in node.pending
@@ -323,7 +323,7 @@ class TestOverhear:
 
     def test_keep_on_key_mismatch(self):
         proto = protocol()
-        node = self.held(proto, (9, 0))
+        node, _ = self.held(proto, (9, 0))
         other = data_header(make_node(node_id=8, depth=70.0), plist=[2], seq=1)
         assert proto.on_receive(node, other, now=3.02) == Drop("not-candidate")
         assert (9, 0) in node.pending
@@ -331,10 +331,9 @@ class TestOverhear:
 
     def test_no_effect_after_expiry(self):
         proto = protocol()
-        node = self.held(proto, (9, 0))
+        node, pkt = self.held(proto, (9, 0))
         node.neighbor_knowledge = {2: (RoutingKnowledge(0.0, 10.0, 100.0), 3.0)}
-        token = node.pending[(9, 0)].token
-        assert proto.on_hold_expire(node, (9, 0), token, now=3.0)[0] == "send"
+        assert proto.on_hold_expire(node, pkt, now=3.0)[0] == "send"
         copy = data_header(make_node(node_id=2, depth=10.0), plist=[1], seq=0)
         assert proto.on_receive(node, copy, now=3.1) == Drop("already-forwarded")
         assert (9, 0) not in node.duplicate_cache
@@ -349,13 +348,12 @@ class TestHoldExpire:
             3: (RoutingKnowledge(-0.9, 60.0, 50.0), 2.9),
         }
         pkt = data_header(make_node(node_id=1, depth=180.0), plist=[5], seq=7)
-        assert proto.on_receive(relay, pkt, now=3.0) == Schedule(0.0, 1, token=1)
-        token = relay.pending[pkt.key].token
-        return proto, relay, pkt, token
+        assert proto.on_receive(relay, pkt, now=3.0) == Schedule(0.0, 1)
+        return proto, relay, pkt
 
     def test_header_rewritten_and_learning_fired(self):
-        proto, relay, pkt, token = self.setup_relay()
-        status, header = proto.on_hold_expire(relay, pkt.key, token, now=3.0)
+        proto, relay, pkt = self.setup_relay()
+        status, header = proto.on_hold_expire(relay, pkt, now=3.0)
         assert status == "send"
         assert header.sender_id == 5
         assert header.knowledge.depth_m == pytest.approx(100.0)
@@ -368,24 +366,23 @@ class TestHoldExpire:
         assert pkt.key in relay.forwarded_cache
 
     def test_second_expiry_is_stale(self):
-        proto, relay, pkt, token = self.setup_relay()
-        proto.on_hold_expire(relay, pkt.key, token, now=3.0)
-        assert proto.on_hold_expire(relay, pkt.key, token, now=3.0) == ("stale", None)
+        proto, relay, pkt = self.setup_relay()
+        proto.on_hold_expire(relay, pkt, now=3.0)
+        assert proto.on_hold_expire(relay, pkt, now=3.0) == ("stale", None)
 
     def test_void_drop(self):
         proto = protocol()
         relay = make_node(node_id=5, depth=100.0)
         pkt = data_header(make_node(node_id=1, depth=180.0), plist=[5])
         proto.on_receive(relay, pkt, now=3.0)
-        token = relay.pending[pkt.key].token
         relay.neighbor_knowledge.clear()
-        assert proto.on_hold_expire(relay, pkt.key, token, now=3.0) == ("void", None)
+        assert proto.on_hold_expire(relay, pkt, now=3.0) == ("void", None)
         assert pkt.key not in relay.forwarded_cache
         assert pkt.key in relay.duplicate_cache
 
     def test_never_forwards_same_key_twice(self):
-        proto, relay, pkt, token = self.setup_relay()
-        proto.on_hold_expire(relay, pkt.key, token, now=3.0)
+        proto, relay, pkt = self.setup_relay()
+        proto.on_hold_expire(relay, pkt, now=3.0)
         # the same packet arriving again is refused outright
         again = data_header(make_node(node_id=2, depth=160.0), plist=[5], seq=7)
         assert proto.on_receive(relay, again, now=3.5) == Drop("already-forwarded")
@@ -451,8 +448,7 @@ class TestDirective:
         relay.neighbor_knowledge = {2: (RoutingKnowledge(0.0, 40.0, 100.0), 0.9)}
         pkt = data_header(make_node(node_id=1, depth=180.0), plist=[5], directive=-1, epoch=2)
         proto.on_receive(relay, pkt, now=1.0)
-        token = relay.pending[pkt.key].token
-        status, header = proto.on_hold_expire(relay, pkt.key, token, now=1.0)
+        status, header = proto.on_hold_expire(relay, pkt, now=1.0)
         assert status == "send"
         assert header.suppression_directive == -1
         assert header.suppression_epoch == 2

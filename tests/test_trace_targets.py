@@ -47,8 +47,11 @@ def test_engine_targets(protocol):
     tracer = tracing.Tracer()
     patched_round_trip(tracer, tracing.engine_targets(tracer, sim), lambda: sim.run())
     for span in ("engine.loop", "engine.transmit", "engine.schedule", "channel.link_prob",
-                 "world.random_walk_step", f"{protocol}.on_receive"):
+                 "world.random_walk_step", f"{protocol}.on_receive",
+                 f"{protocol}.on_hold_expire"):
         assert tracer.calls[span] > 0, span
+    # the hold hook reads the status, result[0], of `on_hold_expire`
+    assert tracer.counts[f"{protocol}.hold.send"] > 0
 
 
 def test_analysis_targets():
