@@ -372,9 +372,12 @@ class TestCliVerbs:
         out = tmp_path / "results"
         assert cli.main(["run", "--seed", "3", "--out", str(out)]) == 0
         digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
-                   for name in ("q_tables.csv", "snapshot.json")}
+                   for name in ("q_tables.csv", "snapshot.json", "metrics.csv",
+                                "deployment.csv")}
         assert digests == {
             "q_tables.csv": "f0820d124df2c29d67e4e448005e2bae174098ad7a34e0fb9f0d834433b25647",
+            "metrics.csv": "8e997a517f103a72d1d601474b7de96818d683e97695847a1436e548d7e2a1f6",
+            "deployment.csv": "66f1127e819806f2017db0003b180399f55033833c55be11acf9baaf74b69767",
             "snapshot.json": "a17602c96ef74a3e00efdff9861a3e949e25e0fc79acef2d63c0db4179bb71a7",
         }
 
