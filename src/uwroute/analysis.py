@@ -218,7 +218,9 @@ def load_snapshot(source) -> StaticTopology:
     parameters; neighbor sets from positions and the range, by CellGrid.pairs.
     Snapshots of a protocol other than qlfr are refused; one that records no
     protocol is read as qlfr. So is a repeated node id, a non-finite
-    coordinate, or a scalar or channel parameter that is not finite and > 0."""
+    coordinate, a kind other than sensor, source or sink, a generated count
+    that is not a finite number >= 0, or a scalar or channel parameter that
+    is not finite and > 0."""
     snap = source
     if isinstance(source, (str, os.PathLike)):
         with open(source) as fh:
@@ -243,6 +245,14 @@ def load_snapshot(source) -> StaticTopology:
     for nid, position in positions.items():
         if not all(map(math.isfinite, position)):
             raise TopologyError(f"node {nid} has a non-finite coordinate {position}")
+    for e in entries:
+        if e["kind"] not in ("sensor", "source", "sink"):
+            raise TopologyError(f"node {e['id']} has kind {e['kind']!r}, "
+                                "not sensor, source or sink")
+        count = e.get("generated", 0)
+        if type(count) not in (int, float) or not 0 <= count < math.inf:
+            raise TopologyError(f"node {e['id']} generated must be a finite number >= 0, "
+                                f"got {count!r}")
     candidates = {e["id"]: tuple(e["candidates"]) for e in entries if e["kind"] != "sink"}
     gen = {e["id"]: e["generated"] for e in entries if e.get("generated", 0) > 0}
     r = params["tx_range_m"]

@@ -18,8 +18,6 @@ from multiprocessing import Pool
 
 from . import analysis, channel, engine
 from .config import ConfigError, ScenarioConfig, effective_config_text, parse_config, set_key
-from .qcore import dump_q_tables_csv
-from .world import dump_nodes_csv
 
 SWEEP_METRICS = (
     "pdr", "mean_e2e_delay_s", "total_energy_j", "network_lifetime_s",
@@ -89,16 +87,11 @@ def run_sweep(config: ScenarioConfig, param: str, values, replicates: int | None
 
 def aggregate_sweep(rows: list[dict]) -> list[dict]:
     """Mean and sample stddev per (sweep value, metric)."""
-    by_value: dict = {}
-    order = []
+    by_value: dict = {}  # sweep value -> its rows, in first-seen order
     for row in rows:
-        if row["sweep_value"] not in by_value:
-            by_value[row["sweep_value"]] = []
-            order.append(row["sweep_value"])
-        by_value[row["sweep_value"]].append(row)
+        by_value.setdefault(row["sweep_value"], []).append(row)
     table = []
-    for value in order:
-        group = by_value[value]
+    for value, group in by_value.items():
         for metric in SWEEP_METRICS:
             samples = [float(r[metric]) for r in group]
             table.append({
@@ -127,7 +120,6 @@ def _load_config(args) -> ScenarioConfig:
     config = parse_config(args.config) if args.config else ScenarioConfig()
     if getattr(args, "seed", None) is not None:
         config = dataclasses.replace(config, seed=args.seed)
-    config.validate()
     return config
 
 
@@ -146,15 +138,19 @@ def cmd_run(args) -> int:
             trace_fh.close()
     out = args.out
     os.makedirs(out, exist_ok=True)
-    with open(os.path.join(out, "metrics.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(record.CSV_COLUMNS)
-        writer.writerow(record.to_csv_row())
+    _write_csv(os.path.join(out, "metrics.csv"), record.CSV_COLUMNS,
+               [dict(zip(record.CSV_COLUMNS, record.to_csv_row()))])
     _write_json(os.path.join(out, "metrics.json"), dataclasses.asdict(record))
     _write_json(os.path.join(out, "snapshot.json"), sim.snapshot_topology())
-    dump_nodes_csv(sim.nodes, os.path.join(out, "deployment.csv"))
-    if config.protocol == "qlfr":
-        dump_q_tables_csv(sim.nodes, os.path.join(out, "q_tables.csv"))
+    _write_csv(os.path.join(out, "deployment.csv"),
+               ["id", "kind", "x_m", "y_m", "z_m", "residual_energy_j"],
+               [{"id": n.id, "kind": n.kind, "x_m": n.position.x, "y_m": n.position.y,
+                 "z_m": n.position.z, "residual_energy_j": n.residual_energy_j}
+                for n in sim.nodes])
+    if config.protocol == "qlfr":  # every (node, neighbor, Q) triple, for convergence plots
+        _write_csv(os.path.join(out, "q_tables.csv"), ["node", "neighbor", "q_value"],
+                   [{"node": n.id, "neighbor": neighbor, "q_value": q}
+                    for n in sim.nodes for neighbor, q in n.q_table.items()])
     with open(os.path.join(out, "effective_config.txt"), "w") as fh:
         fh.write(effective_config_text(config))
     print(f"pdr={record.pdr:.4f} delay={record.mean_e2e_delay_s:.4f}s "

@@ -62,6 +62,11 @@ class ScenarioConfig:
     seed: int = 1
     replicates: int = 1
 
+    def __post_init__(self):
+        """An invalid config cannot exist: every construction, including
+        `dataclasses.replace`, validates."""
+        self.validate()
+
     # --- derived quantities ---
 
     @property
@@ -228,12 +233,10 @@ def parse_config_text(text: str, source: str = "<config>") -> ScenarioConfig:
         except ConfigError as exc:
             raise ConfigError(f"{source}:{lineno}: {exc}") from exc
         overrides[field] = value
-    config = dataclasses.replace(ScenarioConfig(), **overrides)
     try:
-        config.validate()
+        return ScenarioConfig(**overrides)
     except ConfigError as exc:
         raise ConfigError(f"{source}: {exc}") from exc
-    return config
 
 
 def parse_config(path) -> ScenarioConfig:
@@ -254,9 +257,7 @@ def set_key(config: ScenarioConfig, key: str, value) -> ScenarioConfig:
         value = _parse_value(value, typ, field)
     elif value is not None and typ in (int, float):
         value = typ(value)
-    updated = dataclasses.replace(config, **{field: value})
-    updated.validate()
-    return updated
+    return dataclasses.replace(config, **{field: value})
 
 
 def effective_config_text(config: ScenarioConfig) -> str:

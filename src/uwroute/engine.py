@@ -87,7 +87,6 @@ def resolve_channel(config: ScenarioConfig) -> chan.ChannelParams:
 class Simulation:
     def __init__(self, config: ScenarioConfig, nodes: list[NodeState] | None = None,
                  trace=None):
-        config.validate()
         self.config = config
         self.channel = resolve_channel(config)
         self.trace = trace
@@ -426,5 +425,5 @@ def extrapolated_lifetime(sensors: list[NodeState], run_time_s: float) -> float:
 
 
 def run(config: ScenarioConfig, trace=None) -> MetricsRecord:
-    """Validate, simulate, and summarize one scenario."""
+    """Simulate and summarize one scenario."""
     return Simulation(config, trace=trace).run()

@@ -6,9 +6,8 @@ updated with the standard one-step rule and therefore stay within
 [-3 / (1 - gamma), 0] for gamma < 1.
 """
 
-import csv
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Mapping
 
 
 @dataclass(frozen=True)
@@ -53,17 +52,22 @@ def reward_from(sender: "NodeState", d_max: float):
     a function of a neighbor's advertised residual energy and depth:
     -c_e(sender) - c_e(neighbor) - c_d(sender, neighbor), in [-3, 0].
 
-    The sender's energy cost is computed once, here, so ranking all of a
-    sender's neighbors costs it once. The neighbor's energy cost uses its
+    The depth cost is defined over one hop, so the advertised depth is first
+    clamped into the sender's window, its own depth +-d_max; advertised
+    depths can drift out of it under mobility and staleness. The sender's
+    energy cost and window are computed once, here, so ranking all of a
+    sender's neighbors costs them once. The neighbor's energy cost uses its
     advertised residual energy against the sender's initial energy (all
     nodes start with the same budget).
     """
     e_ini = sender.initial_energy_j
     ce_sender = energy_cost(sender.residual_energy_j, e_ini)
     depth_sender = sender.depth
+    lo, hi = depth_sender - d_max, depth_sender + d_max
 
     def reward_to(residual_j: float, depth_m: float) -> float:
         ce_neighbor = energy_cost(min(residual_j, e_ini), e_ini)
+        depth_m = min(max(depth_m, lo), hi)
         return -ce_sender - ce_neighbor - depth_cost(depth_sender, depth_m, d_max)
 
     return reward_to
@@ -71,8 +75,8 @@ def reward_from(sender: "NodeState", d_max: float):
 
 def reward(sender: "NodeState", residual_j: float, depth_m: float, d_max: float) -> float:
     """One-step reward for forwarding from `sender` to a neighbor advertising
-    `residual_j` and `depth_m`; the caller clamps the depth to within d_max
-    of the sender's (see `reward_from`)."""
+    `residual_j` and `depth_m`, the depth clamped into the sender's +-d_max
+    window (see `reward_from`)."""
     return reward_from(sender, d_max)(residual_j, depth_m)
 
 
@@ -97,13 +101,3 @@ def q_bounds(params: QParams) -> tuple[float, float]:
     if params.gamma >= 1.0:
         return (float("-inf"), 0.0)
     return (-3.0 / (1.0 - params.gamma), 0.0)
-
-
-def dump_q_tables_csv(nodes: Iterable, path) -> None:
-    """Write every (node, neighbor, Q) triple as CSV for convergence plots."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["node", "neighbor", "q_value"])
-        for node in nodes:
-            for neighbor, q in node.q_table.items():
-                writer.writerow([node.id, neighbor, repr(q)])

@@ -96,24 +96,15 @@ class Deliver:
     pass
 
 
-def depth_clamp(sender: NodeState, d_max: float):
-    """Clamp of an advertised depth into `sender`'s one-hop window, its own
-    depth +-d_max, where `qcore.reward`'s depth cost is defined. Advertised
-    depths can drift out of the window under mobility and staleness."""
-    depth = sender.depth
-    lo, hi = depth - d_max, depth + d_max
-    return lambda depth_m: min(max(depth_m, lo), hi)
-
-
 def candidate_scorer(sender: NodeState, d_max: float, qparams: QParams):
     """The ranking value r + gamma * V of one advertised neighbor of `sender`,
-    as a function of its knowledge; the sender's energy cost and depth window
-    are computed once per scorer."""
-    reward_to, clamp = qcore.reward_from(sender, d_max), depth_clamp(sender, d_max)
+    as a function of its knowledge; `qcore.reward_from` computes the sender's
+    energy cost and depth window once per scorer."""
+    reward_to = qcore.reward_from(sender, d_max)
     gamma = qparams.gamma
 
     def score(kn: RoutingKnowledge) -> float:
-        return reward_to(kn.residual_energy_j, clamp(kn.depth_m)) + gamma * kn.v_value
+        return reward_to(kn.residual_energy_j, kn.depth_m) + gamma * kn.v_value
 
     return score
 
@@ -308,8 +299,7 @@ class QlfrProtocol(ForwardingCore):
         """One-step Q update for the transmitting node toward its first
         candidate's advertised value."""
         kn, _ = node.neighbor_knowledge[chosen_id]
-        depth = depth_clamp(node, self.d_max)(kn.depth_m)
-        r = qcore.reward(node, kn.residual_energy_j, depth, self.d_max)
+        r = qcore.reward(node, kn.residual_energy_j, kn.depth_m, self.d_max)
         q_new = qcore.q_update(node.q_table.get(chosen_id, 0.0), r, kn.v_value, self.qparams)
         if not self._q_lo - 1e-9 <= q_new <= self._q_hi + 1e-9:
             raise RuntimeError(f"Q-value {q_new} outside [{self._q_lo}, {self._q_hi}]")

@@ -11,7 +11,6 @@ Sinks sit on the surface (z = region_z, depth 0) and never move; sources are
 sensor nodes that start on the bottom layer (z = 0).
 """
 
-import csv
 import math
 import random
 from dataclasses import dataclass, field
@@ -96,16 +95,10 @@ class NodeState:
 def deploy(config, rng: random.Random) -> list[NodeState]:
     """Place n_sensors sensors uniformly in the region box (the first
     n_sources of them as sources on the bottom layer) and n_sinks sinks on
-    the surface. Deterministic for a given rng state.
+    the surface. Deterministic for a given rng state. `config` is a
+    `ScenarioConfig`, valid by construction.
     """
     lx, ly, lz = config.region_x_m, config.region_y_m, config.region_z_m
-    if lx <= 0 or ly <= 0 or lz <= 0:
-        raise ValueError(f"region must have positive volume, got {lx} x {ly} x {lz}")
-    if config.n_sensors < 1 or config.n_sinks < 1:
-        raise ValueError("need at least one sensor and one sink")
-    if not 0 < config.n_sources <= config.n_sensors:
-        raise ValueError(f"n_sources must be in [1, n_sensors], got {config.n_sources}")
-
     nodes = []
     for i in range(config.n_sensors):
         if i < config.n_sources:
@@ -248,13 +241,3 @@ def fresh_neighbors(node: NodeState, now: float,
             yield nid, knowledge
     for nid in expired:
         del node.neighbor_knowledge[nid]
-
-
-def dump_nodes_csv(nodes: Iterable[NodeState], path) -> None:
-    """Write the deployment (id, kind, x, y, z, residual energy) as CSV."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id", "kind", "x_m", "y_m", "z_m", "residual_energy_j"])
-        for n in nodes:
-            writer.writerow([n.id, n.kind, repr(n.position.x), repr(n.position.y),
-                             repr(n.position.z), repr(n.residual_energy_j)])

@@ -95,6 +95,12 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=key):
             set_key(ScenarioConfig(), key, value)
 
+    def test_invalid_config_cannot_be_built(self):
+        with pytest.raises(ConfigError, match="n_sources cannot exceed"):
+            ScenarioConfig(n_sensors=3, n_sources=4)
+        with pytest.raises(ConfigError, match=r"world\.n_sensors = 0 out of range"):
+            dataclasses.replace(ScenarioConfig(), n_sensors=0)
+
     def test_set_key_validates(self):
         config = ScenarioConfig()
         assert set_key(config, "world.n_sensors", "50").n_sensors == 50
@@ -220,6 +226,25 @@ class TestCliVerbs:
         for line in (tmp_path / "trace.jsonl").read_text().splitlines():
             assert isinstance(json.loads(line), dict)
 
+    def test_run_writes_q_tables_csv(self, tmp_path):
+        out = tmp_path / "results"
+        assert cli.main(["run", "--config", self.write_config(tmp_path), "--out", str(out)]) == 0
+        rows = list(csv.reader((out / "q_tables.csv").open()))
+        assert rows[0] == ["node", "neighbor", "q_value"]
+        assert len(rows) > 1
+        for node_id, neighbor, q in rows[1:]:
+            assert float(q) <= 0.0
+
+    def test_run_writes_deployment_csv(self, tmp_path):
+        out = tmp_path / "results"
+        assert cli.main(["run", "--config", self.write_config(tmp_path), "--out", str(out)]) == 0
+        lines = (out / "deployment.csv").read_text().strip().splitlines()
+        assert lines[0] == "id,kind,x_m,y_m,z_m,residual_energy_j"
+        assert len(lines) == 1 + 25 + 2  # header, sensors, sinks
+        first = lines[1].split(",")
+        assert first[0] == "0" and first[1] == "source"
+        assert 0.0 <= float(first[5]) <= 100.0
+
     def test_run_is_byte_identical(self, tmp_path):
         cfg = self.write_config(tmp_path)
         out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -302,6 +327,10 @@ class TestCliVerbs:
                         "node id 2"),
         "zero-initial-energy": (lambda s: s["params"].update(initial_node_energy_j=0),
                                 "params.initial_node_energy_j"),
+        "infinite-generated": (lambda s: s["nodes"][0].update(generated=math.inf),
+                               "node 0 generated"),
+        "negative-generated": (lambda s: s["nodes"][0].update(generated=-5), "node 0 generated"),
+        "unknown-kind": (lambda s: s["nodes"][2].update(kind="router"), "'router'"),
     }
 
     @pytest.mark.parametrize("case", list(BAD_SNAPSHOTS))

@@ -665,20 +665,6 @@ class TestProtocolInvariantsUnderLoad:
                 assert item not in seen
                 seen.add(item)
 
-    def test_q_table_export(self, tmp_path):
-        import csv as csv_mod
-
-        from uwroute.qcore import dump_q_tables_csv
-        sim = Simulation(self.desk_config())
-        sim.run()
-        path = tmp_path / "q.csv"
-        dump_q_tables_csv(sim.nodes, path)
-        rows = list(csv_mod.reader(path.open()))
-        assert rows[0] == ["node", "neighbor", "q_value"]
-        assert len(rows) > 1
-        for node_id, neighbor, q in rows[1:]:
-            assert float(q) <= 0.0
-
 
 class TestSnapshot:
     def test_snapshot_candidates_are_valid(self):

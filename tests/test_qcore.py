@@ -69,6 +69,18 @@ class TestReward:
         sender = make_sender(depth=80.0, e_res=50.0)
         assert qcore.reward(sender, 100.0, 80.0, 150.0) == pytest.approx(-1.0)
 
+    def test_out_of_window_depth_scores_as_the_window_edge(self):
+        # the sender's window is 150 +- 100 m; advertised depths drift beyond it
+        sender = make_sender(depth=150.0)
+
+        def reward(depth_m):
+            return qcore.reward(sender, 100.0, depth_m, 100.0)
+
+        assert reward(10.0) == reward(50.0)
+        assert reward(300.0) == reward(250.0)
+        with pytest.raises(ValueError, match="exceeds d_max"):
+            qcore.depth_cost(150.0, 10.0, 100.0)
+
     @given(st.floats(0, 100), st.floats(0, 100), st.floats(-150, 150))
     def test_always_nonpositive_in_range(self, e_s, e_n, d):
         sender = make_sender(depth=150.0, e_res=e_s)

@@ -236,16 +236,3 @@ class TestBoundedCache:
         assert 1 in cache and 3 in cache and 4 in cache
         assert 2 not in cache
         assert len(cache) == 3
-
-
-class TestCsvDump:
-    def test_roundtrippable_dump(self, tmp_path):
-        nodes = deploy(config(n_sensors=10, n_sources=2, n_sinks=2), random.Random(8))
-        path = tmp_path / "deployment.csv"
-        world.dump_nodes_csv(nodes, path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "id,kind,x_m,y_m,z_m,residual_energy_j"
-        assert len(lines) == 13
-        first = lines[1].split(",")
-        assert first[0] == "0" and first[1] == "source"
-        assert float(first[5]) == 100.0
