@@ -23,7 +23,8 @@ packet, corrupt or not (the carrier is occupied either way). Both go
 through one debit, and an operation a node cannot fully pay for kills it
 instead; dead nodes neither send nor receive. Sinks are surface-powered and
 outside the energy model. Hello broadcasts are treated as free, so the
-data-only analytical energy model stays comparable.
+data-only analytical energy model stays comparable: `_handle_hello_arrival`
+only hands an intact hello to `hear`, and `_handle_arrival` takes data copies.
 """
 
 import math
@@ -203,18 +204,22 @@ class Simulation:
                        hello=pkt.is_hello, plist=list(pkt.priority_list))
         ser = self._spp if self.config.serialization_delay else 0.0
         now, by_id, draw = self.now, self.by_id, self.rng.random
-        schedule, arrive = self.schedule, self._handle_arrival
+        schedule = self.schedule
+        arrive = self._handle_hello_arrival if pkt.is_hello else self._handle_arrival
         for other_id, delay, p in self._link_table(sender):
             if by_id[other_id].alive:
                 schedule(now + delay + ser, arrive, other_id, pkt, draw() < p)
 
+    def _handle_hello_arrival(self, node_id: int, pkt: PacketHeader, ok: bool) -> None:
+        """An intact hello refreshes a living receiver's neighbour table."""
+        if ok:
+            node = self.by_id[node_id]
+            if node.alive:
+                self.protocol.hear(node, pkt, self.now)
+
     def _handle_arrival(self, node_id: int, pkt: PacketHeader, ok: bool) -> None:
         node = self.by_id[node_id]
         if not node.alive:
-            return
-        if pkt.is_hello:
-            if ok:
-                self.protocol.hear(node, pkt, self.now)
             return
         if not self.receive_energy_accounting(node):
             return
@@ -326,10 +331,10 @@ class Simulation:
         """Process queued events in time order up to and including `until`."""
         queue = self._queue
         while queue:
-            t, _, handler, args = queue[0]
-            if t > until:
+            t, seq, handler, args = heappop(queue)
+            if t > until:  # the one event past `until` goes back
+                heappush(queue, (t, seq, handler, args))
                 break
-            heappop(queue)
             self.now = t
             handler(*args)
 

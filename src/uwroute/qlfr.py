@@ -9,8 +9,9 @@ r + gamma * V(neighbor) computed from that knowledge, embeds the top
 `list_length` of them as a priority list, and updates its own stored Q toward
 that target when it transmits, before the header is built. Receivers hold a
 copy for a holding time proportional to their list position;
-`ForwardingCore.on_receive` cancels the hold on overhearing any copy. The
-core keeps no state of its own: a hold is named by the held copy itself.
+`ForwardingCore.on_receive` cancels the hold on overhearing any copy. It
+returns shared outcomes (one `Drop` per reason, one `Deliver`), and headers
+are `NamedTuple`s, so a receive allocates neither.
 
 The list length adapts to the delivery ratio at the sinks, which count a
 source's generated packets as its highest seq received plus one. A periodic
@@ -20,14 +21,14 @@ by its next packet and taken up by the relays that packet lists.
 """
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
-from . import qcore
+from . import qcore, world
 from .qcore import QParams
 from .world import NodeState, RoutingKnowledge, update_neighbor_knowledge, fresh_neighbors
 
 
-@dataclass(frozen=True)
-class PacketHeader:
+class PacketHeader(NamedTuple):
     source_id: int
     seq: int
     knowledge: RoutingKnowledge  # the sender's, when it sent this copy
@@ -96,6 +97,13 @@ class Deliver:
     pass
 
 
+_SUPPRESSED = Drop("suppressed")
+_ALREADY_FORWARDED = Drop("already-forwarded")
+_DUPLICATE = Drop("duplicate")
+_NOT_CANDIDATE = Drop("not-candidate")
+_DELIVER = Deliver()
+
+
 def candidate_scorer(sender: NodeState, d_max: float, qparams: QParams):
     """The ranking value r + gamma * V of one advertised neighbor of `sender`,
     as a function of its knowledge; `qcore.reward_from` computes the sender's
@@ -159,18 +167,18 @@ class ForwardingCore:
             return Ignore("hello")
         if node.is_sink:
             self.at_sink(pkt)
-            return Deliver()
+            return _DELIVER
         key = pkt.key
         if node.pending.pop(key, None) is not None:  # overheard while held
-            node.duplicate_cache.add(key)  # later copies are not rescheduled
-            return Drop("suppressed")
+            world.remember(node.duplicate_cache, key)  # later copies are not rescheduled
+            return _SUPPRESSED
         if key in node.forwarded_cache:
-            return Drop("already-forwarded")
+            return _ALREADY_FORWARDED
         if key in node.duplicate_cache:
-            return Drop("duplicate")
+            return _DUPLICATE
         ranked = self.rank(node, pkt)
         if ranked is None:
-            return Drop("not-candidate")
+            return _NOT_CANDIDATE
         node.pending[key] = pkt
         return Schedule(*ranked)
 
@@ -186,7 +194,7 @@ class ForwardingCore:
         header = self._header(node, key, pkt.suppression_directive,
                               pkt.suppression_epoch, now)
         if header is None:
-            node.duplicate_cache.add(key)
+            world.remember(node.duplicate_cache, key)
             return ("void", None)
         return ("send", header)
 
@@ -200,7 +208,7 @@ class ForwardingCore:
         plist = self.priority_list(node, now)
         if plist is None:
             return None
-        node.forwarded_cache.add(key)
+        world.remember(node.forwarded_cache, key)
         return PacketHeader(key[0], key[1], advertised(node), node.id, plist,
                             directive, epoch)
 

@@ -1,5 +1,6 @@
-"""Node deployment, random-walk mobility, geometry queries and per-node
-neighbor-knowledge tables.
+"""Node deployment, random-walk mobility, geometry queries, per-node
+neighbor-knowledge tables of `RoutingKnowledge` tuples, and `remember`, which
+keeps a node's packet-key caches (plain dicts) bounded.
 
 `CellGrid` is the one neighbour index, for the engine's link tables and the
 analysis. Its one query, `pairs`, yields every pair of points within range
@@ -14,7 +15,7 @@ sensor nodes that start on the bottom layer (z = 0).
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 
 @dataclass(frozen=True)
@@ -24,34 +25,20 @@ class NodePosition:
     z: float
 
 
-@dataclass(frozen=True)
-class RoutingKnowledge:
-    """The advertised tuple <V-value, depth, residual energy>."""
+class RoutingKnowledge(NamedTuple):
+    """The advertised tuple <V-value, depth, residual energy>; immutable."""
 
     v_value: float
     depth_m: float
     residual_energy_j: float
 
 
-class BoundedCache:
-    """Insertion-ordered set with LRU eviction once `maxlen` is exceeded."""
-
-    def __init__(self, maxlen: int = 1024):
-        self.maxlen = maxlen
-        self._items: dict = {}
-
-    def add(self, item) -> None:
-        if item in self._items:
-            del self._items[item]
-        self._items[item] = None
-        if len(self._items) > self.maxlen:
-            del self._items[next(iter(self._items))]
-
-    def __contains__(self, item) -> bool:
-        return item in self._items
-
-    def __len__(self) -> int:
-        return len(self._items)
+def remember(cache: dict, key, maxlen: int = 1024) -> None:
+    """Add `key` as the newest key of `cache`, evicting the oldest past `maxlen`."""
+    cache.pop(key, None)
+    cache[key] = None
+    if len(cache) > maxlen:
+        del cache[next(iter(cache))]
 
 
 @dataclass
@@ -67,8 +54,8 @@ class NodeState:
     v_value: float = 0.0
     q_table: dict = field(default_factory=dict)  # neighbor id -> Q
     neighbor_knowledge: dict = field(default_factory=dict)  # id -> (RoutingKnowledge, last_heard)
-    duplicate_cache: BoundedCache = field(default_factory=BoundedCache)
-    forwarded_cache: BoundedCache = field(default_factory=BoundedCache)
+    duplicate_cache: dict = field(default_factory=dict)  # keys of held copies given up
+    forwarded_cache: dict = field(default_factory=dict)  # keys of copies sent
     list_length: int = 2  # current priority-list length (suppression state)
     suppression_epoch: int = 0  # newest list-length directive applied
     pending: dict = field(default_factory=dict)  # packet key -> the held copy, naming its hold

@@ -278,19 +278,26 @@ class TestNeighbourGrid:
 
     @staticmethod
     def receivers(sim, sender):
-        """Receiver ids `transmit` schedules, in arrival insertion order."""
-        scheduled = []
+        """Receiver ids `transmit` schedules, in arrival insertion order: a
+        hello and a data copy reach the same nodes, each through the handler
+        of its kind."""
+        hellos, data = [], []
 
-        def record(t, handler, *args):
-            scheduled.append((handler, args))
+        def record_into(scheduled):
+            return lambda t, handler, *args: scheduled.append((handler, args))
 
-        sim.schedule = record
+        copy = PacketHeader(sender.id, 0, RoutingKnowledge(0.0, sender.depth, 1.0), sender.id)
         try:
+            sim.schedule = record_into(hellos)
             sim.transmit(sender, sim.protocol.hello_header(sender))
+            sim.schedule = record_into(data)
+            sim.transmit(sender, copy)
         finally:
             del sim.schedule
-        assert all(handler == sim._handle_arrival for handler, _ in scheduled)
-        return [args[0] for _, args in scheduled]
+        assert all(handler == sim._handle_hello_arrival for handler, _ in hellos)
+        assert all(handler == sim._handle_arrival for handler, _ in data)
+        assert [args[0] for _, args in data] == [args[0] for _, args in hellos]
+        return [args[0] for _, args in hellos]
 
     def assert_matches_brute_force(self, sim):
         r = sim.config.tx_range_m
@@ -352,6 +359,23 @@ class TestNeighbourGrid:
         sim.by_id[4].alive = False
         assert self.receivers(sim, sim.by_id[3]) == [0, 1, 5]
         self.assert_matches_brute_force(sim)
+
+
+class TestHelloArrival:
+    def test_corrupt_or_dead_receiver_learns_nothing_and_pays_nothing(self):
+        nodes = [make_node(i, 10.0 * i) for i in range(4)]
+        sim = Simulation(base_config(n_sensors=4), nodes=nodes)
+        sender, corrupt, dying, intact = sim.nodes
+        draws = iter([1.0, 0.0, 0.0])  # node 1's copy is corrupt, 2's and 3's intact
+        sim.rng.random = lambda: next(draws)
+        sim.transmit(sender, sim.protocol.hello_header(sender))
+        dying.alive = False  # dies after the broadcast, before its copy arrives
+        sim.drain(1.0)
+        assert corrupt.neighbor_knowledge == {} and dying.neighbor_knowledge == {}
+        assert list(intact.neighbor_knowledge) == [sender.id]
+        for node in sim.nodes:
+            assert node.residual_energy_j == node.initial_energy_j
+            assert node.consumed_j == 0.0 and node.rx_seconds == 0.0
 
 
 class CountingRandom(random.Random):

@@ -1,7 +1,6 @@
 """Protocol state-machine tests: priority lists, holding times, receive and
 hold-expiry paths, overhear suppression, and the adaptive list length."""
 
-import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -12,7 +11,7 @@ from uwroute.qcore import QParams
 from uwroute.qlfr import (Deliver, Drop, HoldingParams, Ignore, PacketHeader,
                           QlfrProtocol, Schedule, build_priority_list, candidate_scorer,
                           holding_time)
-from uwroute.world import NodePosition, NodeState, RoutingKnowledge
+from uwroute.world import NodePosition, NodeState, RoutingKnowledge, remember
 
 QP = QParams(gamma=0.8, alpha=0.5)
 D_MAX = 150.0
@@ -38,6 +37,17 @@ def data_header(sender: NodeState, plist, source_id=9, seq=0, directive=0, epoch
                                                    sender.residual_energy_j),
                         sender_id=sender.id, priority_list=tuple(plist),
                         suppression_directive=directive, suppression_epoch=epoch)
+
+
+class TestHeaders:
+    def test_fields_cannot_be_assigned(self):
+        sender = make_node(node_id=1)
+        pkt = data_header(sender, plist=[5])
+        with pytest.raises(AttributeError):
+            pkt.seq = 1
+        with pytest.raises(AttributeError):
+            pkt.knowledge.depth_m = 0.0
+        assert pkt.key == (9, 0) and pkt.knowledge.depth_m == sender.depth
 
 
 class TestHoldingTime:
@@ -174,7 +184,7 @@ def reference_priority_list(sender, d_max, list_length, qparams, now, staleness_
         if now - heard > staleness_s or not kn.depth_m < sender.depth:
             continue
         depth = min(max(kn.depth_m, sender.depth - d_max), sender.depth + d_max)
-        kn = dataclasses.replace(kn, depth_m=depth)
+        kn = kn._replace(depth_m=depth)
         e_ini = sender.initial_energy_j
         r = (-qcore.energy_cost(sender.residual_energy_j, e_ini)
              - qcore.energy_cost(min(kn.residual_energy_j, e_ini), e_ini)
@@ -270,7 +280,7 @@ class TestOnReceive:
     def test_already_forwarded_drops(self):
         proto = protocol()
         node = make_node(node_id=5, depth=50.0)
-        node.forwarded_cache.add((9, 0))
+        remember(node.forwarded_cache, (9, 0))
         pkt = data_header(make_node(node_id=1, depth=100.0), plist=[5])
         assert proto.on_receive(node, pkt, now=3.0) == Drop("already-forwarded")
 

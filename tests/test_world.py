@@ -7,9 +7,9 @@ import pytest
 
 from uwroute import world
 from uwroute.config import ScenarioConfig
-from uwroute.world import (BoundedCache, CellGrid, NodePosition, NodeState,
-                           RoutingKnowledge, deploy, fresh_neighbors, neighbors_in_range,
-                           random_walk_step, update_neighbor_knowledge)
+from uwroute.world import (CellGrid, NodePosition, NodeState, RoutingKnowledge, deploy,
+                           fresh_neighbors, neighbors_in_range, random_walk_step, remember,
+                           update_neighbor_knowledge)
 
 
 def config(**kw):
@@ -226,13 +226,13 @@ class TestNeighborKnowledge:
             update_neighbor_knowledge(node, 0, RoutingKnowledge(0, 0, 0), now=0.0)
 
 
-class TestBoundedCache:
+class TestRemember:
     def test_lru_eviction(self):
-        cache = BoundedCache(maxlen=3)
+        cache = {}
         for item in (1, 2, 3):
-            cache.add(item)
-        cache.add(1)  # refresh 1
-        cache.add(4)  # evicts 2
+            remember(cache, item, maxlen=3)
+        remember(cache, 1, maxlen=3)  # refresh 1
+        remember(cache, 4, maxlen=3)  # evicts 2
         assert 1 in cache and 3 in cache and 4 in cache
         assert 2 not in cache
         assert len(cache) == 3
