@@ -10,8 +10,8 @@ r + gamma * V(neighbor) computed from that knowledge, embeds the top
 that target when it transmits, before the header is built. Receivers hold a
 copy for a holding time proportional to their list position;
 `ForwardingCore.on_receive` cancels the hold on overhearing any copy. It
-returns shared outcomes (one `Drop` per reason, one `Deliver`), and headers
-are `NamedTuple`s, so a receive allocates neither.
+returns shared outcomes, one `Drop` per reason and one `Deliver`, so a drop
+allocates nothing; headers are `NamedTuple`s, which are cheap to build.
 
 The list length adapts to the delivery ratio at the sinks, which count a
 source's generated packets as its highest seq received plus one. A periodic
