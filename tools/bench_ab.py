@@ -64,13 +64,11 @@ def main(argv=None) -> int:
     ap.add_argument("--workload", required=True)
     ap.add_argument("-n", "--pairs", type=int, default=10)
     ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--seconds", type=int, default=None,
-                    help="run length of each run (default: run_seconds of BENCHMARK.json)")
     args = ap.parse_args(argv)
 
     bench = json.loads((args.parent / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
-    seconds = args.seconds if args.seconds is not None else bench["run_seconds"]
+    seconds = bench["run_seconds"]
     sides = {"parent": args.parent, "change": args.change}
     samples = {side: {name: [] for name in better} for side in sides}
     digests_equal, all_correct = True, True
