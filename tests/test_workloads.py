@@ -2,7 +2,9 @@
 public API. Each one here builds its first seed-1 input, runs it and checks
 its outputs, so a change that breaks a name or signature the benchmark uses
 fails here and not only in the benchmark itself. The engine workloads are
-shortened to 20 simulated seconds."""
+shortened to 20 simulated seconds. Each output's digest is pinned, so a
+change that claims bit-identical outputs is checked on the benchmark's own
+inputs."""
 
 import sys
 from dataclasses import replace
@@ -15,6 +17,11 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import workloads  # noqa: E402
 
 SHORT_S = {"qlfr_default": 20.0, "dbr_dense_800": 20.0}
+DIGESTS = {
+    "analyze_400": "d3735ffa79b510150a3ab266eaf79e5fbbbabcb6546888535a16613f5e8b0531",
+    "dbr_dense_800": "31915bd7dd714d535d65a2fdb2fcaf6f45b495da2213e424489d01544fab6faa",
+    "qlfr_default": "7ee05106194505618b793e760706afb2466dadeeb034e41a266eb78a1333e409",
+}
 
 
 @pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
@@ -26,3 +33,4 @@ def test_workload_runs_and_checks(name):
     state = workload.setup(config)
     output = workload.execute(state)
     assert workload.check(state, output) == []
+    assert workload.digest(state, output) == DIGESTS[name]
