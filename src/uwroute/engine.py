@@ -19,12 +19,15 @@ one place positions change during a run, and at the end of `run`.
 
 Energy accounting: a transmit costs tx_power * M/mu, a reception costs
 rx_power * M/mu and is charged to every in-range sensor per arriving data
-packet, corrupt or not (the carrier is occupied either way). Both go
-through one debit, and an operation a node cannot fully pay for kills it
-instead; dead nodes neither send nor receive. Sinks are surface-powered and
-outside the energy model. Hello broadcasts are treated as free, so the
-data-only analytical energy model stays comparable: `_handle_hello_arrival`
-only hands an intact hello to `hear`, and `_handle_arrival` takes data copies.
+packet, corrupt or not (the carrier is occupied either way). An operation
+a node cannot fully pay for kills it instead; dead nodes neither send nor
+receive. A transmit goes through `_debit`; `receive_energy_accounting`, the
+busiest path, makes the same debit in its own body. Sinks are
+surface-powered and outside the energy model. Hello broadcasts are treated
+as free, so the data-only analytical energy model stays comparable:
+`_handle_hello_arrival` only hands an intact hello to `hear`, and
+`_handle_arrival` takes data copies and dispatches on the class of the
+protocol's outcome, the common `Drop` first.
 """
 
 import math
@@ -158,8 +161,12 @@ class Simulation:
         """Charge one packet reception; kills the node when it cannot pay."""
         if node.is_sink:
             return True
-        if not self._debit(node, self._rx_cost):
+        cost = self._rx_cost
+        if node.residual_energy_j < cost:
+            self._die(node)
             return False
+        node.residual_energy_j -= cost
+        node.consumed_j += cost
         node.rx_seconds += self._spp
         return True
 
@@ -227,20 +234,21 @@ class Simulation:
             self.corrupt_packets += 1
             return
         action = self.protocol.on_receive(node, pkt, self.now)
-        if isinstance(action, Deliver):
-            self._record_delivery(node, pkt)
-        elif isinstance(action, Schedule):
-            if self.trace is not None:
-                self._emit("schedule", node=node.id, key=pkt.key, tau=action.tau,
-                           position=action.position)
-            self.schedule(self.now + action.tau, self._handle_hold_expire, node.id, pkt)
-        elif isinstance(action, Drop):
+        kind = type(action)
+        if kind is Drop:
             if action.reason == "suppressed":
                 self.suppressed_forwards += 1
                 if self.trace is not None:
-                    self._emit("cancel", node=node.id, key=pkt.key)
+                    self._emit("cancel", node=node_id, key=pkt.key)
             elif self.trace is not None:
-                self._emit("drop", node=node.id, key=pkt.key, reason=action.reason)
+                self._emit("drop", node=node_id, key=pkt.key, reason=action.reason)
+        elif kind is Schedule:
+            if self.trace is not None:
+                self._emit("schedule", node=node_id, key=pkt.key, tau=action.tau,
+                           position=action.position)
+            self.schedule(self.now + action.tau, self._handle_hold_expire, node_id, pkt)
+        elif kind is Deliver:
+            self._record_delivery(node, pkt)
 
     def _record_delivery(self, sink: NodeState, pkt: PacketHeader) -> None:
         if pkt.key not in self.delivered_at:

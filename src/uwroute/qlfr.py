@@ -3,15 +3,18 @@ lists, holding times, duplicate and overhear suppression, and the adaptive
 list length.
 
 Every header, hello or data, advertises its sender's <V-value, depth,
-residual energy> as one `RoutingKnowledge`, which receivers store as sent.
+residual energy> as one `RoutingKnowledge`. `QlfrProtocol.hear` stores it as
+sent in the receiver's neighbor-knowledge table, and `build_priority_list`
+reads that table and evicts its stale entries; no other module touches it.
 A sender ranks its strictly-shallower fresh neighbors by the one-step target
 r + gamma * V(neighbor) computed from that knowledge, embeds the top
 `list_length` of them as a priority list, and updates its own stored Q toward
 that target when it transmits, before the header is built. Receivers hold a
 copy for a holding time proportional to their list position;
 `ForwardingCore.on_receive` cancels the hold on overhearing any copy. It
-returns shared outcomes, one `Drop` per reason and one `Deliver`, so a drop
-allocates nothing; headers are `NamedTuple`s, which are cheap to build.
+returns shared outcomes, one `Drop` per reason, one `Ignore` per reason and
+one `Deliver`, so only a hold allocates its outcome; headers and holds are
+`NamedTuple`s, which are cheap to build.
 
 The list length adapts to the delivery ratio at the sinks, which count a
 source's generated packets as its highest seq received plus one. A periodic
@@ -25,7 +28,7 @@ from typing import NamedTuple
 
 from . import qcore, world
 from .qcore import QParams
-from .world import NodeState, RoutingKnowledge, update_neighbor_knowledge, fresh_neighbors
+from .world import NodeState, RoutingKnowledge
 
 
 class PacketHeader(NamedTuple):
@@ -81,8 +84,7 @@ class Drop:
     reason: str  # "not-candidate" | "already-forwarded" | "duplicate" | "suppressed"
 
 
-@dataclass(frozen=True)
-class Schedule:
+class Schedule(NamedTuple):
     tau: float
     position: int
 
@@ -101,6 +103,8 @@ _SUPPRESSED = Drop("suppressed")
 _ALREADY_FORWARDED = Drop("already-forwarded")
 _DUPLICATE = Drop("duplicate")
 _NOT_CANDIDATE = Drop("not-candidate")
+_SELF = Ignore("self")
+_HELLO = Ignore("hello")
 _DELIVER = Deliver()
 
 
@@ -121,14 +125,20 @@ def build_priority_list(sender: NodeState, d_max: float, list_length: int,
                         qparams: QParams, now: float, staleness_s: float) -> list[int]:
     """Ordered forwarding candidates: fresh neighbors strictly shallower than
     the sender, sorted by descending score (ties to the lower id), truncated
-    to list_length. Empty result means a void region.
+    to list_length. Empty result means a void region. Entries older than
+    staleness_s are evicted from the sender's table after the walk.
     """
-    depth, score, scored = sender.depth, None, []
-    for nid, kn in fresh_neighbors(sender, now, staleness_s):
-        if kn.depth_m < depth:
+    table = sender.neighbor_knowledge
+    depth, score, scored, expired = sender.depth, None, [], []
+    for nid, (kn, heard) in table.items():
+        if now - heard > staleness_s:
+            expired.append(nid)
+        elif kn.depth_m < depth:
             if score is None:  # a sender with no candidate computes no cost
                 score = candidate_scorer(sender, d_max, qparams)
             scored.append((-score(kn), nid))
+    for nid in expired:
+        del table[nid]
     scored.sort()
     return [nid for _, nid in scored[:list_length]]
 
@@ -161,14 +171,14 @@ class ForwardingCore:
 
     def on_receive(self, node: NodeState, pkt: PacketHeader, now: float):
         if pkt.sender_id == node.id:
-            return Ignore("self")
+            return _SELF
         self.hear(node, pkt, now)
         if pkt.is_hello:
-            return Ignore("hello")
+            return _HELLO
         if node.is_sink:
             self.at_sink(pkt)
             return _DELIVER
-        key = pkt.key
+        key = (pkt.source_id, pkt.seq)
         if node.pending.pop(key, None) is not None:  # overheard while held
             world.remember(node.duplicate_cache, key)  # later copies are not rescheduled
             return _SUPPRESSED
@@ -187,7 +197,7 @@ class ForwardingCore:
         """Fire the hold of the copy `pkt`. Returns ("send", header),
         ("void", None) or ("stale", None) when `pkt` is no longer the held
         copy: the hold was cancelled, fired, or replaced by a later arrival."""
-        key = pkt.key
+        key = (pkt.source_id, pkt.seq)
         if node.pending.get(key) is not pkt:
             return ("stale", None)
         del node.pending[key]
@@ -238,8 +248,12 @@ class QlfrProtocol(ForwardingCore):
         return PacketHeader(node.id, -1, advertised(node), node.id, is_hello=True)
 
     def hear(self, node: NodeState, pkt: PacketHeader, now: float) -> None:
-        """Every heard packet refreshes neighbor knowledge, candidate or not."""
-        update_neighbor_knowledge(node, pkt.sender_id, pkt.knowledge, now)
+        """Every heard packet replaces the sender's entry in `node`'s
+        neighbor-knowledge table, candidate or not."""
+        sender = pkt.sender_id
+        if sender == node.id:
+            raise ValueError("a node does not record knowledge about itself")
+        node.neighbor_knowledge[sender] = (pkt.knowledge, now)
 
     def rank(self, node: NodeState, pkt: PacketHeader) -> tuple[float, int] | None:
         """A listed node holds by its position; it also takes up the list-length

@@ -1,9 +1,10 @@
-"""Node deployment, random-walk mobility, geometry queries, per-node
-neighbor-knowledge tables of `RoutingKnowledge` tuples, and `remember`, which
-keeps a node's packet-key caches (plain dicts) bounded.
+"""Node deployment, random-walk mobility, geometry queries, the
+`RoutingKnowledge` tuple that nodes advertise, and `remember`, which keeps a
+node's packet-key caches (plain dicts) bounded. A node's neighbor-knowledge
+table is read and written only by `qlfr`.
 
 `CellGrid` is the one neighbour index, for the engine's link tables and the
-analysis. Its one query, `pairs`, yields every pair of points within range
+analysis. Its one query, `pairs`, lists every pair of points within range
 once, so the engine computes each link of a mobility epoch once for both
 ends. `neighbors_in_range` is the brute-force scan it is checked against.
 
@@ -15,7 +16,7 @@ sensor nodes that start on the bottom layer (z = 0).
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, NamedTuple
 
 
 @dataclass(frozen=True)
@@ -47,6 +48,7 @@ class NodeState:
 
     id: int
     kind: str  # "sensor" | "source" | "sink"
+    is_sink: bool = field(init=False)  # kind == "sink", set at construction
     position: NodePosition
     region_z: float
     initial_energy_j: float
@@ -67,16 +69,13 @@ class NodeState:
     consumed_j: float = 0.0
 
     def __post_init__(self):
+        self.is_sink = self.kind == "sink"
         if self.residual_energy_j < 0:
             self.residual_energy_j = self.initial_energy_j
 
     @property
     def depth(self) -> float:
         return self.region_z - self.position.z
-
-    @property
-    def is_sink(self) -> bool:
-        return self.kind == "sink"
 
 
 def deploy(config, rng: random.Random) -> list[NodeState]:
@@ -182,49 +181,24 @@ class CellGrid:
             key = (math.floor(x / self.cell), math.floor(y / self.cell), math.floor(z / self.cell))
             self.cells.setdefault(key, []).append((x, y, z, pid))
 
-    def pairs(self) -> Iterator[tuple[int, int, float]]:
-        """Yield (a, b, squared distance) once for every unordered pair of
-        points within r, in no fixed order. The squared distance is summed
-        from b - a per axis; IEEE subtraction is antisymmetric, so it equals
-        bit for bit the value computed from b's end."""
-        cells, r2 = self.cells, self.r2
+    def pairs(self) -> list[tuple[int, int, float]]:
+        """(a, b, squared distance) once for every unordered pair of points
+        within r, in no fixed order. Each point is tested against the later
+        points of its cell and every point of the 13 cells ahead of it. The
+        squared distance is summed from b - a per axis; IEEE subtraction is
+        antisymmetric, so it equals bit for bit the value computed from b's
+        end."""
+        cells, r2, out = self.cells, self.r2, []
         for (ci, cj, ck), here in cells.items():
-            for n, (xa, ya, za, a) in enumerate(here):
-                for xb, yb, zb, b in here[n + 1:]:
+            ahead = []
+            for di, dj, dk in _FORWARD:
+                there = cells.get((ci + di, cj + dj, ck + dk))
+                if there is not None:
+                    ahead += there
+            for n, (xa, ya, za, a) in enumerate(here, 1):
+                for xb, yb, zb, b in here[n:] + ahead:
                     dx, dy, dz = xb - xa, yb - ya, zb - za
                     d2 = dx * dx + dy * dy + dz * dz
                     if d2 <= r2:
-                        yield a, b, d2
-            for di, dj, dk in _FORWARD:
-                there = cells.get((ci + di, cj + dj, ck + dk))
-                if there is None:
-                    continue
-                for xa, ya, za, a in here:
-                    for xb, yb, zb, b in there:
-                        dx, dy, dz = xb - xa, yb - ya, zb - za
-                        d2 = dx * dx + dy * dy + dz * dz
-                        if d2 <= r2:
-                            yield a, b, d2
-
-
-def update_neighbor_knowledge(node: NodeState, sender_id: int,
-                              knowledge: RoutingKnowledge, now: float) -> None:
-    """Replace the table entry for sender_id with fresh knowledge."""
-    if sender_id == node.id:
-        raise ValueError("a node does not record knowledge about itself")
-    node.neighbor_knowledge[sender_id] = (knowledge, now)
-
-
-def fresh_neighbors(node: NodeState, now: float,
-                    staleness_s: float) -> Iterator[tuple[int, RoutingKnowledge]]:
-    """Yield (id, knowledge) pairs not older than staleness_s, evicting
-    expired entries as they are encountered.
-    """
-    expired = []
-    for nid, (knowledge, heard) in node.neighbor_knowledge.items():
-        if now - heard > staleness_s:
-            expired.append(nid)
-        else:
-            yield nid, knowledge
-    for nid in expired:
-        del node.neighbor_knowledge[nid]
+                        out.append((a, b, d2))
+        return out

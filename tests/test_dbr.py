@@ -102,6 +102,11 @@ class TestSharedForwardingCore:
         assert proto.on_receive(node, self.copy_from(1, is_hello=True), 1.0) == Ignore("hello")
         assert not node.pending
 
+    def test_ignore_outcomes_are_shared(self, proto):
+        node = self.relay()
+        for pkt in (self.copy_from(5), self.copy_from(1, is_hello=True)):
+            assert proto.on_receive(node, pkt, 1.0) is proto.on_receive(node, pkt, 2.0)
+
     def test_overheard_copy_suppressed_then_duplicate(self, proto):
         node = self.relay()
         pkt = self.copy_from(1)

@@ -252,6 +252,47 @@ class TestRankingReference:
             build_priority_list(sender, D_MAX, 2, QP, now=0.0, staleness_s=STALE)
 
 
+class TestNeighborKnowledge:
+    """The table is written by `QlfrProtocol.hear` and read, with stale
+    entries evicted, by `build_priority_list`."""
+
+    @staticmethod
+    def hear(proto, node, sender_id, knowledge, now):
+        proto.hear(node, PacketHeader(0, -1, knowledge, sender_id, is_hello=True), now)
+
+    def test_fresh_entry_present(self):
+        proto, node = protocol(), make_node(depth=200.0)
+        self.hear(proto, node, 3, RoutingKnowledge(-0.5, 120.0, 80.0), now=10.0)
+        assert build_priority_list(node, D_MAX, 2, QP, now=12.0, staleness_s=20.0) == [3]
+        assert node.neighbor_knowledge[3] == (RoutingKnowledge(-0.5, 120.0, 80.0), 10.0)
+
+    def test_stale_entry_evicted(self):
+        proto, node = protocol(), make_node(depth=200.0)
+        self.hear(proto, node, 3, RoutingKnowledge(0.0, 120.0, 80.0), now=0.0)
+        assert build_priority_list(node, D_MAX, 2, QP, now=25.0, staleness_s=20.0) == []
+        assert 3 not in node.neighbor_knowledge  # evicted by the walk
+
+    def test_stale_entries_evicted_and_the_rest_keep_their_order(self):
+        proto, node = protocol(), make_node(depth=200.0)
+        for nid, heard in ((3, 0.0), (7, 10.0), (1, 10.0), (5, 0.0), (4, 10.0)):
+            self.hear(proto, node, nid, RoutingKnowledge(0.0, 120.0, 80.0), now=heard)
+        build_priority_list(node, D_MAX, 2, QP, now=25.0, staleness_s=20.0)
+        assert list(node.neighbor_knowledge) == [7, 1, 4]
+
+    def test_overwrite_keeps_single_entry(self):
+        proto, node = protocol(), make_node(depth=200.0)
+        self.hear(proto, node, 3, RoutingKnowledge(0.0, 120.0, 80.0), now=0.0)
+        self.hear(proto, node, 3, RoutingKnowledge(-1.0, 90.0, 70.0), now=5.0)
+        assert len(node.neighbor_knowledge) == 1
+        assert node.neighbor_knowledge[3] == (RoutingKnowledge(-1.0, 90.0, 70.0), 5.0)
+
+    def test_rejects_self_knowledge(self):
+        proto, node = protocol(), make_node(depth=200.0)
+        with pytest.raises(ValueError):
+            self.hear(proto, node, 0, RoutingKnowledge(0, 0, 0), now=0.0)
+        assert not node.neighbor_knowledge
+
+
 class TestOnReceive:
     def test_non_candidate_drops_but_learns(self):
         proto = protocol()
@@ -269,6 +310,15 @@ class TestOnReceive:
         action = proto.on_receive(node, pkt, now=3.0)
         assert action == Schedule(0.0, 1)
         assert node.pending[pkt.key] is pkt
+
+    def test_schedule_is_read_only(self):
+        proto = protocol()
+        node = make_node(node_id=5, depth=50.0)
+        action = proto.on_receive(node, data_header(make_node(node_id=1, depth=100.0),
+                                                    plist=[5]), now=3.0)
+        assert isinstance(action, Schedule)
+        with pytest.raises(AttributeError):
+            action.tau = 1.0
 
     def test_second_priority_waits_k(self):
         proto = protocol(h=4, t_max=0.1)

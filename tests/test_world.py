@@ -1,4 +1,4 @@
-"""Deployment, mobility, geometry and neighbor-knowledge table tests."""
+"""Deployment, node kinds, mobility, geometry and key-cache tests."""
 
 import math
 import random
@@ -7,9 +7,8 @@ import pytest
 
 from uwroute import world
 from uwroute.config import ScenarioConfig
-from uwroute.world import (CellGrid, NodePosition, NodeState, RoutingKnowledge, deploy,
-                           fresh_neighbors, neighbors_in_range, random_walk_step, remember,
-                           update_neighbor_knowledge)
+from uwroute.world import (CellGrid, NodePosition, NodeState, deploy, neighbors_in_range,
+                           random_walk_step, remember)
 
 
 def config(**kw):
@@ -55,6 +54,14 @@ class TestDeploy:
     def test_unique_ids(self):
         nodes = deploy(config(), random.Random(3))
         assert len({n.id for n in nodes}) == len(nodes)
+
+    def test_is_sink_only_for_sink_kind(self):
+        for kind in ("sensor", "source", "sink"):
+            node = NodeState(0, kind, NodePosition(0, 0, 0), 300.0, 100.0)
+            assert node.is_sink == (kind == "sink")
+        nodes = deploy(config(), random.Random(1))
+        assert all(n.is_sink == (n.kind == "sink") for n in nodes)
+        assert sum(n.is_sink for n in nodes) == 5
 
 
 class TestRandomWalk:
@@ -195,35 +202,6 @@ class TestCellGrid:
     def test_rejects_nonpositive_range(self):
         with pytest.raises(ValueError):
             CellGrid([], 0.0)
-
-
-class TestNeighborKnowledge:
-    def make_node(self):
-        return NodeState(0, "sensor", NodePosition(0, 0, 0), 300.0, 100.0)
-
-    def test_fresh_entry_present(self):
-        node = self.make_node()
-        update_neighbor_knowledge(node, 3, RoutingKnowledge(-0.5, 120.0, 80.0), now=10.0)
-        entries = dict(fresh_neighbors(node, now=12.0, staleness_s=20.0))
-        assert entries[3] == RoutingKnowledge(-0.5, 120.0, 80.0)
-
-    def test_stale_entry_evicted(self):
-        node = self.make_node()
-        update_neighbor_knowledge(node, 3, RoutingKnowledge(0.0, 120.0, 80.0), now=0.0)
-        assert dict(fresh_neighbors(node, now=25.0, staleness_s=20.0)) == {}
-        assert 3 not in node.neighbor_knowledge  # lazily evicted
-
-    def test_overwrite_keeps_single_entry(self):
-        node = self.make_node()
-        update_neighbor_knowledge(node, 3, RoutingKnowledge(0.0, 120.0, 80.0), now=0.0)
-        update_neighbor_knowledge(node, 3, RoutingKnowledge(-1.0, 90.0, 70.0), now=5.0)
-        assert len(node.neighbor_knowledge) == 1
-        assert node.neighbor_knowledge[3][0].depth_m == 90.0
-
-    def test_rejects_self_knowledge(self):
-        node = self.make_node()
-        with pytest.raises(ValueError):
-            update_neighbor_knowledge(node, 0, RoutingKnowledge(0, 0, 0), now=0.0)
 
 
 class TestRemember:
