@@ -56,15 +56,12 @@ def _run_one(task) -> dict:
     return row
 
 
-def run_sweep(config: ScenarioConfig, param: str, values, replicates: int | None = None,
+def run_sweep(config: ScenarioConfig, param: str, values, replicates: int = 1,
               jobs: int | None = None) -> list[dict]:
     """One run per (sweep value, replicate), seeded with the point's run.seed
     plus the replicate; rows come sorted by sweep value then replicate."""
-    replicates = config.replicates if replicates is None else replicates
     if replicates < 1:
         raise ConfigError("replicates must be >= 1")
-    if param == "run.replicates":
-        raise ConfigError("run.replicates cannot be swept; use --replicates")
     tasks = []
     configs = []
     for value in values:
@@ -246,7 +243,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_p.add_argument("--seed", type=int, help="override run.seed")
     sweep_p.add_argument("--param", required=True, help="config key to sweep")
     sweep_p.add_argument("--values", required=True, help="comma-separated values")
-    sweep_p.add_argument("--replicates", type=int, default=None)
+    sweep_p.add_argument("--replicates", type=int, default=1,
+                         help="runs per sweep value, seeded run.seed + r")
     sweep_p.add_argument("--jobs", type=int, default=None)
     sweep_p.add_argument("--out", default="results", help="output directory")
     sweep_p.set_defaults(func=cmd_sweep)

@@ -1,13 +1,21 @@
 """Scenario configuration: defaults, flat key-value config files, validation.
 
+Each `ScenarioConfig` field is the one declaration of its config key: it holds
+the `section.key` name, the default and the range check with its description.
+A value's type is the field's annotation with `None` removed, and a field may
+be `None` exactly when its default is. Parsing, validation, `set_key` and the
+echoed configuration all read these declarations.
+
 Config files are plain text, one `section.key = value` per line, `#` for
-comments. Unknown keys and out-of-range values are reported with their line
-number. The full effective configuration (defaults included) can be echoed
-back out, so a result directory always records exactly what ran.
+comments. Unknown keys, values of the wrong type and out-of-range values are
+reported with their line number. The full effective configuration (defaults
+included) can be echoed back out, so a result directory always records
+exactly what ran.
 """
 
 import dataclasses
 import math
+import typing
 from dataclasses import dataclass
 
 from .channel import ChannelParams
@@ -17,50 +25,61 @@ class ConfigError(ValueError):
     pass
 
 
+# ranges: a check and how error messages state it
+_ANY = (lambda v: True, "")
+_POSITIVE = (lambda v: v > 0, "> 0")
+_COUNT = (lambda v: v >= 1, ">= 1")
+_PROBABILITY = (lambda v: 0.0 < v < 1.0, "in (0, 1)")
+
+
+def _key(name: str, default, valid=_ANY):
+    """A field declaring config key `name` (`section.key`), its default and
+    its range `valid`."""
+    return dataclasses.field(default=default, metadata={"key": name, "range": valid})
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
-    # world
-    region_x_m: float = 500.0
-    region_y_m: float = 500.0
-    region_z_m: float = 500.0
-    n_sensors: int = 100
-    n_sources: int = 5
-    n_sinks: int = 5
-    tx_range_m: float = 150.0
-    mobility_speed_mps: float = 3.0
-    mobility_tick_s: float = 10.0
-    hello_interval_s: float = 10.0
-    sound_speed_mps: float = 1500.0
-    # protocol
-    protocol: str = "qlfr"
-    gamma: float = 0.8
-    alpha: float = 0.5
-    holding_h: int = 4
-    holding_k_s: float | None = None  # overrides holding_h when set
-    initial_list_length: int = 2
-    max_list_length: int = 4
-    pdr_threshold: float = 0.9
-    suppression_interval_s: float = 30.0
-    # channel
-    frequency_khz: float = 10.0
-    spreading_kappa: float = 1.5
-    atten_const_a0: float = 1.0
-    energy_per_bit: float | None = None  # None: calibrate at startup
-    noise_density: float = 1e-9
-    packet_bits: int = 512
-    bit_rate_bps: float = 10_000.0
-    calibration_distance_m: float = 100.0
-    calibration_pdr: float = 0.9
-    # energy
-    tx_power_w: float = 2.0
-    rx_power_w: float = 0.5
-    initial_node_energy_j: float = 100.0
-    # traffic and run control
-    source_interval_s: float = 10.0
-    max_sim_time_s: float = 600.0
-    serialization_delay: bool = True
-    seed: int = 1
-    replicates: int = 1
+    region_x_m: float = _key("world.region_x_m", 500.0, _POSITIVE)
+    region_y_m: float = _key("world.region_y_m", 500.0, _POSITIVE)
+    region_z_m: float = _key("world.region_z_m", 500.0, _POSITIVE)
+    n_sensors: int = _key("world.n_sensors", 100, _COUNT)
+    n_sources: int = _key("world.n_sources", 5, _COUNT)
+    n_sinks: int = _key("world.n_sinks", 5, _COUNT)
+    tx_range_m: float = _key("world.tx_range_m", 150.0, _POSITIVE)
+    mobility_speed_mps: float = _key("world.mobility_speed_mps", 3.0, (lambda v: v >= 0, ">= 0"))
+    mobility_tick_s: float = _key("world.mobility_tick_s", 10.0, _POSITIVE)
+    hello_interval_s: float = _key("world.hello_interval_s", 10.0, _POSITIVE)
+    sound_speed_mps: float = _key("world.sound_speed_mps", 1500.0, _POSITIVE)
+    protocol: str = _key("protocol.name", "qlfr", (lambda v: v in ("qlfr", "dbr"), "qlfr or dbr"))
+    gamma: float = _key("protocol.gamma", 0.8, (lambda v: 0.0 <= v <= 1.0, "in [0, 1]"))
+    alpha: float = _key("protocol.alpha", 0.5, (lambda v: 0.0 < v <= 1.0, "in (0, 1]"))
+    holding_h: int = _key("protocol.holding_h", 4, _COUNT)
+    # overrides holding_h when set
+    holding_k_s: float | None = _key("protocol.holding_k_s", None, _POSITIVE)
+    initial_list_length: int = _key("protocol.initial_list_length", 2, _COUNT)
+    max_list_length: int = _key("protocol.max_list_length", 4, _COUNT)
+    pdr_threshold: float = _key("protocol.pdr_threshold", 0.9, _PROBABILITY)
+    suppression_interval_s: float = _key("protocol.suppression_interval_s", 30.0, _POSITIVE)
+    frequency_khz: float = _key("channel.frequency_khz", 10.0, _POSITIVE)
+    spreading_kappa: float = _key("channel.spreading_kappa", 1.5,
+                                  (lambda v: 1.0 <= v <= 2.0, "in [1, 2]"))
+    atten_const_a0: float = _key("channel.atten_const_a0", 1.0, _POSITIVE)
+    # None: calibrate at startup
+    energy_per_bit: float | None = _key("channel.energy_per_bit", None,
+                                        (lambda v: v > 0, "> 0 or none"))
+    noise_density: float = _key("channel.noise_density", 1e-9, _POSITIVE)
+    packet_bits: int = _key("channel.packet_bits", 512, _COUNT)
+    bit_rate_bps: float = _key("channel.bit_rate_bps", 10_000.0, _POSITIVE)
+    calibration_distance_m: float = _key("channel.calibration_distance_m", 100.0, _POSITIVE)
+    calibration_pdr: float = _key("channel.calibration_pdr", 0.9, _PROBABILITY)
+    tx_power_w: float = _key("energy.tx_power_w", 2.0, _POSITIVE)
+    rx_power_w: float = _key("energy.rx_power_w", 0.5, _POSITIVE)
+    initial_node_energy_j: float = _key("energy.initial_node_energy_j", 100.0, _POSITIVE)
+    source_interval_s: float = _key("traffic.source_interval_s", 10.0, _POSITIVE)
+    max_sim_time_s: float = _key("run.max_sim_time_s", 600.0, _POSITIVE)
+    serialization_delay: bool = _key("run.serialization_delay", True)
+    seed: int = _key("run.seed", 1)
 
     def __post_init__(self):
         """An invalid config cannot exist: every construction, including
@@ -108,8 +127,8 @@ class ScenarioConfig:
         )
 
     def validate(self) -> None:
-        for entry in _KEYMAP:
-            _check_range(entry, getattr(self, entry[1]))
+        for decl in _DECLS:
+            _check(decl, getattr(self, decl.field))
         if self.n_sources > self.n_sensors:
             raise ConfigError("world.n_sources cannot exceed world.n_sensors")
         if self.max_list_length < self.initial_list_length:
@@ -129,86 +148,59 @@ class ScenarioConfig:
             )
 
 
-def _positive(v) -> bool:
-    return v > 0
+class _Decl(typing.NamedTuple):
+    """One field's declaration, read once from its `dataclasses.Field`."""
+
+    key: str  # section.key
+    field: str
+    type: type  # the annotation with None removed
+    optional: bool  # default None: "none" and "auto" parse to None
+    check: typing.Callable
+    describe: str  # the range as error messages state it
 
 
-def _nonnegative(v) -> bool:
-    return v >= 0
+def _declared(f: dataclasses.Field) -> _Decl:
+    typ = next(t for t in typing.get_args(f.type) or (f.type,) if t is not type(None))
+    return _Decl(f.metadata["key"], f.name, typ, f.default is None, *f.metadata["range"])
 
 
-# key, field, type, range check, range description
-_KEYMAP = [
-    ("world.region_x_m", "region_x_m", float, _positive, "> 0"),
-    ("world.region_y_m", "region_y_m", float, _positive, "> 0"),
-    ("world.region_z_m", "region_z_m", float, _positive, "> 0"),
-    ("world.n_sensors", "n_sensors", int, lambda v: v >= 1, ">= 1"),
-    ("world.n_sources", "n_sources", int, lambda v: v >= 1, ">= 1"),
-    ("world.n_sinks", "n_sinks", int, lambda v: v >= 1, ">= 1"),
-    ("world.tx_range_m", "tx_range_m", float, _positive, "> 0"),
-    ("world.mobility_speed_mps", "mobility_speed_mps", float, _nonnegative, ">= 0"),
-    ("world.mobility_tick_s", "mobility_tick_s", float, _positive, "> 0"),
-    ("world.hello_interval_s", "hello_interval_s", float, _positive, "> 0"),
-    ("world.sound_speed_mps", "sound_speed_mps", float, _positive, "> 0"),
-    ("protocol.name", "protocol", str, lambda v: v in ("qlfr", "dbr"), "qlfr or dbr"),
-    ("protocol.gamma", "gamma", float, lambda v: 0.0 <= v <= 1.0, "in [0, 1]"),
-    ("protocol.alpha", "alpha", float, lambda v: 0.0 < v <= 1.0, "in (0, 1]"),
-    ("protocol.holding_h", "holding_h", int, lambda v: v >= 1, ">= 1"),
-    ("protocol.holding_k_s", "holding_k_s", float, _positive, "> 0"),
-    ("protocol.initial_list_length", "initial_list_length", int, lambda v: v >= 1, ">= 1"),
-    ("protocol.max_list_length", "max_list_length", int, lambda v: v >= 1, ">= 1"),
-    ("protocol.pdr_threshold", "pdr_threshold", float, lambda v: 0.0 < v < 1.0, "in (0, 1)"),
-    ("protocol.suppression_interval_s", "suppression_interval_s", float, _positive, "> 0"),
-    ("channel.frequency_khz", "frequency_khz", float, _positive, "> 0"),
-    ("channel.spreading_kappa", "spreading_kappa", float, lambda v: 1.0 <= v <= 2.0, "in [1, 2]"),
-    ("channel.atten_const_a0", "atten_const_a0", float, _positive, "> 0"),
-    ("channel.energy_per_bit", "energy_per_bit", float, _positive, "> 0 or none"),
-    ("channel.noise_density", "noise_density", float, _positive, "> 0"),
-    ("channel.packet_bits", "packet_bits", int, lambda v: v >= 1, ">= 1"),
-    ("channel.bit_rate_bps", "bit_rate_bps", float, _positive, "> 0"),
-    ("channel.calibration_distance_m", "calibration_distance_m", float, _positive, "> 0"),
-    ("channel.calibration_pdr", "calibration_pdr", float, lambda v: 0.0 < v < 1.0, "in (0, 1)"),
-    ("energy.tx_power_w", "tx_power_w", float, _positive, "> 0"),
-    ("energy.rx_power_w", "rx_power_w", float, _positive, "> 0"),
-    ("energy.initial_node_energy_j", "initial_node_energy_j", float, _positive, "> 0"),
-    ("traffic.source_interval_s", "source_interval_s", float, _positive, "> 0"),
-    ("run.max_sim_time_s", "max_sim_time_s", float, _positive, "> 0"),
-    ("run.serialization_delay", "serialization_delay", bool, lambda v: True, "bool"),
-    ("run.seed", "seed", int, lambda v: True, "any int"),
-    ("run.replicates", "replicates", int, lambda v: v >= 1, ">= 1"),
-]
+_DECLS = tuple(_declared(f) for f in dataclasses.fields(ScenarioConfig))
+_BY_KEY = {decl.key: decl for decl in _DECLS}
 
-_KEY_TO_ENTRY = {entry[0]: entry for entry in _KEYMAP}
-_OPTIONAL_FIELDS = {"energy_per_bit", "holding_k_s"}
+# what a value of each declared type may be, and what an error calls it;
+# a bool is an int to Python, but only a bool key takes one
+_ACCEPTS = {int: ((int,), "an integer"), float: ((int, float), "a number"),
+            bool: ((bool,), "a boolean"), str: ((str,), "a string")}
 
 
-def _check_range(entry, value) -> None:
-    """Refuse a value outside its own key's range; None (an unset optional
-    field) passes."""
-    key, _, typ, check, describe = entry
-    if value is None:
+def _check(decl: _Decl, value) -> None:
+    """Refuse a value of the wrong type or outside its own key's range; None
+    passes for an optional key."""
+    if value is None and decl.optional:
         return
-    if typ is float and not math.isfinite(value):
-        raise ConfigError(f"{key} = {value!r} is not a finite number")
-    if not check(value):
-        raise ConfigError(f"{key} = {value!r} out of range ({describe})")
+    types, kind = _ACCEPTS[decl.type]
+    if not isinstance(value, types) or (isinstance(value, bool) and decl.type is not bool):
+        raise ConfigError(f"{decl.key} = {value!r} is not {kind}")
+    if decl.type is float and not math.isfinite(value):
+        raise ConfigError(f"{decl.key} = {value!r} is not a finite number")
+    if not decl.check(value):
+        raise ConfigError(f"{decl.key} = {value!r} out of range ({decl.describe})")
 
 
-def _parse_value(raw: str, typ, field: str):
+def _parse(decl: _Decl, raw: str):
     raw = raw.strip()
-    if field in _OPTIONAL_FIELDS and raw.lower() in ("none", "auto"):
+    if decl.optional and raw.lower() in ("none", "auto"):
         return None
-    if typ is bool:
+    if decl.type is bool:
         if raw.lower() in ("true", "yes", "on", "1"):
             return True
         if raw.lower() in ("false", "no", "off", "0"):
             return False
-        raise ValueError(f"not a boolean: {raw!r}")
-    if typ is int:
-        return int(raw)
-    if typ is float:
-        return float(raw)
-    return raw
+        raise ConfigError(f"bad value for {decl.key}: not a boolean: {raw!r}")
+    try:
+        return decl.type(raw)
+    except ValueError as exc:
+        raise ConfigError(f"bad value for {decl.key}: {exc}") from exc
 
 
 def parse_config_text(text: str, source: str = "<config>") -> ScenarioConfig:
@@ -220,19 +212,15 @@ def parse_config_text(text: str, source: str = "<config>") -> ScenarioConfig:
         if "=" not in stripped:
             raise ConfigError(f"{source}:{lineno}: expected 'key = value', got {line.strip()!r}")
         key, raw = (part.strip() for part in stripped.split("=", 1))
-        if key not in _KEY_TO_ENTRY:
+        if key not in _BY_KEY:
             raise ConfigError(f"{source}:{lineno}: unknown key {key!r}")
-        entry = _KEY_TO_ENTRY[key]
-        _, field, typ, _, _ = entry
+        decl = _BY_KEY[key]
         try:
-            value = _parse_value(raw, typ, field)
-        except ValueError as exc:
-            raise ConfigError(f"{source}:{lineno}: bad value for {key}: {exc}") from exc
-        try:
-            _check_range(entry, value)
+            value = _parse(decl, raw)
+            _check(decl, value)
         except ConfigError as exc:
             raise ConfigError(f"{source}:{lineno}: {exc}") from exc
-        overrides[field] = value
+        overrides[decl.field] = value
     try:
         return ScenarioConfig(**overrides)
     except ConfigError as exc:
@@ -249,29 +237,34 @@ def parse_config(path) -> ScenarioConfig:
 
 
 def set_key(config: ScenarioConfig, key: str, value) -> ScenarioConfig:
-    """Return a copy of `config` with the dotted `key` replaced by `value`."""
-    if key not in _KEY_TO_ENTRY:
+    """Return a copy of `config` with the dotted `key` replaced by `value`.
+    A string is parsed as in a config file; a whole-number float for an int
+    key becomes that int, and an int for a float key a float. Any other
+    value must already have the key's type."""
+    if key not in _BY_KEY:
         raise ConfigError(f"unknown config key {key!r}")
-    _, field, typ, _, _ = _KEY_TO_ENTRY[key]
+    decl = _BY_KEY[key]
     if isinstance(value, str):
-        value = _parse_value(value, typ, field)
-    elif value is not None and typ in (int, float):
-        value = typ(value)
-    return dataclasses.replace(config, **{field: value})
+        value = _parse(decl, value)
+    elif decl.type is int and isinstance(value, float) and value.is_integer():
+        value = int(value)
+    elif decl.type is float and type(value) is int:
+        value = float(value)
+    return dataclasses.replace(config, **{decl.field: value})
 
 
 def effective_config_text(config: ScenarioConfig) -> str:
     """Render the full configuration, defaults included, in config-file form."""
     lines = []
-    for key, field, typ, _, _ in _KEYMAP:
-        value = getattr(config, field)
+    for decl in _DECLS:
+        value = getattr(config, decl.field)
         if value is None:
             rendered = "none"
-        elif typ is bool:
+        elif decl.type is bool:
             rendered = "true" if value else "false"
-        elif typ is float:
+        elif decl.type is float:
             rendered = repr(float(value))
         else:
             rendered = str(value)
-        lines.append(f"{key} = {rendered}")
+        lines.append(f"{decl.key} = {rendered}")
     return "\n".join(lines) + "\n"

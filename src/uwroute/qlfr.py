@@ -59,8 +59,8 @@ class HoldingParams:
     t_max: float
 
     def __post_init__(self):
-        if self.h < 1:
-            raise ValueError(f"h must be a positive integer, got {self.h}")
+        if type(self.h) is not int or self.h < 1:
+            raise ValueError(f"h must be a positive integer, got {self.h!r}")
         if self.t_max <= 0:
             raise ValueError(f"t_max must be > 0, got {self.t_max}")
 

@@ -6,6 +6,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import re
 import statistics
 
 import pytest
@@ -24,6 +25,47 @@ world.n_sources = 3
 world.n_sinks = 2
 run.max_sim_time_s = 60
 run.seed = 7
+"""
+
+# every key set to a valid value other than its default, in the form
+# effective_config_text renders it
+EVERY_KEY_SET = """\
+world.region_x_m = 400.5
+world.region_y_m = 410.25
+world.region_z_m = 420.125
+world.n_sensors = 77
+world.n_sources = 4
+world.n_sinks = 3
+world.tx_range_m = 140.5
+world.mobility_speed_mps = 2.5
+world.mobility_tick_s = 7.5
+world.hello_interval_s = 12.5
+world.sound_speed_mps = 1490.5
+protocol.name = dbr
+protocol.gamma = 0.7
+protocol.alpha = 0.25
+protocol.holding_h = 6
+protocol.holding_k_s = 0.03
+protocol.initial_list_length = 3
+protocol.max_list_length = 5
+protocol.pdr_threshold = 0.8
+protocol.suppression_interval_s = 25.5
+channel.frequency_khz = 12.5
+channel.spreading_kappa = 1.75
+channel.atten_const_a0 = 1.25
+channel.energy_per_bit = 0.001
+channel.noise_density = 2e-09
+channel.packet_bits = 256
+channel.bit_rate_bps = 5000.5
+channel.calibration_distance_m = 90.5
+channel.calibration_pdr = 0.85
+energy.tx_power_w = 2.5
+energy.rx_power_w = 0.75
+energy.initial_node_energy_j = 150.5
+traffic.source_interval_s = 12.5
+run.max_sim_time_s = 300.5
+run.serialization_delay = false
+run.seed = 42
 """
 
 
@@ -84,6 +126,56 @@ class TestParseConfig:
         config = parse_config_text("world.n_sensors = 123\nprotocol.name = dbr\n")
         echoed = parse_config_text(effective_config_text(config))
         assert echoed == config
+
+    def test_every_field_declares_one_key(self):
+        fields = dataclasses.fields(ScenarioConfig)
+        keys = [f.metadata["key"] for f in fields]
+        assert all(re.fullmatch(r"[a-z]+\.[a-z0-9_]+", key) for key in keys)
+        assert len(set(keys)) == len(keys) == len(fields)
+        echoed = [line.split(" = ")[0] for line in effective_config_text(ScenarioConfig())
+                  .splitlines()]
+        assert echoed == keys
+        assert "run.replicates" not in keys
+
+    def test_every_key_roundtrips(self):
+        config = parse_config_text(EVERY_KEY_SET)
+        default = ScenarioConfig()
+        for f in dataclasses.fields(ScenarioConfig):
+            assert getattr(config, f.name) != getattr(default, f.name), f.name
+        assert effective_config_text(config) == EVERY_KEY_SET
+        assert parse_config_text(effective_config_text(config)) == config
+
+    @pytest.mark.parametrize("field, value, key", [
+        ("n_sources", 2.0, "world.n_sources"),  # a float for an int key
+        ("n_sensors", True, "world.n_sensors"),  # a bool for an int key
+        ("seed", "3", "run.seed"),
+        ("n_sinks", None, "world.n_sinks"),  # None where the default is not None
+        ("gamma", "0.8", "protocol.gamma"),  # text for a float key
+        ("gamma", True, "protocol.gamma"),  # a bool for a float key
+        ("holding_k_s", False, "protocol.holding_k_s"),
+        ("serialization_delay", 1, "run.serialization_delay"),  # an int for a bool key
+        ("protocol", 1, "protocol.name"),
+    ])
+    def test_wrong_type_refused(self, field, value, key):
+        with pytest.raises(ConfigError, match=rf"^{re.escape(key)} = {re.escape(repr(value))} "
+                                              r"is not an? \w+$"):
+            ScenarioConfig(**{field: value})
+
+    def test_right_types_accepted(self):
+        config = ScenarioConfig(gamma=1, holding_k_s=None, serialization_delay=False)
+        assert (config.gamma, config.holding_k_s, config.serialization_delay) == (1, None, False)
+
+    def test_set_key_refuses_fractional_int(self):
+        # a truncated 12.7 would run 12 sensors under a row labelled 12.7
+        with pytest.raises(ConfigError, match=r"^world\.n_sensors = 12\.7 is not an integer$"):
+            set_key(ScenarioConfig(), "world.n_sensors", 12.7)
+        assert set_key(ScenarioConfig(), "world.n_sensors", 12.0).n_sensors == 12
+
+    def test_set_key_parse_error_is_config_error(self):
+        with pytest.raises(ConfigError, match=r"^bad value for world\.n_sensors: "):
+            set_key(ScenarioConfig(), "world.n_sensors", "many")
+        with pytest.raises(ConfigError, match=r"^bad value for run\.serialization_delay: "):
+            set_key(ScenarioConfig(), "run.serialization_delay", "maybe")
 
     @pytest.mark.parametrize("key", [
         "run.max_sim_time_s", "channel.energy_per_bit", "world.region_x_m", "world.tx_range_m",
@@ -168,6 +260,16 @@ class TestSweep:
                          "--values", "1,3", "--jobs", "1", "--out", str(out)]) == 2
         assert "run.replicates" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_replicates_line_is_an_unknown_key(self, tmp_path, capsys):
+        cfg = tmp_path / "scenario.cfg"
+        cfg.write_text(FAST_SCENARIO + "run.replicates = 3\n")
+        out = tmp_path / "sweep"
+        assert cli.main(["sweep", "--config", str(cfg), "--param", "run.seed",
+                         "--values", "7", "--jobs", "1", "--out", str(out)]) == 2
+        assert "unknown key 'run.replicates'" in capsys.readouterr().err
+        assert not out.exists()
+        assert len(run_sweep(self.small_config(), "run.seed", ["7"], jobs=1)) == 1
 
 
 class TestEmitResults:
@@ -331,6 +433,8 @@ class TestCliVerbs:
                                "node 0 generated"),
         "negative-generated": (lambda s: s["nodes"][0].update(generated=-5), "node 0 generated"),
         "unknown-kind": (lambda s: s["nodes"][2].update(kind="router"), "'router'"),
+        "fractional-holding-h": (lambda s: s["params"].update(holding_h=1.5),
+                                 "h must be a positive integer, got 1.5"),
     }
 
     @pytest.mark.parametrize("case", list(BAD_SNAPSHOTS))

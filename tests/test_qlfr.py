@@ -80,6 +80,9 @@ class TestHoldingTime:
             HoldingParams(0, 0.1)
         with pytest.raises(ValueError):
             HoldingParams(4, 0.0)
+        for h in (1.5, 4.0, True):  # an h that is not an int
+            with pytest.raises(ValueError, match="h must be a positive integer"):
+                HoldingParams(h, 0.1)
 
 
 class TestSuppressionSoundness:
