@@ -10,11 +10,12 @@ as an independent oracle against Monte-Carlo simulation of the same snapshot.
 
 Every candidate must be strictly shallower than its sender, so the candidate
 graph is a depth-ordered DAG and the whole model is one pass over it (see
-`_solve`). The delay weights each hop by the probability that the hop's
-forwarder is elected, which does not condition on eventual delivery; both the
-raw (delivery-weighted) value and the normalized value raw / P(delivery) are
-exposed, the latter being comparable to a simulator's mean delay of delivered
-packets.
+`_solve`). Each sender's forward probabilities, one per candidate in list
+order, are built once, with the topology. The delay weights each hop by the
+probability that the hop's forwarder is elected, which does not condition on
+eventual delivery; both the raw (delivery-weighted) value and the normalized
+value raw / P(delivery) are exposed, the latter being comparable to a
+simulator's mean delay of delivered packets.
 """
 
 import json
@@ -49,9 +50,11 @@ class StaticTopology:
 
     def __post_init__(self):
         inbound: dict = {}  # candidate -> [(sender, priority)] in candidates order
+        forward: dict = {}  # sender -> forward probability of each candidate, in order
         for sender, cands in self.candidates.items():
             if len(set(cands)) != len(cands):
                 raise TopologyError(f"duplicate candidate in list of node {sender}")
+            ps = []
             for position, c in enumerate(cands, 1):
                 inbound.setdefault(c, []).append((sender, position))
                 if (sender, c) not in self.link_prob:
@@ -59,7 +62,10 @@ class StaticTopology:
                 p = self.link_prob[(sender, c)]
                 if not 0.0 <= p <= 1.0:
                     raise TopologyError(f"link probability {p} for {(sender, c)} not in [0, 1]")
+                ps.append(p)
+            forward[sender] = tuple(candidate_forward_prob(ps, j) for j in range(1, len(ps) + 1))
         object.__setattr__(self, "_inbound", inbound)
+        object.__setattr__(self, "_forward", forward)
 
     def depth(self, node: int) -> float:
         return self.region_z_m - self.positions[node][2]
@@ -86,14 +92,9 @@ def candidate_forward_prob(p_list, j: int) -> float:
     return prob
 
 
-def _link_p_vector(topo: StaticTopology, sender: int) -> list[float]:
-    return [topo.link_prob[(sender, c)] for c in topo.candidates[sender]]
-
-
 def forward_prob(topo: StaticTopology, sender: int, candidate: int) -> float:
     """P(sender's transmission is forwarded by this particular candidate)."""
-    cands = topo.candidates[sender]
-    return candidate_forward_prob(_link_p_vector(topo, sender), cands.index(candidate) + 1)
+    return topo._forward[sender][topo.candidates[sender].index(candidate)]
 
 
 def outgoing_traffic(topo: StaticTopology) -> dict:
@@ -104,12 +105,12 @@ def outgoing_traffic(topo: StaticTopology) -> dict:
     for sender in order:
         if topo.is_sink(sender):
             continue
-        for cand in topo.candidates[sender]:
+        for cand, fwd in zip(topo.candidates[sender], topo._forward[sender]):
             if topo.depth(cand) >= topo.depth(sender):
                 raise TopologyError(
                     f"candidate {cand} of node {sender} is not strictly shallower")
             if not topo.is_sink(cand):
-                traffic[cand] += forward_prob(topo, sender, cand) * traffic[sender]
+                traffic[cand] += fwd * traffic[sender]
     for sink in topo.kinds:
         if topo.is_sink(sink):
             traffic[sink] = 0.0
@@ -136,7 +137,7 @@ def expected_holding_time(topo: StaticTopology, node: int, traffic: dict) -> flo
     expected = 0.0
     for (sender, position), w in zip(senders, weights):
         tau = holding_time(position, topo.holding)
-        expected += (w / total_w) * tau * forward_prob(topo, sender, node)
+        expected += (w / total_w) * tau * topo._forward[sender][position - 1]
     return expected
 
 
@@ -155,8 +156,7 @@ def _solve(topo: StaticTopology) -> tuple[dict, dict, dict]:
             continue
         holding = expected_holding_time(topo, sender, traffic)
         p = d = 0.0
-        for cand in topo.candidates[sender]:
-            fwd = forward_prob(topo, sender, cand)
+        for cand, fwd in zip(topo.candidates[sender], topo._forward[sender]):
             p += fwd * delivery[cand]
             hop = holding + topo.distance(sender, cand) / topo.sound_speed_mps
             d += (hop + raw_delay[cand]) * fwd

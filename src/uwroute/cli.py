@@ -83,7 +83,8 @@ def run_sweep(config: ScenarioConfig, param: str, values, replicates: int = 1,
 
 
 def aggregate_sweep(rows: list[dict]) -> list[dict]:
-    """Mean and sample stddev per (sweep value, metric)."""
+    """Mean and sample stddev per (sweep value, metric); the stddev is nan
+    when a sample is not finite (no delivery gives a nan delay)."""
     by_value: dict = {}  # sweep value -> its rows, in first-seen order
     for row in rows:
         by_value.setdefault(row["sweep_value"], []).append(row)
@@ -91,11 +92,15 @@ def aggregate_sweep(rows: list[dict]) -> list[dict]:
     for value, group in by_value.items():
         for metric in SWEEP_METRICS:
             samples = [float(r[metric]) for r in group]
+            if not all(map(math.isfinite, samples)):
+                stddev = math.nan  # statistics.stdev raises on inf and nan
+            else:
+                stddev = statistics.stdev(samples) if len(samples) > 1 else 0.0
             table.append({
                 "sweep_value": value,
                 "metric": metric,
                 "mean": statistics.fmean(samples),
-                "stddev": statistics.stdev(samples) if len(samples) > 1 else 0.0,
+                "stddev": stddev,
                 "n": len(samples),
             })
     return table

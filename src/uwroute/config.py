@@ -15,6 +15,7 @@ exactly what ran.
 
 import dataclasses
 import math
+import sys
 import typing
 from dataclasses import dataclass
 
@@ -181,6 +182,9 @@ def _check(decl: _Decl, value) -> None:
     types, kind = _ACCEPTS[decl.type]
     if not isinstance(value, types) or (isinstance(value, bool) and decl.type is not bool):
         raise ConfigError(f"{decl.key} = {value!r} is not {kind}")
+    if decl.type is float and type(value) is int and not abs(value) <= sys.float_info.max:
+        raise ConfigError(f"{decl.key}: an integer of {value.bit_length()} bits is past "
+                          "every finite float")  # and may be too long to print
     if decl.type is float and not math.isfinite(value):
         raise ConfigError(f"{decl.key} = {value!r} is not a finite number")
     if not decl.check(value):
@@ -239,8 +243,8 @@ def parse_config(path) -> ScenarioConfig:
 def set_key(config: ScenarioConfig, key: str, value) -> ScenarioConfig:
     """Return a copy of `config` with the dotted `key` replaced by `value`.
     A string is parsed as in a config file; a whole-number float for an int
-    key becomes that int, and an int for a float key a float. Any other
-    value must already have the key's type."""
+    key becomes that int, and an int for a float key a float when one holds
+    it. Any other value must already have the key's type."""
     if key not in _BY_KEY:
         raise ConfigError(f"unknown config key {key!r}")
     decl = _BY_KEY[key]
@@ -248,7 +252,7 @@ def set_key(config: ScenarioConfig, key: str, value) -> ScenarioConfig:
         value = _parse(decl, value)
     elif decl.type is int and isinstance(value, float) and value.is_integer():
         value = int(value)
-    elif decl.type is float and type(value) is int:
+    elif decl.type is float and type(value) is int and abs(value) <= sys.float_info.max:
         value = float(value)
     return dataclasses.replace(config, **{decl.field: value})
 

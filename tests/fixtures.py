@@ -6,6 +6,7 @@ delivery-weighted delay stays close to the true conditional mean.
 z grows toward the surface; sinks sit at the region top.
 """
 
+import math
 import random
 
 from uwroute.analysis import StaticTopology
@@ -62,7 +63,6 @@ def random_dag10(seed: int = 42) -> tuple[StaticTopology, int]:
         positions[nid] = (rng.uniform(-80, 80), rng.uniform(-80, 80),
                           30.0 * nid + rng.uniform(-10, 10))
         kinds[nid] = "sensor"
-    import math
     candidates = {}
     link_prob = {}
     neighbors = {}
@@ -82,6 +82,40 @@ def random_dag10(seed: int = 42) -> tuple[StaticTopology, int]:
         kinds=kinds, positions=positions, candidates=candidates,
         link_prob=link_prob, neighbors=neighbors, gen_packets={0: 100.0},
         holding=HOLDING, region_z_m=300.0,
+    )
+    return topo, 0
+
+
+def wide_dag48(seed: int = 7) -> tuple[StaticTopology, int]:
+    """48 nodes stacked about 25 m apart in depth: sources 0-2 at the bottom,
+    sinks 40-47 on top, and every other node lists 8-12 candidates drawn
+    from the 12 nodes above it, shallowest first, as a depth-based protocol
+    lists every shallower receiver in range. Link probabilities seeded in
+    [0.2, 0.9], so candidates deep in a list still forward a fair share.
+    """
+    rng = random.Random(seed)
+    ids = range(48)
+    positions = {i: (rng.uniform(-60.0, 60.0), rng.uniform(-60.0, 60.0),
+                     25.0 * i + rng.uniform(-5.0, 5.0)) for i in ids}
+    kinds = {i: "source" if i < 3 else "sink" if i >= 40 else "sensor" for i in ids}
+    candidates = {}
+    link_prob = {}
+    for nid in ids:
+        if kinds[nid] == "sink":
+            continue
+        above = list(range(nid + 1, min(nid + 13, 48)))
+        chosen = rng.sample(above, min(rng.randint(8, 12), len(above)))
+        candidates[nid] = tuple(sorted(chosen, key=lambda o: -positions[o][2]))
+        for c in candidates[nid]:
+            link_prob[(nid, c)] = rng.uniform(0.2, 0.9)
+    neighbors = {nid: tuple(o for o in ids if o != nid
+                            and math.dist(positions[nid], positions[o]) <= 320.0)
+                 for nid in ids}
+    topo = StaticTopology(
+        kinds=kinds, positions=positions, candidates=candidates,
+        link_prob=link_prob, neighbors=neighbors,
+        gen_packets={0: 50.0, 1: 80.0, 2: 100.0},
+        holding=HOLDING, region_z_m=max(p[2] for p in positions.values()),
     )
     return topo, 0
 

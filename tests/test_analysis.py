@@ -3,13 +3,14 @@ and delay against hand values and Monte-Carlo trials, traffic and energy
 propagation, lifetime, and snapshot loading."""
 
 import dataclasses
+import hashlib
 import math
 import random
 
 import pytest
 from hypothesis import given, strategies as st
 
-from fixtures import HOLDING, chain3, diamond4, random_dag10
+from fixtures import HOLDING, chain3, diamond4, random_dag10, wide_dag48
 from mc_oracle import run_trials
 from uwroute import analysis
 from uwroute.analysis import (StaticTopology, TopologyError, candidate_forward_prob,
@@ -245,13 +246,34 @@ class TestTraffic:
 
 
 class TestSendersOf:
-    @pytest.mark.parametrize("fixture", [chain3, diamond4, random_dag10])
+    @pytest.mark.parametrize("fixture", [chain3, diamond4, random_dag10, wide_dag48])
     def test_index_equals_scan_of_every_list(self, fixture):
         topo, _ = fixture()
         for node in topo.kinds:
             scan = [(sender, cands.index(node) + 1)
                     for sender, cands in topo.candidates.items() if node in cands]
             assert topo.senders_of(node) == scan
+
+
+class TestWideLists:
+    """Senders listing 8-12 candidates, as a depth-based protocol's implicit
+    lists do; the benchmark's 400-node report only reaches positions 1-4."""
+
+    def test_report_digest_pinned(self):
+        h = hashlib.sha256()
+        for row in per_node_report(wide_dag48()[0], 600.0, 100.0):
+            h.update(repr(sorted(row.items())).encode())
+        assert h.hexdigest() == "43b29443ed6c425b9e3cb16dc1fffd8e5df769a52f70743eb0078360f85ae760"
+
+    def test_forward_vectors_equal_the_closed_form(self):
+        topo, _ = wide_dag48()
+        for sender, cands in topo.candidates.items():
+            ps = [topo.link_prob[(sender, c)] for c in cands]
+            assert len(topo._forward[sender]) == len(cands)
+            for j, cand in enumerate(cands, 1):
+                exact = candidate_forward_prob(ps, j)
+                assert topo._forward[sender][j - 1] == exact
+                assert analysis.forward_prob(topo, sender, cand) == exact
 
 
 class TestNodeEnergy:

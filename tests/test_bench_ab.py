@@ -1,7 +1,9 @@
 """The A/B summary of `tools/bench_ab.py`: quartiles, win counts and the
-median-gap rule, on hand-made paired samples."""
+median-gap rule, on hand-made paired samples, and the loop over several
+workloads with a stubbed benchmark run."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -34,3 +36,42 @@ def test_higher_is_better_and_a_gap_inside_the_spread():
     s = bench_ab.summarize(parent, change, "higher")
     assert s["wins"] == 2
     assert not s["gap_exceeds_iqr"]  # a median gap of 1 inside an IQR of 10
+
+
+def test_each_workload_runs_its_pairs_and_prints_its_block(tmp_path, monkeypatch, capsys):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    parent.mkdir()
+    change.mkdir()
+    (parent / "BENCHMARK.json").write_text(json.dumps({
+        "run_seconds": 35,
+        "end_to_end": [{"name": "run_s", "better": "lower"},
+                       {"name": "ok_frac", "better": "higher"}]}))
+    calls = []
+
+    def run_once(checkout, workload, seed, seconds):
+        calls.append((checkout.name, workload))
+        fast = checkout == change and workload == "fast"
+        digest = f"digest {workload} {checkout.name if workload == 'drift' else 'same'}"
+        return {"run_s": 1.0 if fast else 2.0, "ok_frac": 1.0}, [digest], True
+
+    monkeypatch.setattr(bench_ab, "run_once", run_once)
+    argv = [str(parent), str(change), "--workload", "fast", "--workload", "flat", "-n", "2"]
+    assert bench_ab.main(argv) == 0
+    assert calls == [("parent", "fast"), ("change", "fast"), ("change", "fast"),
+                     ("parent", "fast"), ("parent", "flat"), ("change", "flat"),
+                     ("change", "flat"), ("parent", "flat")]
+    out = capsys.readouterr().out
+    blocks = [line for line in out.splitlines() if ", seed 1, 2 pairs of 35 s runs" in line]
+    assert [line.split(",")[0] for line in blocks] == ["fast", "flat"]
+    fast = out[out.index("\nfast, seed 1"):out.index("flat pair  1")]
+    flat = out[out.index("\nflat, seed 1"):]
+    assert "run_s         parent 2 [2, 2]  change 1 [1, 1]  -50.0%  change won 2/2" in fast
+    assert "run_s         parent 2 [2, 2]  change 2 [2, 2]  +0.0%  change won 0/2" in flat
+    assert "digests equal in every pair: yes" in fast and "digests equal in every pair: yes" in flat
+
+    # one workload whose digests differ fails the whole command
+    argv = [str(parent), str(change), "--workload", "drift", "--workload", "flat", "-n", "1"]
+    assert bench_ab.main(argv) == 1
+    out = capsys.readouterr().out
+    assert out.count("digests equal in every pair: NO") == 1
+    assert out.count("digests equal in every pair: yes") == 1

@@ -187,6 +187,16 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=key):
             set_key(ScenarioConfig(), key, value)
 
+    @pytest.mark.parametrize("value", [10 ** 400, -10 ** 400, 10 ** 5000],
+                             ids=["10**400", "-10**400", "10**5000"])
+    def test_int_past_every_float_refused(self, value):
+        # float(value) overflows, and past 4300 digits repr(value) fails too
+        message = r"^world\.tx_range_m: an integer of \d+ bits is past every finite float$"
+        with pytest.raises(ConfigError, match=message):
+            ScenarioConfig(tx_range_m=value)
+        with pytest.raises(ConfigError, match=message):
+            set_key(ScenarioConfig(), "world.tx_range_m", value)
+
     def test_invalid_config_cannot_be_built(self):
         with pytest.raises(ConfigError, match="n_sources cannot exceed"):
             ScenarioConfig(n_sensors=3, n_sources=4)
@@ -222,6 +232,17 @@ class TestSweep:
             expected_sd = statistics.stdev(samples) if len(samples) > 1 else 0.0
             assert entry["stddev"] == pytest.approx(expected_sd)
             assert entry["n"] == 3
+
+    @pytest.mark.parametrize("samples", [[math.inf, math.inf], [math.nan, 1.0], [math.inf, 1.0]])
+    def test_non_finite_replicates_have_nan_stddev(self, samples):
+        # a replicate that delivers nothing has a nan delay; lifetime can be inf
+        rows = [{"sweep_value": 1.0, **dict.fromkeys(cli.SWEEP_METRICS, 2.0),
+                 "mean_e2e_delay_s": sample} for sample in samples]
+        table = {entry["metric"]: entry for entry in aggregate_sweep(rows)}
+        delay = table["mean_e2e_delay_s"]
+        assert math.isnan(delay["stddev"]) and delay["n"] == 2
+        assert repr(delay["mean"]) == repr(statistics.fmean(samples))
+        assert table["pdr"]["stddev"] == 0.0 and table["pdr"]["mean"] == 2.0
 
     def test_parallel_matches_serial(self):
         config = self.small_config()

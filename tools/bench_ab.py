@@ -1,15 +1,17 @@
 #!/usr/bin/env python3
 """Alternating A/B runs of the benchmark on two checkouts.
 
-Runs `perfbench/run.py` of a parent checkout and of a change checkout on one
-workload, N pairs in turn, with the side that runs first swapped in each
-pair. Prints every pair's values, then for each end-to-end metric each
-side's median and quartiles, how many pairs the change won (a tie counts for
+Runs `perfbench/run.py` of a parent checkout and of a change checkout on each
+workload named, N pairs in turn, with the side that runs first swapped in
+each pair; the workloads run one after another. Prints every pair's values,
+then per workload a summary block: for each end-to-end metric each side's
+median and quartiles, how many pairs the change won (a tie counts for
 neither side), and whether the median gap exceeds the parent's interquartile
 range; last, whether every pair printed equal digests. Exits 1 when a pair's
-digests differ or a run fails its own output checks.
+digests differ or a run fails its own output checks, on any workload.
 
-    python3 tools/bench_ab.py PARENT_DIR CHANGE_DIR --workload dbr_dense_800 -n 10
+    python3 tools/bench_ab.py PARENT_DIR CHANGE_DIR --workload analyze_400 \
+        --workload qlfr_default --workload dbr_dense_800 -n 10
 
 Each checkout runs its own `perfbench/run.py` against its own `src/`, so the
 two sides must carry the same benchmark code for the comparison to hold.
@@ -57,27 +59,17 @@ def summarize(parent: list[float], change: list[float], better: str) -> dict:
             "gap_exceeds_iqr": sign * (pmed - cmed) > pq3 - pq1}
 
 
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("parent", type=Path)
-    ap.add_argument("change", type=Path)
-    ap.add_argument("--workload", required=True)
-    ap.add_argument("-n", "--pairs", type=int, default=10)
-    ap.add_argument("--seed", type=int, default=1)
-    args = ap.parse_args(argv)
-
-    bench = json.loads((args.parent / "BENCHMARK.json").read_text())
-    better = {m["name"]: m["better"] for m in bench["end_to_end"]}
-    seconds = bench["run_seconds"]
-    sides = {"parent": args.parent, "change": args.change}
+def compare(sides: dict, workload: str, pairs: int, seed: int, better: dict,
+            seconds: int) -> bool:
+    """Run and print the pairs of one workload, then its summary block; True
+    when every pair's digests were equal and every run passed its checks."""
     samples = {side: {name: [] for name in better} for side in sides}
     digests_equal, all_correct = True, True
-    for i in range(args.pairs):
+    for i in range(pairs):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         digests = {}
         for side in order:
-            metrics, digests[side], correct = run_once(sides[side], args.workload,
-                                                       args.seed, seconds)
+            metrics, digests[side], correct = run_once(sides[side], workload, seed, seconds)
             all_correct = all_correct and correct
             for name in better:
                 samples[side][name].append(metrics[name])
@@ -85,10 +77,10 @@ def main(argv=None) -> int:
         digests_equal = digests_equal and equal
         shown = "  ".join(f"{name} {samples['parent'][name][-1]:.4g} -> "
                           f"{samples['change'][name][-1]:.4g}" for name in better)
-        print(f"pair {i + 1:2d} ({order[0]} first): {shown}  digests "
+        print(f"{workload} pair {i + 1:2d} ({order[0]} first): {shown}  digests "
               f"{'equal' if equal else 'DIFFER'}", flush=True)
 
-    print(f"\n{args.workload}, seed {args.seed}, {args.pairs} pairs of {seconds} s runs "
+    print(f"\n{workload}, seed {seed}, {pairs} pairs of {seconds} s runs "
           "(median [q1, q3])")
     for name, direction in better.items():
         s = summarize(samples["parent"][name], samples["change"][name], direction)
@@ -98,8 +90,27 @@ def main(argv=None) -> int:
               f"  gap exceeds parent IQR: {'yes' if s['gap_exceeds_iqr'] else 'no'}"
               f"  ({direction} is better)")
     print(f"digests equal in every pair: {'yes' if digests_equal else 'NO'}")
-    print(f"every run passed its output checks: {'yes' if all_correct else 'NO'}")
-    return 0 if digests_equal and all_correct else 1
+    print(f"every run passed its output checks: {'yes' if all_correct else 'NO'}\n",
+          flush=True)
+    return digests_equal and all_correct
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("parent", type=Path)
+    ap.add_argument("change", type=Path)
+    ap.add_argument("--workload", action="append", required=True,
+                    help="a workload to compare; repeat to run several in turn")
+    ap.add_argument("-n", "--pairs", type=int, default=10)
+    ap.add_argument("--seed", type=int, default=1)
+    args = ap.parse_args(argv)
+
+    bench = json.loads((args.parent / "BENCHMARK.json").read_text())
+    better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    sides = {"parent": args.parent, "change": args.change}
+    passed = [compare(sides, workload, args.pairs, args.seed, better, bench["run_seconds"])
+              for workload in args.workload]
+    return 0 if all(passed) else 1
 
 
 if __name__ == "__main__":
