@@ -182,7 +182,7 @@ def _check(decl: _Decl, value) -> None:
     types, kind = _ACCEPTS[decl.type]
     if not isinstance(value, types) or (isinstance(value, bool) and decl.type is not bool):
         raise ConfigError(f"{decl.key} = {value!r} is not {kind}")
-    if decl.type is float and type(value) is int and not abs(value) <= sys.float_info.max:
+    if type(value) is int and not abs(value) <= sys.float_info.max:  # an int or float key
         raise ConfigError(f"{decl.key}: an integer of {value.bit_length()} bits is past "
                           "every finite float")  # and may be too long to print
     if decl.type is float and not math.isfinite(value):

@@ -42,7 +42,7 @@ from .qcore import QParams
 from .qlfr import Deliver, Drop, HoldingParams, PacketHeader, QlfrProtocol, Schedule
 from .world import CellGrid, NodeState, deploy, random_walk_step
 
-_HELLO_BOOTSTRAP_S = 1.0
+_BOOTSTRAP_S = 1.0  # each node sends its first hello at a uniform time in [0, this)
 
 
 class EngineError(RuntimeError):
@@ -323,7 +323,7 @@ class Simulation:
         cfg = self.config
         if self.protocol.uses_hello:
             for node in self.nodes:
-                self.schedule(self.rng.uniform(0.0, _HELLO_BOOTSTRAP_S), self._handle_hello,
+                self.schedule(self.rng.uniform(0.0, _BOOTSTRAP_S), self._handle_hello,
                               node.id)
         if cfg.mobility_speed_mps > 0:
             self.schedule(cfg.mobility_tick_s, self._handle_mobility)

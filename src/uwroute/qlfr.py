@@ -11,18 +11,20 @@ r + gamma * V(neighbor) computed from that knowledge, embeds the top
 `list_length` of them as a priority list, and updates its own stored Q toward
 that target when it transmits, before the header is built. Receivers hold a
 copy for a holding time proportional to their list position;
-`ForwardingCore.on_receive` cancels the hold on overhearing any copy. It
-returns shared outcomes, one `Drop` per reason, one `Ignore` per reason and
-one `Deliver`, so only a hold allocates its outcome; headers and holds are
-`NamedTuple`s, which are cheap to build.
+`ForwardingCore.on_receive` takes data copies from other nodes only and
+cancels the hold on overhearing any copy. It returns shared outcomes, one
+`Drop` per reason and one `Deliver`, so only a hold allocates its outcome;
+headers and holds are `NamedTuple`s, which are cheap to build.
 
 The list length adapts to the delivery ratio at the sinks, which count a
 source's generated packets as its highest seq received plus one. A periodic
-`QlfrProtocol.review` steps the length by one against the threshold; a
-change hands every source a one-step (step, epoch) directive, carried once
-by its next packet and taken up by the relays that packet lists.
+`QlfrProtocol.review` steps the length by one against the threshold, and
+each change takes a new epoch. A copy carries the epoch of the review it
+announces: each source's next packet carries the newest epoch once, and the
+relays that packet lists add that review's step to their own length.
 """
 
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -37,8 +39,7 @@ class PacketHeader(NamedTuple):
     knowledge: RoutingKnowledge  # the sender's, when it sent this copy
     sender_id: int
     priority_list: tuple = ()
-    suppression_directive: int = 0
-    suppression_epoch: int = 0  # makes a directive one-shot per node
+    suppression_epoch: int = 0  # the list-length review announced, 0 for none
     is_hello: bool = False
 
     @property
@@ -61,6 +62,9 @@ class HoldingParams:
     def __post_init__(self):
         if type(self.h) is not int or self.h < 1:
             raise ValueError(f"h must be a positive integer, got {self.h!r}")
+        if self.h > sys.float_info.max:  # k = 2 t_max / h would overflow
+            raise ValueError(f"h: an integer of {self.h.bit_length()} bits is past "
+                             "every finite float")
         if self.t_max <= 0:
             raise ValueError(f"t_max must be > 0, got {self.t_max}")
 
@@ -89,9 +93,11 @@ class Schedule(NamedTuple):
     position: int
 
 
+# No longer returned: `perfbench/tracing.py` imports it, so it goes with the
+# next benchmark change (ROADMAP item 1).
 @dataclass(frozen=True)
 class Ignore:
-    reason: str  # "hello" | "self"
+    reason: str
 
 
 @dataclass(frozen=True)
@@ -103,40 +109,26 @@ _SUPPRESSED = Drop("suppressed")
 _ALREADY_FORWARDED = Drop("already-forwarded")
 _DUPLICATE = Drop("duplicate")
 _NOT_CANDIDATE = Drop("not-candidate")
-_SELF = Ignore("self")
-_HELLO = Ignore("hello")
 _DELIVER = Deliver()
-
-
-def candidate_scorer(sender: NodeState, d_max: float, qparams: QParams):
-    """The ranking value r + gamma * V of one advertised neighbor of `sender`,
-    as a function of its knowledge; `qcore.reward_from` computes the sender's
-    energy cost and depth window once per scorer."""
-    reward_to = qcore.reward_from(sender, d_max)
-    gamma = qparams.gamma
-
-    def score(kn: RoutingKnowledge) -> float:
-        return reward_to(kn.residual_energy_j, kn.depth_m) + gamma * kn.v_value
-
-    return score
 
 
 def build_priority_list(sender: NodeState, d_max: float, list_length: int,
                         qparams: QParams, now: float, staleness_s: float) -> list[int]:
     """Ordered forwarding candidates: fresh neighbors strictly shallower than
-    the sender, sorted by descending score (ties to the lower id), truncated
-    to list_length. Empty result means a void region. Entries older than
-    staleness_s are evicted from the sender's table after the walk.
+    the sender, sorted by descending r + gamma * V (ties to the lower id),
+    truncated to list_length. Empty result means a void region. Entries older
+    than staleness_s are evicted from the sender's table after the walk.
     """
     table = sender.neighbor_knowledge
-    depth, score, scored, expired = sender.depth, None, [], []
+    depth, gamma, reward_to, scored, expired = sender.depth, qparams.gamma, None, [], []
     for nid, (kn, heard) in table.items():
         if now - heard > staleness_s:
             expired.append(nid)
         elif kn.depth_m < depth:
-            if score is None:  # a sender with no candidate computes no cost
-                score = candidate_scorer(sender, d_max, qparams)
-            scored.append((-score(kn), nid))
+            if reward_to is None:  # a sender with no candidate computes no cost
+                reward_to = qcore.reward_from(sender, d_max)
+            scored.append((-(reward_to(kn.residual_energy_j, kn.depth_m) + gamma * kn.v_value),
+                           nid))
     for nid in expired:
         del table[nid]
     scored.sort()
@@ -152,13 +144,13 @@ class ForwardingCore:
     duplicate, or held; an expired hold sends the packet or voids it.
 
     The core builds every data header: the held packet's key and list-length
-    directive, with the sender's id and `advertised` knowledge. A protocol
+    epoch, with the sender's id and `advertised` knowledge. A protocol
     supplies `rank(node, pkt)`, a candidate's (holding time, list position)
     or None, and `priority_list(node, now)`, the tuple of candidates to send
     or None for a void; `hear` may use every packet heard from another node,
-    and `at_sink` every data copy a sink receives. The engine hands a
-    received hello straight to `hear`; `on_receive` still takes hellos from
-    direct callers.
+    and `at_sink` every data copy a sink receives. `on_receive` takes data
+    copies from other nodes only: the engine hands a received hello straight
+    to `hear` and never delivers a node its own broadcast.
     """
 
     uses_hello = False
@@ -170,11 +162,7 @@ class ForwardingCore:
         pass
 
     def on_receive(self, node: NodeState, pkt: PacketHeader, now: float):
-        if pkt.sender_id == node.id:
-            return _SELF
         self.hear(node, pkt, now)
-        if pkt.is_hello:
-            return _HELLO
         if node.is_sink:
             self.at_sink(pkt)
             return _DELIVER
@@ -201,17 +189,16 @@ class ForwardingCore:
         if node.pending.get(key) is not pkt:
             return ("stale", None)
         del node.pending[key]
-        header = self._header(node, key, pkt.suppression_directive,
-                              pkt.suppression_epoch, now)
+        header = self._header(node, key, pkt.suppression_epoch, now)
         if header is None:
             world.remember(node.duplicate_cache, key)
             return ("void", None)
         return ("send", header)
 
     def originate(self, source: NodeState, seq: int, now: float) -> PacketHeader | None:
-        return self._header(source, (source.id, seq), 0, 0, now)
+        return self._header(source, (source.id, seq), 0, now)
 
-    def _header(self, node: NodeState, key: tuple[int, int], directive: int, epoch: int,
+    def _header(self, node: NodeState, key: tuple[int, int], epoch: int,
                 now: float) -> PacketHeader | None:
         """The header `node` sends for packet `key`, or None for a void. The
         knowledge is read after `priority_list`, which may update it."""
@@ -219,8 +206,7 @@ class ForwardingCore:
         if plist is None:
             return None
         world.remember(node.forwarded_cache, key)
-        return PacketHeader(key[0], key[1], advertised(node), node.id, plist,
-                            directive, epoch)
+        return PacketHeader(key[0], key[1], advertised(node), node.id, plist, epoch)
 
 
 class QlfrProtocol(ForwardingCore):
@@ -241,7 +227,7 @@ class QlfrProtocol(ForwardingCore):
         self._q_lo, self._q_hi = qcore.q_bounds(qparams)
         self._generated: dict[int, int] = {}  # source id -> highest seq at a sink + 1
         self._reviewed = (0, 0)  # (delivered, generated) at the last review
-        self._directive = (0, 0)  # the newest (step, epoch)
+        self._steps = [0]  # epoch -> the step of the review that took it
         self._sent_epoch: dict[int, int] = {}  # source id -> epoch it last sent
 
     def hello_header(self, node: NodeState) -> PacketHeader:
@@ -257,17 +243,18 @@ class QlfrProtocol(ForwardingCore):
 
     def rank(self, node: NodeState, pkt: PacketHeader) -> tuple[float, int] | None:
         """A listed node holds by its position; it also takes up the list-length
-        directive the header carries."""
+        review whose epoch the header carries."""
         if node.id not in pkt.priority_list:
             return None
-        self._apply_directive(node, pkt.suppression_directive, pkt.suppression_epoch)
+        self._apply_epoch(node, pkt.suppression_epoch)
         position = pkt.priority_list.index(node.id) + 1
         return holding_time(position, self.holding), position
 
-    def _apply_directive(self, node: NodeState, directive: int, epoch: int) -> None:
-        if directive and epoch > node.suppression_epoch:
+    def _apply_epoch(self, node: NodeState, epoch: int) -> None:
+        """Add the step of review `epoch` once; epoch 0 announces none."""
+        if epoch > node.suppression_epoch:
             node.suppression_epoch = epoch
-            node.list_length = self._clamp(node.list_length + directive)
+            node.list_length = self._clamp(node.list_length + self._steps[epoch])
 
     def _clamp(self, length: int) -> int:
         return min(self.max_list_length, max(1, length))
@@ -279,8 +266,9 @@ class QlfrProtocol(ForwardingCore):
     def review(self, delivered: int) -> tuple[int, float] | None:
         """Step the list length by the delivery ratio since the last review,
         given the unique packets the sinks have `delivered` so far: down above
-        the threshold, up below it. A change replaces any directive not yet
-        sent. Returns (new length, window delivery ratio), or None."""
+        the threshold, up below it. A change takes the next epoch, which
+        replaces any epoch not yet sent. Returns (new length, window delivery
+        ratio), or None."""
         generated = sum(self._generated.values())
         window = generated - self._reviewed[1]
         if window <= 0:
@@ -292,16 +280,15 @@ class QlfrProtocol(ForwardingCore):
         if new == old:
             return None
         self.list_length = new
-        self._directive = (new - old, self._directive[1] + 1)
+        self._steps.append(new - old)
         return new, pdr
 
     def originate(self, source: NodeState, seq: int, now: float) -> PacketHeader | None:
-        directive, epoch = self._directive
-        if self._sent_epoch.get(source.id, 0) == epoch:  # sent already, or none yet
-            directive, epoch = 0, 0
-        self._sent_epoch[source.id] = self._directive[1]
-        self._apply_directive(source, directive, epoch)
-        return self._header(source, (source.id, seq), directive, epoch, now)
+        newest = len(self._steps) - 1
+        epoch = 0 if self._sent_epoch.get(source.id, 0) == newest else newest
+        self._sent_epoch[source.id] = newest
+        self._apply_epoch(source, epoch)
+        return self._header(source, (source.id, seq), epoch, now)
 
     def candidates(self, node: NodeState, now: float) -> list[int]:
         """The priority list `node` would send now, from its current knowledge."""

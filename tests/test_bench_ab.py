@@ -1,6 +1,7 @@
 """The A/B summary of `tools/bench_ab.py`: quartiles, win counts and the
-median-gap rule, on hand-made paired samples, and the loop over several
-workloads with a stubbed benchmark run."""
+median-gap rule, on hand-made paired samples, the loop over several
+workloads with a stubbed benchmark run, and the refusal of two checkouts
+that carry different benchmarks."""
 
 import importlib.util
 import json
@@ -38,14 +39,22 @@ def test_higher_is_better_and_a_gap_inside_the_spread():
     assert not s["gap_exceeds_iqr"]  # a median gap of 1 inside an IQR of 10
 
 
+def checkouts(tmp_path):
+    """Two checkouts that carry the same BENCHMARK.json and perfbench files."""
+    sides = tmp_path / "parent", tmp_path / "change"
+    for side in sides:
+        (side / "perfbench" / "tests").mkdir(parents=True)
+        (side / "BENCHMARK.json").write_text(json.dumps({
+            "run_seconds": 35,
+            "end_to_end": [{"name": "run_s", "better": "lower"},
+                           {"name": "ok_frac", "better": "higher"}]}))
+        (side / "perfbench" / "run.py").write_text("# the benchmark\n")
+        (side / "perfbench" / "tests" / "test_run.py").write_text("# its test\n")
+    return sides
+
+
 def test_each_workload_runs_its_pairs_and_prints_its_block(tmp_path, monkeypatch, capsys):
-    parent, change = tmp_path / "parent", tmp_path / "change"
-    parent.mkdir()
-    change.mkdir()
-    (parent / "BENCHMARK.json").write_text(json.dumps({
-        "run_seconds": 35,
-        "end_to_end": [{"name": "run_s", "better": "lower"},
-                       {"name": "ok_frac", "better": "higher"}]}))
+    parent, change = checkouts(tmp_path)
     calls = []
 
     def run_once(checkout, workload, seed, seconds):
@@ -75,3 +84,38 @@ def test_each_workload_runs_its_pairs_and_prints_its_block(tmp_path, monkeypatch
     out = capsys.readouterr().out
     assert out.count("digests equal in every pair: NO") == 1
     assert out.count("digests equal in every pair: yes") == 1
+
+
+def test_checkouts_with_different_benchmarks_are_refused_before_any_run(
+        tmp_path, monkeypatch, capsys):
+    parent, change = checkouts(tmp_path)
+    calls = []
+    monkeypatch.setattr(bench_ab, "run_once", lambda *args: calls.append(args) or (
+        {"run_s": 1.0, "ok_frac": 1.0}, [], True))
+    argv = [str(parent), str(change), "--workload", "flat", "-n", "1"]
+
+    # what building and running leave behind does not count
+    for junk in ("perfbench/out/result.json", "perfbench/__pycache__/run.cpython-311.pyc",
+                 "perfbench/tests/__pycache__/test_run.cpython-311.pyc"):
+        (change / junk).parent.mkdir(parents=True, exist_ok=True)
+        (change / junk).write_text("left behind")
+    assert bench_ab.main(argv) == 0
+    assert len(calls) == 2
+    capsys.readouterr()
+
+    # edits of the change checkout, each to a file that sorts before the last
+    # one edited, and the file the error then names
+    cases = [
+        (lambda: (change / "perfbench" / "tests" / "test_run.py").write_text("# edited\n"),
+         "perfbench/tests/test_run.py"),
+        (lambda: (change / "perfbench" / "run.py").unlink(), "perfbench/run.py"),
+        (lambda: (change / "perfbench" / "extra.py").write_text(""), "perfbench/extra.py"),
+        (lambda: (change / "BENCHMARK.json").write_text("{}"), "BENCHMARK.json"),
+    ]
+    for edit, name in cases:
+        edit()
+        calls.clear()
+        assert bench_ab.main(argv) == 2
+        assert calls == []
+        assert capsys.readouterr().err == (
+            f"error: the checkouts differ in {name}; both must run the same benchmark\n")

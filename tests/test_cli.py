@@ -197,6 +197,19 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=message):
             set_key(ScenarioConfig(), "world.tx_range_m", value)
 
+    @pytest.mark.parametrize("field, key", [("packet_bits", "channel.packet_bits"),
+                                            ("holding_h", "protocol.holding_h")])
+    def test_int_key_past_every_float_refused(self, field, key):
+        # the engine divides by both, which overflows past every finite float
+        message = rf"{key}: an integer of 1329 bits is past every finite float$"
+        with pytest.raises(ConfigError, match="^" + message):
+            ScenarioConfig(**{field: 10 ** 400})
+        with pytest.raises(ConfigError, match="^" + message):
+            set_key(ScenarioConfig(), key, 10 ** 400)
+        with pytest.raises(ConfigError, match=r"^<config>:1: " + message):
+            parse_config_text(f"{key} = 1{'0' * 400}\n")
+        assert getattr(ScenarioConfig(**{field: 10 ** 300}), field) == 10 ** 300
+
     def test_invalid_config_cannot_be_built(self):
         with pytest.raises(ConfigError, match="n_sources cannot exceed"):
             ScenarioConfig(n_sensors=3, n_sources=4)
@@ -456,6 +469,8 @@ class TestCliVerbs:
         "unknown-kind": (lambda s: s["nodes"][2].update(kind="router"), "'router'"),
         "fractional-holding-h": (lambda s: s["params"].update(holding_h=1.5),
                                  "h must be a positive integer, got 1.5"),
+        "huge-holding-h": (lambda s: s["params"].update(holding_h=10 ** 400),
+                           "h: an integer of 1329 bits is past every finite float"),
     }
 
     @pytest.mark.parametrize("case", list(BAD_SNAPSHOTS))
@@ -581,6 +596,16 @@ class TestCliVerbs:
         ScenarioConfig(region_z_m=8e307, mobility_speed_mps=0.0).validate()  # no overflow
         ScenarioConfig(region_x_m=1e300, region_y_m=1e300, region_z_m=1e300,
                        mobility_speed_mps=1e300).validate()
+
+    @pytest.mark.parametrize("key", ["channel.packet_bits", "protocol.holding_h"])
+    def test_int_past_every_float_is_refused(self, tmp_path, capsys, key):
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text(f"{key} = 1{'0' * 400}\n")
+        rc = cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "x")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"{key}: an integer of 1329 bits" in err
+        assert not (tmp_path / "x").exists()
 
     def test_bad_config_is_reported(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"

@@ -7,8 +7,8 @@ from uwroute.config import ScenarioConfig
 from uwroute.dbr import DbrProtocol, dbr_holding_time
 from uwroute.engine import Simulation
 from uwroute.qcore import QParams
-from uwroute.qlfr import (Deliver, Drop, HoldingParams, Ignore, PacketHeader,
-                          QlfrProtocol, Schedule)
+from uwroute.qlfr import (Deliver, Drop, HoldingParams, PacketHeader, QlfrProtocol,
+                          Schedule)
 from uwroute.world import NodePosition, NodeState, RoutingKnowledge
 
 
@@ -79,33 +79,16 @@ class TestSharedForwardingCore:
         return node
 
     @staticmethod
-    def copy_from(sender_id, seq=0, is_hello=False, directive=0, epoch=0):
+    def copy_from(sender_id, seq=0, epoch=0):
         """A copy of packet (9, seq) that makes node 5 a candidate under either
         protocol: it lists node 5 and comes from deeper down."""
         return PacketHeader(source_id=9, seq=seq, knowledge=RoutingKnowledge(0.0, 180.0, 100.0),
-                            sender_id=sender_id, priority_list=(5,),
-                            suppression_directive=directive, suppression_epoch=epoch,
-                            is_hello=is_hello)
-
-    def test_own_copy_ignored(self, proto):
-        node = self.relay()
-        assert proto.on_receive(node, self.copy_from(5), 1.0) == Ignore("self")
-        assert not node.pending
+                            sender_id=sender_id, priority_list=(5,), suppression_epoch=epoch)
 
     def test_sink_delivers(self, proto):
         sink = self.relay(node_id=5, kind="sink")
         assert proto.on_receive(sink, self.copy_from(1), 1.0) == Deliver()
         assert not sink.pending
-
-    def test_hello_ignored(self, proto):
-        node = self.relay()
-        assert proto.on_receive(node, self.copy_from(1, is_hello=True), 1.0) == Ignore("hello")
-        assert not node.pending
-
-    def test_ignore_outcomes_are_shared(self, proto):
-        node = self.relay()
-        for pkt in (self.copy_from(5), self.copy_from(1, is_hello=True)):
-            assert proto.on_receive(node, pkt, 1.0) is proto.on_receive(node, pkt, 2.0)
 
     def test_overheard_copy_suppressed_then_duplicate(self, proto):
         node = self.relay()
@@ -131,13 +114,16 @@ class TestSharedForwardingCore:
     def test_sent_header_advertises_sender_and_keeps_packet_fields(self, proto):
         node = self.relay()
         node.residual_energy_j = 70.0
-        pkt = self.copy_from(1, directive=1, epoch=2)
+        if isinstance(proto, QlfrProtocol):  # a qlfr epoch names a review that took place
+            proto.at_sink(self.copy_from(1, seq=9))
+            assert proto.review(delivered=5) == (3, 0.5)
+        pkt = self.copy_from(1, epoch=1)
         proto.on_receive(node, pkt, 1.0)
         status, header = proto.on_hold_expire(node, pkt, 1.1)
         assert status == "send"
         # read after the send, so a qlfr sender advertises its updated V
         assert header.knowledge == RoutingKnowledge(node.v_value, node.depth, 70.0)
-        assert (header.suppression_directive, header.suppression_epoch) == (1, 2)
+        assert header.suppression_epoch == 1
 
     def test_second_and_superseded_tokens_are_stale(self, proto):
         """A hold is named by the held copy itself: an equal copy that is a

@@ -8,6 +8,7 @@ import json
 import math
 import random
 import signal
+from collections import Counter
 
 import pytest
 
@@ -607,6 +608,52 @@ class TestGoldenDigest:
     def test_dbr_200_sensors_trace(self):
         assert self.traced_digest(self.dbr_200_sensors()) == (
             13791, "880f71ec8d35d152a75380732085d682a8a1a887b9ba6462269275c78eeae354")
+
+
+class TestReceivePath:
+    @pytest.mark.parametrize("protocol", ["qlfr", "dbr"])
+    def test_on_receive_gets_data_copies_from_others_only(self, protocol):
+        """The engine hands hellos to `hear` and never delivers a node its
+        own broadcast, so `on_receive` sees neither."""
+        sim = Simulation(base_config(protocol=protocol, n_sensors=30, n_sources=3, n_sinks=2,
+                                     region_x_m=300.0, region_y_m=300.0, region_z_m=300.0,
+                                     max_sim_time_s=40.0, mobility_speed_mps=3.0,
+                                     energy_per_bit=None))
+        received = []
+        on_receive = sim.protocol.on_receive
+
+        def spy(node, pkt, now):
+            received.append((node.id, pkt.sender_id, pkt.is_hello))
+            return on_receive(node, pkt, now)
+
+        sim.protocol.on_receive = spy
+        sim.run()
+        assert received
+        assert not any(is_hello for _, _, is_hello in received)
+        assert all(node_id != sender_id for node_id, sender_id, _ in received)
+
+
+class TestListLengthPin:
+    """The adaptive list length of the default seed-1 qlfr run, 600 s: every
+    review that changed the sinks' length, and each non-sink node's final
+    (list_length, suppression_epoch). The golden digests see this state only
+    through the lists it shaped; this pins it directly."""
+
+    def test_default_seed_1(self):
+        events = []
+        sim = Simulation(ScenarioConfig(protocol="qlfr"), trace=events.append)
+        sim.run()
+        reviews = [(e["t"], e["value"], e["pdr"]) for e in events if e["event"] == "list-length"]
+        assert reviews == [(30.0, 1, 1.0), (90.0, 2, 1 / 7), (120.0, 3, 7 / 29),
+                           (150.0, 4, 0.7), (570.0, 3, 1.0), (600.0, 4, 9 / 19)]
+        state = [(n.id, n.list_length, n.suppression_epoch) for n in sim.nodes
+                 if not n.is_sink]
+        assert sorted(Counter(length for _, length, _ in state).items()) == [
+            (1, 8), (2, 30), (3, 28), (4, 34)]
+        assert sorted(Counter(epoch for _, _, epoch in state).items()) == [
+            (0, 16), (2, 9), (3, 5), (4, 36), (5, 29), (6, 5)]
+        assert hashlib.sha256(repr(state).encode()).hexdigest() == (
+            "8fc6245e8d066b329996b952f044d41c7d3db59223194c23ad199d58727aca3d")
 
 
 class TestErrors:

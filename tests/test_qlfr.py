@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from uwroute import qcore
+from uwroute.config import ScenarioConfig
+from uwroute.engine import Simulation
 from uwroute.qcore import QParams
-from uwroute.qlfr import (Deliver, Drop, HoldingParams, Ignore, PacketHeader,
-                          QlfrProtocol, Schedule, build_priority_list, candidate_scorer,
-                          holding_time)
+from uwroute.qlfr import (Deliver, Drop, HoldingParams, PacketHeader, QlfrProtocol, Schedule,
+                          build_priority_list, holding_time)
 from uwroute.world import NodePosition, NodeState, RoutingKnowledge, remember
 
 QP = QParams(gamma=0.8, alpha=0.5)
@@ -31,12 +32,18 @@ def protocol(h=4, t_max=0.1, length=2, max_list=4, threshold=0.9):
                         list_length=length, max_list_length=max_list, pdr_threshold=threshold)
 
 
-def data_header(sender: NodeState, plist, source_id=9, seq=0, directive=0, epoch=0):
+def data_header(sender: NodeState, plist, source_id=9, seq=0, epoch=0):
     return PacketHeader(source_id=source_id, seq=seq,
                         knowledge=RoutingKnowledge(sender.v_value, sender.depth,
                                                    sender.residual_energy_j),
                         sender_id=sender.id, priority_list=tuple(plist),
-                        suppression_directive=directive, suppression_epoch=epoch)
+                        suppression_epoch=epoch)
+
+
+def score(sender: NodeState, kn: RoutingKnowledge, qparams=QP) -> float:
+    """The ranking value r + gamma * V of one advertised neighbor of `sender`."""
+    return (qcore.reward_from(sender, D_MAX)(kn.residual_energy_j, kn.depth_m)
+            + qparams.gamma * kn.v_value)
 
 
 class TestHeaders:
@@ -83,6 +90,8 @@ class TestHoldingTime:
         for h in (1.5, 4.0, True):  # an h that is not an int
             with pytest.raises(ValueError, match="h must be a positive integer"):
                 HoldingParams(h, 0.1)
+        with pytest.raises(ValueError, match="h: an integer of 1329 bits is past every"):
+            HoldingParams(10 ** 400, 0.1)  # k = 2 t_max / h would overflow
 
 
 class TestSuppressionSoundness:
@@ -117,9 +126,8 @@ class TestPriorityList:
             1: (RoutingKnowledge(-5.0 / 6.0, 50.0, 100.0), 0.0),  # A
             2: (RoutingKnowledge(-1.0 / 6.0, 60.0, 100.0), 0.0),  # B
         }
-        score = candidate_scorer(sender, D_MAX, QP)
-        assert score(sender.neighbor_knowledge[1][0]) == pytest.approx(-1.0)
-        assert score(sender.neighbor_knowledge[2][0]) == pytest.approx(-0.5)
+        assert score(sender, sender.neighbor_knowledge[1][0]) == pytest.approx(-1.0)
+        assert score(sender, sender.neighbor_knowledge[2][0]) == pytest.approx(-0.5)
         assert build_priority_list(sender, D_MAX, 2, QP, now=1.0, staleness_s=STALE) == [2, 1]
 
     def test_filters_deeper_neighbors(self):
@@ -137,8 +145,7 @@ class TestPriorityList:
             knowledge[nid] = (RoutingKnowledge(0.0, depth, 100.0), 0.0)
         sender.neighbor_knowledge = dict(knowledge)
         got = build_priority_list(sender, D_MAX, 3, QP, now=0.0, staleness_s=STALE)
-        score = candidate_scorer(sender, D_MAX, QP)
-        scores = {nid: score(kn) for nid, (kn, _) in knowledge.items()}
+        scores = {nid: score(sender, kn) for nid, (kn, _) in knowledge.items()}
         oracle = sorted(scores, key=lambda nid: (-scores[nid], nid))[:3]
         assert got == oracle
         assert len(got) == 3
@@ -234,7 +241,7 @@ class TestRankingReference:
             fresh = {nid: kn for nid, (kn, heard) in knowledge.items()
                      if now - heard <= STALE}
             assert sender.neighbor_knowledge == {nid: knowledge[nid] for nid in fresh}
-            scores = {nid: candidate_scorer(sender, D_MAX, qparams)(kn)
+            scores = {nid: score(sender, kn, qparams)
                       for nid, kn in fresh.items() if kn.depth_m < sender.depth}
             assert got == sorted(scores, key=lambda nid: (-scores[nid], nid))[:length]
 
@@ -344,12 +351,14 @@ class TestOnReceive:
         assert proto.on_receive(sink, pkt, now=3.0) == Deliver()
 
     def test_hello_updates_table_only(self):
-        proto = protocol()
-        node = make_node(node_id=5, depth=50.0)
-        hello = proto.hello_header(make_node(node_id=2, depth=90.0))
-        assert proto.on_receive(node, hello, now=1.0) == Ignore("hello")
-        assert 2 in node.neighbor_knowledge
-        assert not node.pending
+        # the engine hands an intact hello to `hear`; it schedules nothing
+        node, sender = make_node(node_id=5, depth=50.0), make_node(node_id=2, depth=90.0)
+        sim = Simulation(ScenarioConfig(region_z_m=300.0, energy_per_bit=1e25),
+                         nodes=[node, sender])
+        sim.now = 1.0
+        sim._handle_hello_arrival(node.id, sim.protocol.hello_header(sender), True)
+        assert node.neighbor_knowledge == {2: (RoutingKnowledge(0.0, 90.0, 100.0), 1.0)}
+        assert not node.pending and not sim._queue
 
     def test_duplicate_while_scheduled_cancels(self):
         proto = protocol()
@@ -492,29 +501,57 @@ class TestSuppressionAdjust:
         assert proto.list_length == 3
 
 
+def review_at(proto, seq, delivered):
+    """Let a sink see `seq`, then review `delivered` unique deliveries."""
+    sink = make_node(node_id=20, depth=0.0, kind="sink")
+    pkt = data_header(make_node(node_id=1, depth=100.0), plist=[20], seq=seq)
+    assert proto.on_receive(sink, pkt, now=1.0) == Deliver()
+    return proto.review(delivered)
+
+
 class TestDirective:
+    """A listed relay adds the step of the review whose epoch a copy carries,
+    once per epoch."""
+
     def test_directive_applied_once_per_epoch(self):
         proto = protocol()
+        assert review_at(proto, seq=9, delivered=5) == (3, 0.5)  # epoch 1, step +1
         node = make_node(node_id=5, depth=50.0)
         node.list_length = 2
-        pkt = data_header(make_node(node_id=1, depth=100.0), plist=[5], directive=1, epoch=1)
+        pkt = data_header(make_node(node_id=1, depth=100.0), plist=[5], epoch=1)
         proto.on_receive(node, pkt, now=1.0)
         assert node.list_length == 3
-        other = data_header(make_node(node_id=2, depth=90.0), plist=[5], seq=1,
-                            directive=1, epoch=1)
+        other = data_header(make_node(node_id=2, depth=90.0), plist=[5], seq=1, epoch=1)
         proto.on_receive(node, other, now=1.1)
         assert node.list_length == 3  # same epoch, no re-application
 
     def test_directive_rides_forwarded_header(self):
         proto = protocol()
+        assert review_at(proto, seq=9, delivered=5) == (3, 0.5)  # epoch 1, step +1
+        assert review_at(proto, seq=19, delivered=15) == (2, 1.0)  # epoch 2, step -1
         relay = make_node(node_id=5, depth=100.0)
+        relay.list_length = 2
         relay.neighbor_knowledge = {2: (RoutingKnowledge(0.0, 40.0, 100.0), 0.9)}
-        pkt = data_header(make_node(node_id=1, depth=180.0), plist=[5], directive=-1, epoch=2)
+        pkt = data_header(make_node(node_id=1, depth=180.0), plist=[5], epoch=2)
         proto.on_receive(relay, pkt, now=1.0)
+        assert relay.list_length == 1  # only epoch 2's step
         status, header = proto.on_hold_expire(relay, pkt, now=1.0)
         assert status == "send"
-        assert header.suppression_directive == -1
         assert header.suppression_epoch == 2
+
+    def test_older_epoch_adds_its_own_step(self):
+        # a copy sent before the newest review still announces its own one
+        proto = protocol()
+        assert review_at(proto, seq=9, delivered=5) == (3, 0.5)  # epoch 1, step +1
+        assert review_at(proto, seq=19, delivered=15) == (2, 1.0)  # epoch 2, step -1
+        node = make_node(node_id=5, depth=50.0)
+        node.list_length = 2
+        proto.on_receive(node, data_header(make_node(node_id=1, depth=100.0), plist=[5],
+                                           epoch=1), now=1.0)
+        assert (node.list_length, node.suppression_epoch) == (3, 1)
+        proto.on_receive(node, data_header(make_node(node_id=1, depth=100.0), plist=[5],
+                                           seq=1, epoch=2), now=1.1)
+        assert (node.list_length, node.suppression_epoch) == (2, 2)
 
 
 class TestReview:
@@ -534,10 +571,6 @@ class TestReview:
         pkt = data_header(make_node(node_id=1, depth=100.0), plist=[sink_id], seq=seq)
         assert proto.on_receive(sink, pkt, now=1.0) == Deliver()
 
-    @staticmethod
-    def directive(header):
-        return header.suppression_directive, header.suppression_epoch
-
     def test_empty_window_returns_none_and_does_not_advance(self):
         proto = protocol()
         assert proto.review(delivered=0) is None
@@ -553,15 +586,16 @@ class TestReview:
     def test_changing_review_reaches_each_source_once(self):
         proto = protocol()
         a, b = self.source(7), self.source(8)
-        assert self.directive(proto.originate(a, 0, now=1.0)) == (0, 0)
+        assert proto.originate(a, 0, now=1.0).suppression_epoch == 0
         self.sink_receives(proto, seq=9)
         assert proto.review(delivered=5) == (3, 0.5)
-        assert self.directive(proto.originate(a, 1, now=2.0)) == (1, 1)
+        assert proto.originate(a, 1, now=2.0).suppression_epoch == 1
         assert a.list_length == 3
-        assert self.directive(proto.originate(a, 2, now=3.0)) == (0, 0)
+        assert proto.originate(a, 2, now=3.0).suppression_epoch == 0
         assert a.list_length == 3
-        assert self.directive(proto.originate(b, 0, now=3.0)) == (1, 1)
-        assert self.directive(proto.originate(b, 1, now=4.0)) == (0, 0)
+        assert proto.originate(b, 0, now=3.0).suppression_epoch == 1
+        assert b.list_length == 3
+        assert proto.originate(b, 1, now=4.0).suppression_epoch == 0
 
     def test_newer_review_replaces_an_unsent_directive(self):
         proto = protocol()
@@ -570,9 +604,9 @@ class TestReview:
         assert proto.review(delivered=5) == (3, 0.5)
         self.sink_receives(proto, seq=19)
         assert proto.review(delivered=15) == (2, 1.0)  # 10 of 10
-        assert self.directive(proto.originate(a, 0, now=1.0)) == (-1, 2)
+        assert proto.originate(a, 0, now=1.0).suppression_epoch == 2
         assert a.list_length == 1  # only the newer step applied
-        assert self.directive(proto.originate(a, 1, now=2.0)) == (0, 0)
+        assert proto.originate(a, 1, now=2.0).suppression_epoch == 0
 
     def test_copies_at_two_sinks_count_one_generation(self):
         proto = protocol()

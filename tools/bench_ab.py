@@ -14,7 +14,10 @@ digests differ or a run fails its own output checks, on any workload.
         --workload qlfr_default --workload dbr_dense_800 -n 10
 
 Each checkout runs its own `perfbench/run.py` against its own `src/`, so the
-two sides must carry the same benchmark code for the comparison to hold.
+two sides must carry the same benchmark code for the comparison to hold:
+before any run, the command exits 2 and names the first file that differs
+when the two `BENCHMARK.json` files, or the files under `perfbench/` (but
+`perfbench/out/` and `__pycache__/`), are not the same.
 """
 
 import argparse
@@ -23,6 +26,28 @@ import statistics
 import subprocess
 import sys
 from pathlib import Path
+
+
+def benchmark_files(checkout: Path) -> dict[str, Path]:
+    """`BENCHMARK.json` and the files under `perfbench/` but `perfbench/out/`
+    and `__pycache__/`, by path relative to `checkout`."""
+    paths = [checkout / "BENCHMARK.json", *(checkout / "perfbench").rglob("*")]
+    files = {}
+    for path in paths:
+        rel = path.relative_to(checkout).parts
+        if path.is_file() and rel[:2] != ("perfbench", "out") and "__pycache__" not in rel:
+            files["/".join(rel)] = path
+    return files
+
+
+def first_difference(parent: Path, change: Path) -> str | None:
+    """The first benchmark file, in path order, that one checkout lacks or
+    that differs between the two; None when they carry the same benchmark."""
+    a, b = benchmark_files(parent), benchmark_files(change)
+    for name in sorted(a.keys() | b.keys()):
+        if name not in a or name not in b or a[name].read_bytes() != b[name].read_bytes():
+            return name
+    return None
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: int):
@@ -105,6 +130,11 @@ def main(argv=None) -> int:
     ap.add_argument("--seed", type=int, default=1)
     args = ap.parse_args(argv)
 
+    differs = first_difference(args.parent, args.change)
+    if differs is not None:
+        print(f"error: the checkouts differ in {differs}; both must run the same benchmark",
+              file=sys.stderr)
+        return 2
     bench = json.loads((args.parent / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
     sides = {"parent": args.parent, "change": args.change}
