@@ -18,9 +18,7 @@ value raw / P(delivery) are exposed, the latter being comparable to a
 simulator's mean delay of delivered packets.
 """
 
-import json
 import math
-import os
 from collections import Counter
 from dataclasses import dataclass
 
@@ -208,23 +206,19 @@ def require_positive(name: str, value):
     return value
 
 
-_SCALAR_PARAMS = ("tx_range_m", "sound_speed_mps", "holding_h", "tx_power_w",
-                  "rx_power_w", "seconds_per_packet")
+_SCALAR_PARAMS = ("tx_range_m", "sound_speed_mps", "holding_h", "tx_power_w", "rx_power_w")
 
 
-def load_snapshot(source) -> StaticTopology:
-    """Build a StaticTopology from an engine snapshot (dict or JSON path).
-    Link probabilities are recomputed from positions and the recorded channel
-    parameters; neighbor sets from positions and the range, by CellGrid.pairs.
-    Snapshots of a protocol other than qlfr are refused; one that records no
-    protocol is read as qlfr. So is a repeated node id, a non-finite
-    coordinate, a kind other than sensor, source or sink, a generated count
-    that is not a finite number >= 0, or a scalar or channel parameter that
-    is not finite and > 0."""
-    snap = source
-    if isinstance(source, (str, os.PathLike)):
-        with open(source) as fh:
-            snap = json.load(fh)
+def load_snapshot(snap: dict) -> StaticTopology:
+    """Build a StaticTopology from an engine snapshot dict. Link probabilities
+    come from positions and the recorded channel, the airtime M/mu from the
+    channel alone (an older snapshot's `seconds_per_packet` is ignored), and
+    neighbor sets from positions and the range, by CellGrid.pairs. Snapshots
+    of a protocol other than qlfr are refused; one that records no protocol
+    is read as qlfr. So is a repeated node id, a non-finite coordinate, a
+    kind other than sensor, source or sink, a generated count that is not a
+    finite number >= 0, a scalar or channel parameter that is not finite and
+    > 0, a channel without one of its fields, or no finite 2 t_max."""
     params = snap["params"]
     protocol = params.get("protocol", "qlfr")
     if protocol != "qlfr":
@@ -236,6 +230,8 @@ def load_snapshot(source) -> StaticTopology:
     for name, value in params["channel"].items():
         require_positive(f"params.channel.{name}", value)
     cp = chan.ChannelParams(**params["channel"])
+    r = params["tx_range_m"]
+    holding = HoldingParams(params["holding_h"], r / params["sound_speed_mps"])
     entries = snap["nodes"]
     kinds = {e["id"]: e["kind"] for e in entries}
     if len(kinds) != len(entries):
@@ -255,7 +251,6 @@ def load_snapshot(source) -> StaticTopology:
                                 f"got {count!r}")
     candidates = {e["id"]: tuple(e["candidates"]) for e in entries if e["kind"] != "sink"}
     gen = {e["id"]: e["generated"] for e in entries if e.get("generated", 0) > 0}
-    r = params["tx_range_m"]
     near = {i: [] for i in sorted(kinds)}
     for a, b, _ in CellGrid(((i, *p) for i, p in positions.items()), r).pairs():
         near[a].append(b)
@@ -267,11 +262,10 @@ def load_snapshot(source) -> StaticTopology:
     return StaticTopology(
         kinds=kinds, positions=positions, candidates=candidates,
         link_prob=link_prob, neighbors=neighbors, gen_packets=gen,
-        holding=HoldingParams(params["holding_h"],
-                              r / params["sound_speed_mps"]),
+        holding=holding,
         sound_speed_mps=params["sound_speed_mps"],
         tx_power_w=params["tx_power_w"], rx_power_w=params["rx_power_w"],
-        seconds_per_packet=params["seconds_per_packet"],
+        seconds_per_packet=cp.serialization_s,
         region_z_m=region_z,
     )
 

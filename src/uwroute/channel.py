@@ -32,13 +32,13 @@ class ChannelParams:
     bit_rate_mu: transmission rate (bit/s)
     """
 
-    frequency_khz: float = 10.0
-    spreading_kappa: float = 1.5
-    atten_const_A0: float = 1.0
-    energy_per_bit: float = 1.0
-    noise_density_N0: float = 1e-9
-    packet_bits_M: int = 512
-    bit_rate_mu: float = 10_000.0
+    frequency_khz: float
+    spreading_kappa: float
+    atten_const_A0: float
+    energy_per_bit: float
+    noise_density_N0: float
+    packet_bits_M: int
+    bit_rate_mu: float
 
     def __post_init__(self):
         if self.frequency_khz <= 0:
@@ -132,12 +132,11 @@ def packet_delivery_prob(l: float, params: ChannelParams) -> float:
     return link_model(params)(l)
 
 
-def calibrate_energy_per_bit(
-    params: ChannelParams,
-    target_distance_m: float = 100.0,
-    target_pdr: float = 0.9,
-    rel_tol: float = 1e-9,
-) -> ChannelParams:
+_CALIBRATION_REL_TOL = 1e-9  # bisection stops at this width relative to log10(e_b)
+
+
+def calibrate_energy_per_bit(params: ChannelParams, target_distance_m: float,
+                             target_pdr: float) -> ChannelParams:
     """Return params with energy_per_bit set so that
     packet_delivery_prob(target_distance_m) == target_pdr.
 
@@ -161,6 +160,6 @@ def calibrate_energy_per_bit(
             lo = mid
         else:
             hi = mid
-        if hi - lo < rel_tol * max(1.0, abs(hi)):
+        if hi - lo < _CALIBRATION_REL_TOL * max(1.0, abs(hi)):
             break
     return replace(params, energy_per_bit=10.0 ** (0.5 * (lo + hi)))

@@ -30,6 +30,8 @@ class ConfigError(ValueError):
 _ANY = (lambda v: True, "")
 _POSITIVE = (lambda v: v > 0, "> 0")
 _COUNT = (lambda v: v >= 1, ">= 1")
+# about 60 times the largest scenario measured, 1600 nodes
+_NODES = (lambda v: 1 <= v <= 100_000, "in [1, 100000]")
 _PROBABILITY = (lambda v: 0.0 < v < 1.0, "in (0, 1)")
 
 
@@ -44,9 +46,9 @@ class ScenarioConfig:
     region_x_m: float = _key("world.region_x_m", 500.0, _POSITIVE)
     region_y_m: float = _key("world.region_y_m", 500.0, _POSITIVE)
     region_z_m: float = _key("world.region_z_m", 500.0, _POSITIVE)
-    n_sensors: int = _key("world.n_sensors", 100, _COUNT)
+    n_sensors: int = _key("world.n_sensors", 100, _NODES)
     n_sources: int = _key("world.n_sources", 5, _COUNT)
-    n_sinks: int = _key("world.n_sinks", 5, _COUNT)
+    n_sinks: int = _key("world.n_sinks", 5, _NODES)
     tx_range_m: float = _key("world.tx_range_m", 150.0, _POSITIVE)
     mobility_speed_mps: float = _key("world.mobility_speed_mps", 3.0, (lambda v: v >= 0, ">= 0"))
     mobility_tick_s: float = _key("world.mobility_tick_s", 10.0, _POSITIVE)
@@ -79,7 +81,6 @@ class ScenarioConfig:
     initial_node_energy_j: float = _key("energy.initial_node_energy_j", 100.0, _POSITIVE)
     source_interval_s: float = _key("traffic.source_interval_s", 10.0, _POSITIVE)
     max_sim_time_s: float = _key("run.max_sim_time_s", 600.0, _POSITIVE)
-    serialization_delay: bool = _key("run.serialization_delay", True)
     seed: int = _key("run.seed", 1)
 
     def __post_init__(self):
@@ -113,8 +114,7 @@ class ScenarioConfig:
         (h = 2 t_max / k rounded to the nearest positive integer)."""
         if self.holding_k_s is None:
             return self.holding_h
-        h = round(2.0 * self.t_max_s / self.holding_k_s)
-        return max(1, h)
+        return round(2.0 * self.t_max_s / self.holding_k_s)
 
     def channel_params(self, energy_per_bit: float) -> ChannelParams:
         return ChannelParams(
@@ -143,10 +143,16 @@ class ScenarioConfig:
             if not math.isfinite(2.0 * side + step):
                 raise ConfigError(f"world.region_{axis}_m = {side!r}: twice the side plus "
                                   f"the mobility step {step!r} overflows")
-        if self.holding_k_s is not None and self.holding_k_s > 2.0 * self.t_max_s:
-            raise ConfigError(
-                f"protocol.holding_k_s = {self.holding_k_s} exceeds 2*t_max = {2.0 * self.t_max_s}"
-            )
+        two_t_max = 2.0 * self.t_max_s
+        if not math.isfinite(two_t_max):
+            raise ConfigError(f"world.tx_range_m / world.sound_speed_mps: 2*t_max = "
+                              f"{two_t_max!r} is not finite")
+        if self.holding_k_s is not None and self.holding_k_s > two_t_max:
+            raise ConfigError(f"protocol.holding_k_s = {self.holding_k_s} exceeds 2*t_max = "
+                              f"{two_t_max}")
+        if self.holding_k_s is not None and not math.isfinite(two_t_max / self.holding_k_s):
+            raise ConfigError(f"protocol.holding_k_s = {self.holding_k_s!r}: 2*t_max / "
+                              "holding_k_s is not finite")
 
 
 class _Decl(typing.NamedTuple):
@@ -169,9 +175,9 @@ _DECLS = tuple(_declared(f) for f in dataclasses.fields(ScenarioConfig))
 _BY_KEY = {decl.key: decl for decl in _DECLS}
 
 # what a value of each declared type may be, and what an error calls it;
-# a bool is an int to Python, but only a bool key takes one
+# a bool is an int to Python, but no key takes one
 _ACCEPTS = {int: ((int,), "an integer"), float: ((int, float), "a number"),
-            bool: ((bool,), "a boolean"), str: ((str,), "a string")}
+            str: ((str,), "a string")}
 
 
 def _check(decl: _Decl, value) -> None:
@@ -180,7 +186,7 @@ def _check(decl: _Decl, value) -> None:
     if value is None and decl.optional:
         return
     types, kind = _ACCEPTS[decl.type]
-    if not isinstance(value, types) or (isinstance(value, bool) and decl.type is not bool):
+    if not isinstance(value, types) or isinstance(value, bool):
         raise ConfigError(f"{decl.key} = {value!r} is not {kind}")
     if type(value) is int and not abs(value) <= sys.float_info.max:  # an int or float key
         raise ConfigError(f"{decl.key}: an integer of {value.bit_length()} bits is past "
@@ -195,12 +201,6 @@ def _parse(decl: _Decl, raw: str):
     raw = raw.strip()
     if decl.optional and raw.lower() in ("none", "auto"):
         return None
-    if decl.type is bool:
-        if raw.lower() in ("true", "yes", "on", "1"):
-            return True
-        if raw.lower() in ("false", "no", "off", "0"):
-            return False
-        raise ConfigError(f"bad value for {decl.key}: not a boolean: {raw!r}")
     try:
         return decl.type(raw)
     except ValueError as exc:
@@ -264,8 +264,6 @@ def effective_config_text(config: ScenarioConfig) -> str:
         value = getattr(config, decl.field)
         if value is None:
             rendered = "none"
-        elif decl.type is bool:
-            rendered = "true" if value else "false"
         elif decl.type is float:
             rendered = repr(float(value))
         else:

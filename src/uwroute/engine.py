@@ -16,6 +16,8 @@ then sorted by receiver id. A broadcast skips receivers that have died since
 the sweep, so it draws from the RNG for each living receiver in id order, as
 a scan of all nodes would. The tables are dropped in `_handle_mobility`, the
 one place positions change during a run, and at the end of `run`.
+Every copy arrives its propagation delay plus one packet's airtime M/mu
+after it is sent, the same M/mu that energy charges.
 
 Energy accounting: a transmit costs tx_power * M/mu, a reception costs
 rx_power * M/mu and is charged to every in-range sensor per arriving data
@@ -209,8 +211,7 @@ class Simulation:
         if self.trace is not None:
             self._emit("tx", node=sender.id, key=None if pkt.is_hello else pkt.key,
                        hello=pkt.is_hello, plist=list(pkt.priority_list))
-        ser = self._spp if self.config.serialization_delay else 0.0
-        now, by_id, draw = self.now, self.by_id, self.rng.random
+        now, by_id, draw, ser = self.now, self.by_id, self.rng.random, self._spp
         schedule = self.schedule
         arrive = self._handle_hello_arrival if pkt.is_hello else self._handle_arrival
         for other_id, delay, p in self._link_table(sender):
@@ -421,7 +422,6 @@ class Simulation:
                 "holding_h": self.holding.h,
                 "tx_power_w": cfg.tx_power_w,
                 "rx_power_w": cfg.rx_power_w,
-                "seconds_per_packet": self._spp,
                 "initial_node_energy_j": cfg.initial_node_energy_j,
                 "channel": asdict(self.channel),
             },

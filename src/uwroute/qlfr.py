@@ -65,8 +65,8 @@ class HoldingParams:
         if self.h > sys.float_info.max:  # k = 2 t_max / h would overflow
             raise ValueError(f"h: an integer of {self.h.bit_length()} bits is past "
                              "every finite float")
-        if self.t_max <= 0:
-            raise ValueError(f"t_max must be > 0, got {self.t_max}")
+        if not 0.0 < 2.0 * self.t_max <= sys.float_info.max:  # so k = 2 t_max / h is finite
+            raise ValueError(f"t_max must be > 0 with 2 t_max finite, got {self.t_max}")
 
     @property
     def k(self) -> float:

@@ -34,11 +34,14 @@ class RoutingKnowledge(NamedTuple):
     residual_energy_j: float
 
 
-def remember(cache: dict, key, maxlen: int = 1024) -> None:
-    """Add `key` as the newest key of `cache`, evicting the oldest past `maxlen`."""
+CACHE_KEYS = 1024  # the most keys a packet-key cache keeps
+
+
+def remember(cache: dict, key) -> None:
+    """Add `key` as the newest key of `cache`, evicting the oldest past `CACHE_KEYS`."""
     cache.pop(key, None)
     cache[key] = None
-    if len(cache) > maxlen:
+    if len(cache) > CACHE_KEYS:
         del cache[next(iter(cache))]
 
 

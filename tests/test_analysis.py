@@ -17,6 +17,10 @@ from uwroute.analysis import (StaticTopology, TopologyError, candidate_forward_p
                               delivery_prob_to_sink, expected_delay_to_sink,
                               expected_holding_time, node_energy, outgoing_traffic,
                               per_node_report)
+from uwroute.config import ScenarioConfig
+
+# the default channel at e_b = 1 J/bit, as a snapshot records it
+CHANNEL = dataclasses.asdict(ScenarioConfig().channel_params(1.0))
 
 
 def line_topology(p1=0.9, p2=0.9, spacing=120.0):
@@ -369,7 +373,6 @@ class TestSnapshotLoading:
     def test_round_trip_from_engine(self, tmp_path):
         import json
 
-        from uwroute.config import ScenarioConfig
         from uwroute.engine import Simulation
 
         cfg = ScenarioConfig(region_x_m=300.0, region_y_m=300.0, region_z_m=300.0,
@@ -380,7 +383,7 @@ class TestSnapshotLoading:
         snapshot = sim.snapshot_topology()
         path = tmp_path / "snapshot.json"
         path.write_text(json.dumps(snapshot))
-        topo = analysis.load_snapshot(path)
+        topo = analysis.load_snapshot(json.loads(path.read_text()))
         del snapshot["params"]["protocol"]  # an unlabelled snapshot reads as qlfr
         assert analysis.load_snapshot(snapshot) == topo
         for source in (n.id for n in sim.sources):
@@ -403,7 +406,7 @@ class TestSnapshotLoading:
         topo = analysis.load_snapshot({
             "params": {"protocol": "qlfr", "tx_range_m": 150.0, "sound_speed_mps": 1500.0,
                        "holding_h": 20, "tx_power_w": 2.0, "rx_power_w": 0.5,
-                       "seconds_per_packet": 0.0512, "channel": {}},
+                       "channel": CHANNEL},
             "nodes": nodes,
         })
         assert topo.link_prob[(0, 1)] == 1.0
@@ -429,7 +432,7 @@ class TestSnapshotLoading:
         snapshot = {
             "params": {"protocol": "qlfr", "tx_range_m": r, "sound_speed_mps": 1500.0,
                        "holding_h": 20, "tx_power_w": 2.0, "rx_power_w": 0.5,
-                       "seconds_per_packet": 0.0512, "channel": {}},
+                       "channel": CHANNEL},
             "nodes": nodes,
         }
         topo = analysis.load_snapshot(snapshot)

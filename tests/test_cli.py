@@ -11,7 +11,7 @@ import statistics
 
 import pytest
 
-from uwroute import cli
+from uwroute import cli, engine
 from uwroute.cli import aggregate_sweep, run_sweep
 from uwroute.config import (ConfigError, ScenarioConfig, effective_config_text,
                             parse_config, parse_config_text, set_key)
@@ -64,7 +64,6 @@ energy.rx_power_w = 0.75
 energy.initial_node_energy_j = 150.5
 traffic.source_interval_s = 12.5
 run.max_sim_time_s = 300.5
-run.serialization_delay = false
 run.seed = 42
 """
 
@@ -96,9 +95,18 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=r"^<config>: world\.n_sources cannot exceed"):
             parse_config_text("world.n_sensors = 3\nworld.n_sources = 4\n")
 
-    def test_unknown_key_reports_line(self):
-        with pytest.raises(ConfigError, match="3"):
-            parse_config_text("# one\nworld.n_sensors = 10\nbogus.key = 1\n")
+    def test_unknown_key_reports_line(self, tmp_path, capsys):
+        # the second line is a retired key: airtime now always delays an arrival
+        for line in ("bogus.key = 1", "run.serialization_delay = false"):
+            key = line.split(" = ")[0]
+            with pytest.raises(ConfigError, match=rf"^<config>:3: unknown key '{key}'$"):
+                parse_config_text(f"# one\nworld.n_sensors = 10\n{line}\n")
+            cfg = tmp_path / "unknown.cfg"
+            cfg.write_text(FAST_SCENARIO + line + "\n")
+            rc = cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "x")])
+            assert rc == 2
+            assert capsys.readouterr().err.startswith(f"error: {cfg}:")
+            assert not (tmp_path / "x").exists()
 
     def test_missing_file_reports_path(self):
         with pytest.raises(ConfigError, match="no/such/file"):
@@ -153,7 +161,6 @@ class TestParseConfig:
         ("gamma", "0.8", "protocol.gamma"),  # text for a float key
         ("gamma", True, "protocol.gamma"),  # a bool for a float key
         ("holding_k_s", False, "protocol.holding_k_s"),
-        ("serialization_delay", 1, "run.serialization_delay"),  # an int for a bool key
         ("protocol", 1, "protocol.name"),
     ])
     def test_wrong_type_refused(self, field, value, key):
@@ -162,8 +169,8 @@ class TestParseConfig:
             ScenarioConfig(**{field: value})
 
     def test_right_types_accepted(self):
-        config = ScenarioConfig(gamma=1, holding_k_s=None, serialization_delay=False)
-        assert (config.gamma, config.holding_k_s, config.serialization_delay) == (1, None, False)
+        config = ScenarioConfig(gamma=1, holding_k_s=None)
+        assert (config.gamma, config.holding_k_s) == (1, None)
 
     def test_set_key_refuses_fractional_int(self):
         # a truncated 12.7 would run 12 sensors under a row labelled 12.7
@@ -174,8 +181,6 @@ class TestParseConfig:
     def test_set_key_parse_error_is_config_error(self):
         with pytest.raises(ConfigError, match=r"^bad value for world\.n_sensors: "):
             set_key(ScenarioConfig(), "world.n_sensors", "many")
-        with pytest.raises(ConfigError, match=r"^bad value for run\.serialization_delay: "):
-            set_key(ScenarioConfig(), "run.serialization_delay", "maybe")
 
     @pytest.mark.parametrize("key", [
         "run.max_sim_time_s", "channel.energy_per_bit", "world.region_x_m", "world.tx_range_m",
@@ -424,9 +429,10 @@ class TestCliVerbs:
 
     @staticmethod
     def hand_snapshot():
-        """Source 0 sends 10 packets of 0.05 s at 2 W straight to sink 1: 1 J;
-        sensor 2, in range of the source only, overhears them at 0.5 W:
-        0.25 J. Over 100 s with 100 J each: 1e4 s and 4e4 s."""
+        """Source 0 sends 10 packets of 512 bits at 10 240 bit/s, 0.05 s, at
+        2 W straight to sink 1: 1 J; sensor 2, in range of the source only,
+        overhears them at 0.5 W: 0.25 J. Over 100 s with 100 J each: 1e4 s
+        and 4e4 s."""
         nodes = [{"id": 0, "kind": "source", "x": 0.0, "y": 0.0, "z": 0.0,
                   "generated": 10, "candidates": [1]},
                  {"id": 1, "kind": "sink", "x": 0.0, "y": 0.0, "z": 100.0,
@@ -435,23 +441,29 @@ class TestCliVerbs:
                   "generated": 0, "candidates": []}]
         params = {"protocol": "qlfr", "tx_range_m": 150.0, "sound_speed_mps": 1500.0,
                   "holding_h": 4, "tx_power_w": 2.0, "rx_power_w": 0.5,
-                  "seconds_per_packet": 0.05, "initial_node_energy_j": 100.0,
-                  "channel": dataclasses.asdict(ScenarioConfig().channel_params(1e-3))}
+                  "initial_node_energy_j": 100.0,
+                  "channel": dataclasses.asdict(
+                      ScenarioConfig(bit_rate_bps=10240.0).channel_params(1e-3))}
         return {"params": params, "nodes": nodes, "run": {"duration_s": 100.0, "now_s": 100.0}}
 
     def test_analyze_lifetime_is_the_model_network_lifetime(self, tmp_path):
-        snap = tmp_path / "snapshot.json"
-        snap.write_text(json.dumps(self.hand_snapshot()))
-        out = tmp_path / "analysis"
-        assert cli.main(["analyze", "--snapshot", str(snap), "--out", str(out)]) == 0
-        rows = {int(r["id"]): r for r in csv.DictReader((out / "per_node.csv").open())}
-        assert float(rows[0]["lifetime_s"]) == pytest.approx(1e4, rel=1e-12)
-        assert float(rows[1]["lifetime_s"]) == math.inf
-        assert float(rows[2]["lifetime_s"]) == pytest.approx(4e4, rel=1e-12)
-        aggregates = json.loads((out / "aggregates.json").read_text())
-        assert aggregates["network_lifetime_s"] == pytest.approx(1e4, rel=1e-12)
-        assert aggregates["network_lifetime_s"] == float(rows[0]["lifetime_s"])
-        assert aggregates["total_energy_j"] == pytest.approx(1.25, rel=1e-12)
+        # an older snapshot also recorded the airtime; the channel's M/mu wins
+        for stale_seconds_per_packet in (None, 5.0):
+            hand = self.hand_snapshot()
+            if stale_seconds_per_packet is not None:
+                hand["params"]["seconds_per_packet"] = stale_seconds_per_packet
+            snap = tmp_path / "snapshot.json"
+            snap.write_text(json.dumps(hand))
+            out = tmp_path / f"analysis-{stale_seconds_per_packet}"
+            assert cli.main(["analyze", "--snapshot", str(snap), "--out", str(out)]) == 0
+            rows = {int(r["id"]): r for r in csv.DictReader((out / "per_node.csv").open())}
+            assert float(rows[0]["lifetime_s"]) == pytest.approx(1e4, rel=1e-12)
+            assert float(rows[1]["lifetime_s"]) == math.inf
+            assert float(rows[2]["lifetime_s"]) == pytest.approx(4e4, rel=1e-12)
+            aggregates = json.loads((out / "aggregates.json").read_text())
+            assert aggregates["network_lifetime_s"] == pytest.approx(1e4, rel=1e-12)
+            assert aggregates["network_lifetime_s"] == float(rows[0]["lifetime_s"])
+            assert aggregates["total_energy_j"] == pytest.approx(1.25, rel=1e-12)
 
     BAD_SNAPSHOTS = {  # case -> (edit of the hand snapshot, text the error names)
         "infinite-coordinate": (lambda s: s["nodes"][2].update(y=math.inf),
@@ -471,6 +483,10 @@ class TestCliVerbs:
                                  "h must be a positive integer, got 1.5"),
         "huge-holding-h": (lambda s: s["params"].update(holding_h=10 ** 400),
                            "h: an integer of 1329 bits is past every finite float"),
+        "channel-without-packet-bits": (lambda s: s["params"]["channel"].pop("packet_bits_M"),
+                                        "'packet_bits_M'"),
+        "infinite-t-max": (lambda s: s["params"].update(tx_range_m=1e308, sound_speed_mps=1e-10),
+                           "t_max must be > 0 with 2 t_max finite, got inf"),
     }
 
     @pytest.mark.parametrize("case", list(BAD_SNAPSHOTS))
@@ -547,7 +563,7 @@ class TestCliVerbs:
             "q_tables.csv": "f0820d124df2c29d67e4e448005e2bae174098ad7a34e0fb9f0d834433b25647",
             "metrics.csv": "8e997a517f103a72d1d601474b7de96818d683e97695847a1436e548d7e2a1f6",
             "deployment.csv": "66f1127e819806f2017db0003b180399f55033833c55be11acf9baaf74b69767",
-            "snapshot.json": "a17602c96ef74a3e00efdff9861a3e949e25e0fc79acef2d63c0db4179bb71a7",
+            "snapshot.json": "03712ba9cb004c24963c964daede8876444d0d65587f0e6cc5cd59a20f5bc0ad",
         }
 
     @pytest.mark.parametrize("case", ["missing-snapshot", "snapshot-without-channel",
@@ -605,6 +621,39 @@ class TestCliVerbs:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and f"{key}: an integer of 1329 bits" in err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("lines, needle", [
+        ("protocol.holding_k_s = 5e-324\n",
+         "protocol.holding_k_s = 5e-324: 2*t_max / holding_k_s is not finite"),
+        ("world.tx_range_m = 1e308\nworld.sound_speed_mps = 1e-10\n",
+         "2*t_max = inf is not finite"),
+    ], ids=["subnormal-holding-k", "infinite-t-max"])
+    def test_non_finite_holding_step_is_refused(self, tmp_path, capsys, lines, needle):
+        # h = round(2 t_max / k) overflowed, and k = inf made tau(1) = inf * 0 = nan
+        cfg = tmp_path / "hold.cfg"
+        cfg.write_text(FAST_SCENARIO + lines)
+        rc = cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "x")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and needle in err
+        assert not (tmp_path / "x").exists()
+        with pytest.raises(ConfigError, match="2\\*t_max = inf is not finite"):
+            ScenarioConfig(tx_range_m=1e308, sound_speed_mps=1e-10, holding_k_s=0.05)
+
+    @pytest.mark.parametrize("key", ["world.n_sensors", "world.n_sinks"])
+    def test_node_count_past_the_ceiling_is_refused(self, tmp_path, capsys, monkeypatch, key):
+        message = (rf"^<config>:2: {re.escape(key)} = 100000000000 "
+                   r"out of range \(in \[1, 100000\]\)$")
+        with pytest.raises(ConfigError, match=message):
+            parse_config_text(f"# c\n{key} = 100000000000\n")
+        assert parse_config_text(f"{key} = 100000\n") is not None  # the ceiling itself passes
+        monkeypatch.setattr(engine, "deploy", lambda *a: pytest.fail("deployed"))
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text(f"{key} = 100000000000\n")
+        rc = cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "x")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"error: {cfg}:1: {key} = 100000000000")
         assert not (tmp_path / "x").exists()
 
     def test_bad_config_is_reported(self, tmp_path, capsys):

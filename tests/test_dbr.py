@@ -172,7 +172,9 @@ class TestEngineTraces:
 
     def test_shallower_fires_first_and_suppresses(self):
         events = []
-        sim = Simulation(chain_config(serialization_delay=False),
+        # at 1 Gbit/s the airtime is 0.512 us; at the default 0.0512 s node 1's
+        # copy reaches node 2 after its hold expired, and both forward
+        sim = Simulation(chain_config(bit_rate_bps=1e9),
                          nodes=self.build_two_candidate_net(),
                          trace=events.append)
         sim.run()

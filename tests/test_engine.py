@@ -36,24 +36,18 @@ def base_config(**kw):
 class TestSingleHop:
     def test_chain_closed_form(self):
         # source 150 m straight below a sink, perfect channel: pdr 1 and
-        # delay = propagation + serialization
+        # delay = propagation + serialization M/mu; a high bit rate
+        # approaches the zero-airtime limit
         region_z = 150.0
-        nodes = [make_node(0, 0.0, region_z, kind="source"),
-                 make_node(1, region_z, region_z, kind="sink")]
-        cfg = base_config(region_z_m=region_z)
-        record = Simulation(cfg, nodes=nodes).run()
-        assert record.generated == 2  # t = 10 and t = 20
-        assert record.pdr == 1.0
-        expected = 150.0 / 1500.0 + 512 / 10_000.0
-        assert record.mean_e2e_delay_s == pytest.approx(expected, abs=1e-12)
-
-    def test_serialization_can_be_zeroed(self):
-        region_z = 150.0
-        nodes = [make_node(0, 0.0, region_z, kind="source"),
-                 make_node(1, region_z, region_z, kind="sink")]
-        cfg = base_config(region_z_m=region_z, serialization_delay=False)
-        record = Simulation(cfg, nodes=nodes).run()
-        assert record.mean_e2e_delay_s == pytest.approx(0.1, abs=1e-12)
+        for bit_rate in (10_000.0, 1e9):
+            nodes = [make_node(0, 0.0, region_z, kind="source"),
+                     make_node(1, region_z, region_z, kind="sink")]
+            cfg = base_config(region_z_m=region_z, bit_rate_bps=bit_rate)
+            record = Simulation(cfg, nodes=nodes).run()
+            assert record.generated == 2  # t = 10 and t = 20
+            assert record.pdr == 1.0
+            expected = 150.0 / 1500.0 + 512 / bit_rate
+            assert record.mean_e2e_delay_s == pytest.approx(expected, abs=1e-12)
 
     def test_second_priority_forwarder_adds_one_k_step(self):
         # the head candidate is planted in the source's table but sits out of
@@ -63,15 +57,16 @@ class TestSingleHop:
         ghost = make_node(1, 280.0, region_z, x=4000.0)  # advertised but unreachable
         relay = make_node(2, 150.0, region_z)
         sink = make_node(3, 300.0, region_z, kind="sink")
-        cfg = base_config(region_z_m=region_z, n_sensors=3, serialization_delay=False,
-                          max_sim_time_s=15.0, holding_k_s=0.05)
+        cfg = base_config(region_z_m=region_z, n_sensors=3, max_sim_time_s=15.0,
+                          holding_k_s=0.05)
         sim = Simulation(cfg, nodes=[source, ghost, relay, sink])
         src = sim.by_id[0]
         src.neighbor_knowledge[1] = (RoutingKnowledge(0.0, 20.0, 100.0), 9.9)
         record = sim.run()
         assert record.pdr == 1.0
-        # two 150 m hops of propagation plus one tau(2) = k wait at the relay
-        expected = 150.0 / 1500.0 + 0.05 + 150.0 / 1500.0
+        # two 150 m hops of propagation and airtime M/mu, plus one tau(2) = k
+        # wait at the relay: 0.3524 s
+        expected = 150.0 / 1500.0 + 0.0512 + 0.05 + 150.0 / 1500.0 + 0.0512
         assert record.mean_e2e_delay_s == pytest.approx(expected, abs=1e-9)
 
     def test_first_sink_arrival_counts(self):
@@ -80,11 +75,10 @@ class TestSingleHop:
         nodes = [make_node(0, 160.0, region_z, kind="source"),
                  make_node(1, 300.0, region_z, kind="sink"),
                  make_node(2, 300.0, region_z, kind="sink", x=60.0)]
-        cfg = base_config(region_z_m=region_z, n_sinks=2, serialization_delay=False,
-                          max_sim_time_s=15.0)
+        cfg = base_config(region_z_m=region_z, n_sinks=2, max_sim_time_s=15.0)
         record = Simulation(cfg, nodes=nodes).run()
         assert record.delivered == 1
-        assert record.mean_e2e_delay_s == pytest.approx(140.0 / 1500.0, abs=1e-12)
+        assert record.mean_e2e_delay_s == pytest.approx(140.0 / 1500.0 + 0.0512, abs=1e-12)
 
 
 class TestTransmitEnergy:
@@ -103,15 +97,15 @@ class TestTransmitEnergy:
         # is not listed for
         nodes = [make_node(0, 0.0, kind="source"), make_node(1, 150.0)]
         events = []
-        sim = Simulation(base_config(serialization_delay=False), nodes=nodes,
-                         trace=events.append)
+        sim = Simulation(base_config(), nodes=nodes, trace=events.append)
         src = sim.by_id[0]
         sim.transmit(src, PacketHeader(0, 0, RoutingKnowledge(0.0, src.depth, 100.0), 0))
         sim.drain(math.inf)
         tx, arrival = events
         assert tx["event"] == "tx"
         assert (arrival["event"], arrival["node"]) == ("drop", 1)
-        assert arrival["t"] == pytest.approx(0.1, abs=1e-12)  # 150 m at 1500 m/s
+        # 150 m at 1500 m/s plus the 0.0512 s airtime
+        assert arrival["t"] == pytest.approx(0.1512, abs=1e-12)
 
     def test_broadcast_into_void_still_costs(self):
         nodes = [make_node(0, 0.0, kind="source"), make_node(1, 400.0)]  # 400 m away
@@ -541,15 +535,14 @@ class TestCoLocatedNodes:
         nodes = [make_node(0, 0.0, region_z, kind="source"),
                  make_node(1, 0.0, region_z),
                  make_node(2, region_z, region_z, kind="sink")]
-        cfg = base_config(region_z_m=region_z, n_sensors=2, protocol=protocol,
-                          serialization_delay=False)
+        cfg = base_config(region_z_m=region_z, n_sensors=2, protocol=protocol)
         sim = Simulation(cfg, nodes=nodes)
         assert sim.in_range(sim.by_id[0]) == [(1, 0.0, 1.0),
                                               (2, 0.1, sim.link_delivery_prob(region_z))]
         record = sim.run()
         assert record.generated == 2
         assert record.pdr == 1.0
-        assert record.mean_e2e_delay_s == pytest.approx(0.1, abs=1e-12)
+        assert record.mean_e2e_delay_s == pytest.approx(0.1512, abs=1e-12)
         assert sim.by_id[1].rx_seconds == pytest.approx(2 * 0.0512, rel=1e-12)
 
 

@@ -1,6 +1,7 @@
 """Protocol state-machine tests: priority lists, holding times, receive and
 hold-expiry paths, overhear suppression, and the adaptive list length."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -87,6 +88,9 @@ class TestHoldingTime:
             HoldingParams(0, 0.1)
         with pytest.raises(ValueError):
             HoldingParams(4, 0.0)
+        for t_max in (math.inf, math.nan, 1e308):  # k = 2 t_max / h would not be finite
+            with pytest.raises(ValueError, match="t_max must be > 0 with 2 t_max finite"):
+                HoldingParams(4, t_max)
         for h in (1.5, 4.0, True):  # an h that is not an int
             with pytest.raises(ValueError, match="h must be a positive integer"):
                 HoldingParams(h, 0.1)

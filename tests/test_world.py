@@ -207,10 +207,12 @@ class TestCellGrid:
 class TestRemember:
     def test_lru_eviction(self):
         cache = {}
-        for item in (1, 2, 3):
-            remember(cache, item, maxlen=3)
-        remember(cache, 1, maxlen=3)  # refresh 1
-        remember(cache, 4, maxlen=3)  # evicts 2
-        assert 1 in cache and 3 in cache and 4 in cache
-        assert 2 not in cache
-        assert len(cache) == 3
+        for item in range(1024):
+            remember(cache, item)
+        assert list(cache) == list(range(1024))  # full, nothing evicted
+        remember(cache, 0)  # refresh 0
+        remember(cache, 1024)  # evicts 1, now the oldest
+        assert 0 in cache and 2 in cache and 1024 in cache
+        assert 1 not in cache
+        assert len(cache) == 1024
+        assert list(cache)[-2:] == [0, 1024]
