@@ -36,18 +36,28 @@ def base_config(**kw):
 class TestSingleHop:
     def test_chain_closed_form(self):
         # source 150 m straight below a sink, perfect channel: pdr 1 and
-        # delay = propagation + serialization M/mu; a high bit rate
-        # approaches the zero-airtime limit
+        # delay = propagation + serialization M/mu
         region_z = 150.0
-        for bit_rate in (10_000.0, 1e9):
-            nodes = [make_node(0, 0.0, region_z, kind="source"),
-                     make_node(1, region_z, region_z, kind="sink")]
-            cfg = base_config(region_z_m=region_z, bit_rate_bps=bit_rate)
-            record = Simulation(cfg, nodes=nodes).run()
-            assert record.generated == 2  # t = 10 and t = 20
-            assert record.pdr == 1.0
-            expected = 150.0 / 1500.0 + 512 / bit_rate
-            assert record.mean_e2e_delay_s == pytest.approx(expected, abs=1e-12)
+        nodes = [make_node(0, 0.0, region_z, kind="source"),
+                 make_node(1, region_z, region_z, kind="sink")]
+        cfg = base_config(region_z_m=region_z)
+        record = Simulation(cfg, nodes=nodes).run()
+        assert record.generated == 2  # t = 10 and t = 20
+        assert record.pdr == 1.0
+        expected = 150.0 / 1500.0 + 512 / 10_000.0
+        assert record.mean_e2e_delay_s == pytest.approx(expected, abs=1e-12)
+
+    def test_serialization_can_be_zeroed(self):
+        # there is no switch for airtime: a high bit rate approaches the
+        # zero-airtime limit, leaving the 0.1 s of propagation alone
+        region_z = 150.0
+        nodes = [make_node(0, 0.0, region_z, kind="source"),
+                 make_node(1, region_z, region_z, kind="sink")]
+        cfg = base_config(region_z_m=region_z, bit_rate_bps=1e9)
+        record = Simulation(cfg, nodes=nodes).run()
+        assert record.pdr == 1.0
+        assert record.mean_e2e_delay_s == pytest.approx(0.1 + 512 / 1e9, abs=1e-12)
+        assert record.mean_e2e_delay_s - 0.1 < 1e-6
 
     def test_second_priority_forwarder_adds_one_k_step(self):
         # the head candidate is planted in the source's table but sits out of
