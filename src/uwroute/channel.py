@@ -7,7 +7,10 @@ otherwise. All functions are stateless and thread-safe.
 
 `link_model(params)` is the one production form of the link delivery
 probability, bit-equal to the closed-form chain; the engine, the analytical
-model's snapshot loader and calibration all go through it.
+model's snapshot loader and calibration all go through it. Calibration builds
+one link model and evaluates it at each trial e_b, after
+`calibration_target_error` has refused a target that no finite e_b > 0
+reaches; `ScenarioConfig` refuses such a target through the same predicate.
 
 Unit convention for attenuation: the Thorpe formula yields dB per km, so the
 absorption factor a(f)^l is exponentiated with the distance in kilometers,
@@ -104,19 +107,20 @@ def packet_success_prob(p_e: float, bits: int) -> float:
 
 
 def link_model(params: ChannelParams):
-    """Packet delivery probability as a function of link length l (m): the
-    constants of `params` are computed once, and each call evaluates
-    packet_success_prob(rayleigh_bpsk_ber(mean_snr(l, params)), M)
-    operation for operation, so the result is bit-equal to that chain. At
-    l == 0 the SNR is unbounded and the result is the limit 1.0, so
-    co-located nodes can talk; a negative length is refused."""
-    a0, kappa, eb, n0, bits = (params.atten_const_A0, params.spreading_kappa,
-                               params.energy_per_bit, params.noise_density_N0,
-                               params.packet_bits_M)
+    """Packet delivery probability as a function of link length l (m) and of
+    the energy per bit eb, which defaults to `params.energy_per_bit`: the
+    other constants of `params` are computed once, and each call evaluates
+    packet_success_prob(rayleigh_bpsk_ber(mean_snr(l, params)), M), with
+    `params.energy_per_bit` set to eb, operation for operation, so the result
+    is bit-equal to that chain. At l == 0 the SNR is unbounded and the result
+    is the limit 1.0, so co-located nodes can talk; a negative length is
+    refused. A length whose attenuation overflows raises OverflowError."""
+    a0, kappa, n0, bits = (params.atten_const_A0, params.spreading_kappa,
+                           params.noise_density_N0, params.packet_bits_M)
     a_linear = 10.0 ** (thorpe_absorption_db_per_km(params.frequency_khz) / 10.0)
     sqrt = math.sqrt
 
-    def delivery_prob(l: float) -> float:
+    def delivery_prob(l: float, eb: float = params.energy_per_bit) -> float:
         if l <= 0.0:
             if l == 0.0:
                 return 1.0
@@ -132,7 +136,40 @@ def packet_delivery_prob(l: float, params: ChannelParams) -> float:
     return link_model(params)(l)
 
 
+def attenuation_overflows(delivery_prob, l: float) -> bool:
+    """Whether the attenuation of the link model `delivery_prob` overflows at
+    length l, so that evaluating the link raises OverflowError. Attenuation
+    grows with length, so no shorter link overflows when this one does not."""
+    try:
+        delivery_prob(l)
+    except OverflowError:
+        return True
+    return False
+
+
 _CALIBRATION_REL_TOL = 1e-9  # bisection stops at this width relative to log10(e_b)
+# the bracket search widens log10(e_b) in steps of 30 from [-30, 30]: 1e300 is
+# its last upper end below the largest float
+_CALIBRATION_STEP = 30.0
+_CALIBRATION_TOP = 300.0
+
+
+def calibration_target_error(delivery_prob, packet_bits: int, target_distance_m: float,
+                             target_pdr: float) -> str | None:
+    """Why no finite e_b > 0 brings the link model `delivery_prob` of
+    `packet_bits`-bit packets to `target_pdr` at `target_distance_m`, or None
+    when the bisection of `calibrate_energy_per_bit` finds one."""
+    floor = 0.5**packet_bits
+    if target_pdr <= floor:
+        return (f"the delivery probability as e_b goes to 0 is 0.5**{packet_bits} = "
+                f"{floor!r}, not below the target")
+    if attenuation_overflows(delivery_prob, target_distance_m):
+        return f"the attenuation at {target_distance_m!r} m overflows"
+    top = delivery_prob(target_distance_m, 10.0**_CALIBRATION_TOP)
+    if top < target_pdr:
+        return (f"e_b = 1e{_CALIBRATION_TOP:.0f} J/bit delivers only {top!r}, and a larger "
+                "bracket would need an e_b past the largest float")
+    return None
 
 
 def calibrate_energy_per_bit(params: ChannelParams, target_distance_m: float,
@@ -140,20 +177,30 @@ def calibrate_energy_per_bit(params: ChannelParams, target_distance_m: float,
     """Return params with energy_per_bit set so that
     packet_delivery_prob(target_distance_m) == target_pdr.
 
-    Solved by bisection on log10(e_b). The operating point is otherwise
-    unconstrained: e_b, N0, f, M and mu have no published values.
+    Solved by bisection on log10(e_b), on one link model evaluated at each
+    trial e_b. The operating point is otherwise unconstrained: e_b, N0, f, M
+    and mu have no published values. A target that no finite e_b > 0 reaches
+    is refused with ValueError (`calibration_target_error`).
     """
     if not 0.0 < target_pdr < 1.0:
         raise ValueError(f"target_pdr must be in (0, 1), got {target_pdr}")
+    if not target_distance_m > 0.0:
+        raise ValueError(f"target_distance_m must be > 0, got {target_distance_m}")
+    delivery_prob = link_model(params)
+    reason = calibration_target_error(delivery_prob, params.packet_bits_M, target_distance_m,
+                                      target_pdr)
+    if reason is not None:
+        raise ValueError(f"no finite e_b > 0 gives delivery probability {target_pdr!r} at "
+                         f"{target_distance_m!r} m: {reason}")
 
     def pdr_at(log_eb: float) -> float:
-        return packet_delivery_prob(target_distance_m, replace(params, energy_per_bit=10.0**log_eb))
+        return delivery_prob(target_distance_m, 10.0**log_eb)
 
-    lo, hi = -30.0, 30.0
+    lo, hi = -_CALIBRATION_STEP, _CALIBRATION_STEP
     while pdr_at(lo) > target_pdr:
-        lo -= 30.0
+        lo -= _CALIBRATION_STEP
     while pdr_at(hi) < target_pdr:
-        hi += 30.0
+        hi += _CALIBRATION_STEP
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if pdr_at(mid) < target_pdr:

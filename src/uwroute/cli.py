@@ -216,6 +216,9 @@ def cmd_analyze(args) -> int:
 def cmd_calibrate(args) -> int:
     config = _load_config(args)
     params = engine.resolve_channel(config)
+    if channel.attenuation_overflows(channel.link_model(params), config.calibration_distance_m):
+        raise ConfigError(f"channel.calibration_distance_m = {config.calibration_distance_m!r}:"
+                          " the link attenuation at that distance overflows")
     report = {
         "energy_per_bit": params.energy_per_bit,
         "noise_density_N0": params.noise_density_N0,

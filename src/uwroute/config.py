@@ -19,7 +19,9 @@ import sys
 import typing
 from dataclasses import dataclass
 
+from . import channel as chan
 from .channel import ChannelParams
+from .qlfr import HoldingParams, holding_time
 
 
 class ConfigError(ValueError):
@@ -153,6 +155,30 @@ class ScenarioConfig:
         if self.holding_k_s is not None and not math.isfinite(two_t_max / self.holding_k_s):
             raise ConfigError(f"protocol.holding_k_s = {self.holding_k_s!r}: 2*t_max / "
                               "holding_k_s is not finite")
+        holding = HoldingParams(self.effective_holding_h(), self.t_max_s)
+        last = holding_time(self.max_list_length, holding)
+        if not math.isfinite(last):
+            step_key = "protocol.holding_h" if self.holding_k_s is None else "protocol.holding_k_s"
+            raise ConfigError(f"the holding step k = {holding.k!r} s (world.tx_range_m, "
+                              f"world.sound_speed_mps, {step_key}) times "
+                              f"protocol.max_list_length - 1 = {self.max_list_length - 1} "
+                              f"is {last!r}, not finite")
+        # where attenuation overflows does not depend on e_b
+        delivery_prob = chan.link_model(self.channel_params(self.energy_per_bit or 1.0))
+        if chan.attenuation_overflows(delivery_prob, self.tx_range_m):
+            raise ConfigError(f"world.tx_range_m = {self.tx_range_m!r}: the link attenuation "
+                              f"at that range overflows at channel.frequency_khz = "
+                              f"{self.frequency_khz!r}")
+        if self.energy_per_bit is None:
+            reason = chan.calibration_target_error(delivery_prob, self.packet_bits,
+                                                   self.calibration_distance_m,
+                                                   self.calibration_pdr)
+            if reason is not None:
+                raise ConfigError(
+                    f"channel.calibration_pdr = {self.calibration_pdr!r} at "
+                    f"channel.calibration_distance_m = {self.calibration_distance_m!r} with "
+                    f"channel.packet_bits = {self.packet_bits} is out of reach of "
+                    f"channel.energy_per_bit = auto: {reason}")
 
 
 class _Decl(typing.NamedTuple):
@@ -208,7 +234,10 @@ def _parse(decl: _Decl, raw: str):
 
 
 def parse_config_text(text: str, source: str = "<config>") -> ScenarioConfig:
-    overrides = {}
+    """A config from file text. An error names `source` and the line it was
+    found on; a refusal that involves several keys names the last line that
+    sets one of the keys its message names."""
+    overrides, lines = {}, {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -225,10 +254,13 @@ def parse_config_text(text: str, source: str = "<config>") -> ScenarioConfig:
         except ConfigError as exc:
             raise ConfigError(f"{source}:{lineno}: {exc}") from exc
         overrides[decl.field] = value
+        lines[key] = lineno
     try:
         return ScenarioConfig(**overrides)
     except ConfigError as exc:
-        raise ConfigError(f"{source}: {exc}") from exc
+        named = [lineno for key, lineno in lines.items() if key in str(exc)]
+        where = f"{source}:{max(named)}" if named else source
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def parse_config(path) -> ScenarioConfig:

@@ -119,3 +119,14 @@ def test_checkouts_with_different_benchmarks_are_refused_before_any_run(
         assert calls == []
         assert capsys.readouterr().err == (
             f"error: the checkouts differ in {name}; both must run the same benchmark\n")
+
+
+@pytest.mark.parametrize("pairs", ["0", "-3"])
+def test_fewer_than_one_pair_is_refused_before_any_run(tmp_path, monkeypatch, capsys, pairs):
+    # no pairs left `quartiles` an empty sample, and it raised StatisticsError
+    parent, change = checkouts(tmp_path)
+    monkeypatch.setattr(bench_ab, "run_once", lambda *args: pytest.fail("ran"))
+    with pytest.raises(SystemExit) as exc:
+        bench_ab.main([str(parent), str(change), "--workload", "flat", "-n", pairs])
+    assert exc.value.code == 2
+    assert f"needs at least 1 pair, got {pairs}" in capsys.readouterr().err

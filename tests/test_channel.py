@@ -2,8 +2,10 @@
 log-domain attenuation oracle, and the Rayleigh-average validation by
 numerical quadrature."""
 
+import dataclasses
 import math
 import random
+import re
 
 import pytest
 from scipy import integrate
@@ -191,6 +193,57 @@ class TestCalibration:
     def test_rejects_bad_target(self):
         with pytest.raises(ValueError):
             channel.calibrate_energy_per_bit(default_params(), 100.0, 1.5)
+        # every e_b delivers at 0 m: no bracket could hold the target
+        with pytest.raises(ValueError, match="target_distance_m must be > 0, got 0.0"):
+            channel.calibrate_energy_per_bit(default_params(), 0.0, 0.9)
+
+    # calibrated e_b of four channels, taken before calibration shared one
+    # link model across its bisection steps; the runs' outputs rest on them
+    PINNED = [
+        ({}, 100.0, 0.9, 0.0012484993597925776),
+        ({}, 150.0, 0.8, 0.0010975105741544513),
+        ({"packet_bits_M": 64, "frequency_khz": 25.0}, 100.0, 0.9, 0.0001774785799597975),
+        ({"spreading_kappa": 2.0, "atten_const_A0": 10.0}, 100.0, 0.9, 0.12484993597089107),
+    ]
+
+    @pytest.mark.parametrize("overrides, distance, pdr, eb", PINNED,
+                             ids=["default", "150m-0.8", "64-bits-25khz", "kappa-2-a0-10"])
+    def test_pinned_energy_per_bit(self, overrides, distance, pdr, eb):
+        params = default_params(**overrides)
+        assert channel.calibrate_energy_per_bit(params, distance, pdr).energy_per_bit == eb
+
+    def test_one_absorption_evaluation_per_calibration(self, monkeypatch):
+        calls = []
+        thorpe = channel.thorpe_absorption_db_per_km
+        monkeypatch.setattr(channel, "thorpe_absorption_db_per_km",
+                            lambda f: calls.append(f) or thorpe(f))
+        channel.calibrate_energy_per_bit(default_params(), 100.0, 0.9)
+        assert calls == [10.0]
+
+    def test_trial_energy_is_bit_equal_to_a_rebuilt_model(self):
+        # what each bisection step evaluated before it shared one link model
+        rng = random.Random(5)
+        for _ in range(300):
+            params = default_params(frequency_khz=rng.uniform(1.0, 60.0),
+                                    spreading_kappa=rng.uniform(1.0, 2.0),
+                                    packet_bits_M=rng.randint(1, 2048))
+            link = channel.link_model(params)
+            l, eb = rng.uniform(0.1, 3000.0), 10.0 ** rng.uniform(-12.0, 3.0)
+            rebuilt = channel.link_model(dataclasses.replace(params, energy_per_bit=eb))
+            assert link(l, eb) == rebuilt(l)
+
+    FLOOR = r"the delivery probability as e_b goes to 0 is 0\.5\*\*1 = 0\.5,"
+
+    @pytest.mark.parametrize("overrides, distance, pdr, needle", [
+        ({"packet_bits_M": 1}, 100.0, 0.3, FLOOR),
+        ({"packet_bits_M": 1}, 100.0, 0.5, FLOOR),
+        ({}, 1e7, 0.9, r"the attenuation at 10000000\.0 m overflows"),
+        ({"noise_density_N0": 1e300}, 100.0, 0.9, r"e_b = 1e300 J/bit delivers only"),
+    ], ids=["below-floor", "at-floor", "attenuation-overflows", "past-the-largest-float"])
+    def test_unreachable_target_is_refused(self, overrides, distance, pdr, needle):
+        target = rf"delivery probability {pdr!r} at {distance!r} m: "
+        with pytest.raises(ValueError, match=re.escape(target) + needle):
+            channel.calibrate_energy_per_bit(default_params(**overrides), distance, pdr)
 
 
 class TestRayleighClosedForm:

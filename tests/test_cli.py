@@ -92,8 +92,14 @@ class TestParseConfig:
             parse_config_text("world.n_sensors = 4\n\nworld.n_sensors = 0\n", source="cfg")
 
     def test_cross_key_error_reports_file(self):
-        with pytest.raises(ConfigError, match=r"^<config>: world\.n_sources cannot exceed"):
-            parse_config_text("world.n_sensors = 3\nworld.n_sources = 4\n")
+        # the last line that sets a key the message names
+        with pytest.raises(ConfigError, match=r"^<config>:2: world\.n_sources cannot exceed"):
+            parse_config_text("world.n_sensors = 3\nworld.n_sources = 4\nrun.seed = 2\n")
+        with pytest.raises(ConfigError, match=r"^<config>:3: world\.n_sources cannot exceed"):
+            parse_config_text("world.n_sources = 4\n# c\nworld.n_sensors = 3\n")
+        # no line sets a named key: the file alone
+        with pytest.raises(ConfigError, match=r"^<config>: channel\.calibration_pdr = 0\.9 at"):
+            parse_config_text("channel.noise_density = 1e300\n")
 
     def test_unknown_key_reports_line(self, tmp_path, capsys):
         # the second line is a retired key: airtime now always delays an arrival
@@ -553,6 +559,31 @@ class TestCliVerbs:
         report = json.loads(capsys.readouterr().out)
         assert report["pdr_at_target"] == pytest.approx(0.9, abs=1e-6)
 
+    @pytest.mark.parametrize("lines, located, message", [
+        ("channel.packet_bits = 1\nchannel.calibration_pdr = 0.3\n", "{cfg}:2: ",
+         "channel.calibration_pdr = 0.3 at channel.calibration_distance_m = 100.0 with "
+         "channel.packet_bits = 1 is out of reach of channel.energy_per_bit = auto: the "
+         "delivery probability as e_b goes to 0 is 0.5**1 = 0.5"),
+        ("channel.calibration_distance_m = 1e7\n", "{cfg}:1: ",
+         "channel.calibration_pdr = 0.9 at channel.calibration_distance_m = 10000000.0"),
+        ("channel.noise_density = 1e300\n", "{cfg}: ",
+         "channel.calibration_pdr = 0.9 at channel.calibration_distance_m = 100.0"),
+        # the calibration keys are unused by a run with e_b pinned, but `calibrate`
+        # reports the delivery probability at the calibration distance
+        ("channel.energy_per_bit = 0.001\nchannel.calibration_distance_m = 1e7\n", "",
+         "channel.calibration_distance_m = 10000000.0: the link attenuation at that "
+         "distance overflows"),
+    ], ids=["below-floor", "attenuation-overflows", "past-the-largest-float",
+            "pinned-energy-overflows"])
+    def test_calibrate_refuses_an_unreachable_target(self, tmp_path, capsys, lines, located,
+                                                     message):
+        cfg = tmp_path / "far.cfg"
+        cfg.write_text(lines)
+        rc = cli.main(["calibrate", "--config", str(cfg), "--out", str(tmp_path / "x")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"error: {located.format(cfg=cfg)}{message}")
+        assert not (tmp_path / "x").exists()
+
     def test_default_run_pins_learned_q_values_and_snapshot(self, tmp_path):
         out = tmp_path / "results"
         assert cli.main(["run", "--seed", "3", "--out", str(out)]) == 0
@@ -628,9 +659,13 @@ class TestCliVerbs:
          "protocol.holding_k_s = 5e-324: 2*t_max / holding_k_s is not finite"),
         ("world.tx_range_m = 1e308\nworld.sound_speed_mps = 1e-10\n",
          "2*t_max = inf is not finite"),
-    ], ids=["subnormal-holding-k", "infinite-t-max"])
+        ("world.tx_range_m = 8e307\nworld.sound_speed_mps = 1.0\nprotocol.holding_h = 1\n",
+         ":12: the holding step k = 1.6e+308 s (world.tx_range_m, world.sound_speed_mps, "
+         "protocol.holding_h) times protocol.max_list_length - 1 = 3 is inf, not finite"),
+    ], ids=["subnormal-holding-k", "infinite-t-max", "infinite-last-holding-time"])
     def test_non_finite_holding_step_is_refused(self, tmp_path, capsys, lines, needle):
-        # h = round(2 t_max / k) overflowed, and k = inf made tau(1) = inf * 0 = nan
+        # h = round(2 t_max / k) overflowed, k = inf made tau(1) = inf * 0 = nan, and a
+        # finite k made the last candidate's tau = k * (max_list_length - 1) = inf
         cfg = tmp_path / "hold.cfg"
         cfg.write_text(FAST_SCENARIO + lines)
         rc = cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "x")])
@@ -640,6 +675,24 @@ class TestCliVerbs:
         assert not (tmp_path / "x").exists()
         with pytest.raises(ConfigError, match="2\\*t_max = inf is not finite"):
             ScenarioConfig(tx_range_m=1e308, sound_speed_mps=1e-10, holding_k_s=0.05)
+        with pytest.raises(ConfigError, match=r"max_list_length - 1 = 3 is inf, not finite$"):
+            ScenarioConfig(tx_range_m=8e307, sound_speed_mps=1.0, holding_h=1)
+
+    def test_range_whose_attenuation_overflows_is_refused(self, tmp_path, capsys):
+        # the first link longer than about 2.5e6 m at 10 kHz raised OverflowError mid-run
+        far = dict(n_sensors=20, n_sources=2, n_sinks=2, region_x_m=5e6, region_y_m=5e6,
+                   region_z_m=5e6, sound_speed_mps=1e7, max_sim_time_s=20.0)
+        message = (r"^world\.tx_range_m = 4000000\.0: the link attenuation at that range "
+                   r"overflows at channel\.frequency_khz = 10\.0$")
+        with pytest.raises(ConfigError, match=message):
+            ScenarioConfig(tx_range_m=4e6, **far)
+        ScenarioConfig(tx_range_m=2e6, **far)  # attenuation about 1e236: no overflow
+        cfg = tmp_path / "far.cfg"
+        cfg.write_text(FAST_SCENARIO + "world.tx_range_m = 4e6\n")
+        rc = cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "x")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"error: {cfg}:10: world.tx_range_m = ")
+        assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("key", ["world.n_sensors", "world.n_sinks"])
     def test_node_count_past_the_ceiling_is_refused(self, tmp_path, capsys, monkeypatch, key):

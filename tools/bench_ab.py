@@ -120,13 +120,21 @@ def compare(sides: dict, workload: str, pairs: int, seed: int, better: dict,
     return digests_equal and all_correct
 
 
+def pair_count(text: str) -> int:
+    """An argparse type: a whole number of pairs, at least 1."""
+    pairs = int(text)
+    if pairs < 1:
+        raise argparse.ArgumentTypeError(f"needs at least 1 pair, got {pairs}")
+    return pairs
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("parent", type=Path)
     ap.add_argument("change", type=Path)
     ap.add_argument("--workload", action="append", required=True,
                     help="a workload to compare; repeat to run several in turn")
-    ap.add_argument("-n", "--pairs", type=int, default=10)
+    ap.add_argument("-n", "--pairs", type=pair_count, default=10)
     ap.add_argument("--seed", type=int, default=1)
     args = ap.parse_args(argv)
 
