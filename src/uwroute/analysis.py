@@ -23,6 +23,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from . import channel as chan
+from .config import ScenarioConfig
 from .qlfr import HoldingParams, holding_time
 from .world import CellGrid
 
@@ -199,39 +200,35 @@ def node_energy(topo: StaticTopology, node: int, traffic: dict) -> float:
     return energy
 
 
-def require_positive(name: str, value):
-    """`value` when it is a finite number > 0; TopologyError naming it otherwise."""
-    if type(value) not in (int, float) or not 0.0 < value < math.inf:
-        raise TopologyError(f"{name} must be a finite number > 0, got {value!r}")
-    return value
-
-
-_SCALAR_PARAMS = ("tx_range_m", "sound_speed_mps", "holding_h", "tx_power_w", "rx_power_w")
-
-
 def load_snapshot(snap: dict) -> StaticTopology:
     """Build a StaticTopology from an engine snapshot dict. Link probabilities
     come from positions and the recorded channel, the airtime M/mu from the
     channel alone (an older snapshot's `seconds_per_packet` is ignored), and
     neighbor sets from positions and the range, by CellGrid.pairs. Snapshots
     of a protocol other than qlfr are refused; one that records no protocol
-    is read as qlfr. So is a repeated node id, a non-finite coordinate, a
-    kind other than sensor, source or sink, a generated count that is not a
-    finite number >= 0, a scalar or channel parameter that is not finite and
-    > 0, a channel without one of its fields, or no finite 2 t_max."""
+    is read as qlfr. The scalar and channel parameters are read through
+    `ScenarioConfig`, so a value its key's declaration refuses is refused
+    with `ConfigError` naming that key, and a channel without one of its
+    fields with KeyError. So is a repeated node id, a non-finite coordinate,
+    a kind other than sensor, source or sink, or a generated count that is
+    not a finite number >= 0."""
     params = snap["params"]
     protocol = params.get("protocol", "qlfr")
     if protocol != "qlfr":
         raise TopologyError(
             f"snapshot of a {protocol} run has no candidate lists; "
             "the model describes qlfr priority lists only")
-    for name in _SCALAR_PARAMS:
-        require_positive(f"params.{name}", params[name])
-    for name, value in params["channel"].items():
-        require_positive(f"params.channel.{name}", value)
-    cp = chan.ChannelParams(**params["channel"])
-    r = params["tx_range_m"]
-    holding = HoldingParams(params["holding_h"], r / params["sound_speed_mps"])
+    channel = params["channel"]
+    config = ScenarioConfig(
+        tx_range_m=params["tx_range_m"], sound_speed_mps=params["sound_speed_mps"],
+        holding_h=params["holding_h"], tx_power_w=params["tx_power_w"],
+        rx_power_w=params["rx_power_w"], frequency_khz=channel["frequency_khz"],
+        spreading_kappa=channel["spreading_kappa"], atten_const_a0=channel["atten_const_A0"],
+        energy_per_bit=channel["energy_per_bit"], noise_density=channel["noise_density_N0"],
+        packet_bits=channel["packet_bits_M"], bit_rate_bps=channel["bit_rate_mu"])
+    cp = config.channel_params(config.energy_per_bit)
+    r = config.tx_range_m
+    holding = HoldingParams(config.holding_h, config.t_max_s)
     entries = snap["nodes"]
     kinds = {e["id"]: e["kind"] for e in entries}
     if len(kinds) != len(entries):
@@ -263,8 +260,8 @@ def load_snapshot(snap: dict) -> StaticTopology:
         kinds=kinds, positions=positions, candidates=candidates,
         link_prob=link_prob, neighbors=neighbors, gen_packets=gen,
         holding=holding,
-        sound_speed_mps=params["sound_speed_mps"],
-        tx_power_w=params["tx_power_w"], rx_power_w=params["rx_power_w"],
+        sound_speed_mps=config.sound_speed_mps,
+        tx_power_w=config.tx_power_w, rx_power_w=config.rx_power_w,
         seconds_per_packet=cp.serialization_s,
         region_z_m=region_z,
     )

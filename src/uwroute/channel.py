@@ -8,9 +8,10 @@ otherwise. All functions are stateless and thread-safe.
 `link_model(params)` is the one production form of the link delivery
 probability, bit-equal to the closed-form chain; the engine, the analytical
 model's snapshot loader and calibration all go through it. Calibration builds
-one link model and evaluates it at each trial e_b, after
-`calibration_target_error` has refused a target that no finite e_b > 0
-reaches; `ScenarioConfig` refuses such a target through the same predicate.
+one link model and evaluates it at each trial e_b. A target at or below the
+delivery probability as e_b goes to 0 is refused through
+`calibration_target_error`, by `ScenarioConfig` and calibration alike; the
+ranges `ScenarioConfig` declares keep every other target within a finite e_b.
 
 Unit convention for attenuation: the Thorpe formula yields dB per km, so the
 absorption factor a(f)^l is exponentiated with the distance in kilometers,
@@ -112,20 +113,26 @@ def link_model(params: ChannelParams):
     other constants of `params` are computed once, and each call evaluates
     packet_success_prob(rayleigh_bpsk_ber(mean_snr(l, params)), M), with
     `params.energy_per_bit` set to eb, operation for operation, so the result
-    is bit-equal to that chain. At l == 0 the SNR is unbounded and the result
-    is the limit 1.0, so co-located nodes can talk; a negative length is
-    refused. A length whose attenuation overflows raises OverflowError."""
+    is bit-equal to that chain wherever the SNR is finite. Where it is not (at
+    l == 0, or at a length so short that the attenuation underflows to 0 or
+    the SNR overflows) the result is the limit 1.0, so co-located nodes can
+    talk; a negative length is refused."""
     a0, kappa, n0, bits = (params.atten_const_A0, params.spreading_kappa,
                            params.noise_density_N0, params.packet_bits_M)
     a_linear = 10.0 ** (thorpe_absorption_db_per_km(params.frequency_khz) / 10.0)
-    sqrt = math.sqrt
+    sqrt, inf = math.sqrt, math.inf
 
     def delivery_prob(l: float, eb: float = params.energy_per_bit) -> float:
         if l <= 0.0:
             if l == 0.0:
                 return 1.0
             raise ValueError(f"distance must be >= 0 m, got {l}")
-        snr = eb / (n0 * (a0 * l**kappa * a_linear ** (l / 1000.0)))
+        try:
+            snr = eb / (n0 * (a0 * l**kappa * a_linear ** (l / 1000.0)))
+        except ZeroDivisionError:  # the attenuation underflowed to 0
+            return 1.0
+        if snr == inf:
+            return 1.0
         return (1.0 - 0.5 * (1.0 - sqrt(snr / (1.0 + snr)))) ** bits
 
     return delivery_prob
@@ -136,39 +143,18 @@ def packet_delivery_prob(l: float, params: ChannelParams) -> float:
     return link_model(params)(l)
 
 
-def attenuation_overflows(delivery_prob, l: float) -> bool:
-    """Whether the attenuation of the link model `delivery_prob` overflows at
-    length l, so that evaluating the link raises OverflowError. Attenuation
-    grows with length, so no shorter link overflows when this one does not."""
-    try:
-        delivery_prob(l)
-    except OverflowError:
-        return True
-    return False
-
-
 _CALIBRATION_REL_TOL = 1e-9  # bisection stops at this width relative to log10(e_b)
-# the bracket search widens log10(e_b) in steps of 30 from [-30, 30]: 1e300 is
-# its last upper end below the largest float
-_CALIBRATION_STEP = 30.0
-_CALIBRATION_TOP = 300.0
+_CALIBRATION_STEP = 30.0  # the bracket on log10(e_b) widens in these steps from [-30, 30]
 
 
-def calibration_target_error(delivery_prob, packet_bits: int, target_distance_m: float,
+def calibration_target_error(delivery_prob, target_distance_m: float,
                              target_pdr: float) -> str | None:
-    """Why no finite e_b > 0 brings the link model `delivery_prob` of
-    `packet_bits`-bit packets to `target_pdr` at `target_distance_m`, or None
-    when the bisection of `calibrate_energy_per_bit` finds one."""
-    floor = 0.5**packet_bits
+    """Why no e_b > 0 brings the link model `delivery_prob` to `target_pdr`
+    at `target_distance_m`, or None: the target must lie above the delivery
+    probability at e_b = 0, which is 0.5 ** M for M-bit packets."""
+    floor = delivery_prob(target_distance_m, 0.0)
     if target_pdr <= floor:
-        return (f"the delivery probability as e_b goes to 0 is 0.5**{packet_bits} = "
-                f"{floor!r}, not below the target")
-    if attenuation_overflows(delivery_prob, target_distance_m):
-        return f"the attenuation at {target_distance_m!r} m overflows"
-    top = delivery_prob(target_distance_m, 10.0**_CALIBRATION_TOP)
-    if top < target_pdr:
-        return (f"e_b = 1e{_CALIBRATION_TOP:.0f} J/bit delivers only {top!r}, and a larger "
-                "bracket would need an e_b past the largest float")
+        return f"the delivery probability as e_b goes to 0 is {floor!r}, not below the target"
     return None
 
 
@@ -179,28 +165,33 @@ def calibrate_energy_per_bit(params: ChannelParams, target_distance_m: float,
 
     Solved by bisection on log10(e_b), on one link model evaluated at each
     trial e_b. The operating point is otherwise unconstrained: e_b, N0, f, M
-    and mu have no published values. A target that no finite e_b > 0 reaches
-    is refused with ValueError (`calibration_target_error`).
+    and mu have no published values. A target that no e_b > 0 reaches is
+    refused with ValueError (`calibration_target_error`), and so is one whose
+    link model overflows before the bracket holds it, which happens only
+    outside the ranges `ScenarioConfig` declares.
     """
     if not 0.0 < target_pdr < 1.0:
         raise ValueError(f"target_pdr must be in (0, 1), got {target_pdr}")
     if not target_distance_m > 0.0:
         raise ValueError(f"target_distance_m must be > 0, got {target_distance_m}")
     delivery_prob = link_model(params)
-    reason = calibration_target_error(delivery_prob, params.packet_bits_M, target_distance_m,
-                                      target_pdr)
-    if reason is not None:
-        raise ValueError(f"no finite e_b > 0 gives delivery probability {target_pdr!r} at "
-                         f"{target_distance_m!r} m: {reason}")
 
     def pdr_at(log_eb: float) -> float:
         return delivery_prob(target_distance_m, 10.0**log_eb)
 
     lo, hi = -_CALIBRATION_STEP, _CALIBRATION_STEP
-    while pdr_at(lo) > target_pdr:
-        lo -= _CALIBRATION_STEP
-    while pdr_at(hi) < target_pdr:
-        hi += _CALIBRATION_STEP
+    try:
+        reason = calibration_target_error(delivery_prob, target_distance_m, target_pdr)
+        if reason is None:
+            while pdr_at(lo) > target_pdr:
+                lo -= _CALIBRATION_STEP
+            while pdr_at(hi) < target_pdr:
+                hi += _CALIBRATION_STEP
+    except OverflowError:
+        reason = "the link model overflows before the bracket holds the target"
+    if reason is not None:
+        raise ValueError(f"no finite e_b > 0 gives delivery probability {target_pdr!r} at "
+                         f"{target_distance_m!r} m: {reason}")
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if pdr_at(mid) < target_pdr:

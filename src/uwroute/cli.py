@@ -185,16 +185,16 @@ def cmd_analyze(args) -> int:
         snap = json.load(fh)
     try:
         topo = analysis.load_snapshot(snap)
-        duration = analysis.require_positive("run.duration_s", snap["run"]["duration_s"])
-        e_ini = analysis.require_positive("params.initial_node_energy_j",
-                                          snap["params"]["initial_node_energy_j"])
+        # the run's duration and initial energy, checked by their keys' declarations
+        run = ScenarioConfig(max_sim_time_s=snap["run"]["duration_s"],
+                             initial_node_energy_j=snap["params"]["initial_node_energy_j"])
     except (KeyError, TypeError) as exc:
         raise analysis.TopologyError(
             f"{args.snapshot} is not a run snapshot: {type(exc).__name__} {exc}") from None
-    run_time = duration if args.run_time is None else args.run_time
+    run_time = run.max_sim_time_s if args.run_time is None else args.run_time
     if not 0.0 < run_time < math.inf:
         raise ValueError(f"--run-time must be a positive number of seconds, got {run_time}")
-    rows = analysis.per_node_report(topo, run_time, e_ini)
+    rows = analysis.per_node_report(topo, run_time, run.initial_node_energy_j)
     out = args.out
     os.makedirs(out, exist_ok=True)
     _write_csv(os.path.join(out, "per_node.csv"),
@@ -216,9 +216,6 @@ def cmd_analyze(args) -> int:
 def cmd_calibrate(args) -> int:
     config = _load_config(args)
     params = engine.resolve_channel(config)
-    if channel.attenuation_overflows(channel.link_model(params), config.calibration_distance_m):
-        raise ConfigError(f"channel.calibration_distance_m = {config.calibration_distance_m!r}:"
-                          " the link attenuation at that distance overflows")
     report = {
         "energy_per_bit": params.energy_per_bit,
         "noise_density_N0": params.noise_density_N0,

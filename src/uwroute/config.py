@@ -1,10 +1,12 @@
 """Scenario configuration: defaults, flat key-value config files, validation.
 
 Each `ScenarioConfig` field is the one declaration of its config key: it holds
-the `section.key` name, the default and the range check with its description.
-A value's type is the field's annotation with `None` removed, and a field may
-be `None` exactly when its default is. Parsing, validation, `set_key` and the
-echoed configuration all read these declarations.
+the `section.key` name, the default and its physical range, whose reason is
+written beside it. Within the ranges nothing derived from a config overflows,
+so nothing downstream checks for overflow. A value's type is the field's
+annotation with `None` removed, and a field may be `None` exactly when its
+default is. Parsing, validation, `set_key`, the echoed configuration and the
+snapshot loader all read these declarations.
 
 Config files are plain text, one `section.key = value` per line, `#` for
 comments. Unknown keys, values of the wrong type and out-of-range values are
@@ -14,30 +16,39 @@ exactly what ran.
 """
 
 import dataclasses
-import math
-import sys
 import typing
 from dataclasses import dataclass
 
 from . import channel as chan
 from .channel import ChannelParams
-from .qlfr import HoldingParams, holding_time
 
 
 class ConfigError(ValueError):
     pass
 
 
-# ranges: a check and how error messages state it
-_ANY = (lambda v: True, "")
-_POSITIVE = (lambda v: v > 0, "> 0")
-_COUNT = (lambda v: v >= 1, ">= 1")
+def _within(lo, hi):
+    """The range [lo, hi]: a check, how error messages state it, and its
+    bounds. Both are finite, so nan and the infinities fall outside."""
+    return (lambda v: lo <= v <= hi, f"in [{lo:g}, {hi:g}]", (lo, hi))
+
+
+# Every number has a physical range, taken from the band where the link
+# model A(l, f) = A0 l^kappa a(f)^l with Thorpe absorption a(f) is used
+# (Stojanovic, WUWNet 2006). Within them nothing the program derives
+# overflows: at the joint corner of 100 kHz, 10 km, kappa = 2 and A0 = 1e3
+# the attenuation is about 1e119.
+_SIDE = _within(1.0, 10_000.0)  # m: from a test tank to the reach of a long-range modem
+_INTERVAL = _within(0.1, 86_400.0)  # s: about two packet airtimes at the defaults, to a day
 # about 60 times the largest scenario measured, 1600 nodes
-_NODES = (lambda v: 1 <= v <= 100_000, "in [1, 100000]")
-_PROBABILITY = (lambda v: 0.0 < v < 1.0, "in (0, 1)")
+_NODES = _within(1, 100_000)
+_LIST = _within(1, 100)  # candidates in one priority list
+_POWER = _within(1e-3, 1e3)  # W: from a milliwatt to a kilowatt
+_PROBABILITY = (lambda v: 0.0 < v < 1.0, "in (0, 1)", None)
+_ANY = (lambda v: True, "", None)
 
 
-def _key(name: str, default, valid=_ANY):
+def _key(name: str, default, valid):
     """A field declaring config key `name` (`section.key`), its default and
     its range `valid`."""
     return dataclasses.field(default=default, metadata={"key": name, "range": valid})
@@ -45,45 +56,60 @@ def _key(name: str, default, valid=_ANY):
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    region_x_m: float = _key("world.region_x_m", 500.0, _POSITIVE)
-    region_y_m: float = _key("world.region_y_m", 500.0, _POSITIVE)
-    region_z_m: float = _key("world.region_z_m", 500.0, _POSITIVE)
+    region_x_m: float = _key("world.region_x_m", 500.0, _SIDE)
+    region_y_m: float = _key("world.region_y_m", 500.0, _SIDE)
+    region_z_m: float = _key("world.region_z_m", 500.0, _SIDE)
     n_sensors: int = _key("world.n_sensors", 100, _NODES)
-    n_sources: int = _key("world.n_sources", 5, _COUNT)
+    n_sources: int = _key("world.n_sources", 5, _NODES)
     n_sinks: int = _key("world.n_sinks", 5, _NODES)
-    tx_range_m: float = _key("world.tx_range_m", 150.0, _POSITIVE)
-    mobility_speed_mps: float = _key("world.mobility_speed_mps", 3.0, (lambda v: v >= 0, ">= 0"))
-    mobility_tick_s: float = _key("world.mobility_tick_s", 10.0, _POSITIVE)
-    hello_interval_s: float = _key("world.hello_interval_s", 10.0, _POSITIVE)
-    sound_speed_mps: float = _key("world.sound_speed_mps", 1500.0, _POSITIVE)
-    protocol: str = _key("protocol.name", "qlfr", (lambda v: v in ("qlfr", "dbr"), "qlfr or dbr"))
-    gamma: float = _key("protocol.gamma", 0.8, (lambda v: 0.0 <= v <= 1.0, "in [0, 1]"))
-    alpha: float = _key("protocol.alpha", 0.5, (lambda v: 0.0 < v <= 1.0, "in (0, 1]"))
-    holding_h: int = _key("protocol.holding_h", 4, _COUNT)
-    # overrides holding_h when set
-    holding_k_s: float | None = _key("protocol.holding_k_s", None, _POSITIVE)
-    initial_list_length: int = _key("protocol.initial_list_length", 2, _COUNT)
-    max_list_length: int = _key("protocol.max_list_length", 4, _COUNT)
+    tx_range_m: float = _key("world.tx_range_m", 150.0, _SIDE)
+    # m/s: from still water to a fast AUV
+    mobility_speed_mps: float = _key("world.mobility_speed_mps", 3.0, _within(0.0, 30.0))
+    mobility_tick_s: float = _key("world.mobility_tick_s", 10.0, _INTERVAL)
+    hello_interval_s: float = _key("world.hello_interval_s", 10.0, _INTERVAL)
+    # m/s: sound in seawater
+    sound_speed_mps: float = _key("world.sound_speed_mps", 1500.0, _within(1400.0, 1600.0))
+    protocol: str = _key("protocol.name", "qlfr",
+                         (lambda v: v in ("qlfr", "dbr"), "qlfr or dbr", None))
+    gamma: float = _key("protocol.gamma", 0.8, _within(0.0, 1.0))
+    alpha: float = _key("protocol.alpha", 0.5, (lambda v: 0.0 < v <= 1.0, "in (0, 1]", None))
+    # the holding step k = 2 t_max / h: h up to 2 t_max / k = 14 286 at the
+    # longest t_max and the shortest holding_k_s
+    holding_h: int = _key("protocol.holding_h", 4, _within(1, 20_000))
+    # overrides holding_h when set; s: from 1 ms to 2 t_max at 10 km and
+    # 1400 m/s, 14.3 s (a k above the config's own 2 t_max is refused)
+    holding_k_s: float | None = _key("protocol.holding_k_s", None, _within(1e-3, 15.0))
+    initial_list_length: int = _key("protocol.initial_list_length", 2, _LIST)
+    max_list_length: int = _key("protocol.max_list_length", 4, _LIST)
     pdr_threshold: float = _key("protocol.pdr_threshold", 0.9, _PROBABILITY)
-    suppression_interval_s: float = _key("protocol.suppression_interval_s", 30.0, _POSITIVE)
-    frequency_khz: float = _key("channel.frequency_khz", 10.0, _POSITIVE)
-    spreading_kappa: float = _key("channel.spreading_kappa", 1.5,
-                                  (lambda v: 1.0 <= v <= 2.0, "in [1, 2]"))
-    atten_const_a0: float = _key("channel.atten_const_a0", 1.0, _POSITIVE)
-    # None: calibrate at startup
-    energy_per_bit: float | None = _key("channel.energy_per_bit", None,
-                                        (lambda v: v > 0, "> 0 or none"))
-    noise_density: float = _key("channel.noise_density", 1e-9, _POSITIVE)
-    packet_bits: int = _key("channel.packet_bits", 512, _COUNT)
-    bit_rate_bps: float = _key("channel.bit_rate_bps", 10_000.0, _POSITIVE)
-    calibration_distance_m: float = _key("channel.calibration_distance_m", 100.0, _POSITIVE)
+    suppression_interval_s: float = _key("protocol.suppression_interval_s", 30.0, _INTERVAL)
+    # kHz: the acoustic band, where Thorpe's absorption formula holds
+    frequency_khz: float = _key("channel.frequency_khz", 10.0, _within(0.1, 100.0))
+    # cylindrical to spherical spreading
+    spreading_kappa: float = _key("channel.spreading_kappa", 1.5, _within(1.0, 2.0))
+    # 30 dB either side of the unit normalisation
+    atten_const_a0: float = _key("channel.atten_const_a0", 1.0, _within(1e-3, 1e3))
+    # None: calibrate at startup. J/bit: holds every e_b that calibration
+    # gives within these ranges (about 3e-50 to 2e131) and a 1e25 "perfect
+    # channel", while e_b / (N0 A) stays finite on every link of 1 m or more
+    energy_per_bit: float | None = _key("channel.energy_per_bit", None, _within(1e-60, 1e150))
+    # W/Hz: six decades either side of the default; only e_b / N0 reaches a link
+    noise_density: float = _key("channel.noise_density", 1e-9, _within(1e-15, 1e-3))
+    # bits: from one bit to a megabit
+    packet_bits: int = _key("channel.packet_bits", 512, _within(1, 1_000_000))
+    # bit/s: up to 1e9, which stands for zero airtime
+    bit_rate_bps: float = _key("channel.bit_rate_bps", 10_000.0, _within(1.0, 1e9))
+    calibration_distance_m: float = _key("channel.calibration_distance_m", 100.0, _SIDE)
     calibration_pdr: float = _key("channel.calibration_pdr", 0.9, _PROBABILITY)
-    tx_power_w: float = _key("energy.tx_power_w", 2.0, _POSITIVE)
-    rx_power_w: float = _key("energy.rx_power_w", 0.5, _POSITIVE)
-    initial_node_energy_j: float = _key("energy.initial_node_energy_j", 100.0, _POSITIVE)
-    source_interval_s: float = _key("traffic.source_interval_s", 10.0, _POSITIVE)
-    max_sim_time_s: float = _key("run.max_sim_time_s", 600.0, _POSITIVE)
-    seed: int = _key("run.seed", 1)
+    tx_power_w: float = _key("energy.tx_power_w", 2.0, _POWER)
+    rx_power_w: float = _key("energy.rx_power_w", 0.5, _POWER)
+    # J: up to about 280 kWh
+    initial_node_energy_j: float = _key("energy.initial_node_energy_j", 100.0, _within(1.0, 1e9))
+    source_interval_s: float = _key("traffic.source_interval_s", 10.0, _INTERVAL)
+    # s: up to about three years
+    max_sim_time_s: float = _key("run.max_sim_time_s", 600.0, _within(0.1, 1e8))
+    # any integer seeds the generator
+    seed: int = _key("run.seed", 1, _ANY)
 
     def __post_init__(self):
         """An invalid config cannot exist: every construction, including
@@ -136,41 +162,12 @@ class ScenarioConfig:
             raise ConfigError("world.n_sources cannot exceed world.n_sensors")
         if self.max_list_length < self.initial_list_length:
             raise ConfigError("protocol.max_list_length below protocol.initial_list_length")
-        step = self.mobility_speed_mps * self.mobility_tick_s
-        if not math.isfinite(step):
-            raise ConfigError(
-                f"world.mobility_speed_mps = {self.mobility_speed_mps!r} times "
-                f"world.mobility_tick_s = {self.mobility_tick_s!r} overflows the mobility step")
-        for axis, side in zip("xyz", self.region):  # as `world._reflect` folds a step
-            if not math.isfinite(2.0 * side + step):
-                raise ConfigError(f"world.region_{axis}_m = {side!r}: twice the side plus "
-                                  f"the mobility step {step!r} overflows")
         two_t_max = 2.0 * self.t_max_s
-        if not math.isfinite(two_t_max):
-            raise ConfigError(f"world.tx_range_m / world.sound_speed_mps: 2*t_max = "
-                              f"{two_t_max!r} is not finite")
         if self.holding_k_s is not None and self.holding_k_s > two_t_max:
             raise ConfigError(f"protocol.holding_k_s = {self.holding_k_s} exceeds 2*t_max = "
                               f"{two_t_max}")
-        if self.holding_k_s is not None and not math.isfinite(two_t_max / self.holding_k_s):
-            raise ConfigError(f"protocol.holding_k_s = {self.holding_k_s!r}: 2*t_max / "
-                              "holding_k_s is not finite")
-        holding = HoldingParams(self.effective_holding_h(), self.t_max_s)
-        last = holding_time(self.max_list_length, holding)
-        if not math.isfinite(last):
-            step_key = "protocol.holding_h" if self.holding_k_s is None else "protocol.holding_k_s"
-            raise ConfigError(f"the holding step k = {holding.k!r} s (world.tx_range_m, "
-                              f"world.sound_speed_mps, {step_key}) times "
-                              f"protocol.max_list_length - 1 = {self.max_list_length - 1} "
-                              f"is {last!r}, not finite")
-        # where attenuation overflows does not depend on e_b
-        delivery_prob = chan.link_model(self.channel_params(self.energy_per_bit or 1.0))
-        if chan.attenuation_overflows(delivery_prob, self.tx_range_m):
-            raise ConfigError(f"world.tx_range_m = {self.tx_range_m!r}: the link attenuation "
-                              f"at that range overflows at channel.frequency_khz = "
-                              f"{self.frequency_khz!r}")
         if self.energy_per_bit is None:
-            reason = chan.calibration_target_error(delivery_prob, self.packet_bits,
+            reason = chan.calibration_target_error(chan.link_model(self.channel_params(1.0)),
                                                    self.calibration_distance_m,
                                                    self.calibration_pdr)
             if reason is not None:
@@ -190,6 +187,7 @@ class _Decl(typing.NamedTuple):
     optional: bool  # default None: "none" and "auto" parse to None
     check: typing.Callable
     describe: str  # the range as error messages state it
+    bounds: tuple | None  # (lo, hi) of a closed range
 
 
 def _declared(f: dataclasses.Field) -> _Decl:
@@ -214,13 +212,12 @@ def _check(decl: _Decl, value) -> None:
     types, kind = _ACCEPTS[decl.type]
     if not isinstance(value, types) or isinstance(value, bool):
         raise ConfigError(f"{decl.key} = {value!r} is not {kind}")
-    if type(value) is int and not abs(value) <= sys.float_info.max:  # an int or float key
-        raise ConfigError(f"{decl.key}: an integer of {value.bit_length()} bits is past "
-                          "every finite float")  # and may be too long to print
-    if decl.type is float and not math.isfinite(value):
-        raise ConfigError(f"{decl.key} = {value!r} is not a finite number")
     if not decl.check(value):
-        raise ConfigError(f"{decl.key} = {value!r} out of range ({decl.describe})")
+        # repr cannot print an integer of more than 4300 digits
+        shown = (f"an integer of {value.bit_length()} bits"
+                 if type(value) is int and value.bit_length() > 64 else repr(value))
+        none = " or none" if decl.optional else ""
+        raise ConfigError(f"{decl.key} = {shown} out of range ({decl.describe}{none})")
 
 
 def _parse(decl: _Decl, raw: str):
@@ -284,7 +281,7 @@ def set_key(config: ScenarioConfig, key: str, value) -> ScenarioConfig:
         value = _parse(decl, value)
     elif decl.type is int and isinstance(value, float) and value.is_integer():
         value = int(value)
-    elif decl.type is float and type(value) is int and abs(value) <= sys.float_info.max:
+    elif decl.type is float and type(value) is int and decl.check(value):
         value = float(value)
     return dataclasses.replace(config, **{decl.field: value})
 

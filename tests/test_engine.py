@@ -523,9 +523,11 @@ def time_limit(seconds):
 
 class TestMobility:
     def test_huge_speed_stays_in_the_box(self):
-        # each 10 s tick moves a node 1e16 m, many thousand region widths
-        cfg = base_config(n_sensors=10, n_sources=2, n_sinks=2, region_x_m=300.0,
-                          region_y_m=300.0, region_z_m=300.0, mobility_speed_mps=1e15,
+        # each 10 s tick moves a node 300 m at the top speed, 300 widths of the
+        # smallest region
+        side = 1.0
+        cfg = base_config(n_sensors=10, n_sources=2, n_sinks=2, region_x_m=side,
+                          region_y_m=side, region_z_m=side, mobility_speed_mps=30.0,
                           max_sim_time_s=30.0, energy_per_bit=None)
         sim = Simulation(cfg)
         with time_limit(20):
@@ -533,7 +535,7 @@ class TestMobility:
         assert record.generated > 0
         for node in sim.nodes:
             p = node.position
-            assert 0.0 <= p.x <= 300.0 and 0.0 <= p.y <= 300.0 and 0.0 <= p.z <= 300.0
+            assert 0.0 <= p.x <= side and 0.0 <= p.y <= side and 0.0 <= p.z <= side
 
 
 class TestCoLocatedNodes:

@@ -88,14 +88,11 @@ class TestHoldingTime:
             HoldingParams(0, 0.1)
         with pytest.raises(ValueError):
             HoldingParams(4, 0.0)
-        for t_max in (math.inf, math.nan, 1e308):  # k = 2 t_max / h would not be finite
-            with pytest.raises(ValueError, match="t_max must be > 0 with 2 t_max finite"):
-                HoldingParams(4, t_max)
+        with pytest.raises(ValueError, match="t_max must be > 0, got nan"):
+            HoldingParams(4, math.nan)
         for h in (1.5, 4.0, True):  # an h that is not an int
             with pytest.raises(ValueError, match="h must be a positive integer"):
                 HoldingParams(h, 0.1)
-        with pytest.raises(ValueError, match="h: an integer of 1329 bits is past every"):
-            HoldingParams(10 ** 400, 0.1)  # k = 2 t_max / h would overflow
 
 
 class TestSuppressionSoundness:
@@ -226,7 +223,7 @@ neighbor_tables = st.dictionaries(
 
 
 class TestRankingReference:
-    @settings(derandomize=True, max_examples=200, deadline=None, database=None)
+    @settings(max_examples=200)
     @given(neighbor_tables, st.floats(0.0, 500.0), st.floats(0.0, 105.0), st.integers(1, 6),
            st.sampled_from([0.0, 0.8, 1.0]))
     def test_equals_sorting_on_score_and_the_allocating_loop(self, table, depth, e_res,
