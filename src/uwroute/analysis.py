@@ -10,16 +10,21 @@ as an independent oracle against Monte-Carlo simulation of the same snapshot.
 
 Every candidate must be strictly shallower than its sender, so the candidate
 graph is a depth-ordered DAG and the whole model is one pass over it (see
-`_solve`). Each sender's forward probabilities, one per candidate in list
-order, are built once, with the topology. The delay weights each hop by the
-probability that the hop's forwarder is elected, which does not condition on
-eventual delivery; both the raw (delivery-weighted) value and the normalized
-value raw / P(delivery) are exposed, the latter being comparable to a
-simulator's mean delay of delivered packets.
+`_solve`). The topology builds its lookup tables once, when it is made, and
+the report only reads them: each sender's forward probabilities, one per
+candidate in list order; each candidate's (sender, priority) pairs; each
+node's depth; the set of sinks; and the holding time of each list position.
+
+The delay weights each hop by the probability that the hop's forwarder is
+elected, which does not condition on eventual delivery; both the raw
+(delivery-weighted) value and the normalized value raw / P(delivery) are
+exposed. A hop is its holding time plus its propagation delay d / v0: the
+model leaves out the airtime M/mu that the engine adds to every hop, so its
+conditional delay is shorter than a simulator's mean delay of delivered
+packets by about M/mu per expected hop.
 """
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 
 from . import channel as chan
@@ -50,30 +55,34 @@ class StaticTopology:
     def __post_init__(self):
         inbound: dict = {}  # candidate -> [(sender, priority)] in candidates order
         forward: dict = {}  # sender -> forward probability of each candidate, in order
+        link_prob = self.link_prob
         for sender, cands in self.candidates.items():
             if len(set(cands)) != len(cands):
                 raise TopologyError(f"duplicate candidate in list of node {sender}")
             ps = []
             for position, c in enumerate(cands, 1):
                 inbound.setdefault(c, []).append((sender, position))
-                if (sender, c) not in self.link_prob:
+                p = link_prob.get((sender, c))
+                if p is None:
                     raise TopologyError(f"missing link probability for {(sender, c)}")
-                p = self.link_prob[(sender, c)]
                 if not 0.0 <= p <= 1.0:
                     raise TopologyError(f"link probability {p} for {(sender, c)} not in [0, 1]")
                 ps.append(p)
-            forward[sender] = tuple(candidate_forward_prob(ps, j) for j in range(1, len(ps) + 1))
+            forward[sender] = tuple([candidate_forward_prob(ps, j)
+                                     for j in range(1, len(ps) + 1)])
+        longest = max(map(len, self.candidates.values()), default=0)
         object.__setattr__(self, "_inbound", inbound)
         object.__setattr__(self, "_forward", forward)
-
-    def depth(self, node: int) -> float:
-        return self.region_z_m - self.positions[node][2]
-
-    def distance(self, a: int, b: int) -> float:
-        return math.dist(self.positions[a], self.positions[b])
+        object.__setattr__(self, "_depth", {
+            nid: self.region_z_m - z for nid, (_, _, z) in self.positions.items()})
+        object.__setattr__(self, "_sinks", frozenset(
+            nid for nid, kind in self.kinds.items() if kind == "sink"))
+        # holding time of list position n at index n - 1
+        object.__setattr__(self, "_holding", tuple(
+            holding_time(n, self.holding) for n in range(1, longest + 1)))
 
     def is_sink(self, node: int) -> bool:
-        return self.kinds[node] == "sink"
+        return node in self._sinks
 
     def senders_of(self, node: int) -> list[tuple[int, int]]:
         """(sender, 1-indexed priority of `node`) pairs in `candidates` order."""
@@ -99,20 +108,20 @@ def forward_prob(topo: StaticTopology, sender: int, candidate: int) -> float:
 def outgoing_traffic(topo: StaticTopology) -> dict:
     """Expected packets transmitted per node: own generation plus the inbound
     share of every sender's traffic. Sinks absorb and never transmit."""
-    order = sorted(topo.candidates, key=lambda n: topo.depth(n), reverse=True)
+    depth, sinks = topo._depth, topo._sinks
     traffic = {nid: float(topo.gen_packets.get(nid, 0.0)) for nid in topo.kinds}
-    for sender in order:
-        if topo.is_sink(sender):
+    for sender in sorted(topo.candidates, key=depth.__getitem__, reverse=True):
+        if sender in sinks:
             continue
+        below, sent = depth[sender], traffic[sender]
         for cand, fwd in zip(topo.candidates[sender], topo._forward[sender]):
-            if topo.depth(cand) >= topo.depth(sender):
+            if depth[cand] >= below:
                 raise TopologyError(
                     f"candidate {cand} of node {sender} is not strictly shallower")
-            if not topo.is_sink(cand):
-                traffic[cand] += fwd * traffic[sender]
-    for sink in topo.kinds:
-        if topo.is_sink(sink):
-            traffic[sink] = 0.0
+            if cand not in sinks:
+                traffic[cand] += fwd * sent
+    for sink in sinks:
+        traffic[sink] = 0.0
     return traffic
 
 
@@ -133,10 +142,10 @@ def expected_holding_time(topo: StaticTopology, node: int, traffic: dict) -> flo
     if total_w <= 0.0:
         weights = [1.0] * len(senders)
         total_w = float(len(senders))
+    forward, steps = topo._forward, topo._holding
     expected = 0.0
     for (sender, position), w in zip(senders, weights):
-        tau = holding_time(position, topo.holding)
-        expected += (w / total_w) * tau * topo._forward[sender][position - 1]
+        expected += (w / total_w) * steps[position - 1] * forward[sender][position - 1]
     return expected
 
 
@@ -148,16 +157,18 @@ def _solve(topo: StaticTopology) -> tuple[dict, dict, dict]:
     values. Sinks deliver with probability 1 after no delay; a void delivers
     nothing."""
     traffic = outgoing_traffic(topo)
-    delivery = {nid: 1.0 if topo.is_sink(nid) else 0.0 for nid in topo.kinds}
+    sinks, positions, v0 = topo._sinks, topo.positions, topo.sound_speed_mps
+    delivery = {nid: 1.0 if nid in sinks else 0.0 for nid in topo.kinds}
     raw_delay = dict.fromkeys(topo.kinds, 0.0)
-    for sender in sorted(topo.candidates, key=topo.depth):
-        if topo.is_sink(sender):
+    for sender in sorted(topo.candidates, key=topo._depth.__getitem__):
+        if sender in sinks:
             continue
         holding = expected_holding_time(topo, sender, traffic)
+        here = positions[sender]
         p = d = 0.0
         for cand, fwd in zip(topo.candidates[sender], topo._forward[sender]):
             p += fwd * delivery[cand]
-            hop = holding + topo.distance(sender, cand) / topo.sound_speed_mps
+            hop = holding + math.dist(here, positions[cand]) / v0
             d += (hop + raw_delay[cand]) * fwd
         delivery[sender], raw_delay[sender] = p, d
     return traffic, delivery, raw_delay
@@ -178,8 +189,10 @@ def expected_delay_to_sink(topo: StaticTopology, node: int,
     """End-to-end delay from `node` to a sink; 0 at sinks.
 
     conditional=False returns the raw delivery-weighted value;
-    conditional=True divides by the delivery probability, giving the value
-    comparable to a simulated mean over delivered packets (NaN in a void).
+    conditional=True divides by the delivery probability, giving the mean over
+    delivered packets (NaN in a void). Each hop is its holding time plus d / v0:
+    the airtime M/mu that the engine adds to every hop is left out, so a
+    simulated mean delay of delivered packets is longer by about M/mu per hop.
     """
     _, delivery, raw_delay = _solve(topo)
     if not conditional:
@@ -191,7 +204,7 @@ def node_energy(topo: StaticTopology, node: int, traffic: dict) -> float:
     """Expected energy burnt at `node` given every node's `outgoing_traffic`:
     own transmissions plus overhearing every geometric neighbor's traffic.
     Sinks are surface-powered: 0."""
-    if topo.is_sink(node):
+    if node in topo._sinks:
         return 0.0
     spp = topo.seconds_per_packet
     energy = traffic[node] * spp * topo.tx_power_w
@@ -209,9 +222,12 @@ def load_snapshot(snap: dict) -> StaticTopology:
     is read as qlfr. The scalar and channel parameters are read through
     `ScenarioConfig`, so a value its key's declaration refuses is refused
     with `ConfigError` naming that key, and a channel without one of its
-    fields with KeyError. So is a repeated node id, a non-finite coordinate,
-    a kind other than sensor, source or sink, or a generated count that is
-    not a finite number >= 0."""
+    fields with KeyError. The node entries are read in one pass, which
+    refuses, with TopologyError naming the first faulty entry, a repeated
+    node id, a non-finite coordinate, a kind other than sensor, source or
+    sink, or a generated count that is not a finite number >= 0. So is a
+    candidate farther from its sender than `tx_range_m`, past the relative
+    hair of 1e-9 that `CellGrid`'s cells allow for rounding."""
     params = snap["params"]
     protocol = params.get("protocol", "qlfr")
     if protocol != "qlfr":
@@ -229,32 +245,40 @@ def load_snapshot(snap: dict) -> StaticTopology:
     cp = config.channel_params(config.energy_per_bit)
     r = config.tx_range_m
     holding = HoldingParams(config.holding_h, config.t_max_s)
-    entries = snap["nodes"]
-    kinds = {e["id"]: e["kind"] for e in entries}
-    if len(kinds) != len(entries):
-        repeated = min(i for i, n in Counter(e["id"] for e in entries).items() if n > 1)
-        raise TopologyError(f"node id {repeated!r} appears more than once")
-    positions = {e["id"]: (e["x"], e["y"], e["z"]) for e in entries}
-    for nid, position in positions.items():
+    kinds, positions, candidates, gen = {}, {}, {}, {}
+    for e in snap["nodes"]:
+        nid, kind = e["id"], e["kind"]
+        if nid in kinds:
+            raise TopologyError(f"node id {nid!r} appears more than once")
+        position = (e["x"], e["y"], e["z"])
         if not all(map(math.isfinite, position)):
             raise TopologyError(f"node {nid} has a non-finite coordinate {position}")
-    for e in entries:
-        if e["kind"] not in ("sensor", "source", "sink"):
-            raise TopologyError(f"node {e['id']} has kind {e['kind']!r}, "
-                                "not sensor, source or sink")
+        if kind not in ("sensor", "source", "sink"):
+            raise TopologyError(f"node {nid} has kind {kind!r}, not sensor, source or sink")
         count = e.get("generated", 0)
         if type(count) not in (int, float) or not 0 <= count < math.inf:
-            raise TopologyError(f"node {e['id']} generated must be a finite number >= 0, "
+            raise TopologyError(f"node {nid} generated must be a finite number >= 0, "
                                 f"got {count!r}")
-    candidates = {e["id"]: tuple(e["candidates"]) for e in entries if e["kind"] != "sink"}
-    gen = {e["id"]: e["generated"] for e in entries if e.get("generated", 0) > 0}
+        kinds[nid], positions[nid] = kind, position
+        if kind != "sink":
+            candidates[nid] = tuple(e["candidates"])
+        if count > 0:
+            gen[nid] = count
     near = {i: [] for i in sorted(kinds)}
     for a, b, _ in CellGrid(((i, *p) for i, p in positions.items()), r).pairs():
         near[a].append(b)
         near[b].append(a)
     neighbors = {i: tuple(sorted(js)) for i, js in near.items()}
-    link_prob = {(s, c): chan.packet_delivery_prob(math.dist(positions[s], positions[c]), cp)
-                 for s, cands in candidates.items() for c in cands}
+    reach = r * (1.0 + 1e-9)
+    link_prob = {}
+    for s, cands in candidates.items():
+        here = positions[s]
+        for c in cands:
+            d = math.dist(here, positions[c])
+            if d > reach:
+                raise TopologyError(f"candidate {c} of node {s} is {d!r} m away, "
+                                    f"beyond world.tx_range_m = {r!r} m")
+            link_prob[s, c] = chan.packet_delivery_prob(d, cp)
     region_z = max((p[2] for p in positions.values()), default=0.0)
     return StaticTopology(
         kinds=kinds, positions=positions, candidates=candidates,

@@ -414,6 +414,30 @@ class TestSnapshotLoading:
         with pytest.raises(TopologyError, match="not strictly shallower"):
             analysis.per_node_report(topo, 100.0, 100.0)
 
+    @staticmethod
+    def two_node_snapshot(sink_z):
+        """Source 0 at the origin lists sink 1 straight above it; range 150 m."""
+        return {
+            "params": {"protocol": "qlfr", "tx_range_m": 150.0, "sound_speed_mps": 1500.0,
+                       "holding_h": 20, "tx_power_w": 2.0, "rx_power_w": 0.5,
+                       "channel": CHANNEL},
+            "nodes": [{"id": 0, "kind": "source", "x": 0.0, "y": 0.0, "z": 0.0,
+                       "generated": 10, "candidates": [1]},
+                      {"id": 1, "kind": "sink", "x": 0.0, "y": 0.0, "z": sink_z,
+                       "generated": 0, "candidates": []}],
+        }
+
+    def test_candidate_at_the_range_is_accepted(self):
+        for sink_z in (150.0, 150.0 * (1.0 + 1e-10)):  # the range and a rounding hair past
+            topo = analysis.load_snapshot(self.two_node_snapshot(sink_z))
+            assert topo.candidates[0] == (1,) and 0.0 < topo.link_prob[(0, 1)] < 1.0
+            assert delivery_prob_to_sink(topo, 0) == topo.link_prob[(0, 1)]
+
+    def test_candidate_past_the_range_is_refused(self):
+        with pytest.raises(TopologyError, match=r"candidate 1 of node 0 is 150\.001 m away, "
+                                                r"beyond world\.tx_range_m = 150\.0 m"):
+            analysis.load_snapshot(self.two_node_snapshot(150.001))
+
     def test_neighbors_equal_brute_force_scan(self):
         # random nodes plus pairs exactly tx_range_m apart along each axis,
         # across the edges of the loader's cells (a hair wider than 150 m)

@@ -1,7 +1,7 @@
 """The A/B summary of `tools/bench_ab.py`: quartiles, win counts and the
 median-gap rule, on hand-made paired samples, the loop over several
-workloads with a stubbed benchmark run, and the refusal of two checkouts
-that carry different benchmarks."""
+workloads with a stubbed benchmark run, the summary blocks `--json` writes,
+and the refusal of two checkouts that carry different benchmarks."""
 
 import importlib.util
 import json
@@ -84,6 +84,39 @@ def test_each_workload_runs_its_pairs_and_prints_its_block(tmp_path, monkeypatch
     out = capsys.readouterr().out
     assert out.count("digests equal in every pair: NO") == 1
     assert out.count("digests equal in every pair: yes") == 1
+
+
+def test_json_collects_each_workloads_summary_block(tmp_path, monkeypatch, capsys):
+    parent, change = checkouts(tmp_path)
+    runs = iter([1.0, 2.0, 0.5, 3.0])  # fast: parent, change, change, parent
+
+    def run_once(checkout, workload, seed, seconds):
+        run_s = next(runs) if workload == "fast" else 2.0
+        return {"run_s": run_s, "ok_frac": 1.0}, [f"digest {workload} {checkout.name}"
+                                                  if workload == "drift" else "digest same"], True
+
+    monkeypatch.setattr(bench_ab, "run_once", run_once)
+    path = tmp_path / "bench.json"
+    path.write_text(json.dumps({"tier1_s": 61.0}))
+    argv = [str(parent), str(change), "--workload", "fast", "-n", "2", "--seed", "3",
+            "--json", str(path)]
+    assert bench_ab.main(argv) == 0
+    argv = [str(parent), str(change), "--workload", "drift", "-n", "1", "--json", str(path)]
+    assert bench_ab.main(argv) == 1
+    capsys.readouterr()
+
+    doc = json.loads(path.read_text())
+    assert doc["tier1_s"] == 61.0  # a key the file had is kept
+    fast, drift = doc["workloads"]
+    assert {k: fast[k] for k in ("workload", "seed", "pairs", "seconds")} == {
+        "workload": "fast", "seed": 3, "pairs": 2, "seconds": 35}
+    assert fast["digests_equal"] and fast["outputs_checked"]
+    assert fast["metrics"]["run_s"] == {
+        "better": "lower", "parent": [1.5, 2.0, 2.5], "change": [0.875, 1.25, 1.625],
+        "rel": -0.375, "wins": 1, "pairs": 2, "gap_exceeds_iqr": False}
+    assert fast["metrics"]["ok_frac"]["wins"] == 0
+    assert drift["workload"] == "drift" and drift["seed"] == 1
+    assert not drift["digests_equal"] and drift["outputs_checked"]
 
 
 def test_checkouts_with_different_benchmarks_are_refused_before_any_run(

@@ -496,6 +496,10 @@ class TestCliVerbs:
                            "world.tx_range_m = 1e+308 out of range"),
         "subnormal-A0": (lambda s: s["params"]["channel"].update(atten_const_A0=1e-320),
                          "channel.atten_const_a0 = 1e-320 out of range"),
+        # the link model's attenuation overflowed at this distance
+        "candidate-past-range": (lambda s: s["nodes"][1].update(z=1e7),
+                                 "candidate 1 of node 0 is 10000000.0 m away, "
+                                 "beyond world.tx_range_m = 150.0 m"),
     }
 
     @pytest.mark.parametrize("case", list(BAD_SNAPSHOTS))

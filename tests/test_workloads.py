@@ -2,9 +2,9 @@
 public API. Each one here builds its first seed-1 input, runs it and checks
 its outputs, so a change that breaks a name or signature the benchmark uses
 fails here and not only in the benchmark itself. The engine workloads are
-shortened to 20 simulated seconds. Each output's digest is pinned, so a
-change that claims bit-identical outputs is checked on the benchmark's own
-inputs."""
+shortened to 20 simulated seconds. Each output's digest is pinned, and the
+analytical workload's seed-2 digest as well, so a change that claims
+bit-identical outputs is checked on the benchmark's own inputs."""
 
 import sys
 from dataclasses import replace
@@ -22,15 +22,26 @@ DIGESTS = {
     "dbr_dense_800": "31915bd7dd714d535d65a2fdb2fcaf6f45b495da2213e424489d01544fab6faa",
     "qlfr_default": "7ee05106194505618b793e760706afb2466dadeeb034e41a266eb78a1333e409",
 }
+# seed 2 is the held-out seed of the A/B runs
+ANALYZE_400_SEED_2 = "b0ad28fb6b21f6a99b269b22b0b5509e6138bf25558e28d14af73455c7ca316b"
 
 
-@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
-def test_workload_runs_and_checks(name):
+def checked_digest(name: str, seed: int) -> str:
+    """Digest of the workload's first input of `seed`, after its checks pass."""
     workload = workloads.WORKLOADS[name]
-    config = workload.inputs(1)[0]
+    config = workload.inputs(seed)[0]
     if name in SHORT_S:
         config = replace(config, max_sim_time_s=SHORT_S[name])
     state = workload.setup(config)
     output = workload.execute(state)
     assert workload.check(state, output) == []
-    assert workload.digest(state, output) == DIGESTS[name]
+    return workload.digest(state, output)
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_workload_runs_and_checks(name):
+    assert checked_digest(name, 1) == DIGESTS[name]
+
+
+def test_analyze_400_seed_2_digest():
+    assert checked_digest("analyze_400", 2) == ANALYZE_400_SEED_2

@@ -11,7 +11,15 @@ range; last, whether every pair printed equal digests. Exits 1 when a pair's
 digests differ or a run fails its own output checks, on any workload.
 
     python3 tools/bench_ab.py PARENT_DIR CHANGE_DIR --workload analyze_400 \
-        --workload qlfr_default --workload dbr_dense_800 -n 10
+        --workload qlfr_default --workload dbr_dense_800 -n 10 --json BENCH.json
+
+With `--json PATH` each workload's summary block is also added, as it
+finishes, to the list under "workloads" in the JSON file PATH: its seed,
+pairs and seconds per run, per metric both sides' quartiles, the relative
+median change, the pairs the change won and whether the gap exceeds the
+parent's IQR, and the digest and output-check verdicts. A file that exists
+keeps its other keys and earlier blocks, so runs on other seeds or
+workloads collect in one file.
 
 Each checkout runs its own `perfbench/run.py` against its own `src/`, so the
 two sides must carry the same benchmark code for the comparison to hold:
@@ -85,9 +93,9 @@ def summarize(parent: list[float], change: list[float], better: str) -> dict:
 
 
 def compare(sides: dict, workload: str, pairs: int, seed: int, better: dict,
-            seconds: int) -> bool:
-    """Run and print the pairs of one workload, then its summary block; True
-    when every pair's digests were equal and every run passed its checks."""
+            seconds: int) -> dict:
+    """Run and print the pairs of one workload, then its summary block, which
+    it returns."""
     samples = {side: {name: [] for name in better} for side in sides}
     digests_equal, all_correct = True, True
     for i in range(pairs):
@@ -107,8 +115,11 @@ def compare(sides: dict, workload: str, pairs: int, seed: int, better: dict,
 
     print(f"\n{workload}, seed {seed}, {pairs} pairs of {seconds} s runs "
           "(median [q1, q3])")
+    block = {"workload": workload, "seed": seed, "pairs": pairs, "seconds": seconds,
+             "metrics": {}, "digests_equal": digests_equal, "outputs_checked": all_correct}
     for name, direction in better.items():
         s = summarize(samples["parent"][name], samples["change"][name], direction)
+        block["metrics"][name] = dict(s, better=direction)
         (pq1, pmed, pq3), (cq1, cmed, cq3) = s["parent"], s["change"]
         print(f"{name:13s} parent {pmed:.4g} [{pq1:.4g}, {pq3:.4g}]  change {cmed:.4g} "
               f"[{cq1:.4g}, {cq3:.4g}]  {s['rel']:+.1%}  change won {s['wins']}/{s['pairs']}"
@@ -117,7 +128,14 @@ def compare(sides: dict, workload: str, pairs: int, seed: int, better: dict,
     print(f"digests equal in every pair: {'yes' if digests_equal else 'NO'}")
     print(f"every run passed its output checks: {'yes' if all_correct else 'NO'}\n",
           flush=True)
-    return digests_equal and all_correct
+    return block
+
+
+def append_block(path: Path, block: dict) -> None:
+    """Add one summary block to the "workloads" list of the JSON file `path`."""
+    doc = json.loads(path.read_text()) if path.exists() else {}
+    doc.setdefault("workloads", []).append(block)
+    path.write_text(json.dumps(doc, indent=1) + "\n")
 
 
 def pair_count(text: str) -> int:
@@ -136,6 +154,8 @@ def main(argv=None) -> int:
                     help="a workload to compare; repeat to run several in turn")
     ap.add_argument("-n", "--pairs", type=pair_count, default=10)
     ap.add_argument("--seed", type=int, default=1)
+    ap.add_argument("--json", type=Path, metavar="PATH",
+                    help="add each workload's summary block to this JSON file")
     args = ap.parse_args(argv)
 
     differs = first_difference(args.parent, args.change)
@@ -146,9 +166,13 @@ def main(argv=None) -> int:
     bench = json.loads((args.parent / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
     sides = {"parent": args.parent, "change": args.change}
-    passed = [compare(sides, workload, args.pairs, args.seed, better, bench["run_seconds"])
-              for workload in args.workload]
-    return 0 if all(passed) else 1
+    passed = True
+    for workload in args.workload:
+        block = compare(sides, workload, args.pairs, args.seed, better, bench["run_seconds"])
+        if args.json is not None:
+            append_block(args.json, block)
+        passed = passed and block["digests_equal"] and block["outputs_checked"]
+    return 0 if passed else 1
 
 
 if __name__ == "__main__":
