@@ -73,12 +73,9 @@ class ScenarioConfig:
                          (lambda v: v in ("qlfr", "dbr"), "qlfr or dbr", None))
     gamma: float = _key("protocol.gamma", 0.8, _within(0.0, 1.0))
     alpha: float = _key("protocol.alpha", 0.5, (lambda v: 0.0 < v <= 1.0, "in (0, 1]", None))
-    # the holding step k = 2 t_max / h: h up to 2 t_max / k = 14 286 at the
-    # longest t_max and the shortest holding_k_s
+    # the holding step k = 2 t_max / h: every h down to a 1 ms step at the
+    # longest t_max, 2 (10 km / 1400 m/s) / 1 ms, about 14 286
     holding_h: int = _key("protocol.holding_h", 4, _within(1, 20_000))
-    # overrides holding_h when set; s: from 1 ms to 2 t_max at 10 km and
-    # 1400 m/s, 14.3 s (a k above the config's own 2 t_max is refused)
-    holding_k_s: float | None = _key("protocol.holding_k_s", None, _within(1e-3, 15.0))
     initial_list_length: int = _key("protocol.initial_list_length", 2, _LIST)
     max_list_length: int = _key("protocol.max_list_length", 4, _LIST)
     pdr_threshold: float = _key("protocol.pdr_threshold", 0.9, _PROBABILITY)
@@ -123,11 +120,6 @@ class ScenarioConfig:
         return (self.region_x_m, self.region_y_m, self.region_z_m)
 
     @property
-    def d_max_m(self) -> float:
-        """Maximum one-hop depth difference: the transmission range."""
-        return self.tx_range_m
-
-    @property
     def t_max_s(self) -> float:
         """Maximal one-hop propagation delay R / v0."""
         return self.tx_range_m / self.sound_speed_mps
@@ -137,12 +129,10 @@ class ScenarioConfig:
         """Neighbor knowledge expires after two hello periods."""
         return 2.0 * self.hello_interval_s
 
+    # Only `perfbench/workloads.py` calls it, so it goes with the next
+    # benchmark change (ROADMAP item 1).
     def effective_holding_h(self) -> int:
-        """Priority-step divisor h; derived from holding_k_s when that is set
-        (h = 2 t_max / k rounded to the nearest positive integer)."""
-        if self.holding_k_s is None:
-            return self.holding_h
-        return round(2.0 * self.t_max_s / self.holding_k_s)
+        return self.holding_h
 
     def channel_params(self, energy_per_bit: float) -> ChannelParams:
         return ChannelParams(
@@ -162,10 +152,6 @@ class ScenarioConfig:
             raise ConfigError("world.n_sources cannot exceed world.n_sensors")
         if self.max_list_length < self.initial_list_length:
             raise ConfigError("protocol.max_list_length below protocol.initial_list_length")
-        two_t_max = 2.0 * self.t_max_s
-        if self.holding_k_s is not None and self.holding_k_s > two_t_max:
-            raise ConfigError(f"protocol.holding_k_s = {self.holding_k_s} exceeds 2*t_max = "
-                              f"{two_t_max}")
         if self.energy_per_bit is None:
             reason = chan.calibration_target_error(chan.link_model(self.channel_params(1.0)),
                                                    self.calibration_distance_m,

@@ -101,11 +101,11 @@ class Simulation:
         self.nodes.sort(key=lambda n: n.id)
         self.by_id = {n.id: n for n in self.nodes}
         self.sources = [n for n in self.nodes if n.kind == "source"]
-        self.holding = HoldingParams(config.effective_holding_h(), config.t_max_s)
+        self.holding = HoldingParams(config.holding_h, config.t_max_s)
         if config.protocol == "qlfr":
             self.protocol = QlfrProtocol(
                 QParams(config.gamma, config.alpha), self.holding,
-                d_max=config.d_max_m, staleness_s=config.staleness_s,
+                d_max=config.tx_range_m, staleness_s=config.staleness_s,
                 list_length=config.initial_list_length,
                 max_list_length=config.max_list_length, pdr_threshold=config.pdr_threshold)
         else:

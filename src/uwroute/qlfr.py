@@ -215,7 +215,7 @@ class QlfrProtocol(ForwardingCore):
                  pdr_threshold: float):
         self.qparams = qparams
         self.holding = holding
-        self.d_max = d_max
+        self.d_max = d_max  # largest one-hop depth difference: the transmission range
         self.staleness_s = staleness_s
         self.list_length = list_length  # the sinks' current length
         self.max_list_length = max_list_length

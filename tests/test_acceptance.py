@@ -2,9 +2,9 @@
 pass/fail line per criterion (run with `pytest -s` to see them inline).
 
 The desk-scale trend block simulates N in {50, 100, 150} nodes in a 300 m
-cube, ten seeds per point, holding step k in {0.01, 0.05, 0.1} s, plus the
-depth-greedy baseline at the highest density. Budget: well under ten minutes
-on two cores.
+cube, ten seeds per point, holding-step divisor h in {20, 4, 2}, that is the
+step k = 2 t_max / h in {0.01, 0.05, 0.1} s, plus the depth-greedy baseline
+at the highest density. Budget: well under ten minutes on two cores.
 """
 
 import math
@@ -181,13 +181,13 @@ def test_holding_time_suppression_property():
 DESK = dict(region_x_m=300.0, region_y_m=300.0, region_z_m=300.0,
             n_sources=5, n_sinks=5, max_sim_time_s=600.0)
 DENSITIES = (50, 100, 150)
-K_VALUES = (0.01, 0.05, 0.1)
+H_VALUES = (20, 4, 2)  # in order of increasing k = 2 t_max / h
 SEEDS = tuple(range(1, 11))
 
 
 def _trend_run(task):
-    protocol, n, k, seed = task
-    cfg = ScenarioConfig(protocol=protocol, n_sensors=n, holding_k_s=k, seed=seed, **DESK)
+    protocol, n, h, seed = task
+    cfg = ScenarioConfig(protocol=protocol, n_sensors=n, holding_h=h, seed=seed, **DESK)
     record = engine.run(cfg)
     return (record.pdr, record.mean_e2e_delay_s, record.total_energy_j,
             record.network_lifetime_s)
@@ -195,8 +195,10 @@ def _trend_run(task):
 
 @pytest.fixture(scope="module")
 def trend_results():
-    tasks = [("qlfr", n, k, s) for n in DENSITIES for k in K_VALUES for s in SEEDS]
-    tasks += [("dbr", 150, 0.05, s) for s in SEEDS]
+    t_max = ScenarioConfig(**DESK).t_max_s
+    print("trend block: " + ", ".join(f"h = {h}: k = {2.0 * t_max / h:g} s" for h in H_VALUES))
+    tasks = [("qlfr", n, h, s) for n in DENSITIES for h in H_VALUES for s in SEEDS]
+    tasks += [("dbr", 150, 4, s) for s in SEEDS]
     with ProcessPoolExecutor(max_workers=2) as pool:
         outcomes = list(pool.map(_trend_run, tasks, chunksize=4))
     means = {}
@@ -210,7 +212,7 @@ def test_trend_delay_increases_with_k(trend_results):
     details = []
     ok = True
     for n in DENSITIES:
-        delays = [trend_results[("qlfr", n, k)][1] for k in K_VALUES]
+        delays = [trend_results[("qlfr", n, h)][1] for h in H_VALUES]
         ok &= delays[0] < delays[1] < delays[2]
         details.append(f"N={n}: " + " < ".join(f"{d:.4f}" for d in delays))
     report("trend-delay-increases-with-k", ok, "; ".join(details))
@@ -220,7 +222,7 @@ def test_trend_pdr_nonincreasing_in_k(trend_results):
     details = []
     ok = True
     for n in DENSITIES:
-        pdrs = [trend_results[("qlfr", n, k)][0] for k in K_VALUES]
+        pdrs = [trend_results[("qlfr", n, h)][0] for h in H_VALUES]
         ok &= pdrs[0] >= pdrs[1] >= pdrs[2]
         details.append(f"N={n}: " + " >= ".join(f"{p:.4f}" for p in pdrs))
     report("trend-pdr-nonincreasing-in-k", ok, "; ".join(details))
@@ -230,22 +232,22 @@ def test_trend_energy_nonincreasing_in_k(trend_results):
     details = []
     ok = True
     for n in DENSITIES:
-        energies = [trend_results[("qlfr", n, k)][2] for k in K_VALUES]
+        energies = [trend_results[("qlfr", n, h)][2] for h in H_VALUES]
         ok &= energies[0] >= energies[1] >= energies[2]
         details.append(f"N={n}: " + " >= ".join(f"{e:.0f}" for e in energies))
     report("trend-energy-nonincreasing-in-k", ok, "; ".join(details))
 
 
 def test_trend_lifetime_beats_baseline(trend_results):
-    qlfr = trend_results[("qlfr", 150, 0.05)][3]
-    dbr = trend_results[("dbr", 150, 0.05)][3]
+    qlfr = trend_results[("qlfr", 150, 4)][3]
+    dbr = trend_results[("dbr", 150, 4)][3]
     report("trend-lifetime-qlfr-vs-dbr", qlfr >= dbr,
            f"qlfr {qlfr:.0f} s >= dbr {dbr:.0f} s at N=150")
 
 
 def test_trend_delay_beats_baseline(trend_results):
-    qlfr = trend_results[("qlfr", 150, 0.05)][1]
-    dbr = trend_results[("dbr", 150, 0.05)][1]
+    qlfr = trend_results[("qlfr", 150, 4)][1]
+    dbr = trend_results[("dbr", 150, 4)][1]
     report("trend-delay-qlfr-vs-dbr", qlfr <= dbr,
            f"qlfr {qlfr:.4f} s <= dbr {dbr:.4f} s at N=150")
 

@@ -6,6 +6,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import pathlib
 import re
 import statistics
 
@@ -45,7 +46,6 @@ protocol.name = dbr
 protocol.gamma = 0.7
 protocol.alpha = 0.25
 protocol.holding_h = 6
-protocol.holding_k_s = 0.03
 protocol.initial_list_length = 3
 protocol.max_list_length = 5
 protocol.pdr_threshold = 0.8
@@ -115,6 +115,16 @@ class TestParseConfig:
             assert capsys.readouterr().err.startswith(f"error: {cfg}:")
             assert not (tmp_path / "x").exists()
 
+    def test_readme_examples_are_declared(self):
+        # the README's config sample lists defaults, and its sweep example sweeps a key
+        readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+        sample = re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
+        assert parse_config_text(sample, source="README.md") == ScenarioConfig()
+        param, values = re.search(r"uwroute sweep .*?--param (\S+).*?--values (\S+)",
+                                  readme, re.S).groups()
+        for value in values.split(","):
+            set_key(ScenarioConfig(), param, value)
+
     def test_missing_file_reports_path(self):
         with pytest.raises(ConfigError, match="no/such/file"):
             parse_config("no/such/file.cfg")
@@ -122,16 +132,6 @@ class TestParseConfig:
     def test_bad_value_type(self):
         with pytest.raises(ConfigError, match="n_sensors"):
             parse_config_text("world.n_sensors = many\n")
-
-    def test_holding_k_too_large(self):
-        with pytest.raises(ConfigError, match="holding_k_s"):
-            parse_config_text("protocol.holding_k_s = 0.5\n")
-
-    def test_k_derives_h(self):
-        config = parse_config_text("protocol.holding_k_s = 0.05\n")
-        assert config.effective_holding_h() == 4
-        config = parse_config_text("protocol.holding_k_s = 0.01\n")
-        assert config.effective_holding_h() == 20
 
     def test_auto_energy_per_bit(self):
         config = parse_config_text("channel.energy_per_bit = auto\n")
@@ -167,7 +167,7 @@ class TestParseConfig:
         ("n_sinks", None, "world.n_sinks"),  # None where the default is not None
         ("gamma", "0.8", "protocol.gamma"),  # text for a float key
         ("gamma", True, "protocol.gamma"),  # a bool for a float key
-        ("holding_k_s", False, "protocol.holding_k_s"),
+        ("energy_per_bit", False, "channel.energy_per_bit"),
         ("protocol", 1, "protocol.name"),
     ])
     def test_wrong_type_refused(self, field, value, key):
@@ -176,8 +176,8 @@ class TestParseConfig:
             ScenarioConfig(**{field: value})
 
     def test_right_types_accepted(self):
-        config = ScenarioConfig(gamma=1, holding_k_s=None)
-        assert (config.gamma, config.holding_k_s) == (1, None)
+        config = ScenarioConfig(gamma=1, energy_per_bit=None)
+        assert (config.gamma, config.energy_per_bit) == (1, None)
 
     def test_set_key_refuses_fractional_int(self):
         # a truncated 12.7 would run 12 sensors under a row labelled 12.7
@@ -270,16 +270,16 @@ class TestSweep:
 
     def test_parallel_matches_serial(self):
         config = self.small_config()
-        serial = run_sweep(config, "protocol.holding_k_s", [0.05, 0.1],
+        serial = run_sweep(config, "protocol.holding_h", [4, 2],
                            replicates=2, jobs=1)
-        parallel = run_sweep(config, "protocol.holding_k_s", [0.05, 0.1],
+        parallel = run_sweep(config, "protocol.holding_h", [4, 2],
                              replicates=2, jobs=2)
         assert serial == parallel
 
     def test_repeated_value_refused(self):
-        # "0.050" parses to the value of "0.05": the same runs again
+        # "04" parses to the value of "4": the same runs again
         with pytest.raises(ConfigError, match="repeats"):
-            run_sweep(self.small_config(), "protocol.holding_k_s", ["0.05", "0.1", "0.050"],
+            run_sweep(self.small_config(), "protocol.holding_h", ["4", "2", "04"],
                       replicates=1, jobs=1)
 
     def test_invalid_sweep_key(self):
@@ -295,25 +295,34 @@ class TestSweep:
             assert by_seed.setdefault(r["seed"], metrics) == metrics  # one run per seed
         assert len(set(by_seed.values())) == 4
 
+    # retired keys: --replicates sets the replicates, and protocol.holding_h
+    # the holding step k = 2 t_max / h
+    RETIRED = {"run.replicates": "3", "protocol.holding_k_s": "0.05"}
+
     def test_replicates_key_refused(self, tmp_path, capsys):
-        with pytest.raises(ConfigError, match="run.replicates"):
-            run_sweep(self.small_config(), "run.replicates", ["1", "3"], jobs=1)
         cfg = tmp_path / "scenario.cfg"
         cfg.write_text(FAST_SCENARIO)
-        out = tmp_path / "sweep"
-        assert cli.main(["sweep", "--config", str(cfg), "--param", "run.replicates",
-                         "--values", "1,3", "--jobs", "1", "--out", str(out)]) == 2
-        assert "run.replicates" in capsys.readouterr().err
-        assert not out.exists()
+        for key in self.RETIRED:
+            with pytest.raises(ConfigError, match=rf"^unknown config key '{re.escape(key)}'$"):
+                run_sweep(self.small_config(), key, ["1", "3"], jobs=1)
+            out = tmp_path / "sweep"
+            assert cli.main(["sweep", "--config", str(cfg), "--param", key,
+                             "--values", "1,3", "--jobs", "1", "--out", str(out)]) == 2
+            assert key in capsys.readouterr().err
+            assert not out.exists()
 
     def test_replicates_line_is_an_unknown_key(self, tmp_path, capsys):
         cfg = tmp_path / "scenario.cfg"
-        cfg.write_text(FAST_SCENARIO + "run.replicates = 3\n")
         out = tmp_path / "sweep"
-        assert cli.main(["sweep", "--config", str(cfg), "--param", "run.seed",
-                         "--values", "7", "--jobs", "1", "--out", str(out)]) == 2
-        assert "unknown key 'run.replicates'" in capsys.readouterr().err
-        assert not out.exists()
+        for key, value in self.RETIRED.items():
+            cfg.write_text(f"{FAST_SCENARIO}{key} = {value}\n")
+            assert cli.main(["sweep", "--config", str(cfg), "--param", "run.seed",
+                             "--values", "7", "--jobs", "1", "--out", str(out)]) == 2
+            assert f"unknown key '{key}'" in capsys.readouterr().err
+            assert not out.exists()
+            assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+            assert capsys.readouterr().err == f"error: {cfg}:10: unknown key '{key}'\n"
+            assert not out.exists()
         assert len(run_sweep(self.small_config(), "run.seed", ["7"], jobs=1)) == 1
 
 
@@ -325,8 +334,8 @@ class TestEmitResults:
         tmp = tmp_path_factory.mktemp("sweep")
         cfg = tmp / "scenario.cfg"
         cfg.write_text(FAST_SCENARIO)
-        assert cli.main(["sweep", "--config", str(cfg), "--param", "protocol.holding_k_s",
-                         "--values", "0.05,0.1", "--replicates", "2", "--jobs", "1",
+        assert cli.main(["sweep", "--config", str(cfg), "--param", "protocol.holding_h",
+                         "--values", "4,2", "--replicates", "2", "--jobs", "1",
                          "--out", str(tmp / "out")]) == 0
         return tmp / "out"
 
@@ -335,8 +344,8 @@ class TestEmitResults:
         assert rows[0] == ["sweep_value", "metric", "mean", "stddev", "n"]
         assert len(rows) == 1 + 2 * len(cli.SWEEP_METRICS)
         runs = list(csv.DictReader((sweep_out / "runs.csv").open()))
-        pdrs = [float(r["pdr"]) for r in runs if r["sweep_value"] == "0.05"]
-        assert rows[1][:2] == ["0.05", "pdr"]
+        pdrs = [float(r["pdr"]) for r in runs if r["sweep_value"] == "4"]
+        assert rows[1][:2] == ["4", "pdr"]
         assert float(rows[1][2]) == statistics.fmean(pdrs)
 
     def test_json_mirrors_csv(self, sweep_out):
@@ -410,8 +419,8 @@ class TestCliVerbs:
     def test_sweep_verb(self, tmp_path):
         cfg = self.write_config(tmp_path)
         out = tmp_path / "sweep"
-        rc = cli.main(["sweep", "--config", cfg, "--param", "protocol.holding_k_s",
-                       "--values", "0.05,0.1", "--replicates", "2", "--jobs", "1",
+        rc = cli.main(["sweep", "--config", cfg, "--param", "protocol.holding_h",
+                       "--values", "4,2", "--replicates", "2", "--jobs", "1",
                        "--out", str(out)])
         assert rc == 0
         runs = list(csv.reader((out / "runs.csv").open()))
@@ -543,10 +552,10 @@ class TestCliVerbs:
     def test_sweep_refuses_repeated_value(self, tmp_path, capsys):
         out = tmp_path / "sweep"
         rc = cli.main(["sweep", "--config", self.write_config(tmp_path),
-                       "--param", "protocol.holding_k_s", "--values", "0.05,0.05",
+                       "--param", "protocol.holding_h", "--values", "4,4",
                        "--replicates", "2", "--jobs", "1", "--out", str(out)])
         assert rc == 2
-        assert "0.05" in capsys.readouterr().err
+        assert "'4' repeats" in capsys.readouterr().err
         assert not out.exists()
 
     def test_analyze_refuses_dbr_snapshot(self, tmp_path, capsys):
@@ -657,16 +666,14 @@ class TestCliVerbs:
         assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("lines, needle", [
-        ("protocol.holding_k_s = 5e-324\n",
-         ":10: protocol.holding_k_s = 5e-324 out of range (in [0.001, 15] or none)"),
         ("world.tx_range_m = 1e308\nworld.sound_speed_mps = 1e-10\n",
          ":10: world.tx_range_m = 1e+308 out of range (in [1, 10000])"),
         ("world.tx_range_m = 8e307\nworld.sound_speed_mps = 1.0\nprotocol.holding_h = 1\n",
          ":10: world.tx_range_m = 8e+307 out of range (in [1, 10000])"),
-    ], ids=["subnormal-holding-k", "infinite-t-max", "infinite-last-holding-time"])
+    ], ids=["infinite-t-max", "infinite-last-holding-time"])
     def test_non_finite_holding_step_is_refused(self, tmp_path, capsys, lines, needle):
-        # h = round(2 t_max / k) would overflow, k = inf would make tau(1) = inf * 0 = nan,
-        # and a finite k the last candidate's tau = k * (max_list_length - 1) = inf
+        # k = 2 t_max / h = inf would make tau(1) = inf * 0 = nan, and a finite k
+        # the last candidate's tau = k * (max_list_length - 1) = inf
         cfg = tmp_path / "hold.cfg"
         cfg.write_text(FAST_SCENARIO + lines)
         rc = cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "x")])
@@ -675,7 +682,7 @@ class TestCliVerbs:
         assert err.startswith("error:") and needle in err
         assert not (tmp_path / "x").exists()
         with pytest.raises(ConfigError, match=r"^world\.tx_range_m = 1e\+308 out of range"):
-            ScenarioConfig(tx_range_m=1e308, sound_speed_mps=1e-10, holding_k_s=0.05)
+            ScenarioConfig(tx_range_m=1e308, sound_speed_mps=1e-10)
         with pytest.raises(ConfigError, match=r"^world\.tx_range_m = 8e\+307 out of range"):
             ScenarioConfig(tx_range_m=8e307, sound_speed_mps=1.0, holding_h=1)
 

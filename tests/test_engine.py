@@ -68,7 +68,7 @@ class TestSingleHop:
         relay = make_node(2, 150.0, region_z)
         sink = make_node(3, 300.0, region_z, kind="sink")
         cfg = base_config(region_z_m=region_z, n_sensors=3, max_sim_time_s=15.0,
-                          holding_k_s=0.05)
+                          holding_h=4)
         sim = Simulation(cfg, nodes=[source, ghost, relay, sink])
         src = sim.by_id[0]
         src.neighbor_knowledge[1] = (RoutingKnowledge(0.0, 20.0, 100.0), 9.9)

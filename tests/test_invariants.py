@@ -9,8 +9,9 @@ from uwroute import analysis
 from uwroute.config import _DECLS, ConfigError, ScenarioConfig
 from uwroute.engine import Simulation
 
-# holding steps k on the allowed grid, up to 2 t_max = 0.2 s at the default range
-K_GRID = (None, 0.01, 0.025, 0.05, 0.1, 0.2)
+# holding-step divisors h: at the default 2 t_max = 0.2 s, the steps k = 2 t_max / h
+# of 0.05 (the default h), 0.01, 0.025, 0.05, 0.1 and 0.2 s
+H_GRID = (4, 20, 8, 4, 2, 1)
 
 
 @st.composite
@@ -24,7 +25,7 @@ def scenarios(draw):
         n_sinks=draw(st.integers(1, 3)),
         region_x_m=edge, region_y_m=edge, region_z_m=edge,
         mobility_speed_mps=draw(st.sampled_from((0.0, 3.0))),
-        holding_k_s=draw(st.sampled_from(K_GRID)),
+        holding_h=draw(st.sampled_from(H_GRID)),
         max_sim_time_s=float(draw(st.integers(20, 60))),
         seed=draw(st.integers(0, 2**31 - 1)),
     )
@@ -62,7 +63,7 @@ _CORNERS = (
     ("frequency_khz", "tx_range_m", "spreading_kappa", "atten_const_a0", "noise_density",
      "energy_per_bit", "packet_bits", "calibration_distance_m", "calibration_pdr"),
     ("mobility_speed_mps", "mobility_tick_s", "region_x_m", "region_y_m", "region_z_m"),
-    ("tx_range_m", "sound_speed_mps", "holding_h", "holding_k_s", "max_list_length"),
+    ("tx_range_m", "sound_speed_mps", "holding_h", "max_list_length"),
 )
 
 
@@ -75,15 +76,11 @@ def boxed_configs(draw):
         if field not in corner:
             value = st.one_of(value, st.integers(lo, hi) if type(lo) is int else st.floats(lo, hi))
         values[field] = draw(value)
-    for field in ("energy_per_bit", "holding_k_s"):  # optional: None calibrates, or uses h
-        if field not in corner and draw(st.booleans()):
-            values[field] = None
+    if "energy_per_bit" not in corner and draw(st.booleans()):
+        values["energy_per_bit"] = None  # calibrate
     # within the cross-key bounds, whose refusals would waste the example
     values["initial_list_length"], values["max_list_length"] = sorted(
         (values["initial_list_length"], values["max_list_length"]))
-    if values["holding_k_s"] is not None:
-        two_t_max = 2.0 * (values["tx_range_m"] / values["sound_speed_mps"])
-        values["holding_k_s"] = min(values["holding_k_s"], two_t_max)
     return values
 
 
