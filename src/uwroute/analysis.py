@@ -1,18 +1,19 @@
 """Closed-form performance model on a frozen topology snapshot.
 
 Given fixed positions, per-node ordered candidate lists and per-link delivery
-probabilities, computes the expected delivery probability to any sink, the
-expected end-to-end delay, per-node traffic and energy, and each node's
-projected lifetime; the network lifetime is the least of these. It assumes
-the candidates of a packet coordinate perfectly: the highest-priority
-candidate whose link succeeded forwards, everyone else stays silent. Used
-as an independent oracle against Monte-Carlo simulation of the same snapshot.
+probabilities (`load_snapshot` takes them from one link model of the recorded
+channel), computes the expected delivery probability to any sink, the expected
+end-to-end delay, per-node traffic and energy, and each node's projected
+lifetime; the network lifetime is the least of these. It assumes the
+candidates of a packet coordinate perfectly: the highest-priority candidate
+whose link succeeded forwards, everyone else stays silent. Used as an
+independent oracle against Monte-Carlo simulation of the same snapshot.
 
 Every candidate must be strictly shallower than its sender, so the candidate
 graph is a depth-ordered DAG and the whole model is one pass over it (see
 `_solve`). The topology builds its lookup tables once, when it is made, and
-the report only reads them: each sender's forward probabilities, one per
-candidate in list order; each candidate's (sender, priority) pairs; each
+the report only reads them: each sender's forward probabilities, built in
+one `forward_probs` call; each candidate's (sender, priority) pairs; each
 node's depth; the set of sinks; and the holding time of each list position.
 
 The delay weights each hop by the probability that the hop's forwarder is
@@ -68,8 +69,7 @@ class StaticTopology:
                 if not 0.0 <= p <= 1.0:
                     raise TopologyError(f"link probability {p} for {(sender, c)} not in [0, 1]")
                 ps.append(p)
-            forward[sender] = tuple([candidate_forward_prob(ps, j)
-                                     for j in range(1, len(ps) + 1)])
+            forward[sender] = forward_probs(ps)
         longest = max(map(len, self.candidates.values()), default=0)
         object.__setattr__(self, "_inbound", inbound)
         object.__setattr__(self, "_forward", forward)
@@ -89,15 +89,22 @@ class StaticTopology:
         return list(self._inbound.get(node, ()))
 
 
-def candidate_forward_prob(p_list, j: int) -> float:
-    """Probability that the j-th candidate (1-indexed) forwards: its own link
+def forward_probs(p_list) -> tuple:
+    """Each candidate's forward probability, in list order: its own link
     succeeds and every higher-priority link failed."""
+    probs = []
+    for j, prob in enumerate(p_list):
+        for k in range(j):
+            prob *= 1.0 - p_list[k]
+        probs.append(prob)
+    return tuple(probs)
+
+
+def candidate_forward_prob(p_list, j: int) -> float:
+    """The j-th (1-indexed) of `forward_probs(p_list)`."""
     if j < 1 or j > len(p_list):
         raise ValueError(f"candidate index {j} outside 1..{len(p_list)}")
-    prob = p_list[j - 1]
-    for k in range(j - 1):
-        prob *= 1.0 - p_list[k]
-    return prob
+    return forward_probs(p_list)[j - 1]
 
 
 def forward_prob(topo: StaticTopology, sender: int, candidate: int) -> float:
@@ -190,10 +197,8 @@ def expected_delay_to_sink(topo: StaticTopology, node: int,
 
     conditional=False returns the raw delivery-weighted value;
     conditional=True divides by the delivery probability, giving the mean over
-    delivered packets (NaN in a void). Each hop is its holding time plus d / v0:
-    the airtime M/mu that the engine adds to every hop is left out, so a
-    simulated mean delay of delivered packets is longer by about M/mu per hop.
-    """
+    delivered packets (NaN in a void). A hop leaves out the airtime M/mu that
+    the engine adds to it, as the module docstring says."""
     _, delivery, raw_delay = _solve(topo)
     if not conditional:
         return raw_delay[node]
@@ -214,20 +219,20 @@ def node_energy(topo: StaticTopology, node: int, traffic: dict) -> float:
 
 
 def load_snapshot(snap: dict) -> StaticTopology:
-    """Build a StaticTopology from an engine snapshot dict. Link probabilities
-    come from positions and the recorded channel, the airtime M/mu from the
-    channel alone (an older snapshot's `seconds_per_packet` is ignored), and
-    neighbor sets from positions and the range, by CellGrid.pairs. Snapshots
-    of a protocol other than qlfr are refused; one that records no protocol
-    is read as qlfr. The scalar and channel parameters are read through
-    `ScenarioConfig`, so a value its key's declaration refuses is refused
-    with `ConfigError` naming that key, and a channel without one of its
-    fields with KeyError. The node entries are read in one pass, which
-    refuses, with TopologyError naming the first faulty entry, a repeated
-    node id, a non-finite coordinate, a kind other than sensor, source or
-    sink, or a generated count that is not a finite number >= 0. So is a
-    candidate farther from its sender than `tx_range_m`, past the relative
-    hair of 1e-9 that `CellGrid`'s cells allow for rounding."""
+    """Build a StaticTopology from an engine snapshot dict. One link model of
+    the recorded channel, made once, gives every candidate link's probability
+    at its length; the channel alone gives the airtime M/mu (an older
+    snapshot's `seconds_per_packet` is ignored), and CellGrid.pairs the
+    neighbor sets. Snapshots of a protocol other than qlfr are refused; one
+    that records no protocol is read as qlfr. The scalar and channel
+    parameters are read through `ScenarioConfig`, so a value its key's
+    declaration refuses is refused with `ConfigError` naming that key, and a
+    channel without one of its fields with KeyError. The node entries are
+    read in one pass, which refuses, with TopologyError naming the first
+    faulty entry, a repeated node id, a non-finite coordinate, a kind other
+    than sensor, source or sink, or a generated count that is not a finite
+    number >= 0. So is a candidate farther from its sender than `tx_range_m`,
+    past the relative hair of 1e-9 that `CellGrid`'s cells allow for rounding."""
     params = snap["params"]
     protocol = params.get("protocol", "qlfr")
     if protocol != "qlfr":
@@ -269,7 +274,7 @@ def load_snapshot(snap: dict) -> StaticTopology:
         near[a].append(b)
         near[b].append(a)
     neighbors = {i: tuple(sorted(js)) for i, js in near.items()}
-    reach = r * (1.0 + 1e-9)
+    reach, delivery = r * (1.0 + 1e-9), chan.link_model(cp)
     link_prob = {}
     for s, cands in candidates.items():
         here = positions[s]
@@ -278,7 +283,7 @@ def load_snapshot(snap: dict) -> StaticTopology:
             if d > reach:
                 raise TopologyError(f"candidate {c} of node {s} is {d!r} m away, "
                                     f"beyond world.tx_range_m = {r!r} m")
-            link_prob[s, c] = chan.packet_delivery_prob(d, cp)
+            link_prob[s, c] = delivery(d)
     region_z = max((p[2] for p in positions.values()), default=0.0)
     return StaticTopology(
         kinds=kinds, positions=positions, candidates=candidates,

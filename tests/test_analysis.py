@@ -12,15 +12,53 @@ from hypothesis import given, strategies as st
 
 from fixtures import HOLDING, chain3, diamond4, random_dag10, wide_dag48
 from mc_oracle import run_trials
-from uwroute import analysis
+from uwroute import analysis, channel
 from uwroute.analysis import (StaticTopology, TopologyError, candidate_forward_prob,
                               delivery_prob_to_sink, expected_delay_to_sink,
-                              expected_holding_time, node_energy, outgoing_traffic,
-                              per_node_report)
+                              expected_holding_time, forward_probs, node_energy,
+                              outgoing_traffic, per_node_report)
 from uwroute.config import ScenarioConfig
 
 # the default channel at e_b = 1 J/bit, as a snapshot records it
 CHANNEL = dataclasses.asdict(ScenarioConfig().channel_params(1.0))
+
+
+def engine_snapshot() -> dict:
+    """The topology snapshot after a short default qlfr run of 20 sensors."""
+    from uwroute.engine import Simulation
+
+    sim = Simulation(ScenarioConfig(n_sensors=20, n_sources=2, n_sinks=2, region_x_m=250.0,
+                                    region_y_m=250.0, region_z_m=250.0, max_sim_time_s=40.0))
+    sim.run()
+    return sim.snapshot_topology()
+
+
+def wide_snapshot() -> dict:
+    """`wide_dag48` as a snapshot: its positions and 8-12 candidate lists, a
+    range wide enough for its longest link, and the default calibrated
+    channel, under which its links deliver with probabilities of 0.5-0.99."""
+    from uwroute.engine import resolve_channel
+
+    topo, _ = wide_dag48()
+    nodes = [{"id": nid, "kind": kind, **dict(zip("xyz", topo.positions[nid])),
+              "generated": topo.gen_packets.get(nid, 0),
+              "candidates": list(topo.candidates.get(nid, ()))}
+             for nid, kind in topo.kinds.items()]
+    return {"params": {"protocol": "qlfr", "tx_range_m": 330.0, "sound_speed_mps": 1500.0,
+                       "holding_h": 20, "tx_power_w": 2.0, "rx_power_w": 0.5,
+                       "channel": dataclasses.asdict(resolve_channel(ScenarioConfig()))},
+            "nodes": nodes}
+
+
+def assert_links_equal_the_closed_form(snapshot: dict):
+    """Every loaded link probability equals, bit for bit, the channel's
+    delivery probability at the link's length."""
+    topo = analysis.load_snapshot(snapshot)
+    cp = channel.ChannelParams(**snapshot["params"]["channel"])
+    pos = topo.positions
+    assert topo.link_prob and len(topo.link_prob) == sum(map(len, topo.candidates.values()))
+    for s, c in topo.link_prob:
+        assert topo.link_prob[s, c] == channel.packet_delivery_prob(math.dist(pos[s], pos[c]), cp)
 
 
 def line_topology(p1=0.9, p2=0.9, spacing=120.0):
@@ -70,6 +108,16 @@ class TestCandidateForwardProb:
             candidate_forward_prob([0.5], 0)
         with pytest.raises(ValueError):
             candidate_forward_prob([0.5], 2)
+
+    @given(st.lists(st.floats(0, 1), min_size=1, max_size=12))
+    def test_vector_equals_the_per_candidate_loop(self, probs):
+        explicit = []
+        for j in range(len(probs)):
+            prob = probs[j]
+            for k in range(j):
+                prob *= 1.0 - probs[k]
+            explicit.append(prob)
+        assert forward_probs(probs) == tuple(explicit)
 
     @given(st.lists(st.floats(0, 1), min_size=1, max_size=8))
     def test_identity_sums_to_union(self, probs):
@@ -279,6 +327,11 @@ class TestWideLists:
                 assert topo._forward[sender][j - 1] == exact
                 assert analysis.forward_prob(topo, sender, cand) == exact
 
+    def test_snapshot_links_equal_the_closed_form(self):
+        snapshot = wide_snapshot()
+        assert max(len(e["candidates"]) for e in snapshot["nodes"]) == 12
+        assert_links_equal_the_closed_form(snapshot)
+
 
 class TestNodeEnergy:
     def test_isolated_idle_node(self):
@@ -392,6 +445,21 @@ class TestSnapshotLoading:
         rows = analysis.per_node_report(topo, cfg.max_sim_time_s, cfg.initial_node_energy_j)
         assert len(rows) == 43
         assert min(r["lifetime_s"] for r in rows) > 0.0
+
+    def test_one_link_model_per_snapshot(self, monkeypatch):
+        snapshot = engine_snapshot()
+        link_model, made = channel.link_model, []
+
+        def counting_link_model(params):
+            made.append(params)
+            return link_model(params)
+
+        monkeypatch.setattr(channel, "link_model", counting_link_model)
+        topo = analysis.load_snapshot(snapshot)
+        assert len(made) == 1 and len(topo.link_prob) > 1
+
+    def test_engine_links_equal_the_closed_form(self):
+        assert_links_equal_the_closed_form(engine_snapshot())
 
     def test_candidate_on_its_sender(self):
         # source 0 lists sensor 1, which shares its position 100 m below sink

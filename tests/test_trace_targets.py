@@ -65,6 +65,9 @@ def test_analysis_targets():
 
     tracer = tracing.Tracer()
     patched_round_trip(tracer, tracing.analysis_targets(), report)
+    # the loader evaluates one `channel.link_model` per snapshot, so the
+    # analysis no longer reaches the `channel.link_prob` span; the engine
+    # targets above still do
     for span in ("analysis.load_snapshot", "analysis.per_node_report",
-                 "analysis.senders_of", "channel.link_prob"):
+                 "analysis.senders_of"):
         assert tracer.calls[span] > 0, span
