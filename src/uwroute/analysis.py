@@ -100,13 +100,6 @@ def forward_probs(p_list) -> tuple:
     return tuple(probs)
 
 
-def candidate_forward_prob(p_list, j: int) -> float:
-    """The j-th (1-indexed) of `forward_probs(p_list)`."""
-    if j < 1 or j > len(p_list):
-        raise ValueError(f"candidate index {j} outside 1..{len(p_list)}")
-    return forward_probs(p_list)[j - 1]
-
-
 def forward_prob(topo: StaticTopology, sender: int, candidate: int) -> float:
     """P(sender's transmission is forwarded by this particular candidate)."""
     return topo._forward[sender][topo.candidates[sender].index(candidate)]
@@ -231,8 +224,9 @@ def load_snapshot(snap: dict) -> StaticTopology:
     read in one pass, which refuses, with TopologyError naming the first
     faulty entry, a repeated node id, a non-finite coordinate, a kind other
     than sensor, source or sink, or a generated count that is not a finite
-    number >= 0. So is a candidate farther from its sender than `tx_range_m`,
-    past the relative hair of 1e-9 that `CellGrid`'s cells allow for rounding."""
+    number >= 0. So is a candidate id that names no node, and a candidate
+    farther from its sender than `tx_range_m`, past the relative hair of 1e-9
+    that `CellGrid`'s cells allow for rounding."""
     params = snap["params"]
     protocol = params.get("protocol", "qlfr")
     if protocol != "qlfr":
@@ -279,6 +273,8 @@ def load_snapshot(snap: dict) -> StaticTopology:
     for s, cands in candidates.items():
         here = positions[s]
         for c in cands:
+            if c not in positions:
+                raise TopologyError(f"candidate {c!r} of node {s} names no node")
             d = math.dist(here, positions[c])
             if d > reach:
                 raise TopologyError(f"candidate {c} of node {s} is {d!r} m away, "

@@ -219,7 +219,8 @@ def _parse(decl: _Decl, raw: str):
 def parse_config_text(text: str, source: str = "<config>") -> ScenarioConfig:
     """A config from file text. An error names `source` and the line it was
     found on; a refusal that involves several keys names the last line that
-    sets one of the keys its message names."""
+    sets one of the keys its message names. Each such refusal in `validate`
+    names a key that the file must set for it to fire, so there is one."""
     overrides, lines = {}, {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
@@ -241,9 +242,8 @@ def parse_config_text(text: str, source: str = "<config>") -> ScenarioConfig:
     try:
         return ScenarioConfig(**overrides)
     except ConfigError as exc:
-        named = [lineno for key, lineno in lines.items() if key in str(exc)]
-        where = f"{source}:{max(named)}" if named else source
-        raise ConfigError(f"{where}: {exc}") from exc
+        named = max(lineno for key, lineno in lines.items() if key in str(exc))
+        raise ConfigError(f"{source}:{named}: {exc}") from exc
 
 
 def parse_config(path) -> ScenarioConfig:

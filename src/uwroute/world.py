@@ -10,7 +10,10 @@ ends. `neighbors_in_range` is the brute-force scan it is checked against.
 
 Coordinates: z is height above the sea floor, so depth = region_z - z.
 Sinks sit on the surface (z = region_z, depth 0) and never move; sources are
-sensor nodes that start on the bottom layer (z = 0).
+sensor nodes that start on the bottom layer (z = 0). A `NodePosition` is a
+value: the engine replaces a node's position whole at each mobility tick and
+never assigns one of its fields. `NodePosition` and `NodeState` are slotted,
+so they carry no instance dict.
 """
 
 import math
@@ -19,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class NodePosition:
     x: float
     y: float
@@ -45,7 +48,7 @@ def remember(cache: dict, key) -> None:
         del cache[next(iter(cache))]
 
 
-@dataclass
+@dataclass(slots=True)
 class NodeState:
     """A sensor, source or sink node and everything the protocol knows at it."""
 
@@ -85,21 +88,22 @@ def deploy(config, rng: random.Random) -> list[NodeState]:
     """Place n_sensors sensors uniformly in the region box (the first
     n_sources of them as sources on the bottom layer) and n_sinks sinks on
     the surface. Deterministic for a given rng state. `config` is a
-    `ScenarioConfig`, valid by construction.
+    `ScenarioConfig`, valid by construction. Each coordinate is one draw,
+    `l * rng.random()`, which is bit for bit `rng.uniform(0, l)`.
     """
     lx, ly, lz = config.region_x_m, config.region_y_m, config.region_z_m
-    nodes = []
+    draw, nodes = rng.random, []
     for i in range(config.n_sensors):
         if i < config.n_sources:
-            pos = NodePosition(rng.uniform(0, lx), rng.uniform(0, ly), 0.0)
+            pos = NodePosition(lx * draw(), ly * draw(), 0.0)
             kind = "source"
         else:
-            pos = NodePosition(rng.uniform(0, lx), rng.uniform(0, ly), rng.uniform(0, lz))
+            pos = NodePosition(lx * draw(), ly * draw(), lz * draw())
             kind = "sensor"
         nodes.append(NodeState(i, kind, pos, lz, config.initial_node_energy_j,
                                list_length=config.initial_list_length))
     for j in range(config.n_sinks):
-        pos = NodePosition(rng.uniform(0, lx), rng.uniform(0, ly), lz)
+        pos = NodePosition(lx * draw(), ly * draw(), lz)
         nodes.append(NodeState(config.n_sensors + j, "sink", pos, lz,
                                config.initial_node_energy_j,
                                list_length=config.initial_list_length))

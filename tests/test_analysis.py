@@ -13,10 +13,9 @@ from hypothesis import given, strategies as st
 from fixtures import HOLDING, chain3, diamond4, random_dag10, wide_dag48
 from mc_oracle import run_trials
 from uwroute import analysis, channel
-from uwroute.analysis import (StaticTopology, TopologyError, candidate_forward_prob,
-                              delivery_prob_to_sink, expected_delay_to_sink,
-                              expected_holding_time, forward_probs, node_energy,
-                              outgoing_traffic, per_node_report)
+from uwroute.analysis import (StaticTopology, TopologyError, delivery_prob_to_sink,
+                              expected_delay_to_sink, expected_holding_time, forward_probs,
+                              node_energy, outgoing_traffic, per_node_report)
 from uwroute.config import ScenarioConfig
 
 # the default channel at e_b = 1 J/bit, as a snapshot records it
@@ -91,23 +90,17 @@ def deep_chain(n, p, spacing):
 
 class TestCandidateForwardProb:
     def test_single_candidate(self):
-        assert candidate_forward_prob([0.9], 1) == pytest.approx(0.9)
+        assert forward_probs([0.9])[0] == pytest.approx(0.9)
 
     def test_second_behind_half(self):
-        assert candidate_forward_prob([0.5, 0.5], 2) == pytest.approx(0.25)
+        assert forward_probs([0.5, 0.5])[1] == pytest.approx(0.25)
 
     def test_three_candidate_product(self):
         p = [0.9, 0.8, 0.7]
-        assert candidate_forward_prob(p, 3) == pytest.approx(0.7 * 0.1 * 0.2)
-        total = sum(candidate_forward_prob(p, j) for j in (1, 2, 3))
+        assert forward_probs(p)[2] == pytest.approx(0.7 * 0.1 * 0.2)
+        total = sum(forward_probs(p))
         assert total == pytest.approx(0.994)
         assert total == pytest.approx(1 - 0.1 * 0.2 * 0.3)
-
-    def test_index_bounds(self):
-        with pytest.raises(ValueError):
-            candidate_forward_prob([0.5], 0)
-        with pytest.raises(ValueError):
-            candidate_forward_prob([0.5], 2)
 
     @given(st.lists(st.floats(0, 1), min_size=1, max_size=12))
     def test_vector_equals_the_per_candidate_loop(self, probs):
@@ -121,7 +114,7 @@ class TestCandidateForwardProb:
 
     @given(st.lists(st.floats(0, 1), min_size=1, max_size=8))
     def test_identity_sums_to_union(self, probs):
-        total = sum(candidate_forward_prob(probs, j) for j in range(1, len(probs) + 1))
+        total = sum(forward_probs(probs))
         assert total == pytest.approx(1.0 - math.prod(1.0 - p for p in probs), abs=1e-12)
 
 
@@ -323,7 +316,7 @@ class TestWideLists:
             ps = [topo.link_prob[(sender, c)] for c in cands]
             assert len(topo._forward[sender]) == len(cands)
             for j, cand in enumerate(cands, 1):
-                exact = candidate_forward_prob(ps, j)
+                exact = forward_probs(ps)[j - 1]
                 assert topo._forward[sender][j - 1] == exact
                 assert analysis.forward_prob(topo, sender, cand) == exact
 

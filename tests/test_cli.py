@@ -97,6 +97,13 @@ class TestParseConfig:
             parse_config_text("world.n_sensors = 3\nworld.n_sources = 4\nrun.seed = 2\n")
         with pytest.raises(ConfigError, match=r"^<config>:3: world\.n_sources cannot exceed"):
             parse_config_text("world.n_sources = 4\n# c\nworld.n_sensors = 3\n")
+        with pytest.raises(ConfigError, match=r"^<config>:2: protocol\.max_list_length below "
+                                              r"protocol\.initial_list_length$"):
+            parse_config_text("protocol.max_list_length = 3\nprotocol.initial_list_length = 4\n"
+                              "run.seed = 2\n")
+        # below 0.5 ** 512, the delivery probability of default packets at e_b = 0
+        with pytest.raises(ConfigError, match=r"^<config>:2: channel\.calibration_pdr = 1e-200 "):
+            parse_config_text("run.seed = 2\nchannel.calibration_pdr = 1e-200\n")
         # a value outside its own key's range: that key's line
         with pytest.raises(ConfigError, match=r"^<config>:1: channel\.noise_density = 1e\+300 "
                                               r"out of range \(in \[1e-15, 0\.001\]\)$"):
@@ -505,6 +512,8 @@ class TestCliVerbs:
                            "world.tx_range_m = 1e+308 out of range"),
         "subnormal-A0": (lambda s: s["params"]["channel"].update(atten_const_A0=1e-320),
                          "channel.atten_const_a0 = 1e-320 out of range"),
+        "unknown-candidate": (lambda s: s["nodes"][0].update(candidates=[1, 999]),
+                              "candidate 999 of node 0 names no node"),
         # the link model's attenuation overflowed at this distance
         "candidate-past-range": (lambda s: s["nodes"][1].update(z=1e7),
                                  "candidate 1 of node 0 is 10000000.0 m away, "

@@ -47,6 +47,29 @@ class TestDeploy:
         b = deploy(config(), random.Random(42))
         assert [(n.id, n.position) for n in a] == [(n.id, n.position) for n in b]
 
+    @pytest.mark.parametrize("seed", [1, 2, 7, 12345])
+    @pytest.mark.parametrize("sides, counts", [
+        ((500.0, 500.0, 500.0), (100, 5, 5)),
+        ((300, 250, 7), (40, 3, 2)),  # integer sides
+        ((1.0, 1234.5, 3.3), (9, 9, 1)),  # every sensor a source
+        ((2000.0, 2000.0, 2000.0), (1, 1, 1)),
+    ])
+    def test_positions_equal_uniform_draws(self, seed, sides, counts):
+        # each coordinate is one draw, bit for bit rng.uniform(0, side)
+        (lx, ly, lz), (n_sensors, n_sources, n_sinks) = sides, counts
+        cfg = config(region_x_m=lx, region_y_m=ly, region_z_m=lz,
+                     n_sensors=n_sensors, n_sources=n_sources, n_sinks=n_sinks)
+        rng = random.Random(seed)
+        expected = []
+        for i in range(n_sensors):
+            x, y = rng.uniform(0, lx), rng.uniform(0, ly)
+            expected.append(NodePosition(x, y, 0.0 if i < n_sources else rng.uniform(0, lz)))
+        for _ in range(n_sinks):
+            expected.append(NodePosition(rng.uniform(0, lx), rng.uniform(0, ly), lz))
+        got_rng = random.Random(seed)
+        assert [n.position for n in deploy(cfg, got_rng)] == expected
+        assert got_rng.getstate() == rng.getstate()
+
     def test_zero_volume_rejected(self):
         with pytest.raises(Exception):
             deploy(config(region_z_m=0.0), random.Random(1))
