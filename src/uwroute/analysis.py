@@ -1,10 +1,10 @@
 """Closed-form performance model on a frozen topology snapshot.
 
-Given fixed positions, per-node ordered candidate lists and per-link delivery
-probabilities (`load_snapshot` takes them from one link model of the recorded
-channel), computes the expected delivery probability to any sink, the expected
-end-to-end delay, per-node traffic and energy, and each node's projected
-lifetime; the network lifetime is the least of these. It assumes the
+Given fixed positions, per-node ordered candidate lists and each candidate
+link's (propagation delay, delivery probability), computes the expected
+delivery probability to any sink, the expected end-to-end delay, per-node
+traffic and energy, and each node's projected lifetime; the network lifetime
+is the least of these. It assumes the
 candidates of a packet coordinate perfectly: the highest-priority candidate
 whose link succeeded forwards, everyone else stays silent. Used as an
 independent oracle against Monte-Carlo simulation of the same snapshot.
@@ -13,16 +13,15 @@ Every candidate must be strictly shallower than its sender, so the candidate
 graph is a depth-ordered DAG and the whole model is one pass over it (see
 `_solve`). The topology builds its lookup tables once, when it is made, and
 the report only reads them: each sender's forward probabilities, built in
-one `forward_probs` call; each candidate's (sender, priority) pairs; each
-node's depth; the set of sinks; and the holding time of each list position.
+one `forward_probs` call, and link delays; each candidate's (sender,
+priority) pairs; each node's depth; the set of sinks; and the holding time
+of each list position.
 
 The delay weights each hop by the probability that the hop's forwarder is
 elected, which does not condition on eventual delivery; both the raw
 (delivery-weighted) value and the normalized value raw / P(delivery) are
-exposed. A hop is its holding time plus its propagation delay d / v0: the
-model leaves out the airtime M/mu that the engine adds to every hop, so its
-conditional delay is shorter than a simulator's mean delay of delivered
-packets by about M/mu per expected hop.
+exposed. A hop is its holding time, the airtime M/mu and the link's
+propagation delay, as the engine times an arrival.
 """
 
 import math
@@ -43,11 +42,10 @@ class StaticTopology:
     kinds: dict  # id -> "sensor" | "source" | "sink"
     positions: dict  # id -> (x, y, z); z increases toward the surface
     candidates: dict  # id -> ordered tuple of candidate ids (empty for sinks)
-    link_prob: dict  # (sender, candidate) -> delivery probability
+    links: dict  # (sender, candidate) -> (propagation delay s, delivery probability)
     neighbors: dict  # id -> tuple of geometric neighbor ids (overhearing)
     gen_packets: dict  # source id -> packets generated over the horizon
     holding: HoldingParams
-    sound_speed_mps: float = 1500.0
     tx_power_w: float = 2.0
     rx_power_w: float = 0.5
     seconds_per_packet: float = 0.0512
@@ -55,24 +53,24 @@ class StaticTopology:
 
     def __post_init__(self):
         inbound: dict = {}  # candidate -> [(sender, priority)] in candidates order
-        forward: dict = {}  # sender -> forward probability of each candidate, in order
-        link_prob = self.link_prob
+        forward, delays = {}, {}  # sender -> each candidate's forward probability, delay
+        links = self.links
         for sender, cands in self.candidates.items():
             if len(set(cands)) != len(cands):
                 raise TopologyError(f"duplicate candidate in list of node {sender}")
-            ps = []
+            ds, ps = [], []
             for position, c in enumerate(cands, 1):
                 inbound.setdefault(c, []).append((sender, position))
-                p = link_prob.get((sender, c))
-                if p is None:
-                    raise TopologyError(f"missing link probability for {(sender, c)}")
-                if not 0.0 <= p <= 1.0:
-                    raise TopologyError(f"link probability {p} for {(sender, c)} not in [0, 1]")
+                delay, p = links.get((sender, c), (None, None))  # a missing link has no p
+                if p is None or not 0.0 <= p <= 1.0:
+                    raise TopologyError(f"link {(sender, c)} has probability {p}, not in [0, 1]")
+                ds.append(delay)
                 ps.append(p)
-            forward[sender] = forward_probs(ps)
+            forward[sender], delays[sender] = forward_probs(ps), tuple(ds)
         longest = max(map(len, self.candidates.values()), default=0)
         object.__setattr__(self, "_inbound", inbound)
         object.__setattr__(self, "_forward", forward)
+        object.__setattr__(self, "_delay", delays)
         object.__setattr__(self, "_depth", {
             nid: self.region_z_m - z for nid, (_, _, z) in self.positions.items()})
         object.__setattr__(self, "_sinks", frozenset(
@@ -80,9 +78,6 @@ class StaticTopology:
         # holding time of list position n at index n - 1
         object.__setattr__(self, "_holding", tuple(
             holding_time(n, self.holding) for n in range(1, longest + 1)))
-
-    def is_sink(self, node: int) -> bool:
-        return node in self._sinks
 
     def senders_of(self, node: int) -> list[tuple[int, int]]:
         """(sender, 1-indexed priority of `node`) pairs in `candidates` order."""
@@ -92,11 +87,13 @@ class StaticTopology:
 def forward_probs(p_list) -> tuple:
     """Each candidate's forward probability, in list order: its own link
     succeeds and every higher-priority link failed."""
-    probs = []
-    for j, prob in enumerate(p_list):
-        for k in range(j):
-            prob *= 1.0 - p_list[k]
+    probs, misses = [], []  # misses: 1 - p of each higher-priority link, in order
+    for p in p_list:
+        prob = p
+        for miss in misses:
+            prob *= miss
         probs.append(prob)
+        misses.append(1.0 - p)
     return tuple(probs)
 
 
@@ -157,19 +154,18 @@ def _solve(topo: StaticTopology) -> tuple[dict, dict, dict]:
     values. Sinks deliver with probability 1 after no delay; a void delivers
     nothing."""
     traffic = outgoing_traffic(topo)
-    sinks, positions, v0 = topo._sinks, topo.positions, topo.sound_speed_mps
+    sinks, airtime = topo._sinks, topo.seconds_per_packet
     delivery = {nid: 1.0 if nid in sinks else 0.0 for nid in topo.kinds}
     raw_delay = dict.fromkeys(topo.kinds, 0.0)
     for sender in sorted(topo.candidates, key=topo._depth.__getitem__):
         if sender in sinks:
             continue
-        holding = expected_holding_time(topo, sender, traffic)
-        here = positions[sender]
+        sent = expected_holding_time(topo, sender, traffic) + airtime
         p = d = 0.0
-        for cand, fwd in zip(topo.candidates[sender], topo._forward[sender]):
+        for cand, fwd, delay in zip(topo.candidates[sender], topo._forward[sender],
+                                    topo._delay[sender]):
             p += fwd * delivery[cand]
-            hop = holding + math.dist(here, positions[cand]) / v0
-            d += (hop + raw_delay[cand]) * fwd
+            d += (sent + delay + raw_delay[cand]) * fwd
         delivery[sender], raw_delay[sender] = p, d
     return traffic, delivery, raw_delay
 
@@ -190,8 +186,7 @@ def expected_delay_to_sink(topo: StaticTopology, node: int,
 
     conditional=False returns the raw delivery-weighted value;
     conditional=True divides by the delivery probability, giving the mean over
-    delivered packets (NaN in a void). A hop leaves out the airtime M/mu that
-    the engine adds to it, as the module docstring says."""
+    delivered packets (NaN in a void)."""
     _, delivery, raw_delay = _solve(topo)
     if not conditional:
         return raw_delay[node]
@@ -204,29 +199,30 @@ def node_energy(topo: StaticTopology, node: int, traffic: dict) -> float:
     Sinks are surface-powered: 0."""
     if node in topo._sinks:
         return 0.0
-    spp = topo.seconds_per_packet
+    spp, rx = topo.seconds_per_packet, topo.rx_power_w
     energy = traffic[node] * spp * topo.tx_power_w
     for nb in topo.neighbors.get(node, ()):
-        energy += traffic[nb] * spp * topo.rx_power_w
+        energy += traffic[nb] * spp * rx
     return energy
 
 
 def load_snapshot(snap: dict) -> StaticTopology:
-    """Build a StaticTopology from an engine snapshot dict. One link model of
-    the recorded channel, made once, gives every candidate link's probability
-    at its length; the channel alone gives the airtime M/mu (an older
+    """Build a StaticTopology from an engine snapshot dict, measuring each
+    candidate link as the engine's link table does: the squared length from
+    per-axis differences, refused above `tx_range_m` squared, and its square
+    root d makes the link (d / v0, p(d)), p from one link model of the
+    recorded channel. The channel alone gives the airtime M/mu (an older
     snapshot's `seconds_per_packet` is ignored), and CellGrid.pairs the
     neighbor sets. Snapshots of a protocol other than qlfr are refused; one
     that records no protocol is read as qlfr. The scalar and channel
     parameters are read through `ScenarioConfig`, so a value its key's
     declaration refuses is refused with `ConfigError` naming that key, and a
     channel without one of its fields with KeyError. The node entries are
-    read in one pass, which refuses, with TopologyError naming the first
-    faulty entry, a repeated node id, a non-finite coordinate, a kind other
-    than sensor, source or sink, or a generated count that is not a finite
-    number >= 0. So is a candidate id that names no node, and a candidate
-    farther from its sender than `tx_range_m`, past the relative hair of 1e-9
-    that `CellGrid`'s cells allow for rounding."""
+    read in one pass, which refuses, with TopologyError naming the node and
+    the field, an id that is not an integer or is repeated, a coordinate that
+    is not a finite number, a kind other than sensor, source or sink, a
+    generated count that is not a finite number >= 0, or candidates that are
+    not a list. So is a candidate that is not the id of a node."""
     params = snap["params"]
     protocol = params.get("protocol", "qlfr")
     if protocol != "qlfr":
@@ -247,11 +243,19 @@ def load_snapshot(snap: dict) -> StaticTopology:
     kinds, positions, candidates, gen = {}, {}, {}, {}
     for e in snap["nodes"]:
         nid, kind = e["id"], e["kind"]
+        if type(nid) is not int:
+            raise TopologyError(f"node id {nid!r} is not an integer")
         if nid in kinds:
             raise TopologyError(f"node id {nid!r} appears more than once")
         position = (e["x"], e["y"], e["z"])
-        if not all(map(math.isfinite, position)):
-            raise TopologyError(f"node {nid} has a non-finite coordinate {position}")
+        try:
+            finite = all(map(math.isfinite, position))
+        except TypeError:  # a coordinate that is not a number
+            finite = False
+        if not finite:
+            axis = next(a for a, v in zip("xyz", position)
+                        if not isinstance(v, (int, float)) or not math.isfinite(v))
+            raise TopologyError(f"node {nid} {axis} must be a finite number, got {e[axis]!r}")
         if kind not in ("sensor", "source", "sink"):
             raise TopologyError(f"node {nid} has kind {kind!r}, not sensor, source or sink")
         count = e.get("generated", 0)
@@ -260,7 +264,11 @@ def load_snapshot(snap: dict) -> StaticTopology:
                                 f"got {count!r}")
         kinds[nid], positions[nid] = kind, position
         if kind != "sink":
-            candidates[nid] = tuple(e["candidates"])
+            cands = e["candidates"]
+            if type(cands) is not list:
+                raise TopologyError(f"node {nid} candidates must be a list of node ids, "
+                                    f"got {cands!r}")
+            candidates[nid] = tuple(cands)
         if count > 0:
             gen[nid] = count
     near = {i: [] for i in sorted(kinds)}
@@ -268,24 +276,26 @@ def load_snapshot(snap: dict) -> StaticTopology:
         near[a].append(b)
         near[b].append(a)
     neighbors = {i: tuple(sorted(js)) for i, js in near.items()}
-    reach, delivery = r * (1.0 + 1e-9), chan.link_model(cp)
-    link_prob = {}
+    r2, v0, delivery, sqrt = r * r, config.sound_speed_mps, chan.link_model(cp), math.sqrt
+    links = {}
     for s, cands in candidates.items():
-        here = positions[s]
+        xa, ya, za = positions[s]
         for c in cands:
-            if c not in positions:
+            if type(c) is not int or (there := positions.get(c)) is None:
                 raise TopologyError(f"candidate {c!r} of node {s} names no node")
-            d = math.dist(here, positions[c])
-            if d > reach:
-                raise TopologyError(f"candidate {c} of node {s} is {d!r} m away, "
+            xb, yb, zb = there
+            dx, dy, dz = xb - xa, yb - ya, zb - za
+            d2 = dx * dx + dy * dy + dz * dz
+            if d2 > r2:
+                raise TopologyError(f"candidate {c} of node {s} is {sqrt(d2)!r} m away, "
                                     f"beyond world.tx_range_m = {r!r} m")
-            link_prob[s, c] = delivery(d)
+            d = sqrt(d2)
+            links[s, c] = (d / v0, delivery(d))
     region_z = max((p[2] for p in positions.values()), default=0.0)
     return StaticTopology(
         kinds=kinds, positions=positions, candidates=candidates,
-        link_prob=link_prob, neighbors=neighbors, gen_packets=gen,
+        links=links, neighbors=neighbors, gen_packets=gen,
         holding=holding,
-        sound_speed_mps=config.sound_speed_mps,
         tx_power_w=config.tx_power_w, rx_power_w=config.rx_power_w,
         seconds_per_packet=cp.serialization_s,
         region_z_m=region_z,

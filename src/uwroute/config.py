@@ -45,7 +45,6 @@ _NODES = _within(1, 100_000)
 _LIST = _within(1, 100)  # candidates in one priority list
 _POWER = _within(1e-3, 1e3)  # W: from a milliwatt to a kilowatt
 _PROBABILITY = (lambda v: 0.0 < v < 1.0, "in (0, 1)", None)
-_ANY = (lambda v: True, "", None)
 
 
 def _key(name: str, default, valid):
@@ -105,8 +104,8 @@ class ScenarioConfig:
     source_interval_s: float = _key("traffic.source_interval_s", 10.0, _INTERVAL)
     # s: up to about three years
     max_sim_time_s: float = _key("run.max_sim_time_s", 600.0, _within(0.1, 1e8))
-    # any integer seeds the generator
-    seed: int = _key("run.seed", 1, _ANY)
+    # Random(-n) seeds as Random(n) does, so a seed >= 0 names one stream
+    seed: int = _key("run.seed", 1, (lambda v: v >= 0, ">= 0", None))
 
     def __post_init__(self):
         """An invalid config cannot exist: every construction, including

@@ -15,9 +15,17 @@ from uwroute.qlfr import HoldingParams
 HOLDING = HoldingParams(h=20, t_max=0.1)
 
 
+def static_topology(*, positions: dict, link_prob: dict, **fields) -> StaticTopology:
+    """A StaticTopology whose links have the given delivery probabilities and
+    the propagation delay of their length at 1500 m/s."""
+    links = {(s, c): (math.dist(positions[s], positions[c]) / 1500.0, p)
+             for (s, c), p in link_prob.items()}
+    return StaticTopology(positions=positions, links=links, **fields)
+
+
 def chain3() -> tuple[StaticTopology, int]:
     """source 0 -> relay 1 -> sink 2, vertical line, 120 m spacing."""
-    topo = StaticTopology(
+    topo = static_topology(
         kinds={0: "source", 1: "sensor", 2: "sink"},
         positions={0: (0.0, 0.0, 0.0), 1: (0.0, 0.0, 120.0), 2: (0.0, 0.0, 240.0)},
         candidates={0: (1,), 1: (2,)},
@@ -32,7 +40,7 @@ def chain3() -> tuple[StaticTopology, int]:
 
 def diamond4() -> tuple[StaticTopology, int]:
     """source 0 with candidates [1, 2]; both relays reach sink 3."""
-    topo = StaticTopology(
+    topo = static_topology(
         kinds={0: "source", 1: "sensor", 2: "sensor", 3: "sink"},
         positions={
             0: (0.0, 0.0, 0.0),
@@ -78,7 +86,7 @@ def random_dag10(seed: int = 42) -> tuple[StaticTopology, int]:
         candidates[nid] = tuple(shallower[:3])
         for c in candidates[nid]:
             link_prob[(nid, c)] = rng.uniform(0.95, 0.995)
-    topo = StaticTopology(
+    topo = static_topology(
         kinds=kinds, positions=positions, candidates=candidates,
         link_prob=link_prob, neighbors=neighbors, gen_packets={0: 100.0},
         holding=HOLDING, region_z_m=300.0,
@@ -111,7 +119,7 @@ def wide_dag48(seed: int = 7) -> tuple[StaticTopology, int]:
     neighbors = {nid: tuple(o for o in ids if o != nid
                             and math.dist(positions[nid], positions[o]) <= 320.0)
                  for nid in ids}
-    topo = StaticTopology(
+    topo = static_topology(
         kinds=kinds, positions=positions, candidates=candidates,
         link_prob=link_prob, neighbors=neighbors,
         gen_packets={0: 50.0, 1: 80.0, 2: 100.0},

@@ -4,7 +4,6 @@ No mobility, no learning, no engine code; deliberately independent of the
 closed forms it cross-checks.
 """
 
-import math
 import random
 
 
@@ -12,13 +11,14 @@ def run_trials(topo, source: int, trials: int, seed: int = 0):
     """Returns (delivered_count, mean_delay_of_delivered).
 
     Each trial walks the packet from `source`: the first candidate in
-    priority order whose link draw succeeds becomes the forwarder; it waits
-    its holding time (list head waits nothing) and relays. A trial with no
-    successful candidate is lost.
+    priority order whose link draw succeeds becomes the forwarder; each hop
+    takes the airtime and the link's propagation delay, and the forwarder
+    waits its holding time (list head waits nothing) and relays. A trial
+    with no successful candidate is lost.
     """
     rng = random.Random(seed)
     k = topo.holding.k
-    v0 = topo.sound_speed_mps
+    airtime = topo.seconds_per_packet
     delivered = 0
     delay_sum = 0.0
     for _ in range(trials):
@@ -28,14 +28,15 @@ def run_trials(topo, source: int, trials: int, seed: int = 0):
             forwarder = None
             position = 0
             for idx, cand in enumerate(topo.candidates.get(current, ())):
-                if rng.random() < topo.link_prob[(current, cand)]:
+                hop, p = topo.links[(current, cand)]
+                if rng.random() < p:
                     forwarder = cand
                     position = idx + 1
                     break
             if forwarder is None:
                 break
-            delay += math.dist(topo.positions[current], topo.positions[forwarder]) / v0
-            if topo.is_sink(forwarder):
+            delay += airtime + hop
+            if topo.kinds[forwarder] == "sink":
                 delivered += 1
                 delay_sum += delay
                 break

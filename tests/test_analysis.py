@@ -10,16 +10,18 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from fixtures import HOLDING, chain3, diamond4, random_dag10, wide_dag48
+from fixtures import HOLDING, chain3, diamond4, random_dag10, static_topology, wide_dag48
 from mc_oracle import run_trials
 from uwroute import analysis, channel
-from uwroute.analysis import (StaticTopology, TopologyError, delivery_prob_to_sink,
+from uwroute.analysis import (TopologyError, delivery_prob_to_sink,
                               expected_delay_to_sink, expected_holding_time, forward_probs,
                               node_energy, outgoing_traffic, per_node_report)
 from uwroute.config import ScenarioConfig
 
 # the default channel at e_b = 1 J/bit, as a snapshot records it
 CHANNEL = dataclasses.asdict(ScenarioConfig().channel_params(1.0))
+# s: a hop's airtime M/mu at the defaults, 512 bits at 10 kbit/s
+AIRTIME = 0.0512
 
 
 def engine_snapshot() -> dict:
@@ -50,18 +52,21 @@ def wide_snapshot() -> dict:
 
 
 def assert_links_equal_the_closed_form(snapshot: dict):
-    """Every loaded link probability equals, bit for bit, the channel's
-    delivery probability at the link's length."""
+    """Every loaded link equals, bit for bit, (d / v0, the channel's delivery
+    probability at d), with the length d taken as the engine takes it: the
+    square root of the squared per-axis differences, summed."""
     topo = analysis.load_snapshot(snapshot)
     cp = channel.ChannelParams(**snapshot["params"]["channel"])
-    pos = topo.positions
-    assert topo.link_prob and len(topo.link_prob) == sum(map(len, topo.candidates.values()))
-    for s, c in topo.link_prob:
-        assert topo.link_prob[s, c] == channel.packet_delivery_prob(math.dist(pos[s], pos[c]), cp)
+    v0, pos = snapshot["params"]["sound_speed_mps"], topo.positions
+    assert topo.links and len(topo.links) == sum(map(len, topo.candidates.values()))
+    for s, c in topo.links:
+        dx, dy, dz = (b - a for a, b in zip(pos[s], pos[c]))
+        d = math.sqrt(dx * dx + dy * dy + dz * dz)
+        assert topo.links[s, c] == (d / v0, channel.packet_delivery_prob(d, cp))
 
 
 def line_topology(p1=0.9, p2=0.9, spacing=120.0):
-    return StaticTopology(
+    return static_topology(
         kinds={0: "source", 1: "sensor", 2: "sink"},
         positions={0: (0, 0, 0), 1: (0, 0, spacing), 2: (0, 0, 2 * spacing)},
         candidates={0: (1,), 1: (2,)},
@@ -75,7 +80,7 @@ def line_topology(p1=0.9, p2=0.9, spacing=120.0):
 
 def deep_chain(n, p, spacing):
     """source 0 -> relays 1..n-2 -> sink n-1, straight up, every link p."""
-    return StaticTopology(
+    return static_topology(
         kinds={i: "source" if i == 0 else "sink" if i == n - 1 else "sensor"
                for i in range(n)},
         positions={i: (0.0, 0.0, spacing * i) for i in range(n)},
@@ -129,7 +134,7 @@ class TestDeliveryProb:
         assert delivery_prob_to_sink(line_topology(0.9, 0.9), 0) == pytest.approx(0.81)
 
     def test_void_node(self):
-        topo = StaticTopology(
+        topo = static_topology(
             kinds={0: "source", 1: "sink"},
             positions={0: (0, 0, 0), 1: (0, 0, 200)},
             candidates={0: ()},
@@ -143,7 +148,7 @@ class TestDeliveryProb:
         assert delivery_prob_to_sink(line_topology(), 2) == 1.0
 
     def test_cycle_detection(self):
-        topo = StaticTopology(
+        topo = static_topology(
             kinds={0: "sensor", 1: "sensor", 2: "sink"},
             positions={0: (0, 0, 0), 1: (0, 0, 10), 2: (0, 0, 200)},
             candidates={0: (1,), 1: (0,)},
@@ -153,6 +158,14 @@ class TestDeliveryProb:
             holding=HOLDING, region_z_m=200.0)
         with pytest.raises(TopologyError):
             delivery_prob_to_sink(topo, 0)
+
+    def test_missing_or_improper_link_refused(self):
+        for links in ({}, {(0, 1): 1.5}):
+            with pytest.raises(TopologyError, match=r"link \(0, 1\) has probability"):
+                static_topology(kinds={0: "source", 1: "sink"},
+                                positions={0: (0, 0, 0), 1: (0, 0, 100)},
+                                candidates={0: (1,)}, link_prob=links, neighbors={},
+                                gen_packets={}, holding=HOLDING, region_z_m=100.0)
 
     def test_monte_carlo_cross_check_small(self):
         topo, src = diamond4()
@@ -175,7 +188,7 @@ class TestExpectedHolding:
     def test_second_priority_single_sender(self):
         # second-priority candidate behind a p = 0.5 head, k = 0.05
         holding = analysis.HoldingParams(4, 0.1)
-        topo = StaticTopology(
+        topo = static_topology(
             kinds={0: "source", 1: "sensor", 2: "sensor", 3: "sink"},
             positions={0: (0, 0, 0), 1: (0, 0, 100), 2: (50, 0, 100), 3: (0, 0, 200)},
             candidates={0: (1, 2), 1: (3,), 2: (3,)},
@@ -190,7 +203,7 @@ class TestExpectedHolding:
     def test_multi_sender_traffic_weighting(self):
         # two senders with 3:1 traffic; node 3 is head for one, second for the other
         holding = analysis.HoldingParams(4, 0.1)
-        topo = StaticTopology(
+        topo = static_topology(
             kinds={0: "source", 1: "source", 2: "sensor", 3: "sensor", 4: "sink"},
             positions={0: (0, 0, 0), 1: (60, 0, 0), 2: (0, 0, 100), 3: (30, 0, 100),
                        4: (0, 0, 220)},
@@ -211,11 +224,11 @@ class TestExpectedDelay:
 
     def test_direct_sink_neighbor(self):
         topo = line_topology(p1=1.0, p2=1.0, spacing=150.0)
-        assert expected_delay_to_sink(topo, 1, conditional=True) == pytest.approx(0.1)
+        assert expected_delay_to_sink(topo, 1, conditional=True) == pytest.approx(0.1 + AIRTIME)
 
     def test_three_node_line_all_sure(self):
         topo = line_topology(p1=1.0, p2=1.0, spacing=120.0)
-        expected = 120.0 / 1500.0 + 120.0 / 1500.0
+        expected = 2 * (120.0 / 1500.0 + AIRTIME)
         assert expected_delay_to_sink(topo, 0) == pytest.approx(expected)
         assert expected_delay_to_sink(topo, 0, conditional=True) == pytest.approx(expected)
 
@@ -227,7 +240,7 @@ class TestExpectedDelay:
         assert raw == pytest.approx(cond * p, rel=1e-12)
 
     def test_void_conditional_is_nan(self):
-        topo = StaticTopology(
+        topo = static_topology(
             kinds={0: "source", 1: "sink"},
             positions={0: (0, 0, 0), 1: (0, 0, 200)},
             candidates={0: ()}, link_prob={}, neighbors={0: (), 1: ()},
@@ -239,7 +252,8 @@ class TestExpectedDelay:
         # far deeper than Python's recursion limit
         n, spacing = 1500, 10.0
         sure = deep_chain(n, 1.0, spacing)
-        assert expected_delay_to_sink(sure, 0) == pytest.approx((n - 1) * spacing / 1500.0)
+        assert (expected_delay_to_sink(sure, 0)
+                == pytest.approx((n - 1) * (spacing / 1500.0 + AIRTIME)))
         lossy = deep_chain(n, 0.9995, spacing)
         assert delivery_prob_to_sink(lossy, 0) == pytest.approx(0.9995 ** (n - 1), rel=1e-12)
         rows = analysis.per_node_report(lossy, 600.0, 100.0)
@@ -279,7 +293,7 @@ class TestTraffic:
                 assert traffic[nid] <= sum(topo.gen_packets.values()) + 1e-9
 
     def test_cycle_guard(self):
-        topo = StaticTopology(
+        topo = static_topology(
             kinds={0: "sensor", 1: "sensor", 2: "sink"},
             positions={0: (0, 0, 0), 1: (0, 0, 0), 2: (0, 0, 200)},
             candidates={0: (1,), 1: (0,)},
@@ -308,12 +322,12 @@ class TestWideLists:
         h = hashlib.sha256()
         for row in per_node_report(wide_dag48()[0], 600.0, 100.0):
             h.update(repr(sorted(row.items())).encode())
-        assert h.hexdigest() == "43b29443ed6c425b9e3cb16dc1fffd8e5df769a52f70743eb0078360f85ae760"
+        assert h.hexdigest() == "6490c2e36ca6309bfe7d21cca2bd03751262bf37b17972fe7ae2b9142e34cf8b"
 
     def test_forward_vectors_equal_the_closed_form(self):
         topo, _ = wide_dag48()
         for sender, cands in topo.candidates.items():
-            ps = [topo.link_prob[(sender, c)] for c in cands]
+            ps = [topo.links[(sender, c)][1] for c in cands]
             assert len(topo._forward[sender]) == len(cands)
             for j, cand in enumerate(cands, 1):
                 exact = forward_probs(ps)[j - 1]
@@ -328,7 +342,7 @@ class TestWideLists:
 
 class TestNodeEnergy:
     def test_isolated_idle_node(self):
-        topo = StaticTopology(
+        topo = static_topology(
             kinds={0: "sensor", 1: "sink"},
             positions={0: (0, 0, 0), 1: (0, 0, 200)},
             candidates={0: ()}, link_prob={}, neighbors={0: (), 1: ()},
@@ -337,7 +351,7 @@ class TestNodeEnergy:
 
     def test_transmit_only(self):
         # 10 packets, 0.0512 s each at 2 W: 1.024 J
-        topo = StaticTopology(
+        topo = static_topology(
             kinds={0: "source", 1: "sink"},
             positions={0: (0, 0, 100), 1: (0, 0, 200)},
             candidates={0: (1,)}, link_prob={(0, 1): 1.0},
@@ -347,7 +361,7 @@ class TestNodeEnergy:
 
     def test_overhearing_cost(self):
         # a relay hears 100 packets from one geometric neighbor: 100*0.0512*0.5
-        topo = StaticTopology(
+        topo = static_topology(
             kinds={0: "source", 1: "sensor", 2: "sink"},
             positions={0: (0, 0, 0), 1: (100, 0, 0), 2: (0, 0, 150)},
             candidates={0: (2,), 1: ()},
@@ -373,7 +387,7 @@ class TestNetworkLifetime:
 
     def test_direct_ratio(self):
         # node consuming 1 J over 100 s with 100 J initial: 1e4 s
-        topo = StaticTopology(
+        topo = static_topology(
             kinds={0: "source", 1: "sink"},
             positions={0: (0, 0, 100), 1: (0, 0, 200)},
             candidates={0: (1,)}, link_prob={(0, 1): 1.0},
@@ -407,7 +421,7 @@ class TestNetworkLifetime:
                     assert min(lifetimes.values()) <= 100.0 * 100.0 / e + 1e-9
 
     def test_idle_network_sentinel(self):
-        topo = StaticTopology(
+        topo = static_topology(
             kinds={0: "sensor", 1: "sink"},
             positions={0: (0, 0, 0), 1: (0, 0, 200)},
             candidates={0: ()}, link_prob={}, neighbors={0: (), 1: ()},
@@ -449,10 +463,29 @@ class TestSnapshotLoading:
 
         monkeypatch.setattr(channel, "link_model", counting_link_model)
         topo = analysis.load_snapshot(snapshot)
-        assert len(made) == 1 and len(topo.link_prob) > 1
+        assert len(made) == 1 and len(topo.links) > 1
 
     def test_engine_links_equal_the_closed_form(self):
         assert_links_equal_the_closed_form(engine_snapshot())
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("scenario", [
+        {},  # the default scenario: 100 sensors in the 500 m cube
+        {"n_sensors": 150, "region_x_m": 300.0, "region_y_m": 300.0, "region_z_m": 300.0},
+    ], ids=["default", "150-in-300m"])
+    def test_links_equal_the_engine_link_table(self, scenario, seed):
+        import json
+
+        from uwroute.engine import Simulation
+
+        sim = Simulation(ScenarioConfig(max_sim_time_s=40.0, seed=seed, **scenario))
+        sim.run()
+        topo = analysis.load_snapshot(json.loads(json.dumps(sim.snapshot_topology())))
+        engine = {(n.id, other): (delay, p)
+                  for n in sim.nodes for other, delay, p in sim._link_table(n)}
+        assert len(topo.links) > 100
+        for link, pair in topo.links.items():
+            assert pair == engine[link], link
 
     def test_candidate_on_its_sender(self):
         # source 0 lists sensor 1, which shares its position 100 m below sink
@@ -470,7 +503,7 @@ class TestSnapshotLoading:
                        "channel": CHANNEL},
             "nodes": nodes,
         })
-        assert topo.link_prob[(0, 1)] == 1.0
+        assert topo.links[(0, 1)] == (0.0, 1.0)
         assert topo.neighbors[0] == (1, 2) and topo.neighbors[1] == (0, 2)
         with pytest.raises(TopologyError, match="not strictly shallower"):
             analysis.per_node_report(topo, 100.0, 100.0)
@@ -489,15 +522,19 @@ class TestSnapshotLoading:
         }
 
     def test_candidate_at_the_range_is_accepted(self):
-        for sink_z in (150.0, 150.0 * (1.0 + 1e-10)):  # the range and a rounding hair past
-            topo = analysis.load_snapshot(self.two_node_snapshot(sink_z))
-            assert topo.candidates[0] == (1,) and 0.0 < topo.link_prob[(0, 1)] < 1.0
-            assert delivery_prob_to_sink(topo, 0) == topo.link_prob[(0, 1)]
+        topo = analysis.load_snapshot(self.two_node_snapshot(150.0))
+        delay, p = topo.links[(0, 1)]
+        assert topo.candidates[0] == (1,) and delay == 0.1 and 0.0 < p < 1.0
+        assert delivery_prob_to_sink(topo, 0) == p
 
     def test_candidate_past_the_range_is_refused(self):
-        with pytest.raises(TopologyError, match=r"candidate 1 of node 0 is 150\.001 m away, "
-                                                r"beyond world\.tx_range_m = 150\.0 m"):
-            analysis.load_snapshot(self.two_node_snapshot(150.001))
+        # a rounding hair past the range is refused, as the engine's link
+        # table leaves it out: its squared length exceeds 150 m squared
+        for sink_z, shown in ((150.0 * (1.0 + 1e-10), r"150\.000000015"),
+                              (150.001, r"150\.001")):
+            with pytest.raises(TopologyError, match=rf"candidate 1 of node 0 is {shown} m away, "
+                                                    r"beyond world\.tx_range_m = 150\.0 m"):
+                analysis.load_snapshot(self.two_node_snapshot(sink_z))
 
     def test_neighbors_equal_brute_force_scan(self):
         # random nodes plus pairs exactly tx_range_m apart along each axis,

@@ -489,7 +489,15 @@ class TestCliVerbs:
 
     BAD_SNAPSHOTS = {  # case -> (edit of the hand snapshot, text the error names)
         "infinite-coordinate": (lambda s: s["nodes"][2].update(y=math.inf),
-                                "non-finite coordinate"),
+                                "node 2 y must be a finite number, got inf"),
+        # entries of the wrong JSON type, each named by node and field
+        "text-coordinate": (lambda s: s["nodes"][0].update(x="1"),
+                            "node 0 x must be a finite number, got '1'"),
+        "text-id": (lambda s: s["nodes"][2].update(id="2"), "node id '2' is not an integer"),
+        "number-candidates": (lambda s: s["nodes"][0].update(candidates=5),
+                              "node 0 candidates must be a list of node ids, got 5"),
+        "list-candidate": (lambda s: s["nodes"][0].update(candidates=[[1]]),
+                           "candidate [1] of node 0 names no node"),
         "zero-sound-speed": (lambda s: s["params"].update(sound_speed_mps=0),
                              "world.sound_speed_mps = 0 out of range"),
         "text-duration": (lambda s: s["run"].update(duration_s="100"),
@@ -738,6 +746,29 @@ class TestCliVerbs:
         assert rc == 2
         assert capsys.readouterr().err.startswith(f"error: {cfg}:1: {key} = 100000000000")
         assert not (tmp_path / "x").exists()
+
+    def test_negative_seed_in_a_file_is_refused(self, tmp_path, capsys):
+        # Random(-5) seeds exactly as Random(5) does, so -5 would name 5's stream
+        cfg = tmp_path / "negative.cfg"
+        cfg.write_text(FAST_SCENARIO + "run.seed = -5\n")
+        assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err == (f"error: {cfg}:10: run.seed = -5 "
+                                           "out of range (>= 0)\n")
+        assert not (tmp_path / "x").exists()
+        with pytest.raises(ConfigError, match=r"^run\.seed = -1 out of range"):
+            set_key(ScenarioConfig(), "run.seed", -1)
+        assert set_key(ScenarioConfig(), "run.seed", 0).seed == 0
+
+    @pytest.mark.parametrize("argv", [["run", "--seed", "-1"], ["sweep", "--seed", "-1"],
+                                      ["sweep", "--param", "run.seed", "--values=-1,0"]])
+    def test_negative_seed_override_is_refused(self, tmp_path, capsys, argv):
+        if argv[0] == "sweep" and "--param" not in argv:
+            argv = argv + ["--param", "protocol.gamma", "--values", "0.5"]
+        cfg = self.write_config(tmp_path)
+        out = tmp_path / "x"
+        assert cli.main([*argv, "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: run.seed = -1 out of range (>= 0)")
+        assert not out.exists()
 
     def test_bad_config_is_reported(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
