@@ -25,16 +25,20 @@ propagation delay, as the engine times an arrival.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 from . import channel as chan
-from .config import ScenarioConfig
+from .config import ScenarioConfig, channel_fields, shown
 from .qlfr import HoldingParams, holding_time
 from .world import CellGrid
 
 
 class TopologyError(ValueError):
     pass
+
+
+_BIG = sys.float_info.max  # a snapshot number beyond the largest float is refused
 
 
 @dataclass(frozen=True)
@@ -209,19 +213,19 @@ def node_energy(topo: StaticTopology, node: int, traffic: dict) -> float:
 def load_snapshot(snap: dict) -> StaticTopology:
     """Build a StaticTopology from an engine snapshot dict, measuring each
     candidate link as the engine's link table does: the squared length from
-    per-axis differences, refused above `tx_range_m` squared, and its square
-    root d makes the link (d / v0, p(d)), p from one link model of the
-    recorded channel. The channel alone gives the airtime M/mu (an older
-    snapshot's `seconds_per_packet` is ignored), and CellGrid.pairs the
-    neighbor sets. Snapshots of a protocol other than qlfr are refused; one
-    that records no protocol is read as qlfr. The scalar and channel
-    parameters are read through `ScenarioConfig`, so a value its key's
-    declaration refuses is refused with `ConfigError` naming that key, and a
-    channel without one of its fields with KeyError. The node entries are
-    read in one pass, which refuses, with TopologyError naming the node and
-    the field, an id that is not an integer or is repeated, a coordinate that
-    is not a finite number, a kind other than sensor, source or sink, a
-    generated count that is not a finite number >= 0, or candidates that are
+    per-axis differences, refused above `tx_range_m` squared, and
+    `channel.link` of it with one link model of the recorded channel. The
+    channel alone gives the airtime M/mu (an older snapshot's
+    `seconds_per_packet` is ignored), and CellGrid.pairs the neighbor sets.
+    Snapshots of a protocol other than qlfr are refused; one that records no
+    protocol is read as qlfr. The scalar and channel parameters are read
+    through `ScenarioConfig`'s declarations, so a value its key's declaration
+    refuses is refused with `ConfigError` naming that key, and a channel
+    without one of its fields with KeyError. The node entries are read in one
+    pass, which refuses, with TopologyError naming the node and the field, an
+    id that is not an integer or is repeated, a coordinate that is not a
+    finite number a float holds, a kind other than sensor, source or sink, a
+    generated count that is not such a number >= 0, or candidates that are
     not a list. So is a candidate that is not the id of a node."""
     params = snap["params"]
     protocol = params.get("protocol", "qlfr")
@@ -229,14 +233,10 @@ def load_snapshot(snap: dict) -> StaticTopology:
         raise TopologyError(
             f"snapshot of a {protocol} run has no candidate lists; "
             "the model describes qlfr priority lists only")
-    channel = params["channel"]
     config = ScenarioConfig(
         tx_range_m=params["tx_range_m"], sound_speed_mps=params["sound_speed_mps"],
         holding_h=params["holding_h"], tx_power_w=params["tx_power_w"],
-        rx_power_w=params["rx_power_w"], frequency_khz=channel["frequency_khz"],
-        spreading_kappa=channel["spreading_kappa"], atten_const_a0=channel["atten_const_A0"],
-        energy_per_bit=channel["energy_per_bit"], noise_density=channel["noise_density_N0"],
-        packet_bits=channel["packet_bits_M"], bit_rate_bps=channel["bit_rate_mu"])
+        rx_power_w=params["rx_power_w"], **channel_fields(params["channel"]))
     cp = config.channel_params(config.energy_per_bit)
     r = config.tx_range_m
     holding = HoldingParams(config.holding_h, config.t_max_s)
@@ -250,18 +250,19 @@ def load_snapshot(snap: dict) -> StaticTopology:
         position = (e["x"], e["y"], e["z"])
         try:
             finite = all(map(math.isfinite, position))
-        except TypeError:  # a coordinate that is not a number
+        except (TypeError, OverflowError):  # not a number, or an int past every float
             finite = False
         if not finite:
             axis = next(a for a, v in zip("xyz", position)
-                        if not isinstance(v, (int, float)) or not math.isfinite(v))
-            raise TopologyError(f"node {nid} {axis} must be a finite number, got {e[axis]!r}")
+                        if not isinstance(v, (int, float)) or not -_BIG <= v <= _BIG)
+            raise TopologyError(
+                f"node {nid} {axis} must be a finite number, got {shown(e[axis])}")
         if kind not in ("sensor", "source", "sink"):
             raise TopologyError(f"node {nid} has kind {kind!r}, not sensor, source or sink")
         count = e.get("generated", 0)
-        if type(count) not in (int, float) or not 0 <= count < math.inf:
+        if type(count) not in (int, float) or not 0 <= count <= _BIG:
             raise TopologyError(f"node {nid} generated must be a finite number >= 0, "
-                                f"got {count!r}")
+                                f"got {shown(count)}")
         kinds[nid], positions[nid] = kind, position
         if kind != "sink":
             cands = e["candidates"]
@@ -276,7 +277,7 @@ def load_snapshot(snap: dict) -> StaticTopology:
         near[a].append(b)
         near[b].append(a)
     neighbors = {i: tuple(sorted(js)) for i, js in near.items()}
-    r2, v0, delivery, sqrt = r * r, config.sound_speed_mps, chan.link_model(cp), math.sqrt
+    r2, v0, delivery, link = r * r, config.sound_speed_mps, chan.link_model(cp), chan.link
     links = {}
     for s, cands in candidates.items():
         xa, ya, za = positions[s]
@@ -287,10 +288,9 @@ def load_snapshot(snap: dict) -> StaticTopology:
             dx, dy, dz = xb - xa, yb - ya, zb - za
             d2 = dx * dx + dy * dy + dz * dz
             if d2 > r2:
-                raise TopologyError(f"candidate {c} of node {s} is {sqrt(d2)!r} m away, "
+                raise TopologyError(f"candidate {c} of node {s} is {math.sqrt(d2)!r} m away, "
                                     f"beyond world.tx_range_m = {r!r} m")
-            d = sqrt(d2)
-            links[s, c] = (d / v0, delivery(d))
+            links[s, c] = link(d2, v0, delivery)
     region_z = max((p[2] for p in positions.values()), default=0.0)
     return StaticTopology(
         kinds=kinds, positions=positions, candidates=candidates,

@@ -7,11 +7,13 @@ otherwise. All functions are stateless and thread-safe.
 
 `link_model(params)` is the one production form of the link delivery
 probability, bit-equal to the closed-form chain; the engine, the analytical
-model's snapshot loader and calibration all go through it. Calibration builds
-one link model and evaluates it at each trial e_b. A target at or below the
-delivery probability as e_b goes to 0 is refused through
-`calibration_target_error`, by `ScenarioConfig` and calibration alike; the
-ranges `ScenarioConfig` declares keep every other target within a finite e_b.
+model's snapshot loader and calibration all go through it, the first two by
+way of `link`, which makes a squared length the link's (propagation delay,
+delivery probability). Calibration builds one link model and evaluates it at
+each trial e_b. A target at or below the delivery probability as e_b goes to
+0 is refused through `calibration_target_error`, by `ScenarioConfig` and
+calibration alike; the ranges `ScenarioConfig` declares keep every other
+target within a finite e_b.
 
 Unit convention for attenuation: the Thorpe formula yields dB per km, so the
 absorption factor a(f)^l is exponentiated with the distance in kilometers,
@@ -136,6 +138,14 @@ def link_model(params: ChannelParams):
         return (1.0 - 0.5 * (1.0 - sqrt(snr / (1.0 + snr)))) ** bits
 
     return delivery_prob
+
+
+def link(d2: float, v0: float, delivery_prob) -> tuple[float, float]:
+    """A link of squared length d2 as (propagation delay d / v0, delivery
+    probability `delivery_prob(d)`), with d = sqrt(d2): the one arithmetic of
+    the engine's link tables and the snapshot loader's candidate links."""
+    d = math.sqrt(d2)
+    return d / v0, delivery_prob(d)
 
 
 def packet_delivery_prob(l: float, params: ChannelParams) -> float:

@@ -5,8 +5,10 @@ the `section.key` name, the default and its physical range, whose reason is
 written beside it. Within the ranges nothing derived from a config overflows,
 so nothing downstream checks for overflow. A value's type is the field's
 annotation with `None` removed, and a field may be `None` exactly when its
-default is. Parsing, validation, `set_key`, the echoed configuration and the
-snapshot loader all read these declarations.
+default is. A `channel.*` field that sets a `ChannelParams` field also
+declares that field, so `channel_params` and the snapshot loader map between
+the two from the declarations alone. Parsing, validation, `set_key`, the
+echoed configuration and the snapshot loader all read these declarations.
 
 Config files are plain text, one `section.key = value` per line, `#` for
 comments. Unknown keys, values of the wrong type and out-of-range values are
@@ -47,10 +49,10 @@ _POWER = _within(1e-3, 1e3)  # W: from a milliwatt to a kilowatt
 _PROBABILITY = (lambda v: 0.0 < v < 1.0, "in (0, 1)", None)
 
 
-def _key(name: str, default, valid):
-    """A field declaring config key `name` (`section.key`), its default and
-    its range `valid`."""
-    return dataclasses.field(default=default, metadata={"key": name, "range": valid})
+def _key(name: str, default, valid, param: str | None = None):
+    """A field declaring config key `name` (`section.key`), its default, its
+    range `valid` and the `ChannelParams` field `param` it sets, if any."""
+    return dataclasses.field(default=default, metadata=dict(key=name, range=valid, param=param))
 
 
 @dataclass(frozen=True)
@@ -80,21 +82,28 @@ class ScenarioConfig:
     pdr_threshold: float = _key("protocol.pdr_threshold", 0.9, _PROBABILITY)
     suppression_interval_s: float = _key("protocol.suppression_interval_s", 30.0, _INTERVAL)
     # kHz: the acoustic band, where Thorpe's absorption formula holds
-    frequency_khz: float = _key("channel.frequency_khz", 10.0, _within(0.1, 100.0))
+    frequency_khz: float = _key("channel.frequency_khz", 10.0, _within(0.1, 100.0),
+                                param="frequency_khz")
     # cylindrical to spherical spreading
-    spreading_kappa: float = _key("channel.spreading_kappa", 1.5, _within(1.0, 2.0))
+    spreading_kappa: float = _key("channel.spreading_kappa", 1.5, _within(1.0, 2.0),
+                                  param="spreading_kappa")
     # 30 dB either side of the unit normalisation
-    atten_const_a0: float = _key("channel.atten_const_a0", 1.0, _within(1e-3, 1e3))
+    atten_const_a0: float = _key("channel.atten_const_a0", 1.0, _within(1e-3, 1e3),
+                                 param="atten_const_A0")
     # None: calibrate at startup. J/bit: holds every e_b that calibration
     # gives within these ranges (about 3e-50 to 2e131) and a 1e25 "perfect
     # channel", while e_b / (N0 A) stays finite on every link of 1 m or more
-    energy_per_bit: float | None = _key("channel.energy_per_bit", None, _within(1e-60, 1e150))
+    energy_per_bit: float | None = _key("channel.energy_per_bit", None, _within(1e-60, 1e150),
+                                        param="energy_per_bit")
     # W/Hz: six decades either side of the default; only e_b / N0 reaches a link
-    noise_density: float = _key("channel.noise_density", 1e-9, _within(1e-15, 1e-3))
+    noise_density: float = _key("channel.noise_density", 1e-9, _within(1e-15, 1e-3),
+                                param="noise_density_N0")
     # bits: from one bit to a megabit
-    packet_bits: int = _key("channel.packet_bits", 512, _within(1, 1_000_000))
+    packet_bits: int = _key("channel.packet_bits", 512, _within(1, 1_000_000),
+                            param="packet_bits_M")
     # bit/s: up to 1e9, which stands for zero airtime
-    bit_rate_bps: float = _key("channel.bit_rate_bps", 10_000.0, _within(1.0, 1e9))
+    bit_rate_bps: float = _key("channel.bit_rate_bps", 10_000.0, _within(1.0, 1e9),
+                               param="bit_rate_mu")
     calibration_distance_m: float = _key("channel.calibration_distance_m", 100.0, _SIDE)
     calibration_pdr: float = _key("channel.calibration_pdr", 0.9, _PROBABILITY)
     tx_power_w: float = _key("energy.tx_power_w", 2.0, _POWER)
@@ -134,15 +143,11 @@ class ScenarioConfig:
         return self.holding_h
 
     def channel_params(self, energy_per_bit: float) -> ChannelParams:
-        return ChannelParams(
-            frequency_khz=self.frequency_khz,
-            spreading_kappa=self.spreading_kappa,
-            atten_const_A0=self.atten_const_a0,
-            energy_per_bit=energy_per_bit,
-            noise_density_N0=self.noise_density,
-            packet_bits_M=self.packet_bits,
-            bit_rate_mu=self.bit_rate_bps,
-        )
+        """The channel the declared keys set, at `energy_per_bit` in place of
+        the key's own value, which is None when e_b is calibrated."""
+        return ChannelParams(**{
+            decl.param: energy_per_bit if decl.field == "energy_per_bit"
+            else getattr(self, decl.field) for decl in _CHANNEL})
 
     def validate(self) -> None:
         for decl in _DECLS:
@@ -173,20 +178,38 @@ class _Decl(typing.NamedTuple):
     check: typing.Callable
     describe: str  # the range as error messages state it
     bounds: tuple | None  # (lo, hi) of a closed range
+    param: str | None  # the ChannelParams field a channel key sets
 
 
 def _declared(f: dataclasses.Field) -> _Decl:
     typ = next(t for t in typing.get_args(f.type) or (f.type,) if t is not type(None))
-    return _Decl(f.metadata["key"], f.name, typ, f.default is None, *f.metadata["range"])
+    return _Decl(f.metadata["key"], f.name, typ, f.default is None, *f.metadata["range"],
+                 f.metadata["param"])
 
 
 _DECLS = tuple(_declared(f) for f in dataclasses.fields(ScenarioConfig))
 _BY_KEY = {decl.key: decl for decl in _DECLS}
+_CHANNEL = tuple(decl for decl in _DECLS if decl.param is not None)
+
+
+def channel_fields(channel: dict) -> dict:
+    """The `ScenarioConfig` fields that a channel in `dataclasses.asdict`
+    form sets, by field name; a channel that lacks one raises KeyError."""
+    return {decl.field: channel[decl.param] for decl in _CHANNEL}
+
 
 # what a value of each declared type may be, and what an error calls it;
 # a bool is an int to Python, but no key takes one
 _ACCEPTS = {int: ((int,), "an integer"), float: ((int, float), "a number"),
             str: ((str,), "a string")}
+
+
+def shown(value) -> str:
+    """`repr(value)` for an error message, but the size of a long integer,
+    since repr cannot print one of more than 4300 digits."""
+    if type(value) is int and value.bit_length() > 64:
+        return f"an integer of {value.bit_length()} bits"
+    return repr(value)
 
 
 def _check(decl: _Decl, value) -> None:
@@ -198,11 +221,8 @@ def _check(decl: _Decl, value) -> None:
     if not isinstance(value, types) or isinstance(value, bool):
         raise ConfigError(f"{decl.key} = {value!r} is not {kind}")
     if not decl.check(value):
-        # repr cannot print an integer of more than 4300 digits
-        shown = (f"an integer of {value.bit_length()} bits"
-                 if type(value) is int and value.bit_length() > 64 else repr(value))
         none = " or none" if decl.optional else ""
-        raise ConfigError(f"{decl.key} = {shown} out of range ({decl.describe}{none})")
+        raise ConfigError(f"{decl.key} = {shown(value)} out of range ({decl.describe}{none})")
 
 
 def _parse(decl: _Decl, raw: str):

@@ -10,12 +10,13 @@ and traces the (length, window delivery ratio) that qlfr returns on a change.
 Losses come solely from per-link Bernoulli draws against `channel.link_model`;
 there is no MAC model. The first broadcast (or `in_range` call) after a move
 builds every node's link table in one sweep over the in-range pairs of a
-`world.CellGrid`: each pair's propagation delay and link delivery
-probability are computed once and entered at both ends, and each table is
-then sorted by receiver id. A broadcast skips receivers that have died since
-the sweep, so it draws from the RNG for each living receiver in id order, as
-a scan of all nodes would. The tables are dropped in `_handle_mobility`, the
-one place positions change during a run, and at the end of `run`.
+`world.CellGrid`: `channel.link` computes each pair's propagation delay and
+link delivery probability once, the sweep enters them at both ends, and each
+table is then sorted by receiver id. A broadcast skips receivers that have
+died since the sweep, so it draws from the RNG for each living receiver in id
+order, as a scan of all nodes would. The tables are dropped in
+`_handle_mobility`, the one place positions change during a run, and at the
+end of `run`.
 Every copy arrives its propagation delay plus one packet's airtime M/mu
 after it is sent, the same M/mu that energy charges.
 
@@ -23,16 +24,14 @@ Energy accounting: a transmit costs tx_power * M/mu, a reception costs
 rx_power * M/mu and is charged to every in-range sensor per arriving data
 packet, corrupt or not (the carrier is occupied either way). An operation
 a node cannot fully pay for kills it instead; dead nodes neither send nor
-receive. A transmit goes through `_debit`; `receive_energy_accounting`, the
-busiest path, makes the same debit in its own body. Sinks are
-surface-powered and outside the energy model. Hello broadcasts are treated
-as free, so the data-only analytical energy model stays comparable:
+receive. Both go through `_debit`, the one place a node's energy falls.
+Sinks are surface-powered and outside the energy model. Hello broadcasts are
+treated as free, so the data-only analytical energy model stays comparable:
 `_handle_hello_arrival` only hands an intact hello to `hear`, and
 `_handle_arrival` takes data copies and dispatches on the class of the
 protocol's outcome, the common `Drop` first.
 """
 
-import math
 from dataclasses import asdict, dataclass, field
 from heapq import heappop, heappush
 from random import Random
@@ -144,16 +143,13 @@ class Simulation:
 
     # --- energy ---
 
-    def _die(self, node: NodeState) -> None:
-        node.alive = False
-        node.death_time_s = self.now
-        if self.trace is not None:
-            self._emit("death", node=node.id)
-
     def _debit(self, node: NodeState, cost: float) -> bool:
         """Take `cost` joules from `node`; kills it instead when it cannot pay."""
         if node.residual_energy_j < cost:
-            self._die(node)
+            node.alive = False
+            node.death_time_s = self.now
+            if self.trace is not None:
+                self._emit("death", node=node.id)
             return False
         node.residual_energy_j -= cost
         node.consumed_j += cost
@@ -163,12 +159,8 @@ class Simulation:
         """Charge one packet reception; kills the node when it cannot pay."""
         if node.is_sink:
             return True
-        cost = self._rx_cost
-        if node.residual_energy_j < cost:
-            self._die(node)
+        if not self._debit(node, self._rx_cost):
             return False
-        node.residual_energy_j -= cost
-        node.consumed_j += cost
         node.rx_seconds += self._spp
         return True
 
@@ -184,10 +176,9 @@ class Simulation:
             links = self._links = {n.id: [] for n in self.nodes}
             grid = CellGrid(((n.id, n.position.x, n.position.y, n.position.z)
                              for n in self.nodes), self.config.tx_range_m)
-            v0, link_prob, sqrt = self.config.sound_speed_mps, self.link_delivery_prob, math.sqrt
+            v0, link_prob, link = self.config.sound_speed_mps, self.link_delivery_prob, chan.link
             for a, b, d2 in grid.pairs():
-                dist = sqrt(d2)
-                delay, p = dist / v0, link_prob(dist)
+                delay, p = link(d2, v0, link_prob)
                 links[a].append((b, delay, p))
                 links[b].append((a, delay, p))
             for table in links.values():

@@ -1,7 +1,8 @@
-"""The A/B summary of `tools/bench_ab.py`: quartiles, win counts and the
-median-gap rule, on hand-made paired samples, the loop over several
-workloads with a stubbed benchmark run, the summary blocks `--json` writes,
-and the refusal of two checkouts that carry different benchmarks."""
+"""The A/B summary of `tools/bench_ab.py`: quartiles, win counts, the
+median gap against the parent's IQR and against the metric's bound, on
+hand-made paired samples, the loop over several workloads with a stubbed
+benchmark run, the summary blocks `--json` writes, and the refusal of two
+checkouts that carry different benchmarks."""
 
 import importlib.util
 import json
@@ -23,20 +24,40 @@ def test_quartiles_inclusive():
 def test_lower_is_better_counts_wins_and_ignores_ties():
     parent = [1.00, 1.10, 1.20, 1.30, 1.40]
     change = [0.90, 1.10, 0.80, 1.50, 0.70]
-    s = bench_ab.summarize(parent, change, "lower")
+    s = bench_ab.summarize(parent, change, "lower", 0.25)
     assert s["wins"] == 3 and s["pairs"] == 5  # the tie at 1.10 counts for neither
     assert s["parent"] == pytest.approx((1.10, 1.20, 1.30))
     assert s["change"][1] == 0.90
     assert s["rel"] == pytest.approx(-0.25)
-    assert s["gap_exceeds_iqr"]  # a median gap of 0.3 beyond an IQR of 0.2
+    assert s["gap"] == "better"  # a median gap of 0.3 beyond an IQR of 0.2
+    assert not s["past_bound"]
 
 
 def test_higher_is_better_and_a_gap_inside_the_spread():
     parent = [10.0, 20.0, 30.0]
     change = [11.0, 21.0, 29.0]
-    s = bench_ab.summarize(parent, change, "higher")
+    s = bench_ab.summarize(parent, change, "higher", 0.01)
     assert s["wins"] == 2
-    assert not s["gap_exceeds_iqr"]  # a median gap of 1 inside an IQR of 10
+    assert s["gap"] == "inside"  # a median gap of 1 inside an IQR of 10
+    assert not s["past_bound"]
+
+
+@pytest.mark.parametrize("better, parent, change, gap, past_bound", [
+    # a slower change: medians 1.0 -> 1.3 against an IQR of 0.05 and a 25% bound
+    ("lower", [0.95, 1.0, 1.05], [1.25, 1.3, 1.35], "worse", True),
+    # slower by 0.2: beyond the IQR of 0.05, within the bound of 0.25
+    ("lower", [0.95, 1.0, 1.05], [1.15, 1.2, 1.25], "worse", False),
+    # fewer events per second: 100 -> 70, past the 25% bound
+    ("higher", [95.0, 100.0, 105.0], [65.0, 70.0, 75.0], "worse", True),
+    # slower, but inside the parent's spread: an IQR of 0.5 holds a gap of 0.3
+    ("lower", [0.5, 1.0, 1.5], [0.8, 1.3, 1.8], "inside", True),
+], ids=["slower-past-bound", "slower-within-bound", "fewer-events-past-bound",
+        "slower-inside-iqr"])
+def test_a_worse_change_is_flagged(better, parent, change, gap, past_bound):
+    # a regression once printed "gap exceeds parent IQR: no", however large
+    s = bench_ab.summarize(parent, change, better, 0.25)
+    assert s["wins"] == 0
+    assert (s["gap"], s["past_bound"]) == (gap, past_bound)
 
 
 def checkouts(tmp_path):
@@ -46,8 +67,8 @@ def checkouts(tmp_path):
         (side / "perfbench" / "tests").mkdir(parents=True)
         (side / "BENCHMARK.json").write_text(json.dumps({
             "run_seconds": 35,
-            "end_to_end": [{"name": "run_s", "better": "lower"},
-                           {"name": "ok_frac", "better": "higher"}]}))
+            "end_to_end": [{"name": "run_s", "better": "lower", "bound": 0.25},
+                           {"name": "ok_frac", "better": "higher", "bound": 0.01}]}))
         (side / "perfbench" / "run.py").write_text("# the benchmark\n")
         (side / "perfbench" / "tests" / "test_run.py").write_text("# its test\n")
     return sides
@@ -77,6 +98,8 @@ def test_each_workload_runs_its_pairs_and_prints_its_block(tmp_path, monkeypatch
     assert "run_s         parent 2 [2, 2]  change 1 [1, 1]  -50.0%  change won 2/2" in fast
     assert "run_s         parent 2 [2, 2]  change 2 [2, 2]  +0.0%  change won 0/2" in flat
     assert "digests equal in every pair: yes" in fast and "digests equal in every pair: yes" in flat
+    assert "median gap better, beyond the parent IQR  worse than the 25% bound: no" in fast
+    assert "median gap inside the parent IQR  worse than the 25% bound: no" in flat
 
     # one workload whose digests differ fails the whole command
     argv = [str(parent), str(change), "--workload", "drift", "--workload", "flat", "-n", "1"]
@@ -113,10 +136,32 @@ def test_json_collects_each_workloads_summary_block(tmp_path, monkeypatch, capsy
     assert fast["digests_equal"] and fast["outputs_checked"]
     assert fast["metrics"]["run_s"] == {
         "better": "lower", "parent": [1.5, 2.0, 2.5], "change": [0.875, 1.25, 1.625],
-        "rel": -0.375, "wins": 1, "pairs": 2, "gap_exceeds_iqr": False}
+        "rel": -0.375, "wins": 1, "pairs": 2, "gap": "inside", "past_bound": False,
+        "bound": 0.25}
     assert fast["metrics"]["ok_frac"]["wins"] == 0
     assert drift["workload"] == "drift" and drift["seed"] == 1
     assert not drift["digests_equal"] and drift["outputs_checked"]
+
+
+def test_a_slower_change_is_flagged_in_print_and_json(tmp_path, monkeypatch, capsys):
+    parent, change = checkouts(tmp_path)
+
+    def run_once(checkout, workload, seed, seconds):
+        return {"run_s": 2.0 if checkout == change else 1.0, "ok_frac": 1.0}, [], True
+
+    monkeypatch.setattr(bench_ab, "run_once", run_once)
+    path = tmp_path / "bench.json"
+    argv = [str(parent), str(change), "--workload", "slow", "-n", "2", "--json", str(path)]
+    assert bench_ab.main(argv) == 0  # only digests and output checks set the exit code
+    out = capsys.readouterr().out
+    assert ("run_s         parent 1 [1, 1]  change 2 [2, 2]  +100.0%  change won 0/2  "
+            "median gap WORSE, beyond the parent IQR  worse than the 25% bound: YES") in out
+    assert "median gap inside the parent IQR  worse than the 1% bound: no" in out
+    metrics = json.loads(path.read_text())["workloads"][0]["metrics"]
+    assert {k: metrics["run_s"][k] for k in ("gap", "past_bound", "bound")} == {
+        "gap": "worse", "past_bound": True, "bound": 0.25}
+    assert {k: metrics["ok_frac"][k] for k in ("gap", "past_bound", "bound")} == {
+        "gap": "inside", "past_bound": False, "bound": 0.01}
 
 
 def test_checkouts_with_different_benchmarks_are_refused_before_any_run(

@@ -13,9 +13,10 @@ import statistics
 import pytest
 
 from uwroute import cli, engine
+from uwroute.channel import ChannelParams
 from uwroute.cli import aggregate_sweep, run_sweep
-from uwroute.config import (ConfigError, ScenarioConfig, effective_config_text,
-                            parse_config, parse_config_text, set_key)
+from uwroute.config import (_DECLS, ConfigError, ScenarioConfig, channel_fields,
+                            effective_config_text, parse_config, parse_config_text, set_key)
 
 FAST_SCENARIO = """
 world.region_x_m = 300
@@ -69,6 +70,12 @@ run.seed = 42
 
 
 class TestParseConfig:
+    def test_each_channel_param_is_declared_by_one_channel_key(self):
+        declared = {decl.key: decl.param for decl in _DECLS if decl.param is not None}
+        assert all(key.startswith("channel.") for key in declared)
+        assert sorted(declared.values()) == sorted(
+            f.name for f in dataclasses.fields(ChannelParams))
+
     def test_minimal_override_keeps_defaults(self):
         config = parse_config_text("world.n_sensors = 250\n")
         assert config.n_sensors == 250
@@ -435,6 +442,14 @@ class TestCliVerbs:
         summary = list(csv.reader((out / "summary.csv").open()))
         assert summary[0] == ["sweep_value", "metric", "mean", "stddev", "n"]
 
+    def test_snapshot_channel_reads_back_through_the_declarations(self, tmp_path):
+        out = tmp_path / "results"
+        assert cli.main(["run", "--out", str(out)]) == 0
+        block = json.loads((out / "snapshot.json").read_text())["params"]["channel"]
+        fields = channel_fields(block)
+        params = ScenarioConfig(**fields).channel_params(fields["energy_per_bit"])
+        assert dataclasses.asdict(params) == block
+
     def test_analyze_verb(self, tmp_path):
         cfg = self.write_config(tmp_path)
         out = tmp_path / "results"
@@ -508,6 +523,12 @@ class TestCliVerbs:
                                 "energy.initial_node_energy_j = 0 out of range"),
         "infinite-generated": (lambda s: s["nodes"][0].update(generated=math.inf),
                                "node 0 generated"),
+        # JSON integers that no float holds
+        "huge-coordinate": (lambda s: s["nodes"][0].update(x=10 ** 400),
+                            "node 0 x must be a finite number, got an integer of 1329 bits"),
+        "huge-generated": (lambda s: s["nodes"][0].update(generated=10 ** 400),
+                           "node 0 generated must be a finite number >= 0, "
+                           "got an integer of 1329 bits"),
         "negative-generated": (lambda s: s["nodes"][0].update(generated=-5), "node 0 generated"),
         "unknown-kind": (lambda s: s["nodes"][2].update(kind="router"), "'router'"),
         "fractional-holding-h": (lambda s: s["params"].update(holding_h=1.5),

@@ -6,8 +6,11 @@ workload named, N pairs in turn, with the side that runs first swapped in
 each pair; the workloads run one after another. Prints every pair's values,
 then per workload a summary block: for each end-to-end metric each side's
 median and quartiles, how many pairs the change won (a tie counts for
-neither side), and whether the median gap exceeds the parent's interquartile
-range; last, whether every pair printed equal digests. Exits 1 when a pair's
+neither side), whether the gap between the medians lies inside the parent's
+interquartile range or beyond it, better or worse, and whether the change's
+median is worse than the parent's by more than the metric's `bound` in
+`BENCHMARK.json`, a fraction of the parent's median; last, whether every
+pair printed equal digests. Exits 1 when a pair's
 digests differ or a run fails its own output checks, on any workload.
 
     python3 tools/bench_ab.py PARENT_DIR CHANGE_DIR --workload analyze_400 \
@@ -15,9 +18,10 @@ digests differ or a run fails its own output checks, on any workload.
 
 With `--json PATH` each workload's summary block is also added, as it
 finishes, to the list under "workloads" in the JSON file PATH: its seed,
-pairs and seconds per run, per metric both sides' quartiles, the relative
-median change, the pairs the change won and whether the gap exceeds the
-parent's IQR, and the digest and output-check verdicts. A file that exists
+pairs and seconds per run, per metric its bound, both sides' quartiles,
+the relative median change, the pairs the change won, the gap against the
+parent's IQR ("gap": "better", "worse" or "inside") and whether it is worse
+than the bound ("past_bound"), and the digest and output-check verdicts. A file that exists
 keeps its other keys and earlier blocks, so runs on other seeds or
 workloads collect in one file.
 
@@ -81,35 +85,43 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, median, q3
 
 
-def summarize(parent: list[float], change: list[float], better: str) -> dict:
-    """Compare paired runs of one metric; `better` is "lower" or "higher"."""
+def summarize(parent: list[float], change: list[float], better: str, bound: float) -> dict:
+    """Compare paired runs of one metric; `better` is "lower" or "higher", and
+    `bound` the loss of the change's median the benchmark allows, as a
+    fraction of the parent's median."""
     sign = 1.0 if better == "lower" else -1.0
     wins = sum(1 for p, c in zip(parent, change) if sign * (p - c) > 0)
     pq1, pmed, pq3 = quartiles(parent)
     cq1, cmed, cq3 = quartiles(change)
+    gain, iqr = sign * (pmed - cmed), pq3 - pq1  # gain < 0: the change is worse
     return {"parent": (pq1, pmed, pq3), "change": (cq1, cmed, cq3), "wins": wins,
             "pairs": len(parent), "rel": (cmed - pmed) / pmed if pmed else float("nan"),
-            "gap_exceeds_iqr": sign * (pmed - cmed) > pq3 - pq1}
+            "gap": "better" if gain > iqr else "worse" if -gain > iqr else "inside",
+            "past_bound": -gain > bound * abs(pmed)}
 
 
-def compare(sides: dict, workload: str, pairs: int, seed: int, better: dict,
+_GAP = {"better": "better, beyond the parent IQR", "worse": "WORSE, beyond the parent IQR",
+        "inside": "inside the parent IQR"}
+
+
+def compare(sides: dict, workload: str, pairs: int, seed: int, metrics: dict,
             seconds: int) -> dict:
     """Run and print the pairs of one workload, then its summary block, which
-    it returns."""
-    samples = {side: {name: [] for name in better} for side in sides}
+    it returns. `metrics` maps each metric's name to its (better, bound)."""
+    samples = {side: {name: [] for name in metrics} for side in sides}
     digests_equal, all_correct = True, True
     for i in range(pairs):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         digests = {}
         for side in order:
-            metrics, digests[side], correct = run_once(sides[side], workload, seed, seconds)
+            values, digests[side], correct = run_once(sides[side], workload, seed, seconds)
             all_correct = all_correct and correct
-            for name in better:
-                samples[side][name].append(metrics[name])
+            for name in metrics:
+                samples[side][name].append(values[name])
         equal = digests["parent"] == digests["change"]
         digests_equal = digests_equal and equal
         shown = "  ".join(f"{name} {samples['parent'][name][-1]:.4g} -> "
-                          f"{samples['change'][name][-1]:.4g}" for name in better)
+                          f"{samples['change'][name][-1]:.4g}" for name in metrics)
         print(f"{workload} pair {i + 1:2d} ({order[0]} first): {shown}  digests "
               f"{'equal' if equal else 'DIFFER'}", flush=True)
 
@@ -117,13 +129,14 @@ def compare(sides: dict, workload: str, pairs: int, seed: int, better: dict,
           "(median [q1, q3])")
     block = {"workload": workload, "seed": seed, "pairs": pairs, "seconds": seconds,
              "metrics": {}, "digests_equal": digests_equal, "outputs_checked": all_correct}
-    for name, direction in better.items():
-        s = summarize(samples["parent"][name], samples["change"][name], direction)
-        block["metrics"][name] = dict(s, better=direction)
+    for name, (direction, bound) in metrics.items():
+        s = summarize(samples["parent"][name], samples["change"][name], direction, bound)
+        block["metrics"][name] = dict(s, better=direction, bound=bound)
         (pq1, pmed, pq3), (cq1, cmed, cq3) = s["parent"], s["change"]
         print(f"{name:13s} parent {pmed:.4g} [{pq1:.4g}, {pq3:.4g}]  change {cmed:.4g} "
               f"[{cq1:.4g}, {cq3:.4g}]  {s['rel']:+.1%}  change won {s['wins']}/{s['pairs']}"
-              f"  gap exceeds parent IQR: {'yes' if s['gap_exceeds_iqr'] else 'no'}"
+              f"  median gap {_GAP[s['gap']]}"
+              f"  worse than the {bound * 100:g}% bound: {'YES' if s['past_bound'] else 'no'}"
               f"  ({direction} is better)")
     print(f"digests equal in every pair: {'yes' if digests_equal else 'NO'}")
     print(f"every run passed its output checks: {'yes' if all_correct else 'NO'}\n",
@@ -164,11 +177,11 @@ def main(argv=None) -> int:
               file=sys.stderr)
         return 2
     bench = json.loads((args.parent / "BENCHMARK.json").read_text())
-    better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    metrics = {m["name"]: (m["better"], m["bound"]) for m in bench["end_to_end"]}
     sides = {"parent": args.parent, "change": args.change}
     passed = True
     for workload in args.workload:
-        block = compare(sides, workload, args.pairs, args.seed, better, bench["run_seconds"])
+        block = compare(sides, workload, args.pairs, args.seed, metrics, bench["run_seconds"])
         if args.json is not None:
             append_block(args.json, block)
         passed = passed and block["digests_equal"] and block["outputs_checked"]
