@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from . import channel as chan
 from .config import ScenarioConfig, channel_fields, shown
 from .qlfr import HoldingParams, holding_time
-from .world import CellGrid
+from .world import pairs_in_range
 
 
 class TopologyError(ValueError):
@@ -216,7 +216,7 @@ def load_snapshot(snap: dict) -> StaticTopology:
     per-axis differences, refused above `tx_range_m` squared, and
     `channel.link` of it with one link model of the recorded channel. The
     channel alone gives the airtime M/mu (an older snapshot's
-    `seconds_per_packet` is ignored), and CellGrid.pairs the neighbor sets.
+    `seconds_per_packet` is ignored), and `pairs_in_range` the neighbor sets.
     Snapshots of a protocol other than qlfr are refused; one that records no
     protocol is read as qlfr. The scalar and channel parameters are read
     through `ScenarioConfig`'s declarations, so a value its key's declaration
@@ -273,24 +273,28 @@ def load_snapshot(snap: dict) -> StaticTopology:
         if count > 0:
             gen[nid] = count
     near = {i: [] for i in sorted(kinds)}
-    for a, b, _ in CellGrid(((i, *p) for i, p in positions.items()), r).pairs():
+    for a, b, _ in pairs_in_range(((i, *p) for i, p in positions.items()), r):
         near[a].append(b)
         near[b].append(a)
     neighbors = {i: tuple(sorted(js)) for i, js in near.items()}
     r2, v0, delivery, link = r * r, config.sound_speed_mps, chan.link_model(cp), chan.link
     links = {}
-    for s, cands in candidates.items():
-        xa, ya, za = positions[s]
-        for c in cands:
-            if type(c) is not int or (there := positions.get(c)) is None:
-                raise TopologyError(f"candidate {c!r} of node {s} names no node")
-            xb, yb, zb = there
-            dx, dy, dz = xb - xa, yb - ya, zb - za
-            d2 = dx * dx + dy * dy + dz * dz
-            if d2 > r2:
-                raise TopologyError(f"candidate {c} of node {s} is {math.sqrt(d2)!r} m away, "
-                                    f"beyond world.tx_range_m = {r!r} m")
-            links[s, c] = link(d2, v0, delivery)
+    try:
+        for s, cands in candidates.items():
+            xa, ya, za = positions[s]
+            for c in cands:
+                if type(c) is not int or (there := positions.get(c)) is None:
+                    raise TopologyError(f"candidate {c!r} of node {s} names no node")
+                xb, yb, zb = there
+                dx, dy, dz = xb - xa, yb - ya, zb - za
+                d2 = dx * dx + dy * dy + dz * dz
+                if d2 > r2:
+                    raise TopologyError(f"candidate {c} of node {s} is {math.sqrt(d2)!r} m "
+                                        f"away, beyond world.tx_range_m = {r!r} m")
+                links[s, c] = link(d2, v0, delivery)
+    except OverflowError:  # integer coordinates whose squared distance no float holds
+        raise TopologyError(f"candidate {c} of node {s} is beyond "
+                            f"world.tx_range_m = {r!r} m") from None
     region_z = max((p[2] for p in positions.values()), default=0.0)
     return StaticTopology(
         kinds=kinds, positions=positions, candidates=candidates,

@@ -9,12 +9,12 @@ The engine holds no protocol state: a review hands qlfr the delivery count
 and traces the (length, window delivery ratio) that qlfr returns on a change.
 Losses come solely from per-link Bernoulli draws against `channel.link_model`;
 there is no MAC model. The first broadcast (or `in_range` call) after a move
-builds every node's link table in one sweep over the in-range pairs of a
-`world.CellGrid`: `channel.link` computes each pair's propagation delay and
-link delivery probability once, the sweep enters them at both ends, and each
-table is then sorted by receiver id. A broadcast skips receivers that have
-died since the sweep, so it draws from the RNG for each living receiver in id
-order, as a scan of all nodes would. The tables are dropped in
+builds every node's link table in one sweep over the in-range pairs that
+`world.pairs_in_range` lists: `channel.link` computes each pair's propagation
+delay and link delivery probability once, the sweep enters them at both ends,
+and each table is then sorted by receiver id. A broadcast skips receivers
+that have died since the sweep, so it draws from the RNG for each living
+receiver in id order, as a scan of all nodes would. The tables are dropped in
 `_handle_mobility`, the one place positions change during a run, and at the
 end of `run`.
 Every copy arrives its propagation delay plus one packet's airtime M/mu
@@ -41,7 +41,7 @@ from .config import ScenarioConfig
 from .dbr import DbrProtocol
 from .qcore import QParams
 from .qlfr import Deliver, Drop, HoldingParams, PacketHeader, QlfrProtocol, Schedule
-from .world import CellGrid, NodeState, deploy, random_walk_step
+from .world import NodeState, deploy, pairs_in_range, random_walk_step
 
 _BOOTSTRAP_S = 1.0  # each node sends its first hello at a uniform time in [0, this)
 
@@ -174,10 +174,9 @@ class Simulation:
         links = self._links
         if links is None:
             links = self._links = {n.id: [] for n in self.nodes}
-            grid = CellGrid(((n.id, n.position.x, n.position.y, n.position.z)
-                             for n in self.nodes), self.config.tx_range_m)
+            points = ((n.id, n.position.x, n.position.y, n.position.z) for n in self.nodes)
             v0, link_prob, link = self.config.sound_speed_mps, self.link_delivery_prob, chan.link
-            for a, b, d2 in grid.pairs():
+            for a, b, d2 in pairs_in_range(points, self.config.tx_range_m):
                 delay, p = link(d2, v0, link_prob)
                 links[a].append((b, delay, p))
                 links[b].append((a, delay, p))

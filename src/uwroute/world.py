@@ -3,10 +3,10 @@
 node's packet-key caches (plain dicts) bounded. A node's neighbor-knowledge
 table is read and written only by `qlfr`.
 
-`CellGrid` is the one neighbour index, for the engine's link tables and the
-analysis. Its one query, `pairs`, lists every pair of points within range
-once, so the engine computes each link of a mobility epoch once for both
-ends. `neighbors_in_range` is the brute-force scan it is checked against.
+`pairs_in_range` is the one neighbour sweep, for the engine's link tables
+and the analysis: it lists every pair of points within range once, so the
+engine computes each link of a mobility epoch once for both ends.
+`neighbors_in_range` is the brute-force scan it is checked against.
 
 Coordinates: z is height above the sea floor, so depth = region_z - z.
 Sinks sit on the surface (z = region_z, depth 0) and never move; sources are
@@ -174,38 +174,30 @@ _FORWARD = tuple((i, j, k) for i in (-1, 0, 1) for j in (-1, 0, 1) for k in (-1,
                  if (i, j, k) > (0, 0, 0))
 
 
-class CellGrid:
-    """Fixed-radius neighbour index over points (id, x, y, z). Points sit in
-    cubic cells a hair wider than the radius r, so rounding at a cell edge
-    cannot put a pair within r more than one cell apart. `pairs` is the one
-    query. Rebuild after a move."""
-
-    def __init__(self, points: Iterable[tuple[int, float, float, float]], r: float):
-        if r <= 0:
-            raise ValueError(f"range must be > 0, got {r}")
-        self.r2, self.cell, self.cells = r * r, r * (1.0 + 1e-9), {}
-        for pid, x, y, z in points:
-            key = (math.floor(x / self.cell), math.floor(y / self.cell), math.floor(z / self.cell))
-            self.cells.setdefault(key, []).append((x, y, z, pid))
-
-    def pairs(self) -> list[tuple[int, int, float]]:
-        """(a, b, squared distance) once for every unordered pair of points
-        within r, in no fixed order. Each point is tested against the later
-        points of its cell and every point of the 13 cells ahead of it. The
-        squared distance is summed from b - a per axis; IEEE subtraction is
-        antisymmetric, so it equals bit for bit the value computed from b's
-        end."""
-        cells, r2, out = self.cells, self.r2, []
-        for (ci, cj, ck), here in cells.items():
-            ahead = []
-            for di, dj, dk in _FORWARD:
-                there = cells.get((ci + di, cj + dj, ck + dk))
-                if there is not None:
-                    ahead += there
-            for n, (xa, ya, za, a) in enumerate(here, 1):
-                for xb, yb, zb, b in here[n:] + ahead:
-                    dx, dy, dz = xb - xa, yb - ya, zb - za
-                    d2 = dx * dx + dy * dy + dz * dz
-                    if d2 <= r2:
-                        out.append((a, b, d2))
-        return out
+def pairs_in_range(points: Iterable[tuple[int, float, float, float]], r: float) -> list:
+    """(a, b, squared distance) once for every unordered pair of points
+    (id, x, y, z) within r > 0, in no fixed order. Points sit in cubic cells
+    a hair wider than r, so rounding at a cell edge cannot put a pair within
+    r more than one cell apart; each point is tested against the later
+    points of its cell and every point of the 13 cells ahead of it. The
+    squared distance is summed from b - a per axis; IEEE subtraction is
+    antisymmetric, so it equals bit for bit the value computed from b's end."""
+    if r <= 0:
+        raise ValueError(f"range must be > 0, got {r}")
+    r2, cell, cells, out = r * r, r * (1.0 + 1e-9), {}, []
+    for pid, x, y, z in points:
+        key = (math.floor(x / cell), math.floor(y / cell), math.floor(z / cell))
+        cells.setdefault(key, []).append((x, y, z, pid))
+    for (ci, cj, ck), here in cells.items():
+        ahead = []
+        for di, dj, dk in _FORWARD:
+            there = cells.get((ci + di, cj + dj, ck + dk))
+            if there is not None:
+                ahead += there
+        for n, (xa, ya, za, a) in enumerate(here, 1):
+            for xb, yb, zb, b in here[n:] + ahead:
+                dx, dy, dz = xb - xa, yb - ya, zb - za
+                d2 = dx * dx + dy * dy + dz * dz
+                if d2 <= r2:
+                    out.append((a, b, d2))
+    return out

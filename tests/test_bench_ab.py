@@ -6,6 +6,8 @@ checkouts that carry different benchmarks."""
 
 import importlib.util
 import json
+import os
+import platform
 from pathlib import Path
 
 import pytest
@@ -82,7 +84,7 @@ def test_each_workload_runs_its_pairs_and_prints_its_block(tmp_path, monkeypatch
         calls.append((checkout.name, workload))
         fast = checkout == change and workload == "fast"
         digest = f"digest {workload} {checkout.name if workload == 'drift' else 'same'}"
-        return {"run_s": 1.0 if fast else 2.0, "ok_frac": 1.0}, [digest], True
+        return {"run_s": 1.0 if fast else 2.0, "ok_frac": 1.0, "host_ref_s": 0.07}, [digest], True
 
     monkeypatch.setattr(bench_ab, "run_once", run_once)
     argv = [str(parent), str(change), "--workload", "fast", "--workload", "flat", "-n", "2"]
@@ -112,11 +114,14 @@ def test_each_workload_runs_its_pairs_and_prints_its_block(tmp_path, monkeypatch
 def test_json_collects_each_workloads_summary_block(tmp_path, monkeypatch, capsys):
     parent, change = checkouts(tmp_path)
     runs = iter([1.0, 2.0, 0.5, 3.0])  # fast: parent, change, change, parent
+    probes = iter([0.06, 0.07, 0.08, 0.1])
 
     def run_once(checkout, workload, seed, seconds):
         run_s = next(runs) if workload == "fast" else 2.0
-        return {"run_s": run_s, "ok_frac": 1.0}, [f"digest {workload} {checkout.name}"
-                                                  if workload == "drift" else "digest same"], True
+        host_ref_s = next(probes) if workload == "fast" else 0.07
+        return ({"run_s": run_s, "ok_frac": 1.0, "host_ref_s": host_ref_s},
+                [f"digest {workload} {checkout.name}" if workload == "drift" else "digest same"],
+                True)
 
     monkeypatch.setattr(bench_ab, "run_once", run_once)
     path = tmp_path / "bench.json"
@@ -139,6 +144,11 @@ def test_json_collects_each_workloads_summary_block(tmp_path, monkeypatch, capsy
         "rel": -0.375, "wins": 1, "pairs": 2, "gap": "inside", "past_bound": False,
         "bound": 0.25}
     assert fast["metrics"]["ok_frac"]["wins"] == 0
+    assert "host_ref_s" not in fast["metrics"]  # the probe is recorded, not compared
+    assert fast["host_ref_s"] == {"parent": pytest.approx([0.07, 0.08, 0.09]),
+                                  "change": pytest.approx([0.0725, 0.075, 0.0775])}
+    assert fast["host"] == {"python": platform.python_version(),
+                            "platform": platform.platform(), "cpu_count": os.cpu_count()}
     assert drift["workload"] == "drift" and drift["seed"] == 1
     assert not drift["digests_equal"] and drift["outputs_checked"]
 
@@ -147,7 +157,8 @@ def test_a_slower_change_is_flagged_in_print_and_json(tmp_path, monkeypatch, cap
     parent, change = checkouts(tmp_path)
 
     def run_once(checkout, workload, seed, seconds):
-        return {"run_s": 2.0 if checkout == change else 1.0, "ok_frac": 1.0}, [], True
+        return ({"run_s": 2.0 if checkout == change else 1.0, "ok_frac": 1.0, "host_ref_s": 0.07},
+                [], True)
 
     monkeypatch.setattr(bench_ab, "run_once", run_once)
     path = tmp_path / "bench.json"
@@ -169,7 +180,7 @@ def test_checkouts_with_different_benchmarks_are_refused_before_any_run(
     parent, change = checkouts(tmp_path)
     calls = []
     monkeypatch.setattr(bench_ab, "run_once", lambda *args: calls.append(args) or (
-        {"run_s": 1.0, "ok_frac": 1.0}, [], True))
+        {"run_s": 1.0, "ok_frac": 1.0, "host_ref_s": 0.07}, [], True))
     argv = [str(parent), str(change), "--workload", "flat", "-n", "1"]
 
     # what building and running leave behind does not count

@@ -529,6 +529,14 @@ class TestCliVerbs:
         "huge-generated": (lambda s: s["nodes"][0].update(generated=10 ** 400),
                            "node 0 generated must be a finite number >= 0, "
                            "got an integer of 1329 bits"),
+        # integer coordinates that floats hold, whose squared distance none does
+        "far-integer-coordinate": (
+            lambda s: (s["nodes"][0].update(x=10 ** 300), s["nodes"][1].update(x=0, y=0, z=100)),
+            "candidate 1 of node 0 is beyond world.tx_range_m = 150.0 m"),
+        "far-integer-coordinates": (
+            lambda s: (s["nodes"][0].update(x=10 ** 300, y=0, z=0),
+                       s["nodes"][1].update(x=0, y=0, z=100)),
+            "candidate 1 of node 0 is beyond world.tx_range_m = 150.0 m"),
         "negative-generated": (lambda s: s["nodes"][0].update(generated=-5), "node 0 generated"),
         "unknown-kind": (lambda s: s["nodes"][2].update(kind="router"), "'router'"),
         "fractional-holding-h": (lambda s: s["params"].update(holding_h=1.5),

@@ -7,7 +7,7 @@ import pytest
 
 from uwroute import world
 from uwroute.config import ScenarioConfig
-from uwroute.world import (CellGrid, NodePosition, NodeState, deploy, neighbors_in_range,
+from uwroute.world import (NodePosition, NodeState, deploy, neighbors_in_range, pairs_in_range,
                            random_walk_step, remember)
 
 
@@ -174,13 +174,13 @@ class TestNeighbors:
         assert neighbors_in_range(a, [a], 150.0) == []
 
 
-class TestCellGrid:
+class TestPairsInRange:
     @staticmethod
-    def pair_map(grid):
-        """{(lower id, higher id): squared distance} of `grid.pairs()`,
-        checking that no pair is yielded twice."""
+    def pair_map(pairs):
+        """{(lower id, higher id): squared distance} of `pairs`, checking
+        that no pair is listed twice."""
         found = {}
-        for a, b, d2 in grid.pairs():
+        for a, b, d2 in pairs:
             key = (min(a, b), max(a, b))
             assert a != b and key not in found
             found[key] = d2
@@ -195,9 +195,8 @@ class TestCellGrid:
         nodes.reverse()  # insertion order must not matter
         by_id = {n.id: n.position for n in nodes}
         for r in (40.0, 150.0, 1000.0):
-            grid = CellGrid(((n.id, n.position.x, n.position.y, n.position.z)
-                             for n in nodes), r)
-            found = self.pair_map(grid)
+            found = self.pair_map(pairs_in_range(
+                ((n.id, n.position.x, n.position.y, n.position.z) for n in nodes), r))
             assert set(found) == {(n.id, j) for n in nodes
                                   for j in neighbors_in_range(n, nodes, r) if n.id < j}
             for (a, b), d2 in found.items():
@@ -216,15 +215,27 @@ class TestCellGrid:
                 xyz[axis] = coord
                 return (pid, *xyz)
 
-            found = self.pair_map(CellGrid([point(i, c) for i, c in enumerate(coords)], 150.0))
+            points = [point(i, c) for i, c in enumerate(coords)]
+            found = self.pair_map(pairs_in_range(points, 150.0))
             assert sorted(found) == [(0, 1), (0, 3), (0, 4), (1, 2), (1, 4), (1, 5),
                                      (2, 5), (3, 4), (4, 5)]
             assert found[0, 1] == found[1, 2] == found[3, 4] == 150.0 * 150.0
-            assert list(CellGrid([point(0, 0.0), point(1, 150.0 + 1e-9)], 150.0).pairs()) == []
+            assert pairs_in_range([point(0, 0.0), point(1, 150.0 + 1e-9)], 150.0) == []
+
+    @pytest.mark.parametrize("a, b, listed", [
+        ((120.0, 110.0, 100.0), (160.0, 170.0, 220.0), (0, 1)),  # cell (0, 0, 0) -> (1, 1, 1)
+        ((120.0, 110.0, 100.0), (80.0, 170.0, 220.0), (0, 1)),  # cell (0, 0, 0) -> (0, 1, 1)
+        ((150.0, 110.0, 100.0), (110.0, 170.0, 220.0), (1, 0)),  # visited from b's (0, 1, 1)
+    ], ids=["three-edges", "two-edges", "from-b"])
+    def test_exact_range_kept_on_a_diagonal(self, a, b, listed):
+        # offsets of 40, 60 and 120 m: d2 = 19 600 = 140 * 140 exactly
+        assert pairs_in_range([(0, *a), (1, *b)], 140.0) == [(*listed, 140.0 ** 2)]
+        bx, by, bz = b
+        assert pairs_in_range([(0, *a), (1, bx, by, bz + 1e-7)], 140.0) == []
 
     def test_rejects_nonpositive_range(self):
         with pytest.raises(ValueError):
-            CellGrid([], 0.0)
+            pairs_in_range([], 0.0)
 
 
 class TestRemember:

@@ -21,9 +21,11 @@ finishes, to the list under "workloads" in the JSON file PATH: its seed,
 pairs and seconds per run, per metric its bound, both sides' quartiles,
 the relative median change, the pairs the change won, the gap against the
 parent's IQR ("gap": "better", "worse" or "inside") and whether it is worse
-than the bound ("past_bound"), and the digest and output-check verdicts. A file that exists
-keeps its other keys and earlier blocks, so runs on other seeds or
-workloads collect in one file.
+than the bound ("past_bound"), the digest and output-check verdicts, and
+where it ran: the Python version, `platform.platform()`, `os.cpu_count()` and
+each side's quartiles of the host probe `host_ref_s` that `perfbench/run.py`
+prints for every run. A file that exists keeps its other keys and earlier
+blocks, so runs on other seeds or workloads collect in one file.
 
 Each checkout runs its own `perfbench/run.py` against its own `src/`, so the
 two sides must carry the same benchmark code for the comparison to hold:
@@ -34,6 +36,8 @@ when the two `BENCHMARK.json` files, or the files under `perfbench/` (but
 
 import argparse
 import json
+import os
+import platform
 import statistics
 import subprocess
 import sys
@@ -63,7 +67,8 @@ def first_difference(parent: Path, change: Path) -> str | None:
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: int):
-    """(metric name -> value, digest lines, passed its output checks) of one run."""
+    """(metric name -> value, digest lines, passed its output checks) of one
+    run; the metrics include the host probe's `host_ref_s`."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
@@ -73,6 +78,8 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: int):
     lines = proc.stdout.splitlines()
     result = json.loads(lines[-1])
     metrics = {name: m["value"] for name, m in result["metrics"].items()}
+    metrics["host_ref_s"] = next(float(line.split()[1]) for line in lines
+                                 if line.startswith("host_ref_s "))
     digests = [line for line in lines if line.startswith("digest ")]
     return metrics, digests, bool(result["correct"]) and result["failed"] == 0
 
@@ -108,7 +115,7 @@ def compare(sides: dict, workload: str, pairs: int, seed: int, metrics: dict,
             seconds: int) -> dict:
     """Run and print the pairs of one workload, then its summary block, which
     it returns. `metrics` maps each metric's name to its (better, bound)."""
-    samples = {side: {name: [] for name in metrics} for side in sides}
+    samples = {side: {name: [] for name in [*metrics, "host_ref_s"]} for side in sides}
     digests_equal, all_correct = True, True
     for i in range(pairs):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
@@ -116,8 +123,8 @@ def compare(sides: dict, workload: str, pairs: int, seed: int, metrics: dict,
         for side in order:
             values, digests[side], correct = run_once(sides[side], workload, seed, seconds)
             all_correct = all_correct and correct
-            for name in metrics:
-                samples[side][name].append(values[name])
+            for name, sample in samples[side].items():
+                sample.append(values[name])
         equal = digests["parent"] == digests["change"]
         digests_equal = digests_equal and equal
         shown = "  ".join(f"{name} {samples['parent'][name][-1]:.4g} -> "
@@ -128,7 +135,10 @@ def compare(sides: dict, workload: str, pairs: int, seed: int, metrics: dict,
     print(f"\n{workload}, seed {seed}, {pairs} pairs of {seconds} s runs "
           "(median [q1, q3])")
     block = {"workload": workload, "seed": seed, "pairs": pairs, "seconds": seconds,
-             "metrics": {}, "digests_equal": digests_equal, "outputs_checked": all_correct}
+             "metrics": {}, "digests_equal": digests_equal, "outputs_checked": all_correct,
+             "host": {"python": platform.python_version(), "platform": platform.platform(),
+                      "cpu_count": os.cpu_count()},
+             "host_ref_s": {side: quartiles(samples[side]["host_ref_s"]) for side in sides}}
     for name, (direction, bound) in metrics.items():
         s = summarize(samples["parent"][name], samples["change"][name], direction, bound)
         block["metrics"][name] = dict(s, better=direction, bound=bound)
