@@ -5,12 +5,10 @@ an acoustic channel model, and an analytical performance model."""
 from .channel import ChannelParams
 from .config import ConfigError, ScenarioConfig, parse_config
 from .engine import MetricsRecord, Simulation, run
-from .qcore import QParams
-from .qlfr import HoldingParams, PacketHeader
+from .qlfr import PacketHeader
 from .world import NodeState, RoutingKnowledge
 
 __all__ = [
     "ChannelParams", "ConfigError", "ScenarioConfig", "parse_config",
-    "MetricsRecord", "Simulation", "run", "QParams", "HoldingParams",
-    "PacketHeader", "NodeState", "RoutingKnowledge",
+    "MetricsRecord", "Simulation", "run", "PacketHeader", "NodeState", "RoutingKnowledge",
 ]

@@ -9,13 +9,15 @@ candidates of a packet coordinate perfectly: the highest-priority candidate
 whose link succeeded forwards, everyone else stays silent. Used as an
 independent oracle against Monte-Carlo simulation of the same snapshot.
 
-Every candidate must be strictly shallower than its sender, so the candidate
-graph is a depth-ordered DAG and the whole model is one pass over it (see
-`_solve`). The topology builds its lookup tables once, when it is made, and
-the report only reads them: each sender's forward probabilities, built in
-one `forward_probs` call, and link delays; each candidate's (sender,
-priority) pairs; each node's depth; the set of sinks; and the holding time
-of each list position.
+Every candidate must lie strictly higher than its sender (a greater z), so
+the candidate graph is a height-ordered DAG and the whole model is one pass
+over it (see `_solve`). A snapshot records no surface, so the model orders
+nodes by their height z alone. The topology builds its lookup tables once,
+when it is made, and the report only reads them: each sender's forward
+probabilities, built in one `forward_probs` call, and link delays; each
+candidate's (sender, priority) pairs; each node's height; the set of sinks;
+and the holding time of each list position, at the holding step
+`holding_k_s` (`ScenarioConfig.holding_k_s`).
 
 The delay weights each hop by the probability that the hop's forwarder is
 elected, which does not condition on eventual delivery; both the raw
@@ -30,7 +32,7 @@ from dataclasses import dataclass
 
 from . import channel as chan
 from .config import ScenarioConfig, channel_fields, shown
-from .qlfr import HoldingParams, holding_time
+from .qlfr import holding_time
 from .world import pairs_in_range
 
 
@@ -49,11 +51,10 @@ class StaticTopology:
     links: dict  # (sender, candidate) -> (propagation delay s, delivery probability)
     neighbors: dict  # id -> tuple of geometric neighbor ids (overhearing)
     gen_packets: dict  # source id -> packets generated over the horizon
-    holding: HoldingParams
+    holding_k_s: float  # holding-time step between adjacent list positions
     tx_power_w: float = 2.0
     rx_power_w: float = 0.5
     seconds_per_packet: float = 0.0512
-    region_z_m: float = 500.0
 
     def __post_init__(self):
         inbound: dict = {}  # candidate -> [(sender, priority)] in candidates order
@@ -75,13 +76,12 @@ class StaticTopology:
         object.__setattr__(self, "_inbound", inbound)
         object.__setattr__(self, "_forward", forward)
         object.__setattr__(self, "_delay", delays)
-        object.__setattr__(self, "_depth", {
-            nid: self.region_z_m - z for nid, (_, _, z) in self.positions.items()})
+        object.__setattr__(self, "_height", {nid: z for nid, (_, _, z) in self.positions.items()})
         object.__setattr__(self, "_sinks", frozenset(
             nid for nid, kind in self.kinds.items() if kind == "sink"))
         # holding time of list position n at index n - 1
         object.__setattr__(self, "_holding", tuple(
-            holding_time(n, self.holding) for n in range(1, longest + 1)))
+            holding_time(n, self.holding_k_s) for n in range(1, longest + 1)))
 
     def senders_of(self, node: int) -> list[tuple[int, int]]:
         """(sender, 1-indexed priority of `node`) pairs in `candidates` order."""
@@ -109,14 +109,14 @@ def forward_prob(topo: StaticTopology, sender: int, candidate: int) -> float:
 def outgoing_traffic(topo: StaticTopology) -> dict:
     """Expected packets transmitted per node: own generation plus the inbound
     share of every sender's traffic. Sinks absorb and never transmit."""
-    depth, sinks = topo._depth, topo._sinks
+    height, sinks = topo._height, topo._sinks
     traffic = {nid: float(topo.gen_packets.get(nid, 0.0)) for nid in topo.kinds}
-    for sender in sorted(topo.candidates, key=depth.__getitem__, reverse=True):
+    for sender in sorted(topo.candidates, key=height.__getitem__):
         if sender in sinks:
             continue
-        below, sent = depth[sender], traffic[sender]
+        below, sent = height[sender], traffic[sender]
         for cand, fwd in zip(topo.candidates[sender], topo._forward[sender]):
-            if depth[cand] >= below:
+            if height[cand] <= below:
                 raise TopologyError(
                     f"candidate {cand} of node {sender} is not strictly shallower")
             if cand not in sinks:
@@ -152,16 +152,16 @@ def expected_holding_time(topo: StaticTopology, node: int, traffic: dict) -> flo
 
 def _solve(topo: StaticTopology) -> tuple[dict, dict, dict]:
     """(traffic, delivery probability, raw delay) for every node, in one pass
-    over the depth-ordered candidate DAG. Traffic runs deepest-first and
-    rejects any candidate that is not strictly shallower; the rest runs
-    shallowest-first, so each sender reads only its candidates' finished
+    over the height-ordered candidate DAG. Traffic runs lowest-first and
+    rejects any candidate that is not strictly higher; the rest runs
+    highest-first, so each sender reads only its candidates' finished
     values. Sinks deliver with probability 1 after no delay; a void delivers
     nothing."""
     traffic = outgoing_traffic(topo)
     sinks, airtime = topo._sinks, topo.seconds_per_packet
     delivery = {nid: 1.0 if nid in sinks else 0.0 for nid in topo.kinds}
     raw_delay = dict.fromkeys(topo.kinds, 0.0)
-    for sender in sorted(topo.candidates, key=topo._depth.__getitem__):
+    for sender in sorted(topo.candidates, key=topo._height.__getitem__, reverse=True):
         if sender in sinks:
             continue
         sent = expected_holding_time(topo, sender, traffic) + airtime
@@ -180,7 +180,7 @@ def _conditional_delay(raw: float, p: float) -> float:
 
 def delivery_prob_to_sink(topo: StaticTopology, node: int) -> float:
     """Delivery probability from `node` to any sink; 1 at sinks, 0 in a void.
-    Raises TopologyError unless every candidate is strictly shallower."""
+    Raises TopologyError unless every candidate is strictly higher."""
     return _solve(topo)[1][node]
 
 
@@ -239,7 +239,6 @@ def load_snapshot(snap: dict) -> StaticTopology:
         rx_power_w=params["rx_power_w"], **channel_fields(params["channel"]))
     cp = config.channel_params(config.energy_per_bit)
     r = config.tx_range_m
-    holding = HoldingParams(config.holding_h, config.t_max_s)
     kinds, positions, candidates, gen = {}, {}, {}, {}
     for e in snap["nodes"]:
         nid, kind = e["id"], e["kind"]
@@ -295,14 +294,12 @@ def load_snapshot(snap: dict) -> StaticTopology:
     except OverflowError:  # integer coordinates whose squared distance no float holds
         raise TopologyError(f"candidate {c} of node {s} is beyond "
                             f"world.tx_range_m = {r!r} m") from None
-    region_z = max((p[2] for p in positions.values()), default=0.0)
     return StaticTopology(
         kinds=kinds, positions=positions, candidates=candidates,
         links=links, neighbors=neighbors, gen_packets=gen,
-        holding=holding,
+        holding_k_s=config.holding_k_s,
         tx_power_w=config.tx_power_w, rx_power_w=config.rx_power_w,
         seconds_per_packet=cp.serialization_s,
-        region_z_m=region_z,
     )
 
 

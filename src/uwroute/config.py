@@ -133,6 +133,11 @@ class ScenarioConfig:
         return self.tx_range_m / self.sound_speed_mps
 
     @property
+    def holding_k_s(self) -> float:
+        """qlfr's holding-time step between adjacent priorities, 2 t_max / h."""
+        return 2.0 * self.t_max_s / self.holding_h
+
+    @property
     def staleness_s(self) -> float:
         """Neighbor knowledge expires after two hello periods."""
         return 2.0 * self.hello_interval_s

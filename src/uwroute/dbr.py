@@ -7,6 +7,7 @@ rest by being overheard. Exact depth ties are broken by a deterministic
 per-node jitter.
 """
 
+from .config import ScenarioConfig
 from .qlfr import ForwardingCore, PacketHeader
 from .world import NodeState
 
@@ -19,9 +20,8 @@ def dbr_holding_time(depth_advance: float, t_max: float, tx_range: float, node_i
 
 
 class DbrProtocol(ForwardingCore):
-    def __init__(self, t_max: float, tx_range: float):
-        self.t_max = t_max
-        self.tx_range = tx_range
+    def __init__(self, config: ScenarioConfig):
+        self.t_max, self.tx_range = config.t_max_s, config.tx_range_m
 
     def rank(self, node: NodeState, pkt: PacketHeader) -> tuple[float, int] | None:
         depth_advance = pkt.knowledge.depth_m - node.depth

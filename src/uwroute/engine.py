@@ -39,8 +39,7 @@ from random import Random
 from . import channel as chan
 from .config import ScenarioConfig
 from .dbr import DbrProtocol
-from .qcore import QParams
-from .qlfr import Deliver, Drop, HoldingParams, PacketHeader, QlfrProtocol, Schedule
+from .qlfr import Deliver, Drop, PacketHeader, QlfrProtocol, Schedule
 from .world import NodeState, deploy, pairs_in_range, random_walk_step
 
 _BOOTSTRAP_S = 1.0  # each node sends its first hello at a uniform time in [0, this)
@@ -100,15 +99,7 @@ class Simulation:
         self.nodes.sort(key=lambda n: n.id)
         self.by_id = {n.id: n for n in self.nodes}
         self.sources = [n for n in self.nodes if n.kind == "source"]
-        self.holding = HoldingParams(config.holding_h, config.t_max_s)
-        if config.protocol == "qlfr":
-            self.protocol = QlfrProtocol(
-                QParams(config.gamma, config.alpha), self.holding,
-                d_max=config.tx_range_m, staleness_s=config.staleness_s,
-                list_length=config.initial_list_length,
-                max_list_length=config.max_list_length, pdr_threshold=config.pdr_threshold)
-        else:
-            self.protocol = DbrProtocol(config.t_max_s, config.tx_range_m)
+        self.protocol = (QlfrProtocol if config.protocol == "qlfr" else DbrProtocol)(config)
 
         self.now = 0.0
         self.link_delivery_prob = chan.link_model(self.channel)
@@ -366,8 +357,8 @@ class Simulation:
                 "seed": cfg.seed,
                 "n_sensors": cfg.n_sensors,
                 "mobility_speed_mps": cfg.mobility_speed_mps,
-                "holding_k_s": self.holding.k,
-                "holding_h": self.holding.h,
+                "holding_k_s": cfg.holding_k_s,
+                "holding_h": cfg.holding_h,
                 "energy_per_bit": self.channel.energy_per_bit,
                 "sim_time_s": cfg.max_sim_time_s,
             },
@@ -409,7 +400,7 @@ class Simulation:
                 "protocol": cfg.protocol,
                 "tx_range_m": cfg.tx_range_m,
                 "sound_speed_mps": cfg.sound_speed_mps,
-                "holding_h": self.holding.h,
+                "holding_h": cfg.holding_h,
                 "tx_power_w": cfg.tx_power_w,
                 "rx_power_w": cfg.rx_power_w,
                 "initial_node_energy_j": cfg.initial_node_energy_j,

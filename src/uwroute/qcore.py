@@ -3,25 +3,12 @@
 Reward = -(energy cost of sender) - (energy cost of neighbor) - (depth cost),
 each cost in [0, 1], so a single-step reward lies in [-3, 0]. Q-values are
 updated with the standard one-step rule and therefore stay within
-[-3 / (1 - gamma), 0] for gamma < 1.
+[-3 / (1 - gamma), 0] for gamma < 1. The discount gamma in [0, 1] and the
+learning rate alpha in (0, 1] are `protocol.gamma` and `protocol.alpha`,
+which `ScenarioConfig` validates; the functions here take them as numbers.
 """
 
-from dataclasses import dataclass
 from typing import Mapping
-
-
-@dataclass(frozen=True)
-class QParams:
-    """gamma: discount factor in [0, 1]; alpha: learning rate in (0, 1]."""
-
-    gamma: float = 0.8
-    alpha: float = 0.5
-
-    def __post_init__(self):
-        if not 0.0 <= self.gamma <= 1.0:
-            raise ValueError(f"gamma must be in [0, 1], got {self.gamma}")
-        if not 0.0 < self.alpha <= 1.0:
-            raise ValueError(f"alpha must be in (0, 1], got {self.alpha}")
 
 
 def energy_cost(e_res: float, e_ini: float) -> float:
@@ -80,9 +67,9 @@ def reward(sender: "NodeState", residual_j: float, depth_m: float, d_max: float)
     return reward_from(sender, d_max)(residual_j, depth_m)
 
 
-def q_update(q_old: float, r: float, v_next: float, params: QParams) -> float:
+def q_update(q_old: float, r: float, v_next: float, gamma: float, alpha: float) -> float:
     """One-step Q update: alpha * (r + gamma * v_next) + (1 - alpha) * q_old."""
-    return params.alpha * (r + params.gamma * v_next) + (1.0 - params.alpha) * q_old
+    return alpha * (r + gamma * v_next) + (1.0 - alpha) * q_old
 
 
 def v_value(q_table: Mapping[int, float]) -> float:
@@ -96,8 +83,8 @@ def v_value(q_table: Mapping[int, float]) -> float:
     return max(q_table.values())
 
 
-def q_bounds(params: QParams) -> tuple[float, float]:
+def q_bounds(gamma: float) -> tuple[float, float]:
     """Valid Q-value interval [-3/(1-gamma), 0] (gamma < 1), else (-inf, 0]."""
-    if params.gamma >= 1.0:
+    if gamma >= 1.0:
         return (float("-inf"), 0.0)
-    return (-3.0 / (1.0 - params.gamma), 0.0)
+    return (-3.0 / (1.0 - gamma), 0.0)

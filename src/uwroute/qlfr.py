@@ -22,13 +22,17 @@ source's generated packets as its highest seq received plus one. A periodic
 each change takes a new epoch. A copy carries the epoch of the review it
 announces: each source's next packet carries the newest epoch once, and the
 relays that packet lists add that review's step to their own length.
+
+`QlfrProtocol` reads gamma, alpha, the holding step `holding_k_s`, the range,
+the staleness and the list-length keys from the validated `ScenarioConfig`
+it is built with; the module's functions take them as plain numbers.
 """
 
 from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import qcore, world
-from .qcore import QParams
+from .config import ScenarioConfig
 from .world import NodeState, RoutingKnowledge
 
 
@@ -51,30 +55,12 @@ def advertised(node: NodeState) -> RoutingKnowledge:
     return RoutingKnowledge(node.v_value, node.depth, node.residual_energy_j)
 
 
-@dataclass(frozen=True)
-class HoldingParams:
-    """h: priority-step divisor; t_max: maximal one-hop propagation delay."""
-
-    h: int
-    t_max: float
-
-    def __post_init__(self):
-        if type(self.h) is not int or self.h < 1:
-            raise ValueError(f"h must be a positive integer, got {self.h!r}")
-        if not self.t_max > 0.0:
-            raise ValueError(f"t_max must be > 0, got {self.t_max}")
-
-    @property
-    def k(self) -> float:
-        """Holding-time step between adjacent priorities, 2 t_max / h."""
-        return 2.0 * self.t_max / self.h
-
-
-def holding_time(n: int, params: HoldingParams) -> float:
-    """Holding time of the n-th candidate (1-indexed): k * (n - 1)."""
+def holding_time(n: int, k: float) -> float:
+    """Holding time of the n-th candidate (1-indexed) at step k between
+    adjacent priorities: k * (n - 1)."""
     if n < 1:
         raise ValueError(f"priority index must be >= 1, got {n}")
-    return params.k * (n - 1)
+    return k * (n - 1)
 
 
 # --- receive-side actions -------------------------------------------------
@@ -109,14 +95,14 @@ _DELIVER = Deliver()
 
 
 def build_priority_list(sender: NodeState, d_max: float, list_length: int,
-                        qparams: QParams, now: float, staleness_s: float) -> list[int]:
+                        gamma: float, now: float, staleness_s: float) -> list[int]:
     """Ordered forwarding candidates: fresh neighbors strictly shallower than
     the sender, sorted by descending r + gamma * V (ties to the lower id),
     truncated to list_length. Empty result means a void region. Entries older
     than staleness_s are evicted from the sender's table after the walk.
     """
     table = sender.neighbor_knowledge
-    depth, gamma, reward_to, scored, expired = sender.depth, qparams.gamma, None, [], []
+    depth, reward_to, scored, expired = sender.depth, None, [], []
     for nid, (kn, heard) in table.items():
         if now - heard > staleness_s:
             expired.append(nid)
@@ -206,21 +192,17 @@ class ForwardingCore:
 
 
 class QlfrProtocol(ForwardingCore):
-    """Priority lists from neighbor knowledge, holding by list position, Q-learning."""
+    """Priority lists from neighbor knowledge, holding by list position,
+    Q-learning. The largest one-hop depth difference d_max is the range."""
 
     uses_hello = True
 
-    def __init__(self, qparams: QParams, holding: HoldingParams, d_max: float,
-                 staleness_s: float, list_length: int, max_list_length: int,
-                 pdr_threshold: float):
-        self.qparams = qparams
-        self.holding = holding
-        self.d_max = d_max  # largest one-hop depth difference: the transmission range
-        self.staleness_s = staleness_s
-        self.list_length = list_length  # the sinks' current length
-        self.max_list_length = max_list_length
-        self.pdr_threshold = pdr_threshold
-        self._q_lo, self._q_hi = qcore.q_bounds(qparams)
+    def __init__(self, config: ScenarioConfig):
+        self.config = config
+        # derived quantities, taken once: `rank` and `candidates` run per packet
+        self._k, self._staleness_s = config.holding_k_s, config.staleness_s
+        self.list_length = config.initial_list_length  # the sinks' current length
+        self._q_lo, self._q_hi = qcore.q_bounds(config.gamma)
         self._generated: dict[int, int] = {}  # source id -> highest seq at a sink + 1
         self._reviewed = (0, 0)  # (delivered, generated) at the last review
         self._steps = [0]  # epoch -> the step of the review that took it
@@ -244,7 +226,7 @@ class QlfrProtocol(ForwardingCore):
             return None
         self._apply_epoch(node, pkt.suppression_epoch)
         position = pkt.priority_list.index(node.id) + 1
-        return holding_time(position, self.holding), position
+        return holding_time(position, self._k), position
 
     def _apply_epoch(self, node: NodeState, epoch: int) -> None:
         """Add the step of review `epoch` once; epoch 0 announces none."""
@@ -253,7 +235,7 @@ class QlfrProtocol(ForwardingCore):
             node.list_length = self._clamp(node.list_length + self._steps[epoch])
 
     def _clamp(self, length: int) -> int:
-        return min(self.max_list_length, max(1, length))
+        return min(self.config.max_list_length, max(1, length))
 
     def at_sink(self, pkt: PacketHeader) -> None:
         src = pkt.source_id
@@ -271,7 +253,7 @@ class QlfrProtocol(ForwardingCore):
             return None
         pdr = (delivered - self._reviewed[0]) / window
         self._reviewed = (delivered, generated)
-        old, threshold = self.list_length, self.pdr_threshold
+        old, threshold = self.list_length, self.config.pdr_threshold
         new = self._clamp(old + (pdr < threshold) - (pdr > threshold))
         if new == old:
             return None
@@ -288,8 +270,9 @@ class QlfrProtocol(ForwardingCore):
 
     def candidates(self, node: NodeState, now: float) -> list[int]:
         """The priority list `node` would send now, from its current knowledge."""
-        return build_priority_list(node, self.d_max, node.list_length,
-                                   self.qparams, now, self.staleness_s)
+        cfg = self.config
+        return build_priority_list(node, cfg.tx_range_m, node.list_length,
+                                   cfg.gamma, now, self._staleness_s)
 
     def priority_list(self, node: NodeState, now: float) -> tuple[int, ...] | None:
         """Rebuild the priority list from current knowledge and update Q toward
@@ -304,8 +287,10 @@ class QlfrProtocol(ForwardingCore):
         """One-step Q update for the transmitting node toward its first
         candidate's advertised value."""
         kn, _ = node.neighbor_knowledge[chosen_id]
-        r = qcore.reward(node, kn.residual_energy_j, kn.depth_m, self.d_max)
-        q_new = qcore.q_update(node.q_table.get(chosen_id, 0.0), r, kn.v_value, self.qparams)
+        cfg = self.config
+        r = qcore.reward(node, kn.residual_energy_j, kn.depth_m, cfg.tx_range_m)
+        q_new = qcore.q_update(node.q_table.get(chosen_id, 0.0), r, kn.v_value,
+                               cfg.gamma, cfg.alpha)
         if not self._q_lo - 1e-9 <= q_new <= self._q_hi + 1e-9:
             raise RuntimeError(f"Q-value {q_new} outside [{self._q_lo}, {self._q_hi}]")
         node.q_table[chosen_id] = q_new

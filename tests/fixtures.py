@@ -10,9 +10,8 @@ import math
 import random
 
 from uwroute.analysis import StaticTopology
-from uwroute.qlfr import HoldingParams
 
-HOLDING = HoldingParams(h=20, t_max=0.1)
+HOLDING_K_S = 2.0 * 0.1 / 20  # the step 2 t_max / h
 
 
 def static_topology(*, positions: dict, link_prob: dict, **fields) -> StaticTopology:
@@ -32,8 +31,7 @@ def chain3() -> tuple[StaticTopology, int]:
         link_prob={(0, 1): 0.95, (1, 2): 0.97},
         neighbors={0: (1,), 1: (0, 2), 2: (1,)},
         gen_packets={0: 100.0},
-        holding=HOLDING,
-        region_z_m=240.0,
+        holding_k_s=HOLDING_K_S,
     )
     return topo, 0
 
@@ -52,8 +50,7 @@ def diamond4() -> tuple[StaticTopology, int]:
         link_prob={(0, 1): 0.9, (0, 2): 0.88, (1, 3): 0.95, (2, 3): 0.92},
         neighbors={0: (1, 2), 1: (0, 2, 3), 2: (0, 1, 3), 3: (1, 2)},
         gen_packets={0: 100.0},
-        holding=HOLDING,
-        region_z_m=220.0,
+        holding_k_s=HOLDING_K_S,
     )
     return topo, 0
 
@@ -89,7 +86,7 @@ def random_dag10(seed: int = 42) -> tuple[StaticTopology, int]:
     topo = static_topology(
         kinds=kinds, positions=positions, candidates=candidates,
         link_prob=link_prob, neighbors=neighbors, gen_packets={0: 100.0},
-        holding=HOLDING, region_z_m=300.0,
+        holding_k_s=HOLDING_K_S,
     )
     return topo, 0
 
@@ -123,7 +120,7 @@ def wide_dag48(seed: int = 7) -> tuple[StaticTopology, int]:
         kinds=kinds, positions=positions, candidates=candidates,
         link_prob=link_prob, neighbors=neighbors,
         gen_packets={0: 50.0, 1: 80.0, 2: 100.0},
-        holding=HOLDING, region_z_m=max(p[2] for p in positions.values()),
+        holding_k_s=HOLDING_K_S,
     )
     return topo, 0
 

@@ -17,7 +17,7 @@ def run_trials(topo, source: int, trials: int, seed: int = 0):
     with no successful candidate is lost.
     """
     rng = random.Random(seed)
-    k = topo.holding.k
+    k = topo.holding_k_s
     airtime = topo.seconds_per_packet
     delivered = 0
     delay_sum = 0.0

@@ -20,8 +20,7 @@ from fixtures import ALL_FIXTURES
 from mc_oracle import run_trials
 from uwroute import analysis, channel, cli, engine, qcore
 from uwroute.config import ScenarioConfig
-from uwroute.qcore import QParams
-from uwroute.qlfr import HoldingParams, holding_time
+from uwroute.qlfr import holding_time
 from uwroute.world import NodePosition, NodeState
 
 REL = 1e-6
@@ -61,12 +60,12 @@ def test_closed_form_unit_suite():
     checks.append(close(channel.packet_success_prob(1e-4, 1000), (1 - 1e-4) ** 1000))
 
     # holding time
-    table_params = HoldingParams(4, 150.0 / 1500.0)
-    checks.append(holding_time(1, table_params) == 0.0)
-    checks.append(close(table_params.k, 0.05))
-    checks.append(close(holding_time(3, table_params), 0.1))
-    h1 = HoldingParams(1, 0.1)
-    checks.append(close(h1.k, 0.2) and close(holding_time(2, h1), 0.2))
+    table_k = ScenarioConfig(tx_range_m=150.0, sound_speed_mps=1500.0, holding_h=4).holding_k_s
+    checks.append(holding_time(1, table_k) == 0.0)
+    checks.append(close(table_k, 0.05))
+    checks.append(close(holding_time(3, table_k), 0.1))
+    k1 = ScenarioConfig(holding_h=1).holding_k_s
+    checks.append(close(k1, 0.2) and close(holding_time(2, k1), 0.2))
 
     # energy and depth costs
     checks.append(qcore.energy_cost(100.0, 100.0) == 0.0)
@@ -87,8 +86,8 @@ def test_closed_form_unit_suite():
     checks.append(close(qcore.reward(half, 100.0, 80.0, 150.0), -1.0))
 
     # q update
-    checks.append(qcore.q_update(7.0, -1.0, 4.0, QParams(gamma=0.0, alpha=1.0)) == -1.0)
-    checks.append(close(qcore.q_update(-2.0, -1.0, -1.0, QParams(gamma=0.8, alpha=0.5)), -1.9))
+    checks.append(qcore.q_update(7.0, -1.0, 4.0, gamma=0.0, alpha=1.0) == -1.0)
+    checks.append(close(qcore.q_update(-2.0, -1.0, -1.0, gamma=0.8, alpha=0.5), -1.9))
 
     report("closed-form-unit-suite", all(checks),
            f"{sum(checks)}/{len(checks)} example values reproduced at 1e-6 relative")

@@ -10,7 +10,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from fixtures import HOLDING, chain3, diamond4, random_dag10, static_topology, wide_dag48
+from fixtures import HOLDING_K_S, chain3, diamond4, random_dag10, static_topology, wide_dag48
 from mc_oracle import run_trials
 from uwroute import analysis, channel
 from uwroute.analysis import (TopologyError, delivery_prob_to_sink,
@@ -73,8 +73,7 @@ def line_topology(p1=0.9, p2=0.9, spacing=120.0):
         link_prob={(0, 1): p1, (1, 2): p2},
         neighbors={0: (1,), 1: (0, 2), 2: (1,)},
         gen_packets={0: 100.0},
-        holding=HOLDING,
-        region_z_m=2 * spacing,
+        holding_k_s=HOLDING_K_S,
     )
 
 
@@ -88,8 +87,7 @@ def deep_chain(n, p, spacing):
         link_prob={(i, i + 1): p for i in range(n - 1)},
         neighbors={i: tuple(j for j in (i - 1, i + 1) if 0 <= j < n) for i in range(n)},
         gen_packets={0: 10.0},
-        holding=HOLDING,
-        region_z_m=spacing * (n - 1),
+        holding_k_s=HOLDING_K_S,
     )
 
 
@@ -141,7 +139,7 @@ class TestDeliveryProb:
             link_prob={},
             neighbors={0: (), 1: ()},
             gen_packets={0: 1.0},
-            holding=HOLDING, region_z_m=200.0)
+            holding_k_s=HOLDING_K_S)
         assert delivery_prob_to_sink(topo, 0) == 0.0
 
     def test_sink_base_case(self):
@@ -155,7 +153,7 @@ class TestDeliveryProb:
             link_prob={(0, 1): 0.9, (1, 0): 0.9},
             neighbors={0: (1,), 1: (0,)},
             gen_packets={},
-            holding=HOLDING, region_z_m=200.0)
+            holding_k_s=HOLDING_K_S)
         with pytest.raises(TopologyError):
             delivery_prob_to_sink(topo, 0)
 
@@ -165,7 +163,7 @@ class TestDeliveryProb:
                 static_topology(kinds={0: "source", 1: "sink"},
                                 positions={0: (0, 0, 0), 1: (0, 0, 100)},
                                 candidates={0: (1,)}, link_prob=links, neighbors={},
-                                gen_packets={}, holding=HOLDING, region_z_m=100.0)
+                                gen_packets={}, holding_k_s=HOLDING_K_S)
 
     def test_monte_carlo_cross_check_small(self):
         topo, src = diamond4()
@@ -187,7 +185,6 @@ class TestExpectedHolding:
 
     def test_second_priority_single_sender(self):
         # second-priority candidate behind a p = 0.5 head, k = 0.05
-        holding = analysis.HoldingParams(4, 0.1)
         topo = static_topology(
             kinds={0: "source", 1: "sensor", 2: "sensor", 3: "sink"},
             positions={0: (0, 0, 0), 1: (0, 0, 100), 2: (50, 0, 100), 3: (0, 0, 200)},
@@ -195,14 +192,14 @@ class TestExpectedHolding:
             link_prob={(0, 1): 0.5, (0, 2): 0.8, (1, 3): 1.0, (2, 3): 1.0},
             neighbors={0: (1, 2), 1: (0, 2, 3), 2: (0, 1, 3), 3: (1, 2)},
             gen_packets={0: 10.0},
-            holding=holding, region_z_m=200.0)
+            holding_k_s=2.0 * 0.1 / 4)
         # tau(2) * P_sender,2 = 0.05 * (1 - 0.5) * 0.8
         assert (expected_holding_time(topo, 2, outgoing_traffic(topo))
                 == pytest.approx(0.05 * 0.5 * 0.8))
 
     def test_multi_sender_traffic_weighting(self):
         # two senders with 3:1 traffic; node 3 is head for one, second for the other
-        holding = analysis.HoldingParams(4, 0.1)
+        k = 2.0 * 0.1 / 4
         topo = static_topology(
             kinds={0: "source", 1: "source", 2: "sensor", 3: "sensor", 4: "sink"},
             positions={0: (0, 0, 0), 1: (60, 0, 0), 2: (0, 0, 100), 3: (30, 0, 100),
@@ -211,9 +208,9 @@ class TestExpectedHolding:
             link_prob={(0, 2): 0.6, (0, 3): 0.9, (1, 3): 0.8, (2, 4): 1.0, (3, 4): 1.0},
             neighbors={0: (1, 2, 3), 1: (0, 3), 2: (0, 3, 4), 3: (0, 1, 2, 4), 4: (2, 3)},
             gen_packets={0: 30.0, 1: 10.0},
-            holding=holding, region_z_m=220.0)
+            holding_k_s=k)
         w0, w1 = 30.0 / 40.0, 10.0 / 40.0
-        expected = (w0 * holding.k * (1 - 0.6) * 0.9  # second priority for source 0
+        expected = (w0 * k * (1 - 0.6) * 0.9  # second priority for source 0
                     + w1 * 0.0 * 0.8)                 # head for source 1
         assert expected_holding_time(topo, 3, outgoing_traffic(topo)) == pytest.approx(expected)
 
@@ -244,7 +241,7 @@ class TestExpectedDelay:
             kinds={0: "source", 1: "sink"},
             positions={0: (0, 0, 0), 1: (0, 0, 200)},
             candidates={0: ()}, link_prob={}, neighbors={0: (), 1: ()},
-            gen_packets={0: 1.0}, holding=HOLDING, region_z_m=200.0)
+            gen_packets={0: 1.0}, holding_k_s=HOLDING_K_S)
         assert expected_delay_to_sink(topo, 0) == 0.0
         assert math.isnan(expected_delay_to_sink(topo, 0, conditional=True))
 
@@ -299,7 +296,7 @@ class TestTraffic:
             candidates={0: (1,), 1: (0,)},
             link_prob={(0, 1): 0.9, (1, 0): 0.9},
             neighbors={0: (1,), 1: (0,)}, gen_packets={},
-            holding=HOLDING, region_z_m=200.0)
+            holding_k_s=HOLDING_K_S)
         with pytest.raises(TopologyError):
             outgoing_traffic(topo)
 
@@ -346,7 +343,7 @@ class TestNodeEnergy:
             kinds={0: "sensor", 1: "sink"},
             positions={0: (0, 0, 0), 1: (0, 0, 200)},
             candidates={0: ()}, link_prob={}, neighbors={0: (), 1: ()},
-            gen_packets={}, holding=HOLDING, region_z_m=200.0)
+            gen_packets={}, holding_k_s=HOLDING_K_S)
         assert node_energy(topo, 0, outgoing_traffic(topo)) == 0.0
 
     def test_transmit_only(self):
@@ -356,7 +353,7 @@ class TestNodeEnergy:
             positions={0: (0, 0, 100), 1: (0, 0, 200)},
             candidates={0: (1,)}, link_prob={(0, 1): 1.0},
             neighbors={0: (), 1: (0,)},
-            gen_packets={0: 10.0}, holding=HOLDING, region_z_m=200.0)
+            gen_packets={0: 10.0}, holding_k_s=HOLDING_K_S)
         assert node_energy(topo, 0, outgoing_traffic(topo)) == pytest.approx(1.024)
 
     def test_overhearing_cost(self):
@@ -367,7 +364,7 @@ class TestNodeEnergy:
             candidates={0: (2,), 1: ()},
             link_prob={(0, 2): 1.0},
             neighbors={0: (1,), 1: (0,), 2: (0,)},
-            gen_packets={0: 100.0}, holding=HOLDING, region_z_m=150.0)
+            gen_packets={0: 100.0}, holding_k_s=HOLDING_K_S)
         assert node_energy(topo, 1, outgoing_traffic(topo)) == pytest.approx(100 * 0.0512 * 0.5)
 
     def test_sinks_cost_nothing(self):
@@ -393,7 +390,7 @@ class TestNetworkLifetime:
             candidates={0: (1,)}, link_prob={(0, 1): 1.0},
             neighbors={0: (), 1: (0,)},
             gen_packets={0: 1.0 / (0.0512 * 2.0)},  # exactly 1 J of transmit
-            holding=HOLDING, region_z_m=200.0)
+            holding_k_s=HOLDING_K_S)
         lifetimes = self.lifetimes(topo)
         assert lifetimes[0] == pytest.approx(1e4)
         assert min(lifetimes.values()) == lifetimes[0]
@@ -425,7 +422,7 @@ class TestNetworkLifetime:
             kinds={0: "sensor", 1: "sink"},
             positions={0: (0, 0, 0), 1: (0, 0, 200)},
             candidates={0: ()}, link_prob={}, neighbors={0: (), 1: ()},
-            gen_packets={}, holding=HOLDING, region_z_m=200.0)
+            gen_packets={}, holding_k_s=HOLDING_K_S)
         assert self.lifetimes(topo) == {0: float("inf"), 1: float("inf")}
 
 

@@ -1,8 +1,9 @@
 """The A/B summary of `tools/bench_ab.py`: quartiles, win counts, the
 median gap against the parent's IQR and against the metric's bound, on
 hand-made paired samples, the loop over several workloads with a stubbed
-benchmark run, the summary blocks `--json` writes, and the refusal of two
-checkouts that carry different benchmarks."""
+benchmark run, the summary blocks `--json` writes, the unscaled wall times
+read from a benchmark's output, and the refusal of two checkouts that carry
+different benchmarks."""
 
 import importlib.util
 import json
@@ -62,6 +63,9 @@ def test_a_worse_change_is_flagged(better, parent, change, gap, past_bound):
     assert (s["gap"], s["past_bound"]) == (gap, past_bound)
 
 
+WALL = {"wall_run_s": 1.5, "wall_setup_s": 0.25}  # what a stubbed run prints unscaled
+
+
 def checkouts(tmp_path):
     """Two checkouts that carry the same BENCHMARK.json and perfbench files."""
     sides = tmp_path / "parent", tmp_path / "change"
@@ -84,7 +88,8 @@ def test_each_workload_runs_its_pairs_and_prints_its_block(tmp_path, monkeypatch
         calls.append((checkout.name, workload))
         fast = checkout == change and workload == "fast"
         digest = f"digest {workload} {checkout.name if workload == 'drift' else 'same'}"
-        return {"run_s": 1.0 if fast else 2.0, "ok_frac": 1.0, "host_ref_s": 0.07}, [digest], True
+        values = {"run_s": 1.0 if fast else 2.0, "ok_frac": 1.0, "host_ref_s": 0.07, **WALL}
+        return values, [digest], True
 
     monkeypatch.setattr(bench_ab, "run_once", run_once)
     argv = [str(parent), str(change), "--workload", "fast", "--workload", "flat", "-n", "2"]
@@ -119,7 +124,7 @@ def test_json_collects_each_workloads_summary_block(tmp_path, monkeypatch, capsy
     def run_once(checkout, workload, seed, seconds):
         run_s = next(runs) if workload == "fast" else 2.0
         host_ref_s = next(probes) if workload == "fast" else 0.07
-        return ({"run_s": run_s, "ok_frac": 1.0, "host_ref_s": host_ref_s},
+        return ({"run_s": run_s, "ok_frac": 1.0, "host_ref_s": host_ref_s, **WALL},
                 [f"digest {workload} {checkout.name}" if workload == "drift" else "digest same"],
                 True)
 
@@ -153,12 +158,40 @@ def test_json_collects_each_workloads_summary_block(tmp_path, monkeypatch, capsy
     assert not drift["digests_equal"] and drift["outputs_checked"]
 
 
+FAKE_RUN = """\
+import json, pathlib
+change = pathlib.Path.cwd().name == "change"
+print("host_ref_s 0.07 s (median of 3 probes; nominal 0.07 s)")
+print(f"wall run_s {1.25 if change else 1.5!r} s (not scaled)")
+print("wall setup_s 0.25 s (not scaled)")
+print("digest w 0")
+print(json.dumps({"correct": True, "failed": 0,
+                  "metrics": {"run_s": {"value": 1.0}, "ok_frac": {"value": 1.0}}}))
+"""
+
+
+def test_unscaled_wall_times_are_recorded_and_printed(tmp_path, capsys):
+    # a scaled time that moves with the host probe alone shows in the wall times
+    parent, change = checkouts(tmp_path)
+    for side in (parent, change):
+        (side / "perfbench" / "run.py").write_text(FAKE_RUN)
+    path = tmp_path / "bench.json"
+    argv = [str(parent), str(change), "--workload", "w", "-n", "2", "--json", str(path)]
+    assert bench_ab.main(argv) == 0
+    assert ("wall run_s    parent 1.5 [1.5, 1.5]  change 1.25 [1.25, 1.25]  -16.7%  "
+            "(s, not scaled)") in capsys.readouterr().out
+    block = json.loads(path.read_text())["workloads"][0]
+    assert block["wall_s"] == {"run_s": {"parent": [1.5] * 3, "change": [1.25] * 3},
+                               "setup_s": {"parent": [0.25] * 3, "change": [0.25] * 3}}
+    assert block["metrics"]["run_s"]["parent"] == [1.0] * 3  # the scaled time
+
+
 def test_a_slower_change_is_flagged_in_print_and_json(tmp_path, monkeypatch, capsys):
     parent, change = checkouts(tmp_path)
 
     def run_once(checkout, workload, seed, seconds):
-        return ({"run_s": 2.0 if checkout == change else 1.0, "ok_frac": 1.0, "host_ref_s": 0.07},
-                [], True)
+        run_s = 2.0 if checkout == change else 1.0
+        return {"run_s": run_s, "ok_frac": 1.0, "host_ref_s": 0.07, **WALL}, [], True
 
     monkeypatch.setattr(bench_ab, "run_once", run_once)
     path = tmp_path / "bench.json"
@@ -180,7 +213,7 @@ def test_checkouts_with_different_benchmarks_are_refused_before_any_run(
     parent, change = checkouts(tmp_path)
     calls = []
     monkeypatch.setattr(bench_ab, "run_once", lambda *args: calls.append(args) or (
-        {"run_s": 1.0, "ok_frac": 1.0, "host_ref_s": 0.07}, [], True))
+        {"run_s": 1.0, "ok_frac": 1.0, "host_ref_s": 0.07, **WALL}, [], True))
     argv = [str(parent), str(change), "--workload", "flat", "-n", "1"]
 
     # what building and running leave behind does not count

@@ -12,11 +12,13 @@ import statistics
 
 import pytest
 
-from uwroute import cli, engine
+from uwroute import analysis, cli, engine
 from uwroute.channel import ChannelParams
 from uwroute.cli import aggregate_sweep, run_sweep
 from uwroute.config import (_DECLS, ConfigError, ScenarioConfig, channel_fields,
                             effective_config_text, parse_config, parse_config_text, set_key)
+from uwroute.qlfr import PacketHeader, holding_time
+from uwroute.world import RoutingKnowledge
 
 FAST_SCENARIO = """
 world.region_x_m = 300
@@ -241,6 +243,14 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=r"world\.n_sensors = 0 out of range"):
             dataclasses.replace(ScenarioConfig(), n_sensors=0)
 
+    # the only check on these values: the protocols read them from the config
+    @pytest.mark.parametrize("field, value", [
+        ("gamma", 1.5), ("gamma", -0.1), ("alpha", 0.0), ("alpha", 1.2),
+        ("holding_h", 0), ("holding_h", 1.5), ("holding_h", 4.0), ("holding_h", True)])
+    def test_protocol_parameter_refused(self, field, value):
+        with pytest.raises(ConfigError, match=rf"^protocol\.{field} = "):
+            ScenarioConfig(**{field: value})
+
     def test_set_key_validates(self):
         config = ScenarioConfig()
         assert set_key(config, "world.n_sensors", "50").n_sensors == 50
@@ -395,6 +405,27 @@ class TestCliVerbs:
         # every trace line is one JSON object
         for line in (tmp_path / "trace.jsonl").read_text().splitlines():
             assert isinstance(json.loads(line), dict)
+
+    @pytest.mark.parametrize("h", [1, 4, 7])
+    def test_holding_step_has_one_source(self, tmp_path, h):
+        """The config's step is the one the protocol ranks with, the run
+        reports and the model reads from the run's snapshot."""
+        path = tmp_path / "scenario.cfg"
+        path.write_text(FAST_SCENARIO + f"run.max_sim_time_s = 20\nprotocol.holding_h = {h}\n")
+        cfg = parse_config(path)
+        k = cfg.holding_k_s
+        assert k == 2.0 * cfg.t_max_s / h
+        sim = engine.Simulation(cfg)
+        node, others = sim.nodes[0], [n.id for n in sim.nodes[1:cfg.max_list_length]]
+        for n in range(1, cfg.max_list_length + 1):
+            plist = (*others[:n - 1], node.id)
+            header = PacketHeader(9, 0, RoutingKnowledge(0.0, 0.0, 0.0), 9, plist)
+            assert sim.protocol.rank(node, header) == (holding_time(n, k), n)
+        sim.run()
+        assert analysis.load_snapshot(sim.snapshot_topology()).holding_k_s == k
+        out = tmp_path / "results"
+        assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 0
+        assert json.loads((out / "metrics.json").read_text())["metadata"]["holding_k_s"] == k
 
     def test_run_writes_q_tables_csv(self, tmp_path):
         out = tmp_path / "results"

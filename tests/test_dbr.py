@@ -6,9 +6,7 @@ import pytest
 from uwroute.config import ScenarioConfig
 from uwroute.dbr import DbrProtocol, dbr_holding_time
 from uwroute.engine import Simulation
-from uwroute.qcore import QParams
-from uwroute.qlfr import (Deliver, Drop, HoldingParams, PacketHeader, QlfrProtocol,
-                          Schedule)
+from uwroute.qlfr import Deliver, Drop, PacketHeader, QlfrProtocol, Schedule
 from uwroute.world import NodePosition, NodeState, RoutingKnowledge
 
 
@@ -25,17 +23,17 @@ def header_from(sender):
 
 class TestDepthRule:
     def test_deeper_receiver_drops(self):
-        proto = DbrProtocol(t_max=0.1, tx_range=150.0)
+        proto = dbr_protocol()
         node = make_node(2, depth=200.0)
         assert proto.on_receive(node, header_from(make_node(1, 150.0)), 0.0) == Drop("not-candidate")
 
     def test_equal_depth_drops(self):
-        proto = DbrProtocol(t_max=0.1, tx_range=150.0)
+        proto = dbr_protocol()
         node = make_node(2, depth=150.0)
         assert proto.on_receive(node, header_from(make_node(1, 150.0)), 0.0) == Drop("not-candidate")
 
     def test_shallower_receiver_schedules(self):
-        proto = DbrProtocol(t_max=0.1, tx_range=150.0)
+        proto = dbr_protocol()
         node = make_node(2, depth=100.0)
         action = proto.on_receive(node, header_from(make_node(1, 150.0)), 0.0)
         assert isinstance(action, Schedule)
@@ -53,13 +51,11 @@ class TestDepthRule:
 
 
 def qlfr_protocol():
-    return QlfrProtocol(QParams(gamma=0.8, alpha=0.5), HoldingParams(4, 0.1), d_max=150.0,
-                        staleness_s=20.0, list_length=2, max_list_length=4,
-                        pdr_threshold=0.9)
+    return QlfrProtocol(ScenarioConfig())
 
 
 def dbr_protocol():
-    return DbrProtocol(t_max=0.1, tx_range=150.0)
+    return DbrProtocol(ScenarioConfig())
 
 
 @pytest.fixture(params=[qlfr_protocol, dbr_protocol], ids=["qlfr", "dbr"])

@@ -705,11 +705,11 @@ class TestProtocolInvariantsUnderLoad:
                            mobility_speed_mps=3.0, energy_per_bit=None)
 
     def test_q_values_stay_bounded(self):
-        from uwroute.qcore import QParams, q_bounds
+        from uwroute.qcore import q_bounds
         cfg = self.desk_config()
         sim = Simulation(cfg)
         sim.run()
-        lo, hi = q_bounds(QParams(cfg.gamma, cfg.alpha))
+        lo, hi = q_bounds(cfg.gamma)
         entries = [q for n in sim.nodes for q in n.q_table.values()]
         assert entries, "no learning happened"
         assert all(lo - 1e-9 <= q <= hi + 1e-9 for q in entries)

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from uwroute import qcore
-from uwroute.qcore import QParams
 from uwroute.world import NodePosition, NodeState
 
 
@@ -90,35 +89,34 @@ class TestReward:
 
 class TestQUpdate:
     def test_degenerate_update(self):
-        assert qcore.q_update(5.0, -1.0, 99.0, QParams(gamma=0.0, alpha=1.0)) == -1.0
+        assert qcore.q_update(5.0, -1.0, 99.0, gamma=0.0, alpha=1.0) == -1.0
 
     def test_hand_evaluation(self):
-        got = qcore.q_update(-2.0, -1.0, -1.0, QParams(gamma=0.8, alpha=0.5))
+        got = qcore.q_update(-2.0, -1.0, -1.0, gamma=0.8, alpha=0.5)
         assert got == pytest.approx(-1.9)
 
     @given(st.floats(-10, 0), st.floats(-3, 0), st.floats(-10, 0),
            st.floats(0.01, 1.0), st.floats(0, 1))
     def test_fixed_point(self, q, r, v, alpha, gamma):
-        params = QParams(gamma=gamma, alpha=alpha)
         fixed = r + gamma * v
-        assert qcore.q_update(fixed, r, v, params) == pytest.approx(fixed, abs=1e-9)
+        assert qcore.q_update(fixed, r, v, gamma, alpha) == pytest.approx(fixed, abs=1e-9)
 
     @given(st.floats(-10, 0), st.floats(-10, 0), st.floats(-3, 0), st.floats(-10, 0))
     def test_monotone_in_each_argument(self, q1, q2, r, v):
-        params = QParams(gamma=0.8, alpha=0.5)
+        def update(q, r, v):
+            return qcore.q_update(q, r, v, gamma=0.8, alpha=0.5)
         lo, hi = sorted((q1, q2))
-        assert qcore.q_update(lo, r, v, params) <= qcore.q_update(hi, r, v, params)
-        assert qcore.q_update(lo, r, v, params) <= qcore.q_update(lo, r + 0.5, v, params)
-        assert qcore.q_update(lo, r, v, params) <= qcore.q_update(lo, r, v + 0.5, params)
+        assert update(lo, r, v) <= update(hi, r, v)
+        assert update(lo, r, v) <= update(lo, r + 0.5, v)
+        assert update(lo, r, v) <= update(lo, r, v + 0.5)
 
     @given(st.lists(st.tuples(st.floats(-3, 0), st.floats(-15, 0)), min_size=1, max_size=50))
     def test_bound_preservation(self, steps):
         # rewards in [-3, 0] keep Q inside [-3/(1-gamma), 0]
-        params = QParams(gamma=0.8, alpha=0.5)
-        lo, hi = qcore.q_bounds(params)
+        lo, hi = qcore.q_bounds(0.8)
         q = 0.0
         for r, v in steps:
-            q = qcore.q_update(q, r, max(v, lo), params)
+            q = qcore.q_update(q, r, max(v, lo), gamma=0.8, alpha=0.5)
             assert lo - 1e-9 <= q <= hi + 1e-9
 
 
@@ -139,17 +137,7 @@ class TestVValue:
 
 
 class TestParams:
-    def test_ranges(self):
-        with pytest.raises(ValueError):
-            QParams(gamma=1.5)
-        with pytest.raises(ValueError):
-            QParams(gamma=-0.1)
-        with pytest.raises(ValueError):
-            QParams(alpha=0.0)
-        with pytest.raises(ValueError):
-            QParams(alpha=1.2)
-
     def test_bounds(self):
-        lo, hi = qcore.q_bounds(QParams(gamma=0.8))
+        lo, hi = qcore.q_bounds(0.8)
         assert lo == pytest.approx(-15.0)
         assert hi == 0.0

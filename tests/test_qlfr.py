@@ -1,7 +1,6 @@
 """Protocol state-machine tests: priority lists, holding times, receive and
 hold-expiry paths, overhear suppression, and the adaptive list length."""
 
-import math
 from fractions import Fraction
 
 import pytest
@@ -10,12 +9,11 @@ from hypothesis import given, settings, strategies as st
 from uwroute import qcore
 from uwroute.config import ScenarioConfig
 from uwroute.engine import Simulation
-from uwroute.qcore import QParams
-from uwroute.qlfr import (Deliver, Drop, HoldingParams, PacketHeader, QlfrProtocol, Schedule,
+from uwroute.qlfr import (Deliver, Drop, PacketHeader, QlfrProtocol, Schedule,
                           build_priority_list, holding_time)
 from uwroute.world import NodePosition, NodeState, RoutingKnowledge, remember
 
-QP = QParams(gamma=0.8, alpha=0.5)
+GAMMA = 0.8
 D_MAX = 150.0
 STALE = 20.0
 
@@ -28,9 +26,11 @@ def make_node(node_id=0, depth=100.0, region_z=300.0, kind="sensor", e_res=None)
     return node
 
 
-def protocol(h=4, t_max=0.1, length=2, max_list=4, threshold=0.9):
-    return QlfrProtocol(QP, HoldingParams(h, t_max), d_max=D_MAX, staleness_s=STALE,
-                        list_length=length, max_list_length=max_list, pdr_threshold=threshold)
+def protocol(h=4, length=2, max_list=4, threshold=0.9):
+    """qlfr at the default config (gamma GAMMA, range D_MAX, staleness STALE,
+    t_max 0.1 s) with these holding and list-length keys."""
+    return QlfrProtocol(ScenarioConfig(holding_h=h, initial_list_length=length,
+                                       max_list_length=max_list, pdr_threshold=threshold))
 
 
 def data_header(sender: NodeState, plist, source_id=9, seq=0, epoch=0):
@@ -41,10 +41,10 @@ def data_header(sender: NodeState, plist, source_id=9, seq=0, epoch=0):
                         suppression_epoch=epoch)
 
 
-def score(sender: NodeState, kn: RoutingKnowledge, qparams=QP) -> float:
+def score(sender: NodeState, kn: RoutingKnowledge, gamma=GAMMA) -> float:
     """The ranking value r + gamma * V of one advertised neighbor of `sender`."""
     return (qcore.reward_from(sender, D_MAX)(kn.residual_energy_j, kn.depth_m)
-            + qparams.gamma * kn.v_value)
+            + gamma * kn.v_value)
 
 
 class TestHeaders:
@@ -60,39 +60,28 @@ class TestHeaders:
 
 class TestHoldingTime:
     def test_head_waits_nothing(self):
-        assert holding_time(1, HoldingParams(4, 0.1)) == 0.0
+        assert holding_time(1, ScenarioConfig(holding_h=4).holding_k_s) == 0.0
 
     def test_table_values(self):
         # R = 150 m, v0 = 1500 m/s: t_max = 0.1 s; h = 4 gives k = 0.05 s
-        params = HoldingParams(4, 150.0 / 1500.0)
-        assert params.k == pytest.approx(0.05)
-        assert holding_time(3, params) == pytest.approx(0.1)
+        k = ScenarioConfig(tx_range_m=150.0, sound_speed_mps=1500.0, holding_h=4).holding_k_s
+        assert k == pytest.approx(0.05)
+        assert holding_time(3, k) == pytest.approx(0.1)
 
     def test_h_one(self):
-        params = HoldingParams(1, 0.1)
-        assert params.k == pytest.approx(0.2)
-        assert holding_time(2, params) == pytest.approx(0.2)
+        k = ScenarioConfig(holding_h=1).holding_k_s
+        assert k == pytest.approx(0.2)
+        assert holding_time(2, k) == pytest.approx(0.2)
 
     def test_strictly_increasing_with_constant_step(self):
-        params = HoldingParams(5, 0.1)
-        taus = [holding_time(n, params) for n in range(1, 12)]
+        k = ScenarioConfig(holding_h=5).holding_k_s
+        taus = [holding_time(n, k) for n in range(1, 12)]
         steps = [b - a for a, b in zip(taus, taus[1:])]
-        assert all(s == pytest.approx(params.k) for s in steps)
+        assert all(s == pytest.approx(k) for s in steps)
 
     def test_domain_error(self):
         with pytest.raises(ValueError):
-            holding_time(0, HoldingParams(4, 0.1))
-
-    def test_invalid_params(self):
-        with pytest.raises(ValueError):
-            HoldingParams(0, 0.1)
-        with pytest.raises(ValueError):
-            HoldingParams(4, 0.0)
-        with pytest.raises(ValueError, match="t_max must be > 0, got nan"):
-            HoldingParams(4, math.nan)
-        for h in (1.5, 4.0, True):  # an h that is not an int
-            with pytest.raises(ValueError, match="h must be a positive integer"):
-                HoldingParams(h, 0.1)
+            holding_time(0, ScenarioConfig(holding_h=4).holding_k_s)
 
 
 class TestSuppressionSoundness:
@@ -113,10 +102,10 @@ class TestSuppressionSoundness:
         assert violations == []
 
     def test_float_matches_rational(self):
-        params = HoldingParams(7, 0.1)
+        k = ScenarioConfig(holding_h=7).holding_k_s
         for n in range(1, 25):
             exact = Fraction(2, 1) * Fraction(1, 10) / 7 * (n - 1)
-            assert holding_time(n, params) == pytest.approx(float(exact), abs=1e-12)
+            assert holding_time(n, k) == pytest.approx(float(exact), abs=1e-12)
 
 
 class TestPriorityList:
@@ -129,7 +118,7 @@ class TestPriorityList:
         }
         assert score(sender, sender.neighbor_knowledge[1][0]) == pytest.approx(-1.0)
         assert score(sender, sender.neighbor_knowledge[2][0]) == pytest.approx(-0.5)
-        assert build_priority_list(sender, D_MAX, 2, QP, now=1.0, staleness_s=STALE) == [2, 1]
+        assert build_priority_list(sender, D_MAX, 2, GAMMA, now=1.0, staleness_s=STALE) == [2, 1]
 
     def test_filters_deeper_neighbors(self):
         sender = make_node(depth=100.0)
@@ -137,7 +126,7 @@ class TestPriorityList:
             1: (RoutingKnowledge(0.0, 150.0, 100.0), 0.0),
             2: (RoutingKnowledge(0.0, 100.0, 100.0), 0.0),  # equal depth is not progress
         }
-        assert build_priority_list(sender, D_MAX, 2, QP, now=0.0, staleness_s=STALE) == []
+        assert build_priority_list(sender, D_MAX, 2, GAMMA, now=0.0, staleness_s=STALE) == []
 
     def test_truncates_to_length_with_sort_oracle(self):
         sender = make_node(depth=140.0)
@@ -145,7 +134,7 @@ class TestPriorityList:
         for nid, depth in enumerate((10.0, 80.0, 40.0, 120.0, 60.0), start=1):
             knowledge[nid] = (RoutingKnowledge(0.0, depth, 100.0), 0.0)
         sender.neighbor_knowledge = dict(knowledge)
-        got = build_priority_list(sender, D_MAX, 3, QP, now=0.0, staleness_s=STALE)
+        got = build_priority_list(sender, D_MAX, 3, GAMMA, now=0.0, staleness_s=STALE)
         scores = {nid: score(sender, kn) for nid, (kn, _) in knowledge.items()}
         oracle = sorted(scores, key=lambda nid: (-scores[nid], nid))[:3]
         assert got == oracle
@@ -157,7 +146,7 @@ class TestPriorityList:
             1: (RoutingKnowledge(0.0, 50.0, 100.0), 0.0),
             2: (RoutingKnowledge(0.0, 40.0, 100.0), 30.0),
         }
-        got = build_priority_list(sender, D_MAX, 2, QP, now=25.0, staleness_s=STALE)
+        got = build_priority_list(sender, D_MAX, 2, GAMMA, now=25.0, staleness_s=STALE)
         assert got == [2]
 
     def test_id_tiebreak(self):
@@ -166,7 +155,7 @@ class TestPriorityList:
             7: (RoutingKnowledge(0.0, 50.0, 100.0), 0.0),
             3: (RoutingKnowledge(0.0, 50.0, 100.0), 0.0),
         }
-        assert build_priority_list(sender, D_MAX, 2, QP, now=0.0, staleness_s=STALE) == [3, 7]
+        assert build_priority_list(sender, D_MAX, 2, GAMMA, now=0.0, staleness_s=STALE) == [3, 7]
 
     def test_argmax_invariance_under_constant_shift(self):
         sender = make_node(depth=120.0)
@@ -176,18 +165,18 @@ class TestPriorityList:
                 nid: (RoutingKnowledge(v + shift, d, 100.0), 0.0)
                 for nid, (v, d) in base.items()
             }
-            got = build_priority_list(sender, D_MAX, 3, QP, now=0.0, staleness_s=STALE)
+            got = build_priority_list(sender, D_MAX, 3, GAMMA, now=0.0, staleness_s=STALE)
             assert got == [2, 3, 1]
 
     def test_clamps_out_of_window_depths(self):
         # stale advertised depth beyond d_max must not raise
         sender = make_node(depth=280.0)
         sender.neighbor_knowledge = {1: (RoutingKnowledge(0.0, 10.0, 100.0), 0.0)}
-        got = build_priority_list(sender, D_MAX, 1, QP, now=0.0, staleness_s=STALE)
+        got = build_priority_list(sender, D_MAX, 1, GAMMA, now=0.0, staleness_s=STALE)
         assert got == [1]
 
 
-def reference_priority_list(sender, d_max, list_length, qparams, now, staleness_s):
+def reference_priority_list(sender, d_max, list_length, gamma, now, staleness_s):
     """The ranking loop that allocated per neighbor: the advertised knowledge
     copied with its depth clamped, then the reward's three costs."""
     scored = []
@@ -200,7 +189,7 @@ def reference_priority_list(sender, d_max, list_length, qparams, now, staleness_
         r = (-qcore.energy_cost(sender.residual_energy_j, e_ini)
              - qcore.energy_cost(min(kn.residual_energy_j, e_ini), e_ini)
              - qcore.depth_cost(sender.depth, kn.depth_m, d_max))
-        scored.append((-(r + qparams.gamma * kn.v_value), nid))
+        scored.append((-(r + gamma * kn.v_value), nid))
     scored.sort()
     return [nid for _, nid in scored[:list_length]]
 
@@ -228,21 +217,20 @@ class TestRankingReference:
            st.sampled_from([0.0, 0.8, 1.0]))
     def test_equals_sorting_on_score_and_the_allocating_loop(self, table, depth, e_res,
                                                               length, gamma):
-        qparams = QParams(gamma=gamma, alpha=0.5)
         sender = make_node(depth=depth, region_z=500.0, e_res=e_res)
         knowledge = {nid: (RoutingKnowledge(v, d, e), heard)
                      for nid, (v, d, e, heard) in table.items()}
         now = 30.0
         sender.neighbor_knowledge = dict(knowledge)
         expected = outcome(lambda: reference_priority_list(
-            sender, D_MAX, length, qparams, now, STALE))
-        got = outcome(lambda: build_priority_list(sender, D_MAX, length, qparams, now, STALE))
+            sender, D_MAX, length, gamma, now, STALE))
+        got = outcome(lambda: build_priority_list(sender, D_MAX, length, gamma, now, STALE))
         assert got == expected
         if isinstance(got, list):
             fresh = {nid: kn for nid, (kn, heard) in knowledge.items()
                      if now - heard <= STALE}
             assert sender.neighbor_knowledge == {nid: knowledge[nid] for nid in fresh}
-            scores = {nid: score(sender, kn, qparams)
+            scores = {nid: score(sender, kn, gamma)
                       for nid, kn in fresh.items() if kn.depth_m < sender.depth}
             assert got == sorted(scores, key=lambda nid: (-scores[nid], nid))[:length]
 
@@ -253,14 +241,14 @@ class TestRankingReference:
         sender = make_node(depth=100.0, e_res=101.0)
         sender.neighbor_knowledge = {1: (RoutingKnowledge(0.0, 150.0, 100.0), 0.0),
                                      2: (RoutingKnowledge(0.0, 50.0, 100.0), -30.0)}
-        assert build_priority_list(sender, D_MAX, 2, QP, now=0.0, staleness_s=STALE) == []
+        assert build_priority_list(sender, D_MAX, 2, GAMMA, now=0.0, staleness_s=STALE) == []
         sender.neighbor_knowledge[3] = (RoutingKnowledge(0.0, 50.0, 100.0), 0.0)
         with pytest.raises(ValueError, match="residual energy 101.0"):
-            build_priority_list(sender, D_MAX, 2, QP, now=0.0, staleness_s=STALE)
+            build_priority_list(sender, D_MAX, 2, GAMMA, now=0.0, staleness_s=STALE)
         sender.residual_energy_j = 100.0
         sender.neighbor_knowledge[3] = (RoutingKnowledge(0.0, 50.0, -1.0), 0.0)
         with pytest.raises(ValueError, match="residual energy -1.0"):
-            build_priority_list(sender, D_MAX, 2, QP, now=0.0, staleness_s=STALE)
+            build_priority_list(sender, D_MAX, 2, GAMMA, now=0.0, staleness_s=STALE)
 
 
 class TestNeighborKnowledge:
@@ -274,20 +262,20 @@ class TestNeighborKnowledge:
     def test_fresh_entry_present(self):
         proto, node = protocol(), make_node(depth=200.0)
         self.hear(proto, node, 3, RoutingKnowledge(-0.5, 120.0, 80.0), now=10.0)
-        assert build_priority_list(node, D_MAX, 2, QP, now=12.0, staleness_s=20.0) == [3]
+        assert build_priority_list(node, D_MAX, 2, GAMMA, now=12.0, staleness_s=20.0) == [3]
         assert node.neighbor_knowledge[3] == (RoutingKnowledge(-0.5, 120.0, 80.0), 10.0)
 
     def test_stale_entry_evicted(self):
         proto, node = protocol(), make_node(depth=200.0)
         self.hear(proto, node, 3, RoutingKnowledge(0.0, 120.0, 80.0), now=0.0)
-        assert build_priority_list(node, D_MAX, 2, QP, now=25.0, staleness_s=20.0) == []
+        assert build_priority_list(node, D_MAX, 2, GAMMA, now=25.0, staleness_s=20.0) == []
         assert 3 not in node.neighbor_knowledge  # evicted by the walk
 
     def test_stale_entries_evicted_and_the_rest_keep_their_order(self):
         proto, node = protocol(), make_node(depth=200.0)
         for nid, heard in ((3, 0.0), (7, 10.0), (1, 10.0), (5, 0.0), (4, 10.0)):
             self.hear(proto, node, nid, RoutingKnowledge(0.0, 120.0, 80.0), now=heard)
-        build_priority_list(node, D_MAX, 2, QP, now=25.0, staleness_s=20.0)
+        build_priority_list(node, D_MAX, 2, GAMMA, now=25.0, staleness_s=20.0)
         assert list(node.neighbor_knowledge) == [7, 1, 4]
 
     def test_overwrite_keeps_single_entry(self):
@@ -332,7 +320,7 @@ class TestOnReceive:
             action.tau = 1.0
 
     def test_second_priority_waits_k(self):
-        proto = protocol(h=4, t_max=0.1)
+        proto = protocol(h=4)
         node = make_node(node_id=8, depth=50.0)
         pkt = data_header(make_node(node_id=1, depth=100.0), plist=[5, 8])
         action = proto.on_receive(node, pkt, now=3.0)

@@ -9,8 +9,9 @@ median and quartiles, how many pairs the change won (a tie counts for
 neither side), whether the gap between the medians lies inside the parent's
 interquartile range or beyond it, better or worse, and whether the change's
 median is worse than the parent's by more than the metric's `bound` in
-`BENCHMARK.json`, a fraction of the parent's median; last, whether every
-pair printed equal digests. Exits 1 when a pair's
+`BENCHMARK.json`, a fraction of the parent's median; then each side's
+median and quartiles of the unscaled wall seconds of the timed part and of
+set-up; last, whether every pair printed equal digests. Exits 1 when a pair's
 digests differ or a run fails its own output checks, on any workload.
 
     python3 tools/bench_ab.py PARENT_DIR CHANGE_DIR --workload analyze_400 \
@@ -24,7 +25,11 @@ parent's IQR ("gap": "better", "worse" or "inside") and whether it is worse
 than the bound ("past_bound"), the digest and output-check verdicts, and
 where it ran: the Python version, `platform.platform()`, `os.cpu_count()` and
 each side's quartiles of the host probe `host_ref_s` that `perfbench/run.py`
-prints for every run. A file that exists keeps its other keys and earlier
+prints for every run. Under "wall_s" it records both sides' quartiles of the
+wall seconds of `run_s` and `setup_s` before the probe scales them, which
+`perfbench/run.py` prints as `wall run_s ... s (not scaled)` and `wall
+setup_s ...`; they show whether a move of a scaled time came from the probe.
+A file that exists keeps its other keys and earlier
 blocks, so runs on other seeds or workloads collect in one file.
 
 Each checkout runs its own `perfbench/run.py` against its own `src/`, so the
@@ -66,9 +71,19 @@ def first_difference(parent: Path, change: Path) -> str | None:
     return None
 
 
+WALL = ("run_s", "setup_s")  # the times `perfbench/run.py` also prints unscaled
+
+
+def _printed(lines: list[str], prefix: str) -> float:
+    """The number after `prefix` on the first output line that starts with it."""
+    return next(float(line[len(prefix):].split()[0]) for line in lines
+                if line.startswith(prefix))
+
+
 def run_once(checkout: Path, workload: str, seed: int, seconds: int):
     """(metric name -> value, digest lines, passed its output checks) of one
-    run; the metrics include the host probe's `host_ref_s`."""
+    run; the metrics include the host probe's `host_ref_s` and the unscaled
+    wall seconds `wall_run_s` and `wall_setup_s`."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
@@ -78,8 +93,9 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: int):
     lines = proc.stdout.splitlines()
     result = json.loads(lines[-1])
     metrics = {name: m["value"] for name, m in result["metrics"].items()}
-    metrics["host_ref_s"] = next(float(line.split()[1]) for line in lines
-                                 if line.startswith("host_ref_s "))
+    metrics["host_ref_s"] = _printed(lines, "host_ref_s ")
+    for name in WALL:
+        metrics[f"wall_{name}"] = _printed(lines, f"wall {name} ")
     digests = [line for line in lines if line.startswith("digest ")]
     return metrics, digests, bool(result["correct"]) and result["failed"] == 0
 
@@ -115,7 +131,8 @@ def compare(sides: dict, workload: str, pairs: int, seed: int, metrics: dict,
             seconds: int) -> dict:
     """Run and print the pairs of one workload, then its summary block, which
     it returns. `metrics` maps each metric's name to its (better, bound)."""
-    samples = {side: {name: [] for name in [*metrics, "host_ref_s"]} for side in sides}
+    recorded = [*metrics, "host_ref_s", *(f"wall_{name}" for name in WALL)]
+    samples = {side: {name: [] for name in recorded} for side in sides}
     digests_equal, all_correct = True, True
     for i in range(pairs):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
@@ -138,7 +155,9 @@ def compare(sides: dict, workload: str, pairs: int, seed: int, metrics: dict,
              "metrics": {}, "digests_equal": digests_equal, "outputs_checked": all_correct,
              "host": {"python": platform.python_version(), "platform": platform.platform(),
                       "cpu_count": os.cpu_count()},
-             "host_ref_s": {side: quartiles(samples[side]["host_ref_s"]) for side in sides}}
+             "host_ref_s": {side: quartiles(samples[side]["host_ref_s"]) for side in sides},
+             "wall_s": {name: {side: quartiles(samples[side][f"wall_{name}"]) for side in sides}
+                        for name in WALL}}
     for name, (direction, bound) in metrics.items():
         s = summarize(samples["parent"][name], samples["change"][name], direction, bound)
         block["metrics"][name] = dict(s, better=direction, bound=bound)
@@ -148,6 +167,10 @@ def compare(sides: dict, workload: str, pairs: int, seed: int, metrics: dict,
               f"  median gap {_GAP[s['gap']]}"
               f"  worse than the {bound * 100:g}% bound: {'YES' if s['past_bound'] else 'no'}"
               f"  ({direction} is better)")
+    for name, q in block["wall_s"].items():
+        (pq1, pmed, pq3), (cq1, cmed, cq3) = q["parent"], q["change"]
+        print(f"wall {name:8s} parent {pmed:.4g} [{pq1:.4g}, {pq3:.4g}]  change {cmed:.4g} "
+              f"[{cq1:.4g}, {cq3:.4g}]  {(cmed - pmed) / pmed:+.1%}  (s, not scaled)")
     print(f"digests equal in every pair: {'yes' if digests_equal else 'NO'}")
     print(f"every run passed its output checks: {'yes' if all_correct else 'NO'}\n",
           flush=True)
