@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from . import channel as chan
 from .config import ScenarioConfig, channel_fields, shown
 from .qlfr import holding_time
-from .world import pairs_in_range
+from .world import pairs_in_range, projected_lifetime_s
 
 
 class TopologyError(ValueError):
@@ -318,7 +318,6 @@ def per_node_report(topo: StaticTopology, run_time_s: float,
             "delay_to_sink_s": _conditional_delay(raw_delay[nid], delivery[nid]),
             "traffic_packets": traffic[nid],
             "energy_j": energy,
-            "lifetime_s": (initial_energy_j * run_time_s / energy
-                           if energy > 0 else float("inf")),
+            "lifetime_s": projected_lifetime_s(initial_energy_j, run_time_s, energy),
         })
     return rows

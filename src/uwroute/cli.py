@@ -62,6 +62,8 @@ def run_sweep(config: ScenarioConfig, param: str, values, replicates: int = 1,
     plus the replicate; rows come sorted by sweep value then replicate."""
     if replicates < 1:
         raise ConfigError("replicates must be >= 1")
+    if jobs is not None and jobs < 1:
+        raise ConfigError(f"--jobs must be >= 1, got {jobs}")
     tasks = []
     configs = []
     for value in values:

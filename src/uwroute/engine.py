@@ -40,7 +40,7 @@ from . import channel as chan
 from .config import ScenarioConfig
 from .dbr import DbrProtocol
 from .qlfr import Deliver, Drop, PacketHeader, QlfrProtocol, Schedule
-from .world import NodeState, deploy, pairs_in_range, random_walk_step
+from .world import NodeState, deploy, pairs_in_range, projected_lifetime_s, random_walk_step
 
 _BOOTSTRAP_S = 1.0  # each node sends its first hello at a uniform time in [0, this)
 
@@ -338,7 +338,9 @@ class Simulation:
         delays = [self.delivered_at[k] - self.packet_gen_time[k] for k in self.delivered_at]
         sensors = [n for n in self.nodes if not n.is_sink]
         deaths = [n.death_time_s for n in sensors if n.death_time_s is not None]
-        lifetime = min(deaths) if deaths else extrapolated_lifetime(sensors, cfg.max_sim_time_s)
+        lifetime = min(deaths) if deaths else min(
+            projected_lifetime_s(n.initial_energy_j, cfg.max_sim_time_s, n.consumed_j)
+            for n in sensors)
         return MetricsRecord(
             generated=generated,
             delivered=len(self.delivered_at),
@@ -409,13 +411,6 @@ class Simulation:
             "run": {"duration_s": cfg.max_sim_time_s, "now_s": self.now},
             "nodes": entries,
         }
-
-
-def extrapolated_lifetime(sensors: list[NodeState], run_time_s: float) -> float:
-    """Projected time to first sensor death from average drain rates."""
-    lifetimes = [n.initial_energy_j * run_time_s / n.consumed_j
-                 for n in sensors if n.consumed_j > 0]
-    return min(lifetimes) if lifetimes else float("inf")
 
 
 def run(config: ScenarioConfig, trace=None) -> MetricsRecord:

@@ -21,16 +21,17 @@ def energy_cost(e_res: float, e_ini: float) -> float:
 
 
 def depth_cost(depth_sender: float, depth_neighbor: float, d_max: float) -> float:
-    """Depth cost 0.5 * (1 - d/d_max) with d = depth_sender - depth_neighbor.
+    """Depth cost 0.5 * (1 - d/d_max) with d = depth_sender - depth_neighbor
+    clamped into the one-hop window [-d_max, d_max].
 
-    0 when the neighbor is exactly d_max shallower, 0.5 at equal depth,
-    1 when d_max deeper.
+    0 when the neighbor is d_max or more shallower, 0.5 at equal depth,
+    1 when d_max or more deeper. Advertised depths can drift out of the
+    window under mobility and staleness; the clamp makes such a neighbor
+    cost exactly what the window's edge costs.
     """
     if d_max <= 0:
         raise ValueError(f"d_max must be > 0, got {d_max}")
-    d = depth_sender - depth_neighbor
-    if abs(d) > d_max:
-        raise ValueError(f"depth difference {d} exceeds d_max {d_max}")
+    d = min(max(depth_sender - depth_neighbor, -d_max), d_max)
     return 0.5 * (1.0 - d / d_max)
 
 
@@ -39,22 +40,17 @@ def reward_from(sender: "NodeState", d_max: float):
     a function of a neighbor's advertised residual energy and depth:
     -c_e(sender) - c_e(neighbor) - c_d(sender, neighbor), in [-3, 0].
 
-    The depth cost is defined over one hop, so the advertised depth is first
-    clamped into the sender's window, its own depth +-d_max; advertised
-    depths can drift out of it under mobility and staleness. The sender's
-    energy cost and window are computed once, here, so ranking all of a
-    sender's neighbors costs them once. The neighbor's energy cost uses its
+    The sender's energy cost is computed once, here, so ranking all of a
+    sender's neighbors costs it once. The neighbor's energy cost uses its
     advertised residual energy against the sender's initial energy (all
     nodes start with the same budget).
     """
     e_ini = sender.initial_energy_j
     ce_sender = energy_cost(sender.residual_energy_j, e_ini)
     depth_sender = sender.depth
-    lo, hi = depth_sender - d_max, depth_sender + d_max
 
     def reward_to(residual_j: float, depth_m: float) -> float:
         ce_neighbor = energy_cost(min(residual_j, e_ini), e_ini)
-        depth_m = min(max(depth_m, lo), hi)
         return -ce_sender - ce_neighbor - depth_cost(depth_sender, depth_m, d_max)
 
     return reward_to
@@ -62,8 +58,7 @@ def reward_from(sender: "NodeState", d_max: float):
 
 def reward(sender: "NodeState", residual_j: float, depth_m: float, d_max: float) -> float:
     """One-step reward for forwarding from `sender` to a neighbor advertising
-    `residual_j` and `depth_m`, the depth clamped into the sender's +-d_max
-    window (see `reward_from`)."""
+    `residual_j` and `depth_m` (see `reward_from`)."""
     return reward_from(sender, d_max)(residual_j, depth_m)
 
 

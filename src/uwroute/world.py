@@ -1,7 +1,8 @@
 """Node deployment, random-walk mobility, geometry queries, the
-`RoutingKnowledge` tuple that nodes advertise, and `remember`, which keeps a
-node's packet-key caches (plain dicts) bounded. A node's neighbor-knowledge
-table is read and written only by `qlfr`.
+`RoutingKnowledge` tuple that nodes advertise, `remember`, which keeps a
+node's packet-key caches (plain dicts) bounded, and `projected_lifetime_s`,
+the one lifetime projection of the engine and the analysis. A node's
+neighbor-knowledge table is read and written only by `qlfr`.
 
 `pairs_in_range` is the one neighbour sweep, for the engine's link tables
 and the analysis: it lists every pair of points within range once, so the
@@ -82,6 +83,12 @@ class NodeState:
     @property
     def depth(self) -> float:
         return self.region_z - self.position.z
+
+
+def projected_lifetime_s(initial_j: float, run_time_s: float, consumed_j: float) -> float:
+    """Seconds until a node that consumed `consumed_j` of its `initial_j` in
+    `run_time_s` runs dry at that average rate; inf if it consumed nothing."""
+    return initial_j * run_time_s / consumed_j if consumed_j > 0 else math.inf
 
 
 def deploy(config, rng: random.Random) -> list[NodeState]:

@@ -635,6 +635,30 @@ class TestCliVerbs:
         assert "'4' repeats" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("jobs", ["0", "-4"])
+    def test_sweep_refuses_jobs_below_one(self, tmp_path, capsys, jobs):
+        out = tmp_path / "sweep"
+        rc = cli.main(["sweep", "--config", self.write_config(tmp_path),
+                       "--param", "protocol.holding_h", "--values", "4",
+                       "--jobs", jobs, "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: --jobs must be >= 1, got {jobs}\n"
+        assert not out.exists()
+
+    def test_deep_config_clamps_advertised_depths_and_runs(self, tmp_path):
+        # 300 s of mobility lets advertised depths go stale and leave a
+        # sender's +-137.3 m window, and at some of these depths
+        # depth - 137.3 rounds: the depth cost must clamp, not refuse
+        cfg = tmp_path / "deep.cfg"
+        cfg.write_text("world.region_x_m = 400\nworld.region_y_m = 400\n"
+                       "world.region_z_m = 2000\nworld.n_sensors = 250\n"
+                       "world.tx_range_m = 137.3\nrun.max_sim_time_s = 300\nrun.seed = 3\n")
+        out = tmp_path / "results"
+        assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        for name in ("metrics.csv", "metrics.json", "snapshot.json", "q_tables.csv",
+                     "deployment.csv", "effective_config.txt"):
+            assert (out / name).exists()
+
     def test_analyze_refuses_dbr_snapshot(self, tmp_path, capsys):
         cfg = tmp_path / "dbr.cfg"
         cfg.write_text(FAST_SCENARIO + "protocol.name = dbr\n")

@@ -44,8 +44,7 @@ class TestDepthCost:
         assert qcore.depth_cost(0.0, 150.0, 150.0) == pytest.approx(1.0)
 
     def test_domain_error(self):
-        with pytest.raises(ValueError):
-            qcore.depth_cost(200.0, 0.0, 150.0)
+        assert qcore.depth_cost(200.0, 0.0, 150.0) == 0.0  # clamped to the window's edge
         with pytest.raises(ValueError):
             qcore.depth_cost(0.0, 0.0, 0.0)
 
@@ -77,8 +76,28 @@ class TestReward:
 
         assert reward(10.0) == reward(50.0)
         assert reward(300.0) == reward(250.0)
-        with pytest.raises(ValueError, match="exceeds d_max"):
-            qcore.depth_cost(150.0, 10.0, 100.0)
+        assert qcore.depth_cost(150.0, 10.0, 100.0) == 0.0
+
+    def test_window_edge_is_exact_where_depth_minus_d_max_rounds(self):
+        # 976.1 - 137.3 rounds, so clamping the neighbour's depth to it would
+        # leave a difference one ulp past d_max
+        sender = make_sender(depth=976.1, region_z=2000.0)
+        assert sender.depth == 976.1
+        assert qcore.reward(sender, 100.0, 0.0, 137.3) == 0.0
+
+    @given(st.floats(1, 10000), st.floats(0, 10000), st.floats(0, 10000),
+           st.floats(0, 100), st.floats(0, 200))
+    def test_every_declared_range_and_depth_scores_in_the_window(self, d_max, depth_s,
+                                                                 depth_n, e_s, e_n):
+        # d_max is world.tx_range_m, declared in [1, 10000]
+        sender = make_sender(depth=depth_s, e_res=e_s, region_z=10000.0)
+        r = qcore.reward(sender, e_n, depth_n, d_max)
+        assert -3.0 <= r <= 0.0
+        d = sender.depth - depth_n
+        if d >= d_max:
+            assert qcore.depth_cost(sender.depth, depth_n, d_max) == 0.0
+        elif d <= -d_max:
+            assert qcore.depth_cost(sender.depth, depth_n, d_max) == 1.0
 
     @given(st.floats(0, 100), st.floats(0, 100), st.floats(-150, 150))
     def test_always_nonpositive_in_range(self, e_s, e_n, d):
