@@ -9,21 +9,21 @@ candidates of a packet coordinate perfectly: the highest-priority candidate
 whose link succeeded forwards, everyone else stays silent. Used as an
 independent oracle against Monte-Carlo simulation of the same snapshot.
 
-Every candidate must lie strictly higher than its sender (a greater z), so
-the candidate graph is a height-ordered DAG and the whole model is one pass
-over it (see `_solve`). A snapshot records no surface, so the model orders
-nodes by their height z alone. The topology builds its lookup tables once,
-when it is made, and the report only reads them: each sender's forward
-probabilities, built in one `forward_probs` call, and link delays; each
-candidate's (sender, priority) pairs; each node's height; the set of sinks;
-and the holding time of each list position, at the holding step
-`holding_k_s` (`ScenarioConfig.holding_k_s`).
+Every candidate must lie strictly higher than its sender (a greater z), and
+a topology refuses any other when it is built, so the candidate graph is a
+height-ordered DAG and the whole model is one pass over it (see `_solve`).
+A snapshot records no surface, so the model orders nodes by their height z
+alone. The topology builds its lookup tables once, when it is made, and the
+report only reads them: each sender's forward probabilities, built in one
+`forward_probs` call, and hop times; each candidate's (sender, priority)
+pairs; each node's height; and the set of sinks.
 
-The delay weights each hop by the probability that the hop's forwarder is
-elected, which does not condition on eventual delivery; both the raw
-(delivery-weighted) value and the normalized value raw / P(delivery) are
-exposed. A hop is its holding time, the airtime M/mu and the link's
-propagation delay, as the engine times an arrival.
+The hop to the candidate in list position n takes the airtime M/mu, the
+link's propagation delay and the holding time tau(n) at the step
+`holding_k_s` (`ScenarioConfig.holding_k_s`) before the candidate relays, as
+the engine times an arrival; a sink holds nothing, and a source sends its
+own packet at once. A hop counts only for the packets that reach a sink, so
+raw / P(delivery) is the mean delay of the delivered packets.
 """
 
 import math
@@ -58,31 +58,40 @@ class StaticTopology:
 
     def __post_init__(self):
         inbound: dict = {}  # candidate -> [(sender, priority)] in candidates order
-        forward, delays = {}, {}  # sender -> each candidate's forward probability, delay
-        links = self.links
+        forward, hops = {}, {}  # sender -> each candidate's forward probability, hop time
+        links, airtime = self.links, self.seconds_per_packet
+        height = {nid: z for nid, (_, _, z) in self.positions.items()}
+        sinks = frozenset(nid for nid, kind in self.kinds.items() if kind == "sink")
+        longest = max(map(len, self.candidates.values()), default=0)
+        # holding time of list position n at index n - 1
+        holding = tuple(holding_time(n, self.holding_k_s) for n in range(1, longest + 1))
         for sender, cands in self.candidates.items():
             if len(set(cands)) != len(cands):
                 raise TopologyError(f"duplicate candidate in list of node {sender}")
-            ds, ps = [], []
+            ts, ps = [], []
             for position, c in enumerate(cands, 1):
+                if c not in height:
+                    raise TopologyError(f"candidate {c} of node {sender} has no position")
+                if height[c] <= height[sender]:
+                    raise TopologyError(
+                        f"candidate {c} of node {sender} is not strictly shallower")
                 inbound.setdefault(c, []).append((sender, position))
                 delay, p = links.get((sender, c), (None, None))  # a missing link has no p
                 if p is None or not 0.0 <= p <= 1.0:
                     raise TopologyError(f"link {(sender, c)} has probability {p}, not in [0, 1]")
-                ds.append(delay)
+                # airtime, propagation, then the hold of position n before c relays
+                ts.append(airtime + delay + (0.0 if c in sinks else holding[position - 1]))
                 ps.append(p)
-            forward[sender], delays[sender] = forward_probs(ps), tuple(ds)
-        longest = max(map(len, self.candidates.values()), default=0)
+            forward[sender], hops[sender] = forward_probs(ps), tuple(ts)
         object.__setattr__(self, "_inbound", inbound)
         object.__setattr__(self, "_forward", forward)
-        object.__setattr__(self, "_delay", delays)
-        object.__setattr__(self, "_height", {nid: z for nid, (_, _, z) in self.positions.items()})
-        object.__setattr__(self, "_sinks", frozenset(
-            nid for nid, kind in self.kinds.items() if kind == "sink"))
-        # holding time of list position n at index n - 1
-        object.__setattr__(self, "_holding", tuple(
-            holding_time(n, self.holding_k_s) for n in range(1, longest + 1)))
+        object.__setattr__(self, "_hop", hops)
+        object.__setattr__(self, "_height", height)
+        object.__setattr__(self, "_sinks", sinks)
+        object.__setattr__(self, "_holding", holding)
 
+    # No longer called by the model: `perfbench/tracing.py` wraps it by name,
+    # so it goes with the next benchmark change (ROADMAP item 1).
     def senders_of(self, node: int) -> list[tuple[int, int]]:
         """(sender, 1-indexed priority of `node`) pairs in `candidates` order."""
         return list(self._inbound.get(node, ()))
@@ -114,11 +123,8 @@ def outgoing_traffic(topo: StaticTopology) -> dict:
     for sender in sorted(topo.candidates, key=height.__getitem__):
         if sender in sinks:
             continue
-        below, sent = height[sender], traffic[sender]
+        sent = traffic[sender]
         for cand, fwd in zip(topo.candidates[sender], topo._forward[sender]):
-            if height[cand] <= below:
-                raise TopologyError(
-                    f"candidate {cand} of node {sender} is not strictly shallower")
             if cand not in sinks:
                 traffic[cand] += fwd * sent
     for sink in sinks:
@@ -126,6 +132,9 @@ def outgoing_traffic(topo: StaticTopology) -> dict:
     return traffic
 
 
+# No longer called by the model, which charges each hop the holding time of
+# its list position: `perfbench/tracing.py` wraps it by name, so it goes with
+# the next benchmark change (ROADMAP item 1).
 def expected_holding_time(topo: StaticTopology, node: int, traffic: dict) -> float:
     """Expected holding time before `node` transmits one packet, given every
     node's `outgoing_traffic`.
@@ -150,28 +159,24 @@ def expected_holding_time(topo: StaticTopology, node: int, traffic: dict) -> flo
     return expected
 
 
-def _solve(topo: StaticTopology) -> tuple[dict, dict, dict]:
-    """(traffic, delivery probability, raw delay) for every node, in one pass
-    over the height-ordered candidate DAG. Traffic runs lowest-first and
-    rejects any candidate that is not strictly higher; the rest runs
-    highest-first, so each sender reads only its candidates' finished
-    values. Sinks deliver with probability 1 after no delay; a void delivers
-    nothing."""
-    traffic = outgoing_traffic(topo)
-    sinks, airtime = topo._sinks, topo.seconds_per_packet
+def _solve(topo: StaticTopology) -> tuple[dict, dict]:
+    """(delivery probability P, raw delay E[delay * 1{delivered}]) for every
+    node, in one pass over the candidate DAG, highest first: raw[s] =
+    sum_c f_c (P[c] hop_c + raw[c]). Sinks deliver with probability 1 after
+    no delay; a void delivers nothing."""
+    sinks = topo._sinks
     delivery = {nid: 1.0 if nid in sinks else 0.0 for nid in topo.kinds}
     raw_delay = dict.fromkeys(topo.kinds, 0.0)
     for sender in sorted(topo.candidates, key=topo._height.__getitem__, reverse=True):
         if sender in sinks:
             continue
-        sent = expected_holding_time(topo, sender, traffic) + airtime
         p = d = 0.0
-        for cand, fwd, delay in zip(topo.candidates[sender], topo._forward[sender],
-                                    topo._delay[sender]):
+        for cand, fwd, hop in zip(topo.candidates[sender], topo._forward[sender],
+                                  topo._hop[sender]):
             p += fwd * delivery[cand]
-            d += (sent + delay + raw_delay[cand]) * fwd
+            d += fwd * (delivery[cand] * hop + raw_delay[cand])
         delivery[sender], raw_delay[sender] = p, d
-    return traffic, delivery, raw_delay
+    return delivery, raw_delay
 
 
 def _conditional_delay(raw: float, p: float) -> float:
@@ -179,19 +184,18 @@ def _conditional_delay(raw: float, p: float) -> float:
 
 
 def delivery_prob_to_sink(topo: StaticTopology, node: int) -> float:
-    """Delivery probability from `node` to any sink; 1 at sinks, 0 in a void.
-    Raises TopologyError unless every candidate is strictly higher."""
-    return _solve(topo)[1][node]
+    """Delivery probability from `node` to any sink; 1 at sinks, 0 in a void."""
+    return _solve(topo)[0][node]
 
 
 def expected_delay_to_sink(topo: StaticTopology, node: int,
                            conditional: bool = False) -> float:
     """End-to-end delay from `node` to a sink; 0 at sinks.
 
-    conditional=False returns the raw delivery-weighted value;
-    conditional=True divides by the delivery probability, giving the mean over
-    delivered packets (NaN in a void)."""
-    _, delivery, raw_delay = _solve(topo)
+    conditional=False returns the raw value E[delay * 1{delivered}];
+    conditional=True divides it by the delivery probability, giving the mean
+    over delivered packets (NaN in a void)."""
+    delivery, raw_delay = _solve(topo)
     if not conditional:
         return raw_delay[node]
     return _conditional_delay(raw_delay[node], delivery[node])
@@ -307,7 +311,7 @@ def per_node_report(topo: StaticTopology, run_time_s: float,
                     initial_energy_j: float) -> list[dict]:
     """One record per node: delivery probability, conditional delay, traffic,
     energy and projected lifetime."""
-    traffic, delivery, raw_delay = _solve(topo)
+    (delivery, raw_delay), traffic = _solve(topo), outgoing_traffic(topo)
     rows = []
     for nid in sorted(topo.kinds):
         energy = node_energy(topo, nid, traffic)

@@ -16,7 +16,7 @@ import pytest
 from scipy import integrate
 from scipy.special import erfc
 
-from fixtures import ALL_FIXTURES
+from fixtures import ALL_FIXTURES, wide_dag48
 from mc_oracle import run_trials
 from uwroute import analysis, channel, cli, engine, qcore
 from uwroute.config import ScenarioConfig
@@ -119,7 +119,7 @@ def test_analytical_vs_monte_carlo_pdr():
     for name, fixture in ALL_FIXTURES.items():
         topo, source = fixture()
         p = analysis.delivery_prob_to_sink(topo, source)
-        delivered, _ = run_trials(topo, source, TRIALS, seed=7)
+        delivered, _, _ = run_trials(topo, source, TRIALS, seed=7)
         observed = delivered / TRIALS
         sigma = math.sqrt(p * (1 - p) / TRIALS)
         ok &= abs(observed - p) <= 3.0 * sigma
@@ -133,11 +133,28 @@ def test_analytical_vs_monte_carlo_delay():
     for name, fixture in ALL_FIXTURES.items():
         topo, source = fixture()
         predicted = analysis.expected_delay_to_sink(topo, source, conditional=True)
-        _, mc_delay = run_trials(topo, source, TRIALS, seed=7)
+        _, mc_delay, _ = run_trials(topo, source, TRIALS, seed=7)
         rel = abs(predicted - mc_delay) / mc_delay
         ok &= rel < 0.05
         details.append(f"{name}: {rel * 100:.2f}%")
     report("analytical-vs-mc-delay", ok, "; ".join(details))
+
+
+def test_analytical_vs_monte_carlo_delay_within_standard_errors():
+    """|model - MC| within 3 standard errors of the walker's mean delay. The
+    bound has a floor of 1e-9 s for a fixture whose delivered packets all
+    take one time, where the standard error is 0 and z is not defined."""
+    details = []
+    ok = True
+    for name, fixture in {**ALL_FIXTURES, "wide_dag48": wide_dag48}.items():
+        topo, source = fixture()
+        predicted = analysis.expected_delay_to_sink(topo, source, conditional=True)
+        _, mc_delay, se = run_trials(topo, source, TRIALS, seed=7)
+        gap = predicted - mc_delay
+        ok &= abs(gap) <= max(3.0 * se, 1e-9)
+        z = f"{gap / se:+.2f}" if se > 0.0 else "n/a, no spread"
+        details.append(f"{name}: {gap:+.2e} s, z = {z}")
+    report("analytical-vs-mc-delay-se", ok, "; ".join(details))
 
 
 # --- criterion: energy ledger exactness -------------------------------------

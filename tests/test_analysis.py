@@ -13,7 +13,7 @@ from hypothesis import given, strategies as st
 from fixtures import HOLDING_K_S, chain3, diamond4, random_dag10, static_topology, wide_dag48
 from mc_oracle import run_trials
 from uwroute import analysis, channel
-from uwroute.analysis import (TopologyError, delivery_prob_to_sink,
+from uwroute.analysis import (StaticTopology, TopologyError, delivery_prob_to_sink,
                               expected_delay_to_sink, expected_holding_time, forward_probs,
                               node_energy, outgoing_traffic, per_node_report)
 from uwroute.config import ScenarioConfig
@@ -75,6 +75,19 @@ def line_topology(p1=0.9, p2=0.9, spacing=120.0):
         gen_packets={0: 100.0},
         holding_k_s=HOLDING_K_S,
     )
+
+
+def second_priority_topology(kind2="sensor", p02=0.8):
+    """Source 0 lists relay 1 behind a p = 0.5 link, then node 2 (a sensor
+    or a source of its own) at p02; both reach sink 3 for sure. k = 0.05 s."""
+    return static_topology(
+        kinds={0: "source", 1: "sensor", 2: kind2, 3: "sink"},
+        positions={0: (0, 0, 0), 1: (0, 0, 100), 2: (50, 0, 100), 3: (0, 0, 200)},
+        candidates={0: (1, 2), 1: (3,), 2: (3,)},
+        link_prob={(0, 1): 0.5, (0, 2): p02, (1, 3): 1.0, (2, 3): 1.0},
+        neighbors={0: (1, 2), 1: (0, 2, 3), 2: (0, 1, 3), 3: (1, 2)},
+        gen_packets={0: 10.0},
+        holding_k_s=2.0 * 0.1 / 4)
 
 
 def deep_chain(n, p, spacing):
@@ -146,16 +159,25 @@ class TestDeliveryProb:
         assert delivery_prob_to_sink(line_topology(), 2) == 1.0
 
     def test_cycle_detection(self):
-        topo = static_topology(
-            kinds={0: "sensor", 1: "sensor", 2: "sink"},
-            positions={0: (0, 0, 0), 1: (0, 0, 10), 2: (0, 0, 200)},
-            candidates={0: (1,), 1: (0,)},
-            link_prob={(0, 1): 0.9, (1, 0): 0.9},
-            neighbors={0: (1,), 1: (0,)},
-            gen_packets={},
-            holding_k_s=HOLDING_K_S)
-        with pytest.raises(TopologyError):
-            delivery_prob_to_sink(topo, 0)
+        # a cycle needs a candidate that is not strictly shallower: refused
+        # when the topology is built
+        with pytest.raises(TopologyError, match="candidate 0 of node 1 is not strictly shallower"):
+            static_topology(
+                kinds={0: "sensor", 1: "sensor", 2: "sink"},
+                positions={0: (0, 0, 0), 1: (0, 0, 10), 2: (0, 0, 200)},
+                candidates={0: (1,), 1: (0,)},
+                link_prob={(0, 1): 0.9, (1, 0): 0.9},
+                neighbors={0: (1,), 1: (0,)},
+                gen_packets={},
+                holding_k_s=HOLDING_K_S)
+
+    def test_candidate_without_position_refused(self):
+        with pytest.raises(TopologyError, match="candidate 5 of node 0 has no position"):
+            StaticTopology(kinds={0: "source", 1: "sink"},
+                           positions={0: (0, 0, 0), 1: (0, 0, 100)},
+                           candidates={0: (1, 5)},
+                           links={(0, 1): (0.1, 0.9), (0, 5): (0.1, 0.9)}, neighbors={},
+                           gen_packets={}, holding_k_s=HOLDING_K_S)
 
     def test_missing_or_improper_link_refused(self):
         for links in ({}, {(0, 1): 1.5}):
@@ -168,7 +190,7 @@ class TestDeliveryProb:
     def test_monte_carlo_cross_check_small(self):
         topo, src = diamond4()
         p = delivery_prob_to_sink(topo, src)
-        delivered, _ = run_trials(topo, src, 20_000, seed=3)
+        delivered, _, _ = run_trials(topo, src, 20_000, seed=3)
         sigma = math.sqrt(p * (1 - p) / 20_000)
         assert abs(delivered / 20_000 - p) < 4 * sigma
 
@@ -185,14 +207,7 @@ class TestExpectedHolding:
 
     def test_second_priority_single_sender(self):
         # second-priority candidate behind a p = 0.5 head, k = 0.05
-        topo = static_topology(
-            kinds={0: "source", 1: "sensor", 2: "sensor", 3: "sink"},
-            positions={0: (0, 0, 0), 1: (0, 0, 100), 2: (50, 0, 100), 3: (0, 0, 200)},
-            candidates={0: (1, 2), 1: (3,), 2: (3,)},
-            link_prob={(0, 1): 0.5, (0, 2): 0.8, (1, 3): 1.0, (2, 3): 1.0},
-            neighbors={0: (1, 2), 1: (0, 2, 3), 2: (0, 1, 3), 3: (1, 2)},
-            gen_packets={0: 10.0},
-            holding_k_s=2.0 * 0.1 / 4)
+        topo = second_priority_topology()
         # tau(2) * P_sender,2 = 0.05 * (1 - 0.5) * 0.8
         assert (expected_holding_time(topo, 2, outgoing_traffic(topo))
                 == pytest.approx(0.05 * 0.5 * 0.8))
@@ -256,10 +271,33 @@ class TestExpectedDelay:
         rows = analysis.per_node_report(lossy, 600.0, 100.0)
         assert len(rows) == n and rows[-1]["delivery_prob"] == 1.0
 
+    def test_loss_past_the_first_hop_is_not_charged(self):
+        # every packet reaches relay 1 and half of them the sink: a delivered
+        # packet took both hops, and a packet lost on the second adds nothing
+        topo = line_topology(p1=1.0, p2=0.5)
+        expected = 2 * (120.0 / 1500.0 + AIRTIME)  # 0.2624 s
+        assert expected_delay_to_sink(topo, 0, conditional=True) == pytest.approx(expected)
+
+    def test_hold_of_the_list_position_on_the_edge(self):
+        # relay 1 forwards with f = 0.5 and holds nothing; node 2 forwards
+        # with f = 0.5 * 0.8 = 0.4 and holds tau(2) = k = 0.05 s first
+        topo = second_priority_topology()
+        d1, d2 = 100.0 / 1500.0, math.hypot(50.0, 100.0) / 1500.0
+        raw = 0.5 * 2 * (AIRTIME + d1) + 0.4 * (2 * (AIRTIME + d2) + 0.05)
+        assert raw / 0.9 == pytest.approx(0.264950, abs=1e-6)
+        assert expected_delay_to_sink(topo, 0, conditional=True) == pytest.approx(raw / 0.9)
+
+    def test_source_sends_its_own_packets_at_once(self):
+        # source 2 is second on source 0's list, so it holds a relayed copy
+        # for k; its own packets leave without a hold
+        topo = second_priority_topology(kind2="source", p02=1.0)
+        expected = AIRTIME + math.hypot(50.0, 100.0) / 1500.0  # 0.125736 s
+        assert expected_delay_to_sink(topo, 2, conditional=True) == pytest.approx(expected)
+
     def test_monte_carlo_cross_check_small(self):
         topo, src = chain3()
         cond = expected_delay_to_sink(topo, src, conditional=True)
-        _, mc_delay = run_trials(topo, src, 20_000, seed=5)
+        _, mc_delay, _ = run_trials(topo, src, 20_000, seed=5)
         assert cond == pytest.approx(mc_delay, rel=0.05)
 
 
@@ -290,15 +328,16 @@ class TestTraffic:
                 assert traffic[nid] <= sum(topo.gen_packets.values()) + 1e-9
 
     def test_cycle_guard(self):
-        topo = static_topology(
-            kinds={0: "sensor", 1: "sensor", 2: "sink"},
-            positions={0: (0, 0, 0), 1: (0, 0, 0), 2: (0, 0, 200)},
-            candidates={0: (1,), 1: (0,)},
-            link_prob={(0, 1): 0.9, (1, 0): 0.9},
-            neighbors={0: (1,), 1: (0,)}, gen_packets={},
-            holding_k_s=HOLDING_K_S)
-        with pytest.raises(TopologyError):
-            outgoing_traffic(topo)
+        # two nodes at one height that list each other: refused when the
+        # topology is built, so the traffic pass never meets the cycle
+        with pytest.raises(TopologyError, match="candidate 1 of node 0 is not strictly shallower"):
+            static_topology(
+                kinds={0: "sensor", 1: "sensor", 2: "sink"},
+                positions={0: (0, 0, 0), 1: (0, 0, 0), 2: (0, 0, 200)},
+                candidates={0: (1,), 1: (0,)},
+                link_prob={(0, 1): 0.9, (1, 0): 0.9},
+                neighbors={0: (1,), 1: (0,)}, gen_packets={},
+                holding_k_s=HOLDING_K_S)
 
 
 class TestSendersOf:
@@ -319,7 +358,7 @@ class TestWideLists:
         h = hashlib.sha256()
         for row in per_node_report(wide_dag48()[0], 600.0, 100.0):
             h.update(repr(sorted(row.items())).encode())
-        assert h.hexdigest() == "6490c2e36ca6309bfe7d21cca2bd03751262bf37b17972fe7ae2b9142e34cf8b"
+        assert h.hexdigest() == "0995e3a8ef95f918b96c2711d851706b25cb7e6ea16d6954aa91a76721676825"
 
     def test_forward_vectors_equal_the_closed_form(self):
         topo, _ = wide_dag48()
@@ -486,24 +525,21 @@ class TestSnapshotLoading:
 
     def test_candidate_on_its_sender(self):
         # source 0 lists sensor 1, which shares its position 100 m below sink
-        # 2: the 0 m link loads with p = 1, and the report refuses the
-        # candidate by the model's own rule, as it is not strictly shallower
+        # 2: the loader refuses the candidate by the model's own rule, as it
+        # is not strictly shallower
         nodes = [{"id": 0, "kind": "source", "x": 0.0, "y": 0.0, "z": 0.0,
                   "generated": 10, "candidates": [1, 2]},
                  {"id": 1, "kind": "sensor", "x": 0.0, "y": 0.0, "z": 0.0,
                   "generated": 0, "candidates": []},
                  {"id": 2, "kind": "sink", "x": 0.0, "y": 0.0, "z": 100.0,
                   "generated": 0, "candidates": []}]
-        topo = analysis.load_snapshot({
-            "params": {"protocol": "qlfr", "tx_range_m": 150.0, "sound_speed_mps": 1500.0,
-                       "holding_h": 20, "tx_power_w": 2.0, "rx_power_w": 0.5,
-                       "channel": CHANNEL},
-            "nodes": nodes,
-        })
-        assert topo.links[(0, 1)] == (0.0, 1.0)
-        assert topo.neighbors[0] == (1, 2) and topo.neighbors[1] == (0, 2)
-        with pytest.raises(TopologyError, match="not strictly shallower"):
-            analysis.per_node_report(topo, 100.0, 100.0)
+        with pytest.raises(TopologyError, match="candidate 1 of node 0 is not strictly shallower"):
+            analysis.load_snapshot({
+                "params": {"protocol": "qlfr", "tx_range_m": 150.0, "sound_speed_mps": 1500.0,
+                           "holding_h": 20, "tx_power_w": 2.0, "rx_power_w": 0.5,
+                           "channel": CHANNEL},
+                "nodes": nodes,
+            })
 
     @staticmethod
     def two_node_snapshot(sink_z):

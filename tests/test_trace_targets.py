@@ -68,6 +68,10 @@ def test_analysis_targets():
     # the loader evaluates one `channel.link_model` per snapshot, so the
     # analysis no longer reaches the `channel.link_prob` span; the engine
     # targets above still do
-    for span in ("analysis.load_snapshot", "analysis.per_node_report",
-                 "analysis.senders_of"):
+    for span in ("analysis.load_snapshot", "analysis.per_node_report"):
         assert tracer.calls[span] > 0, span
+    # the model charges each hop the holding time of its list position, so
+    # nothing calls these two; they stay defined because the tracer wraps
+    # them by name, and go with the benchmark's next change (ROADMAP item 1)
+    for span in ("analysis.expected_holding_time", "analysis.senders_of"):
+        assert tracer.calls[span] == 0, span
