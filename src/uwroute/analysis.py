@@ -15,8 +15,8 @@ height-ordered DAG and the whole model is one pass over it (see `_solve`).
 A snapshot records no surface, so the model orders nodes by their height z
 alone. The topology builds its lookup tables once, when it is made, and the
 report only reads them: each sender's forward probabilities, built in one
-`forward_probs` call, and hop times; each candidate's (sender, priority)
-pairs; each node's height; and the set of sinks.
+`forward_probs` call, and hop times; the non-sink senders from the deepest
+up; and the set of sinks.
 
 The hop to the candidate in list position n takes the airtime M/mu, the
 link's propagation delay and the holding time tau(n) at the step
@@ -52,12 +52,11 @@ class StaticTopology:
     neighbors: dict  # id -> tuple of geometric neighbor ids (overhearing)
     gen_packets: dict  # source id -> packets generated over the horizon
     holding_k_s: float  # holding-time step between adjacent list positions
-    tx_power_w: float = 2.0
-    rx_power_w: float = 0.5
-    seconds_per_packet: float = 0.0512
+    tx_power_w: float
+    rx_power_w: float
+    seconds_per_packet: float
 
     def __post_init__(self):
-        inbound: dict = {}  # candidate -> [(sender, priority)] in candidates order
         forward, hops = {}, {}  # sender -> each candidate's forward probability, hop time
         links, airtime = self.links, self.seconds_per_packet
         height = {nid: z for nid, (_, _, z) in self.positions.items()}
@@ -75,7 +74,6 @@ class StaticTopology:
                 if height[c] <= height[sender]:
                     raise TopologyError(
                         f"candidate {c} of node {sender} is not strictly shallower")
-                inbound.setdefault(c, []).append((sender, position))
                 delay, p = links.get((sender, c), (None, None))  # a missing link has no p
                 if p is None or not 0.0 <= p <= 1.0:
                     raise TopologyError(f"link {(sender, c)} has probability {p}, not in [0, 1]")
@@ -83,18 +81,19 @@ class StaticTopology:
                 ts.append(airtime + delay + (0.0 if c in sinks else holding[position - 1]))
                 ps.append(p)
             forward[sender], hops[sender] = forward_probs(ps), tuple(ts)
-        object.__setattr__(self, "_inbound", inbound)
+        # no candidate lies at its sender's height, so ties may go either way
+        order = sorted((n for n in self.candidates if n not in sinks), key=height.__getitem__)
         object.__setattr__(self, "_forward", forward)
         object.__setattr__(self, "_hop", hops)
-        object.__setattr__(self, "_height", height)
+        object.__setattr__(self, "_order", order)
         object.__setattr__(self, "_sinks", sinks)
-        object.__setattr__(self, "_holding", holding)
 
     # No longer called by the model: `perfbench/tracing.py` wraps it by name,
     # so it goes with the next benchmark change (ROADMAP item 1).
     def senders_of(self, node: int) -> list[tuple[int, int]]:
         """(sender, 1-indexed priority of `node`) pairs in `candidates` order."""
-        return list(self._inbound.get(node, ()))
+        return [(sender, cands.index(node) + 1)
+                for sender, cands in self.candidates.items() if node in cands]
 
 
 def forward_probs(p_list) -> tuple:
@@ -118,11 +117,9 @@ def forward_prob(topo: StaticTopology, sender: int, candidate: int) -> float:
 def outgoing_traffic(topo: StaticTopology) -> dict:
     """Expected packets transmitted per node: own generation plus the inbound
     share of every sender's traffic. Sinks absorb and never transmit."""
-    height, sinks = topo._height, topo._sinks
+    sinks = topo._sinks
     traffic = {nid: float(topo.gen_packets.get(nid, 0.0)) for nid in topo.kinds}
-    for sender in sorted(topo.candidates, key=height.__getitem__):
-        if sender in sinks:
-            continue
+    for sender in topo._order:
         sent = traffic[sender]
         for cand, fwd in zip(topo.candidates[sender], topo._forward[sender]):
             if cand not in sinks:
@@ -152,10 +149,10 @@ def expected_holding_time(topo: StaticTopology, node: int, traffic: dict) -> flo
     if total_w <= 0.0:
         weights = [1.0] * len(senders)
         total_w = float(len(senders))
-    forward, steps = topo._forward, topo._holding
     expected = 0.0
     for (sender, position), w in zip(senders, weights):
-        expected += (w / total_w) * steps[position - 1] * forward[sender][position - 1]
+        expected += ((w / total_w) * holding_time(position, topo.holding_k_s)
+                     * topo._forward[sender][position - 1])
     return expected
 
 
@@ -167,9 +164,7 @@ def _solve(topo: StaticTopology) -> tuple[dict, dict]:
     sinks = topo._sinks
     delivery = {nid: 1.0 if nid in sinks else 0.0 for nid in topo.kinds}
     raw_delay = dict.fromkeys(topo.kinds, 0.0)
-    for sender in sorted(topo.candidates, key=topo._height.__getitem__, reverse=True):
-        if sender in sinks:
-            continue
+    for sender in reversed(topo._order):
         p = d = 0.0
         for cand, fwd, hop in zip(topo.candidates[sender], topo._forward[sender],
                                   topo._hop[sender]):
@@ -228,9 +223,10 @@ def load_snapshot(snap: dict) -> StaticTopology:
     without one of its fields with KeyError. The node entries are read in one
     pass, which refuses, with TopologyError naming the node and the field, an
     id that is not an integer or is repeated, a coordinate that is not a
-    finite number a float holds, a kind other than sensor, source or sink, a
-    generated count that is not such a number >= 0, or candidates that are
-    not a list. So is a candidate that is not the id of a node."""
+    finite number a float holds (a boolean is not a number), a kind other
+    than sensor, source or sink, a generated count that is not such a number
+    >= 0, or candidates that are not a list. So is a candidate that is not
+    the id of a node."""
     params = snap["params"]
     protocol = params.get("protocol", "qlfr")
     if protocol != "qlfr":
@@ -251,15 +247,9 @@ def load_snapshot(snap: dict) -> StaticTopology:
         if nid in kinds:
             raise TopologyError(f"node id {nid!r} appears more than once")
         position = (e["x"], e["y"], e["z"])
-        try:
-            finite = all(map(math.isfinite, position))
-        except (TypeError, OverflowError):  # not a number, or an int past every float
-            finite = False
-        if not finite:
-            axis = next(a for a, v in zip("xyz", position)
-                        if not isinstance(v, (int, float)) or not -_BIG <= v <= _BIG)
-            raise TopologyError(
-                f"node {nid} {axis} must be a finite number, got {shown(e[axis])}")
+        for axis, v in zip("xyz", position):
+            if type(v) not in (int, float) or not -_BIG <= v <= _BIG:
+                raise TopologyError(f"node {nid} {axis} must be a finite number, got {shown(v)}")
         if kind not in ("sensor", "source", "sink"):
             raise TopologyError(f"node {nid} has kind {kind!r}, not sensor, source or sink")
         count = e.get("generated", 0)

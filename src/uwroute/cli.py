@@ -193,10 +193,7 @@ def cmd_analyze(args) -> int:
     except (KeyError, TypeError) as exc:
         raise analysis.TopologyError(
             f"{args.snapshot} is not a run snapshot: {type(exc).__name__} {exc}") from None
-    run_time = run.max_sim_time_s if args.run_time is None else args.run_time
-    if not 0.0 < run_time < math.inf:
-        raise ValueError(f"--run-time must be a positive number of seconds, got {run_time}")
-    rows = analysis.per_node_report(topo, run_time, run.initial_node_energy_j)
+    rows = analysis.per_node_report(topo, run.max_sim_time_s, run.initial_node_energy_j)
     out = args.out
     os.makedirs(out, exist_ok=True)
     _write_csv(os.path.join(out, "per_node.csv"),
@@ -208,7 +205,7 @@ def cmd_analyze(args) -> int:
         "total_energy_j": sum(r["energy_j"] for r in rows),
         "source_delivery_prob": {r["id"]: r["delivery_prob"] for r in sources},
         "source_delay_s": {r["id"]: r["delay_to_sink_s"] for r in sources},
-        "run_time_s": run_time,
+        "run_time_s": run.max_sim_time_s,
     }
     _write_json(os.path.join(out, "aggregates.json"), aggregates)
     print(f"analyzed {len(rows)} nodes -> {out}")
@@ -258,7 +255,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     analyze_p = sub.add_parser("analyze", help="evaluate the analytical model on a snapshot")
     analyze_p.add_argument("--snapshot", required=True, help="snapshot.json from a run")
-    analyze_p.add_argument("--run-time", type=float, default=None)
     analyze_p.add_argument("--out", default="results", help="output directory")
     analyze_p.set_defaults(func=cmd_analyze)
 

@@ -177,7 +177,8 @@ class TestDeliveryProb:
                            positions={0: (0, 0, 0), 1: (0, 0, 100)},
                            candidates={0: (1, 5)},
                            links={(0, 1): (0.1, 0.9), (0, 5): (0.1, 0.9)}, neighbors={},
-                           gen_packets={}, holding_k_s=HOLDING_K_S)
+                           gen_packets={}, holding_k_s=HOLDING_K_S, tx_power_w=2.0,
+                           rx_power_w=0.5, seconds_per_packet=AIRTIME)
 
     def test_missing_or_improper_link_refused(self):
         for links in ({}, {(0, 1): 1.5}):

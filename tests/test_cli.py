@@ -532,6 +532,7 @@ class TestCliVerbs:
             assert aggregates["network_lifetime_s"] == pytest.approx(1e4, rel=1e-12)
             assert aggregates["network_lifetime_s"] == float(rows[0]["lifetime_s"])
             assert aggregates["total_energy_j"] == pytest.approx(1.25, rel=1e-12)
+            assert aggregates["run_time_s"] == 100.0
 
     BAD_SNAPSHOTS = {  # case -> (edit of the hand snapshot, text the error names)
         "infinite-coordinate": (lambda s: s["nodes"][2].update(y=math.inf),
@@ -539,6 +540,8 @@ class TestCliVerbs:
         # entries of the wrong JSON type, each named by node and field
         "text-coordinate": (lambda s: s["nodes"][0].update(x="1"),
                             "node 0 x must be a finite number, got '1'"),
+        "boolean-coordinate": (lambda s: s["nodes"][0].update(x=True),
+                               "node 0 x must be a finite number, got True"),
         "text-id": (lambda s: s["nodes"][2].update(id="2"), "node id '2' is not an integer"),
         "number-candidates": (lambda s: s["nodes"][0].update(candidates=5),
                               "node 0 candidates must be a list of node ids, got 5"),
@@ -601,30 +604,16 @@ class TestCliVerbs:
         assert err.startswith("error: ") and needle in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("run_time", ["-5", "0"])
-    def test_analyze_refuses_nonpositive_run_time(self, tmp_path, capsys, run_time):
-        out = tmp_path / "results"
-        assert cli.main(["run", "--config", self.write_config(tmp_path), "--out", str(out)]) == 0
-        capsys.readouterr()
-        rc = cli.main(["analyze", "--snapshot", str(out / "snapshot.json"),
-                       "--run-time", run_time, "--out", str(tmp_path / "analysis")])
-        assert rc == 2
-        assert "--run-time" in capsys.readouterr().err
-        assert not (tmp_path / "analysis").exists()
-
-    def test_analyze_explicit_run_time(self, tmp_path):
-        out = tmp_path / "results"
-        assert cli.main(["run", "--config", self.write_config(tmp_path), "--out", str(out)]) == 0
-        lifetimes = {}
-        for run_time in ("60", "120"):
-            out2 = tmp_path / f"analysis-{run_time}"
-            assert cli.main(["analyze", "--snapshot", str(out / "snapshot.json"),
-                             "--run-time", run_time, "--out", str(out2)]) == 0
-            aggregates = json.loads((out2 / "aggregates.json").read_text())
-            assert aggregates["run_time_s"] == float(run_time)
-            lifetimes[run_time] = aggregates["network_lifetime_s"]
-        assert 0.0 < lifetimes["60"] < math.inf
-        assert lifetimes["120"] == pytest.approx(2.0 * lifetimes["60"], rel=1e-12)
+    def test_analyze_has_no_run_time_option(self, tmp_path, capsys):
+        # lifetimes are projected over the snapshot's own run duration
+        snap = tmp_path / "snapshot.json"
+        snap.write_text(json.dumps(self.hand_snapshot()))
+        out = tmp_path / "analysis"
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["analyze", "--snapshot", str(snap), "--run-time", "60", "--out", str(out)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --run-time 60" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_sweep_refuses_repeated_value(self, tmp_path, capsys):
         out = tmp_path / "sweep"
