@@ -1,22 +1,24 @@
 """Closed-form performance model on a frozen topology snapshot.
 
-Given fixed positions, per-node ordered candidate lists and each candidate
-link's (propagation delay, delivery probability), computes the expected
-delivery probability to any sink, the expected end-to-end delay, per-node
-traffic and energy, and each node's projected lifetime; the network lifetime
-is the least of these. It assumes the
-candidates of a packet coordinate perfectly: the highest-priority candidate
-whose link succeeded forwards, everyone else stays silent. Used as an
-independent oracle against Monte-Carlo simulation of the same snapshot.
+Given fixed positions, per-node ordered candidate lists and, per sender, a
+row of each candidate link's (propagation delay, delivery probability) in
+list order, computes the expected delivery probability to any sink, the
+expected end-to-end delay, per-node traffic and energy, and each node's
+projected lifetime; the network lifetime is the least of these. It assumes
+the candidates of a packet coordinate perfectly: the highest-priority
+candidate whose link succeeded forwards, everyone else stays silent. Used as
+an independent oracle against Monte-Carlo simulation of the same snapshot.
 
 Every candidate must lie strictly higher than its sender (a greater z), and
 a topology refuses any other when it is built, so the candidate graph is a
 height-ordered DAG and the whole model is one pass over it (see `_solve`).
 A snapshot records no surface, so the model orders nodes by their height z
-alone. The topology builds its lookup tables once, when it is made, and the
-report only reads them: each sender's forward probabilities, built in one
-`forward_probs` call, and hop times; the non-sink senders from the deepest
-up; and the set of sinks.
+alone. The topology builds its lookup tables once, when it is made, by
+zipping each candidate list with its link row, and the report only reads
+them: each sender's forward probabilities, built in one `forward_probs`
+call, and hop times; the non-sink senders from the deepest up; and the set of
+sinks. No table is keyed by a (sender, candidate) pair: the model walks a
+sender's links only in list order.
 
 The hop to the candidate in list position n takes the airtime M/mu, the
 link's propagation delay and the holding time tau(n) at the step
@@ -41,6 +43,7 @@ class TopologyError(ValueError):
 
 
 _BIG = sys.float_info.max  # a snapshot number beyond the largest float is refused
+_NUMBER = (int, float)  # the types of a snapshot number; a boolean is not one
 
 
 @dataclass(frozen=True)
@@ -48,7 +51,7 @@ class StaticTopology:
     kinds: dict  # id -> "sensor" | "source" | "sink"
     positions: dict  # id -> (x, y, z); z increases toward the surface
     candidates: dict  # id -> ordered tuple of candidate ids (empty for sinks)
-    links: dict  # (sender, candidate) -> (propagation delay s, delivery probability)
+    links: dict  # sender -> ((propagation delay s, delivery probability), ...) in list order
     neighbors: dict  # id -> tuple of geometric neighbor ids (overhearing)
     gen_packets: dict  # source id -> packets generated over the horizon
     holding_k_s: float  # holding-time step between adjacent list positions
@@ -62,23 +65,27 @@ class StaticTopology:
         height = {nid: z for nid, (_, _, z) in self.positions.items()}
         sinks = frozenset(nid for nid, kind in self.kinds.items() if kind == "sink")
         longest = max(map(len, self.candidates.values()), default=0)
-        # holding time of list position n at index n - 1
+        # holding time of each list position, in list order
         holding = tuple(holding_time(n, self.holding_k_s) for n in range(1, longest + 1))
         for sender, cands in self.candidates.items():
             if len(set(cands)) != len(cands):
                 raise TopologyError(f"duplicate candidate in list of node {sender}")
+            row = links.get(sender, ())
+            if len(row) != len(cands):
+                raise TopologyError(f"node {sender} has a link row of length {len(row)} "
+                                    f"for a candidate list of length {len(cands)}")
             ts, ps = [], []
-            for position, c in enumerate(cands, 1):
+            floor = height[sender]  # every candidate lies strictly above it
+            for c, (delay, p), hold in zip(cands, row, holding):
                 if c not in height:
                     raise TopologyError(f"candidate {c} of node {sender} has no position")
-                if height[c] <= height[sender]:
+                if height[c] <= floor:
                     raise TopologyError(
                         f"candidate {c} of node {sender} is not strictly shallower")
-                delay, p = links.get((sender, c), (None, None))  # a missing link has no p
                 if p is None or not 0.0 <= p <= 1.0:
                     raise TopologyError(f"link {(sender, c)} has probability {p}, not in [0, 1]")
                 # airtime, propagation, then the hold of position n before c relays
-                ts.append(airtime + delay + (0.0 if c in sinks else holding[position - 1]))
+                ts.append(airtime + delay + (0.0 if c in sinks else hold))
                 ps.append(p)
             forward[sender], hops[sender] = forward_probs(ps), tuple(ts)
         # no candidate lies at its sender's height, so ties may go either way
@@ -211,7 +218,8 @@ def node_energy(topo: StaticTopology, node: int, traffic: dict) -> float:
 
 def load_snapshot(snap: dict) -> StaticTopology:
     """Build a StaticTopology from an engine snapshot dict, measuring each
-    candidate link as the engine's link table does: the squared length from
+    candidate link, into its sender's row in list order, as the engine's link
+    table does: the squared length from
     per-axis differences, refused above `tx_range_m` squared, and
     `channel.link` of it with one link model of the recorded channel. The
     channel alone gives the airtime M/mu (an older snapshot's
@@ -246,17 +254,20 @@ def load_snapshot(snap: dict) -> StaticTopology:
             raise TopologyError(f"node id {nid!r} is not an integer")
         if nid in kinds:
             raise TopologyError(f"node id {nid!r} appears more than once")
-        position = (e["x"], e["y"], e["z"])
-        for axis, v in zip("xyz", position):
-            if type(v) not in (int, float) or not -_BIG <= v <= _BIG:
-                raise TopologyError(f"node {nid} {axis} must be a finite number, got {shown(v)}")
+        x, y, z = e["x"], e["y"], e["z"]
+        if not (type(x) in _NUMBER and type(y) in _NUMBER and type(z) in _NUMBER
+                and -_BIG <= x <= _BIG and -_BIG <= y <= _BIG and -_BIG <= z <= _BIG):
+            for axis, v in zip("xyz", (x, y, z)):  # name the first axis that fails
+                if type(v) not in _NUMBER or not -_BIG <= v <= _BIG:
+                    raise TopologyError(
+                        f"node {nid} {axis} must be a finite number, got {shown(v)}")
         if kind not in ("sensor", "source", "sink"):
             raise TopologyError(f"node {nid} has kind {kind!r}, not sensor, source or sink")
         count = e.get("generated", 0)
-        if type(count) not in (int, float) or not 0 <= count <= _BIG:
+        if type(count) not in _NUMBER or not 0 <= count <= _BIG:
             raise TopologyError(f"node {nid} generated must be a finite number >= 0, "
                                 f"got {shown(count)}")
-        kinds[nid], positions[nid] = kind, position
+        kinds[nid], positions[nid] = kind, (x, y, z)
         if kind != "sink":
             cands = e["candidates"]
             if type(cands) is not list:
@@ -269,12 +280,15 @@ def load_snapshot(snap: dict) -> StaticTopology:
     for a, b, _ in pairs_in_range(((i, *p) for i, p in positions.items()), r):
         near[a].append(b)
         near[b].append(a)
-    neighbors = {i: tuple(sorted(js)) for i, js in near.items()}
+    for js in near.values():
+        js.sort()
+    neighbors = {i: tuple(js) for i, js in near.items()}
     r2, v0, delivery, link = r * r, config.sound_speed_mps, chan.link_model(cp), chan.link
     links = {}
     try:
         for s, cands in candidates.items():
             xa, ya, za = positions[s]
+            row = []
             for c in cands:
                 if type(c) is not int or (there := positions.get(c)) is None:
                     raise TopologyError(f"candidate {c!r} of node {s} names no node")
@@ -284,7 +298,8 @@ def load_snapshot(snap: dict) -> StaticTopology:
                 if d2 > r2:
                     raise TopologyError(f"candidate {c} of node {s} is {math.sqrt(d2)!r} m "
                                         f"away, beyond world.tx_range_m = {r!r} m")
-                links[s, c] = link(d2, v0, delivery)
+                row.append(link(d2, v0, delivery))
+            links[s] = tuple(row)
     except OverflowError:  # integer coordinates whose squared distance no float holds
         raise TopologyError(f"candidate {c} of node {s} is beyond "
                             f"world.tx_range_m = {r!r} m") from None

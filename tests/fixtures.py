@@ -14,15 +14,19 @@ from uwroute.analysis import StaticTopology
 HOLDING_K_S = 2.0 * 0.1 / 20  # the step 2 t_max / h
 
 
-def static_topology(*, positions: dict, link_prob: dict, **fields) -> StaticTopology:
-    """A StaticTopology whose links have the given delivery probabilities and
-    the propagation delay of their length at 1500 m/s, with the default
-    powers, 2 W to send and 0.5 W to receive, and airtime, 512 bits at
-    10 kbit/s."""
-    links = {(s, c): (math.dist(positions[s], positions[c]) / 1500.0, p)
-             for (s, c), p in link_prob.items()}
-    return StaticTopology(positions=positions, links=links, tx_power_w=2.0, rx_power_w=0.5,
-                          seconds_per_packet=0.0512, **fields)
+def static_topology(*, positions: dict, candidates: dict, link_prob: dict,
+                    **fields) -> StaticTopology:
+    """A StaticTopology whose links have the given (sender, candidate)
+    delivery probabilities and the propagation delay of their length at
+    1500 m/s, each sender's row in candidate order, with the default powers,
+    2 W to send and 0.5 W to receive, and airtime, 512 bits at 10 kbit/s. A
+    listed candidate missing from `link_prob` gets probability None, which
+    the topology refuses."""
+    links = {s: tuple((math.dist(positions[s], positions[c]) / 1500.0, link_prob.get((s, c)))
+                      for c in cands)
+             for s, cands in candidates.items()}
+    return StaticTopology(positions=positions, candidates=candidates, links=links,
+                          tx_power_w=2.0, rx_power_w=0.5, seconds_per_packet=0.0512, **fields)
 
 
 def chain3() -> tuple[StaticTopology, int]:

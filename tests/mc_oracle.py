@@ -31,8 +31,8 @@ def run_trials(topo, source: int, trials: int, seed: int = 0):
         while True:
             forwarder = None
             position = 0
-            for idx, cand in enumerate(topo.candidates.get(current, ())):
-                hop, p = topo.links[(current, cand)]
+            for idx, (cand, (hop, p)) in enumerate(zip(topo.candidates.get(current, ()),
+                                                       topo.links.get(current, ()))):
                 if rng.random() < p:
                     forwarder = cand
                     position = idx + 1

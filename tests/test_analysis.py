@@ -58,11 +58,14 @@ def assert_links_equal_the_closed_form(snapshot: dict):
     topo = analysis.load_snapshot(snapshot)
     cp = channel.ChannelParams(**snapshot["params"]["channel"])
     v0, pos = snapshot["params"]["sound_speed_mps"], topo.positions
-    assert topo.links and len(topo.links) == sum(map(len, topo.candidates.values()))
-    for s, c in topo.links:
-        dx, dy, dz = (b - a for a, b in zip(pos[s], pos[c]))
-        d = math.sqrt(dx * dx + dy * dy + dz * dz)
-        assert topo.links[s, c] == (d / v0, channel.packet_delivery_prob(d, cp))
+    assert topo.links.keys() == topo.candidates.keys()
+    assert sum(map(len, topo.links.values())) > 0
+    for s, cands in topo.candidates.items():
+        assert len(topo.links[s]) == len(cands)
+        for c, link in zip(cands, topo.links[s]):
+            dx, dy, dz = (b - a for a, b in zip(pos[s], pos[c]))
+            d = math.sqrt(dx * dx + dy * dy + dz * dz)
+            assert link == (d / v0, channel.packet_delivery_prob(d, cp))
 
 
 def line_topology(p1=0.9, p2=0.9, spacing=120.0):
@@ -176,7 +179,7 @@ class TestDeliveryProb:
             StaticTopology(kinds={0: "source", 1: "sink"},
                            positions={0: (0, 0, 0), 1: (0, 0, 100)},
                            candidates={0: (1, 5)},
-                           links={(0, 1): (0.1, 0.9), (0, 5): (0.1, 0.9)}, neighbors={},
+                           links={0: ((0.1, 0.9), (0.1, 0.9))}, neighbors={},
                            gen_packets={}, holding_k_s=HOLDING_K_S, tx_power_w=2.0,
                            rx_power_w=0.5, seconds_per_packet=AIRTIME)
 
@@ -187,6 +190,35 @@ class TestDeliveryProb:
                                 positions={0: (0, 0, 0), 1: (0, 0, 100)},
                                 candidates={0: (1,)}, link_prob=links, neighbors={},
                                 gen_packets={}, holding_k_s=HOLDING_K_S)
+
+    @staticmethod
+    def rows_topology(links):
+        """Source 0 lists sensor 1 and sink 2; sensor 1 lists sink 2; sensor
+        3 lists nothing."""
+        return StaticTopology(kinds={0: "source", 1: "sensor", 2: "sink", 3: "sensor"},
+                              positions={0: (0, 0, 0), 1: (0, 0, 50), 2: (0, 0, 100),
+                                         3: (0, 50, 0)},
+                              candidates={0: (1, 2), 1: (2,), 3: ()},
+                              links=links, neighbors={}, gen_packets={},
+                              holding_k_s=HOLDING_K_S, tx_power_w=2.0, rx_power_w=0.5,
+                              seconds_per_packet=AIRTIME)
+
+    @pytest.mark.parametrize("row, count", [(((0.1, 0.9),), 1), (((0.1, 0.9),) * 3, 3)],
+                             ids=["shorter", "longer"])
+    def test_row_of_another_length_refused(self, row, count):
+        with pytest.raises(TopologyError, match=f"node 0 has a link row of length {count} "
+                                                 "for a candidate list of length 2"):
+            self.rows_topology({0: row, 1: ((0.1, 0.9),)})
+
+    def test_list_without_row_refused(self):
+        with pytest.raises(TopologyError, match="node 1 has a link row of length 0 "
+                                                "for a candidate list of length 1"):
+            self.rows_topology({0: ((0.1, 0.9), (0.1, 0.9))})
+
+    def test_empty_list_needs_no_row(self):
+        topo = self.rows_topology({0: ((0.1, 0.9), (0.1, 0.9)), 1: ((0.1, 0.9),)})
+        assert delivery_prob_to_sink(topo, 3) == 0.0
+        assert delivery_prob_to_sink(topo, 0) == pytest.approx(0.9 * 0.9 + 0.1 * 0.9, rel=1e-12)
 
     def test_monte_carlo_cross_check_small(self):
         topo, src = diamond4()
@@ -364,7 +396,7 @@ class TestWideLists:
     def test_forward_vectors_equal_the_closed_form(self):
         topo, _ = wide_dag48()
         for sender, cands in topo.candidates.items():
-            ps = [topo.links[(sender, c)][1] for c in cands]
+            ps = [p for _, p in topo.links[sender]]
             assert len(topo._forward[sender]) == len(cands)
             for j, cand in enumerate(cands, 1):
                 exact = forward_probs(ps)[j - 1]
@@ -500,7 +532,7 @@ class TestSnapshotLoading:
 
         monkeypatch.setattr(channel, "link_model", counting_link_model)
         topo = analysis.load_snapshot(snapshot)
-        assert len(made) == 1 and len(topo.links) > 1
+        assert len(made) == 1 and sum(map(len, topo.links.values())) > 1
 
     def test_engine_links_equal_the_closed_form(self):
         assert_links_equal_the_closed_form(engine_snapshot())
@@ -520,9 +552,11 @@ class TestSnapshotLoading:
         topo = analysis.load_snapshot(json.loads(json.dumps(sim.snapshot_topology())))
         engine = {(n.id, other): (delay, p)
                   for n in sim.nodes for other, delay, p in sim._link_table(n)}
-        assert len(topo.links) > 100
-        for link, pair in topo.links.items():
-            assert pair == engine[link], link
+        assert sum(map(len, topo.links.values())) > 100
+        for s, cands in topo.candidates.items():
+            assert len(topo.links[s]) == len(cands)
+            for c, pair in zip(cands, topo.links[s]):
+                assert pair == engine[s, c], (s, c)
 
     def test_candidate_on_its_sender(self):
         # source 0 lists sensor 1, which shares its position 100 m below sink
@@ -557,7 +591,7 @@ class TestSnapshotLoading:
 
     def test_candidate_at_the_range_is_accepted(self):
         topo = analysis.load_snapshot(self.two_node_snapshot(150.0))
-        delay, p = topo.links[(0, 1)]
+        (delay, p), = topo.links[0]
         assert topo.candidates[0] == (1,) and delay == 0.1 and 0.0 < p < 1.0
         assert delivery_prob_to_sink(topo, 0) == p
 

@@ -542,6 +542,14 @@ class TestCliVerbs:
                             "node 0 x must be a finite number, got '1'"),
         "boolean-coordinate": (lambda s: s["nodes"][0].update(x=True),
                                "node 0 x must be a finite number, got True"),
+        "nan-coordinate": (lambda s: s["nodes"][0].update(z=math.nan),
+                           "node 0 z must be a finite number, got nan"),
+        # x and y pass, so the error names the axis that failed
+        "text-z": (lambda s: s["nodes"][0].update(z="1"),
+                   "node 0 z must be a finite number, got '1'"),
+        # an unhashable kind is refused as a wrong kind, not with a TypeError
+        "list-kind": (lambda s: s["nodes"][2].update(kind=["sink"]),
+                      "node 2 has kind ['sink'], not sensor, source or sink"),
         "text-id": (lambda s: s["nodes"][2].update(id="2"), "node id '2' is not an integer"),
         "number-candidates": (lambda s: s["nodes"][0].update(candidates=5),
                               "node 0 candidates must be a list of node ids, got 5"),
