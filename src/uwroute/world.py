@@ -7,7 +7,11 @@ neighbor-knowledge table is read and written only by `qlfr`.
 `pairs_in_range` is the one neighbour sweep, for the engine's link tables
 and the analysis: it lists every pair of points within range once, so the
 engine computes each link of a mobility epoch once for both ends.
-`neighbors_in_range` is the brute-force scan it is checked against.
+`neighbors_in_range` is the brute-force scan it is checked against: one
+plain pass over the nodes that drops a node once a partial sum of its
+squared offsets exceeds r², which is exact because a rounded sum of
+non-negative terms never falls below a partial sum. Both refuse a range that
+is not > 0, NaN included.
 
 Coordinates: z is height above the sea floor, so depth = region_z - z.
 Sinks sit on the surface (z = region_z, depth 0) and never move; sources are
@@ -158,19 +162,28 @@ def random_walk_step(node: NodeState, speed_v: float, dt: float,
 
 
 def neighbors_in_range(node: NodeState, all_nodes: Iterable[NodeState], r: float) -> list[int]:
-    """Ids of all nodes within Euclidean distance r of `node`, excluding it."""
-    if r <= 0:
+    """Ids of all nodes within Euclidean distance r of `node`, excluding it,
+    in the order of `all_nodes`: those whose `dx * dx + dy * dy + dz * dz`
+    is at most r * r. The sum is built left to right and a node is dropped
+    as soon as a partial sum exceeds r * r. That is exact: each term is a
+    square, so not negative, and a rounded sum is never below its larger
+    operand, so no later term can bring the full sum back within range."""
+    if not r > 0:
         raise ValueError(f"range must be > 0, got {r}")
     px, py, pz = node.position.x, node.position.y, node.position.z
-    r2 = r * r
-    out = []
+    r2, me, out = r * r, node.id, []
     for other in all_nodes:
-        if other.id == node.id:
+        pos = other.position
+        dx = pos.x - px
+        d2 = dx * dx
+        if d2 > r2:
             continue
-        dx = other.position.x - px
-        dy = other.position.y - py
-        dz = other.position.z - pz
-        if dx * dx + dy * dy + dz * dz <= r2:
+        dy = pos.y - py
+        d2 += dy * dy
+        if d2 > r2:
+            continue
+        dz = pos.z - pz
+        if d2 + dz * dz <= r2 and other.id != me:
             out.append(other.id)
     return out
 
@@ -189,7 +202,7 @@ def pairs_in_range(points: Iterable[tuple[int, float, float, float]], r: float) 
     points of its cell and every point of the 13 cells ahead of it. The
     squared distance is summed from b - a per axis; IEEE subtraction is
     antisymmetric, so it equals bit for bit the value computed from b's end."""
-    if r <= 0:
+    if not r > 0:
         raise ValueError(f"range must be > 0, got {r}")
     r2, cell, cells, out = r * r, r * (1.0 + 1e-9), {}, []
     for pid, x, y, z in points:

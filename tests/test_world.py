@@ -4,6 +4,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from uwroute import world
 from uwroute.config import ScenarioConfig
@@ -172,6 +173,98 @@ class TestNeighbors:
     def test_excludes_self(self):
         a = NodeState(0, "sensor", NodePosition(0, 0, 0), 300.0, 100.0)
         assert neighbors_in_range(a, [a], 150.0) == []
+
+    @staticmethod
+    def reference(node, nodes, r):
+        """The full squared length summed left to right, with no early exit."""
+        p, out = node.position, []
+        for o in nodes:
+            dx, dy, dz = o.position.x - p.x, o.position.y - p.y, o.position.z - p.z
+            if o.id != node.id and dx * dx + dy * dy + dz * dz <= r * r:
+                out.append(o.id)
+        return out
+
+    @classmethod
+    def assert_scans_agree(cls, points, r):
+        """Every node's scan over `points` (x, y, z) equals the reference,
+        in the same order; returns the scans by node id."""
+        nodes = [NodeState(i, "sensor", NodePosition(*xyz), 300.0, 100.0)
+                 for i, xyz in enumerate(points)]
+        scans = {}
+        for node in nodes:
+            scans[node.id] = neighbors_in_range(node, nodes, r)
+            assert scans[node.id] == cls.reference(node, nodes, r)
+        return scans
+
+    @pytest.mark.parametrize("offset", [(150.0, 0.0, 0.0), (0.0, 150.0, 0.0), (0.0, 0.0, 150.0),
+                                        (-150.0, 0.0, 0.0), (0.0, 0.0, -150.0)])
+    def test_exactly_r_apart_along_an_axis(self, offset):
+        beyond = tuple(math.nextafter(c, math.copysign(math.inf, c)) if c else c for c in offset)
+        scans = self.assert_scans_agree([(0.0, 0.0, 0.0), offset, beyond], 150.0)
+        assert scans[0] == [1] and scans[1] == [0, 2] and scans[2] == [1]
+
+    def test_exactly_r_apart_on_a_space_diagonal(self):
+        # offsets of 40, 60 and 120 m: d2 = 19 600 = 140 * 140 exactly
+        for sx, sy, sz in ((1, 1, 1), (-1, 1, -1), (1, -1, -1)):
+            a = (100.0, 200.0, 150.0)
+            b = (100.0 + sx * 40.0, 200.0 + sy * 60.0, 150.0 + sz * 120.0)
+            far = (b[0], b[1], b[2] + sz * 1e-9)
+            scans = self.assert_scans_agree([a, b, far], 140.0)
+            assert scans[0] == [1]
+
+    def test_range_one_ulp_past_the_point(self):
+        r = 150.0
+        points = [(0.0, 0.0, 0.0), (r, 0.0, 0.0), (math.nextafter(r, math.inf), 0.0, 0.0)]
+        assert self.assert_scans_agree(points, r)[0] == [1]
+        assert self.assert_scans_agree(points, math.nextafter(r, math.inf))[0] == [1, 2]
+
+    def test_terms_summed_left_to_right(self):
+        # at r = 150, dx * dx + (dy * dy + dz * dz) would put point 1 in
+        # range and point 2 out of it; summed left to right it is the reverse
+        points = [(0.0, 0.0, 0.0), (131.74474883355316, -35.638728693536265, 62.235055811757),
+                  (42.68830887973368, -94.22812023158468, 108.62214158545427)]
+        assert self.assert_scans_agree(points, 150.0)[0] == [2]
+
+    def test_same_position_listed_by_id(self):
+        scans = self.assert_scans_agree([(5.0, 5.0, 5.0), (5.0, 5.0, 5.0), (5.0, 5.0, 300.0)], 1.0)
+        assert scans == {0: [1], 1: [0], 2: []}
+
+    def test_squares_that_overflow(self):
+        # dx * dx is inf: out of any finite range, but within an infinite r * r
+        points = [(0.0, 0.0, 0.0), (1e200, 0.0, 0.0), (0.0, -1e200, 0.0), (0.0, 0.0, 1e155),
+                  (1.0, 1.0, 1.0)]
+        assert self.assert_scans_agree(points, 150.0)[0] == [4]
+        assert self.assert_scans_agree(points, 1e300)[0] == [1, 2, 3, 4]
+        assert self.assert_scans_agree(points, 1e154)[0] == [4]
+
+    def test_negative_coordinates(self):
+        points = [(-300.0, -250.0, -10.0), (-200.0, -250.0, -10.0), (-300.0, -100.0, -10.0),
+                  (-250.0, -200.0, -60.0), (300.0, 250.0, 10.0)]
+        scans = self.assert_scans_agree(points, 100.0)
+        assert scans[0] == [1, 3] and scans[4] == []
+
+    def test_nan_coordinate_is_never_in_range(self):
+        points = [(0.0, 0.0, 0.0), (math.nan, 0.0, 0.0), (0.0, 0.0, math.nan), (1.0, 0.0, 0.0)]
+        assert self.assert_scans_agree(points, 150.0) == {0: [3], 1: [], 2: [], 3: [0]}
+
+    @settings(max_examples=200)
+    @given(st.lists(st.tuples(*[st.floats(-1e6, 1e6)] * 3), max_size=30),
+           st.floats(1e-3, 2e6))
+    def test_matches_the_full_sum(self, points, r):
+        self.assert_scans_agree(points, r)
+        # the same points snapped to a 3 m grid within 30 m of the origin,
+        # and a range that is a multiple of 3 m: distances of exactly r are
+        # common there, and every square and sum is exact
+        snapped = [tuple(3.0 * round(c / 1e5) for c in xyz) for xyz in points]
+        self.assert_scans_agree(snapped, 3.0 * round(r / 1e5 + 1))
+
+    @pytest.mark.parametrize("r", [0.0, -1.0, math.nan, -math.inf])
+    def test_rejects_a_range_not_above_zero(self, r):
+        a = NodeState(0, "sensor", NodePosition(0, 0, 0), 300.0, 100.0)
+        with pytest.raises(ValueError, match="range must be > 0"):
+            neighbors_in_range(a, [a], r)
+        with pytest.raises(ValueError, match="range must be > 0"):
+            pairs_in_range([(0, 0.0, 0.0, 0.0)], r)
 
 
 class TestPairsInRange:
